@@ -40,7 +40,6 @@ from .measures import (
     TwoSampleMeasure,
     empirical_from_sample,
     mix_path,
-    step_eval,
 )
 from .numdiff import FdConfig, fd_path, fd_theta
 from .simulation import McReport, SimConfig, gen_missing_cov, gen_prop_odds, monte_carlo
@@ -88,5 +87,4 @@ __all__ = [
     "profile_mle",
     "resolvent_apply",
     "solve_fixed_point",
-    "step_eval",
 ]

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import missing_cov, prop_odds, simulation
-from .errors import InvalidInput
 from .fixed_point import estimate_operator_norm
 from .implicit_diff import d2theta_eta, df_eta, dtheta_eta
 from .measures import EmpiricalMeasure
@@ -28,6 +27,9 @@ POPULATION_TOL = 1e-6
 NORM_BOUND_SLACK = 1e-6
 
 _N_DIRECTIONS = 3
+#: Zero-sum nuisance directions and parameter points of the population audit.
+_N_POPULATION_DIRECTIONS = 10
+_N_POPULATION_THETAS = 5
 
 
 @dataclass
@@ -56,21 +58,19 @@ def _maybe_corrupt(value, name, corrupt):
     return value
 
 
+def _row(name, analytic, reference, tol, corrupt):
+    """Audit row comparing an analytic value with its difference oracle."""
+    analytic = _maybe_corrupt(analytic, name, corrupt)
+    return AuditRow(name, rel_err(analytic, reference), tol)
+
+
 def seeded_model(kind, n=20, seed=0):
-    """Deterministic synthetic dataset; the survival draw uses the linear
-    baseline so the event grid has n-scale resolution."""
+    """Deterministic synthetic dataset from the family's audit design (the
+    survival audit draws from the linear baseline so the event grid has
+    n-scale resolution)."""
+    family = simulation.get_family(kind)
     rng = simulation.replication_rng(seed, 0)
-    if kind == "prop_odds":
-        design = prop_odds.LINEAR_DESIGN
-        u, delta, z = simulation.gen_prop_odds(design, n, rng)
-        return prop_odds.PropOddsModel.from_arrays(u, delta, z)
-    if kind == "missing_cov":
-        design = missing_cov.MissingCovDesign()
-        r, y, x = simulation.gen_missing_cov(design, n, rng)
-        return missing_cov.MissingCovModel.from_arrays(
-            r, y, x, missing_cov.NormalRegression()
-        )
-    raise InvalidInput(f"unknown model kind {kind!r}")
+    return simulation.draw_model(family, family.audit_design, n, rng)
 
 
 def union_with_resample(model, kind, seed=1000, n=None):
@@ -86,12 +86,7 @@ def union_with_resample(model, kind, seed=1000, n=None):
     w_target = np.concatenate([np.zeros(len(model.points)), other.weights])
     base = EmpiricalMeasure(points, w_base)
     target = EmpiricalMeasure(points, w_target)
-    if kind == "prop_odds":
-        tau = max(model.tau, other.tau)
-        union = prop_odds.PropOddsModel(base, tau=tau)
-    else:
-        union = missing_cov.MissingCovModel(base, model.family)
-    return union, base.weights, target.weights
+    return model.joined(other, base), base.weights, target.weights
 
 
 def _scaled_directions(rng, base, count=_N_DIRECTIONS):
@@ -99,213 +94,104 @@ def _scaled_directions(rng, base, count=_N_DIRECTIONS):
     return [base * rng.uniform(-0.5, 0.5, size=len(base)) for _ in range(count)]
 
 
-def audit_prop_odds(model, beta=None, seed=0, corrupt=None):
-    """Operator-derivative audits for the survival model on one dataset."""
-    rng = np.random.default_rng(seed + 17)
-    beta = np.atleast_1d(
-        np.asarray([0.5] * model.covariate_dim if beta is None else beta,
-                   dtype=float)
-    )
-    sol = prop_odds.solve_nuisance(model, beta, tol=1e-12)
-    jumps = sol.eta
-    A = model.jumps_to_step(jumps)
+def audit_operators(family, model, theta=None, seed=0, corrupt=None):
+    """Operator-derivative audits of one family on one dataset.
+
+    The nuisance, parameter and mixed derivatives are the family module's
+    functions named by ``family.audit_rows``; the operator in coefficient
+    coordinates is the map of the family's fixed-point problem.
+    """
+    mod = family.module
+    d_eta_name, d2_eta_name, dtheta_name = family.audit_rows[:3]
+    rng = np.random.default_rng(seed + family.audit_seed_offset)
+    theta = np.atleast_1d(np.asarray(
+        family.audit_theta(model) if theta is None else theta, dtype=float
+    ))
+    eta = mod.solve_nuisance(model, theta, tol=1e-12).eta
+    nuisance = model.as_nuisance(eta)
     rows = []
 
-    def psi_of_jumps(v):
-        return prop_odds.psi_jumps(model, beta, v)
-
-    def psi_of_beta(b):
-        return prop_odds.psi_apply(model, b, A).jump_sizes
-
-    dirs = _scaled_directions(rng, jumps)
-
-    da = _maybe_corrupt(prop_odds.da_psi(model, beta, A).matrix, "da_psi", corrupt)
-    worst = 0.0
-    for h in dirs:
-        step = 1e-5
-        fd = (psi_of_jumps(jumps + step * h) - psi_of_jumps(jumps - step * h)) / (
-            2.0 * step
-        )
-        worst = max(worst, rel_err(da @ h, fd))
-    rows.append(AuditRow("da_psi", worst, FIRST_ORDER_TOL))
-
-    d2a = prop_odds.d2a_psi(model, beta, A)
-    worst = 0.0
-    for h1, h2 in zip(dirs, dirs[1:] + dirs[:1]):
-        fd = fd_bilinear(
-            lambda s, t: psi_of_jumps(jumps + s * h1 + t * h2), h1, h2, step=1e-4
-        )
-        analytic = _maybe_corrupt(d2a.apply(h1, h2), "d2a_psi", corrupt)
-        worst = max(worst, rel_err(analytic, fd))
-    rows.append(AuditRow("d2a_psi", worst, SECOND_ORDER_TOL))
-
-    dot, ddot, mixed = prop_odds.dbeta_psi(model, beta, A)
-    fd_dot = fd_theta(psi_of_beta, beta, FdConfig(step=1e-5))
-    rows.append(AuditRow(
-        "dbeta_psi.dot",
-        rel_err(_maybe_corrupt(dot, "dbeta_psi.dot", corrupt), fd_dot),
-        FIRST_ORDER_TOL,
-    ))
-
-    def dot_of_beta(b):
-        return prop_odds.dbeta_psi(model, b, A)[0]
-
-    fd_ddot = fd_theta(dot_of_beta, beta, FdConfig(step=1e-4))
-    rows.append(AuditRow(
-        "dbeta_psi.ddot",
-        rel_err(_maybe_corrupt(ddot, "dbeta_psi.ddot", corrupt),
-                fd_ddot.transpose(1, 0, 2)),
-        SECOND_ORDER_TOL,
-    ))
-
-    worst = 0.0
-    for h in dirs:
-        def dot_along(t, h=h):
-            At = model.jumps_to_step(jumps + t * h)
-            return prop_odds.dbeta_psi(model, beta, At)[0]
-
-        step = 1e-4
-        fd = (dot_along(step) - dot_along(-step)) / (2.0 * step)
-        analytic = np.stack([m.apply(h) for m in mixed])
-        analytic = _maybe_corrupt(analytic, "dbeta_psi.mixed", corrupt)
-        worst = max(worst, rel_err(analytic, fd))
-    rows.append(AuditRow("dbeta_psi.mixed", worst, SECOND_ORDER_TOL))
-
-    union, w_base, w_target = union_with_resample(model, "prop_odds", seed + 1000)
-    sol_u = prop_odds.solve_nuisance(union, beta, w_base, tol=1e-12)
-    A_u = union.jumps_to_step(sol_u.eta)
-    h_dir = w_target - w_base
-    analytic = prop_odds.df_psi(union, beta, A_u, w_base, h_dir)
-    analytic = _maybe_corrupt(analytic, "df_psi", corrupt)
-
-    def psi_at_path(t):
-        return prop_odds.psi_apply(
-            union, beta, A_u, (1.0 - t) * w_base + t * w_target
-        ).jump_sizes
-
-    fd = fd_path(psi_at_path, FdConfig(step=1e-5, scheme="forward", richardson=True))
-    rows.append(AuditRow("df_psi", rel_err(analytic, fd), FIRST_ORDER_TOL))
-
-    rows.extend(
-        _audit_implicit(
-            "prop_odds", model, beta, jumps, union, w_base, w_target, corrupt
-        )
-    )
-    return rows
-
-
-def audit_missing_cov(model, theta=None, seed=0, corrupt=None):
-    """Operator-derivative audits for the missing-covariate model."""
-    rng = np.random.default_rng(seed + 29)
-    theta = np.asarray(
-        (0.05, 0.9, 0.05) if theta is None else theta, dtype=float
-    )
-    sol = missing_cov.solve_nuisance(model, theta, tol=1e-12)
-    g = sol.eta
-    rows = []
-
-    def psi_of_masses(v):
-        return missing_cov.psi_masses(model, theta, v)
+    def psi_of_eta(v):
+        return mod.fixed_point_problem(model, theta).apply(v)
 
     def psi_of_theta(t):
-        return missing_cov.psi_apply(model, t, g).masses
+        return mod.fixed_point_problem(model, t).apply(eta)
 
-    dirs = _scaled_directions(rng, g)
+    dirs = _scaled_directions(rng, eta)
 
-    dg = _maybe_corrupt(
-        missing_cov.dg_psi(model, theta, g).matrix, "dg_psi", corrupt
-    )
+    d_eta = getattr(mod, d_eta_name)(model, theta, nuisance).matrix
+    d_eta = _maybe_corrupt(d_eta, d_eta_name, corrupt)
     worst = 0.0
     for h in dirs:
         step = 1e-5
-        fd = (psi_of_masses(g + step * h) - psi_of_masses(g - step * h)) / (
+        fd = (psi_of_eta(eta + step * h) - psi_of_eta(eta - step * h)) / (
             2.0 * step
         )
-        worst = max(worst, rel_err(dg @ h, fd))
-    rows.append(AuditRow("dg_psi", worst, FIRST_ORDER_TOL))
+        worst = max(worst, rel_err(d_eta @ h, fd))
+    rows.append(AuditRow(d_eta_name, worst, FIRST_ORDER_TOL))
 
-    d2g = missing_cov.d2g_psi(model, theta, g)
+    d2_eta = getattr(mod, d2_eta_name)(model, theta, nuisance)
     worst = 0.0
     for h1, h2 in zip(dirs, dirs[1:] + dirs[:1]):
         fd = fd_bilinear(
-            lambda s, t: psi_of_masses(g + s * h1 + t * h2), h1, h2, step=1e-4
+            lambda s, t: psi_of_eta(eta + s * h1 + t * h2), h1, h2, step=1e-4
         )
-        analytic = _maybe_corrupt(d2g.apply(h1, h2), "d2g_psi", corrupt)
+        analytic = _maybe_corrupt(d2_eta.apply(h1, h2), d2_eta_name, corrupt)
         worst = max(worst, rel_err(analytic, fd))
-    rows.append(AuditRow("d2g_psi", worst, SECOND_ORDER_TOL))
+    rows.append(AuditRow(d2_eta_name, worst, SECOND_ORDER_TOL))
 
-    dot, ddot, mixed = missing_cov.dtheta_psi(model, theta, g)
+    dtheta_psi = getattr(mod, dtheta_name)
+    dot, ddot, mixed = dtheta_psi(model, theta, nuisance)
     fd_dot = fd_theta(psi_of_theta, theta, FdConfig(step=1e-5))
-    rows.append(AuditRow(
-        "dtheta_psi.dot",
-        rel_err(_maybe_corrupt(dot, "dtheta_psi.dot", corrupt), fd_dot),
-        FIRST_ORDER_TOL,
-    ))
+    rows.append(_row(f"{dtheta_name}.dot", dot, fd_dot, FIRST_ORDER_TOL, corrupt))
 
     def dot_of_theta(t):
-        return missing_cov.dtheta_psi(model, t, g)[0]
+        return dtheta_psi(model, t, nuisance)[0]
 
     fd_ddot = fd_theta(dot_of_theta, theta, FdConfig(step=1e-4))
-    rows.append(AuditRow(
-        "dtheta_psi.ddot",
-        rel_err(_maybe_corrupt(ddot, "dtheta_psi.ddot", corrupt),
-                fd_ddot.transpose(1, 0, 2)),
-        SECOND_ORDER_TOL,
-    ))
+    rows.append(_row(f"{dtheta_name}.ddot", ddot, fd_ddot.transpose(1, 0, 2),
+                     SECOND_ORDER_TOL, corrupt))
 
     worst = 0.0
+    name = f"{dtheta_name}.mixed"
     for h in dirs:
         def dot_along(t, h=h):
-            return missing_cov.dtheta_psi(model, theta, g + t * h)[0]
+            return dtheta_psi(model, theta, model.as_nuisance(eta + t * h))[0]
 
         step = 1e-4
         fd = (dot_along(step) - dot_along(-step)) / (2.0 * step)
         analytic = np.stack([m.apply(h) for m in mixed])
-        analytic = _maybe_corrupt(analytic, "dtheta_psi.mixed", corrupt)
+        analytic = _maybe_corrupt(analytic, name, corrupt)
         worst = max(worst, rel_err(analytic, fd))
-    rows.append(AuditRow("dtheta_psi.mixed", worst, SECOND_ORDER_TOL))
+    rows.append(AuditRow(name, worst, SECOND_ORDER_TOL))
 
-    union, w_base, w_target = union_with_resample(model, "missing_cov", seed + 1000)
-    sol_u = missing_cov.solve_nuisance(union, theta, w_base, tol=1e-12)
-    g_u = sol_u.eta
+    union, w_base, w_target = union_with_resample(model, family.name, seed + 1000)
+    eta_u = mod.solve_nuisance(union, theta, w_base, tol=1e-12).eta
     h_dir = w_target - w_base
-    analytic = missing_cov.df_psi(union, theta, g_u, w_base, h_dir)
-    analytic = _maybe_corrupt(analytic, "df_psi", corrupt)
+    analytic = mod.df_psi(union, theta, union.as_nuisance(eta_u), w_base, h_dir)
 
     def psi_at_path(t):
-        return missing_cov.psi_apply(
-            union, theta, g_u, (1.0 - t) * w_base + t * w_target
-        ).masses
+        F = (1.0 - t) * w_base + t * w_target
+        return mod.fixed_point_problem(union, theta, F).apply(eta_u)
 
     fd = fd_path(psi_at_path, FdConfig(step=1e-5, scheme="forward", richardson=True))
-    rows.append(AuditRow("df_psi", rel_err(analytic, fd), FIRST_ORDER_TOL))
+    rows.append(_row("df_psi", analytic, fd, FIRST_ORDER_TOL, corrupt))
 
-    # score Jacobian versus differences of the analytic score
-    profile = missing_cov.MissingCovProfile(model, solver_tol=1e-12)
-    jac = profile.jacobian(theta)
-    fd_jac = fd_theta(profile.mean_score, theta, FdConfig(step=1e-4))
-    rows.append(AuditRow(
-        "score_jacobian",
-        rel_err(_maybe_corrupt(jac, "score_jacobian", corrupt),
-                fd_jac.T),
-        SECOND_ORDER_TOL,
-    ))
+    if "score_jacobian" in family.audit_rows:
+        # score Jacobian versus differences of the analytic score
+        profile = family.profile(model, solver_tol=1e-12)
+        jac = profile.jacobian(theta)
+        fd_jac = fd_theta(profile.mean_score, theta, FdConfig(step=1e-4))
+        rows.append(_row("score_jacobian", jac, fd_jac.T, SECOND_ORDER_TOL, corrupt))
 
     rows.extend(
-        _audit_implicit(
-            "missing_cov", model, theta, g, union, w_base, w_target, corrupt
-        )
+        _audit_implicit(mod, model, theta, eta, union, w_base, w_target, corrupt)
     )
     return rows
 
 
-def _module_for(kind):
-    return prop_odds if kind == "prop_odds" else missing_cov
-
-
-def _audit_implicit(kind, model, theta, eta, union, w_base, w_target, corrupt):
+def _audit_implicit(mod, model, theta, eta, union, w_base, w_target, corrupt):
     """Resolvent-formula derivatives versus re-solve difference quotients."""
-    mod = _module_for(kind)
     rows = []
     warm = {"eta": eta}
 
@@ -314,32 +200,23 @@ def _audit_implicit(kind, model, theta, eta, union, w_base, w_target, corrupt):
         warm["eta"] = sol.eta
         return sol.eta
 
-    derivs = mod.psi_derivatives(model, theta, _eta_arg(kind, model, eta))
+    derivs = mod.psi_derivatives(model, theta, model.as_nuisance(eta))
     eta_dot = dtheta_eta(derivs)
     fd_dot = fd_theta(solved_eta, theta, FdConfig(step=1e-5))
-    rows.append(AuditRow(
-        "eta_dot",
-        rel_err(_maybe_corrupt(eta_dot, "eta_dot", corrupt), fd_dot),
-        ETA_DOT_TOL,
-    ))
+    rows.append(_row("eta_dot", eta_dot, fd_dot, ETA_DOT_TOL, corrupt))
 
     def dot_at(t):
-        sol_eta = solved_eta(t)
-        d = mod.psi_derivatives(model, t, _eta_arg(kind, model, sol_eta))
+        d = mod.psi_derivatives(model, t, model.as_nuisance(solved_eta(t)))
         return dtheta_eta(d)
 
     eta_ddot = d2theta_eta(derivs, eta_dot)
     fd_ddot = fd_theta(dot_at, theta, FdConfig(step=1e-4))
-    rows.append(AuditRow(
-        "eta_ddot",
-        rel_err(_maybe_corrupt(eta_ddot, "eta_ddot", corrupt),
-                fd_ddot.transpose(1, 0, 2)),
-        ETA_DDOT_TOL,
-    ))
+    rows.append(_row("eta_ddot", eta_ddot, fd_ddot.transpose(1, 0, 2),
+                     ETA_DDOT_TOL, corrupt))
 
     sol_u = mod.solve_nuisance(union, theta, w_base, tol=1e-12)
     derivs_u = mod.psi_derivatives(
-        union, theta, _eta_arg(kind, union, sol_u.eta), w_base
+        union, theta, union.as_nuisance(sol_u.eta), w_base
     )
     h_dir = w_target - w_base
     analytic = df_eta(derivs_u, h_dir)
@@ -354,32 +231,25 @@ def _audit_implicit(kind, model, theta, eta, union, w_base, w_target, corrupt):
         return sol.eta
 
     fd = fd_path(eta_at_path, FdConfig(step=1e-5, scheme="forward", richardson=True))
-    rows.append(AuditRow(
-        "df_eta",
-        rel_err(_maybe_corrupt(analytic, "df_eta", corrupt), fd),
-        DF_ETA_TOL,
-    ))
+    rows.append(_row("df_eta", analytic, fd, DF_ETA_TOL, corrupt))
     return rows
 
 
-def _eta_arg(kind, model, eta):
-    if kind == "prop_odds":
-        return model.jumps_to_step(eta)
-    return eta
+def audit_population_prop_odds(seed, corrupt):
+    """Population self-consistency of the survival operator at the truth.
 
-
-def audit_population_prop_odds(cells=2000, order=5, corrupt=None):
-    """Population self-consistency of the survival operator at the truth."""
-    check = prop_odds.population_self_consistency(cells=cells, order=order)
+    The check is deterministic; it takes the seed for the signature it
+    shares with the other population audit.
+    """
+    check = prop_odds.population_self_consistency()
     value = _maybe_corrupt(check["sup_error"], "self_consistency", corrupt)
     return [AuditRow("self_consistency", float(value), POPULATION_TOL)]
 
 
-def audit_population_missing_cov(y_grid=2000, seed=0, n_directions=10,
-                                 n_theta=5, corrupt=None):
+def audit_population_missing_cov(seed, corrupt):
     """Population checks: self-consistency, contraction bound, efficiency."""
     rng = np.random.default_rng(seed + 41)
-    pop = missing_cov.population_model(y_grid=y_grid)
+    pop = missing_cov.population_model()
     design = pop.design
     theta0 = np.asarray(design.theta0, dtype=float)
     rows = []
@@ -397,7 +267,7 @@ def audit_population_missing_cov(y_grid=2000, seed=0, n_directions=10,
 
     def zero_sum_directions():
         dirs = []
-        for _ in range(n_directions):
+        for _ in range(_N_POPULATION_DIRECTIONS):
             raw = rng.standard_normal(len(pop.g0))
             raw -= raw.mean()
             dirs.append(raw / np.abs(raw).sum())
@@ -406,7 +276,7 @@ def audit_population_missing_cov(y_grid=2000, seed=0, n_directions=10,
     dirs = zero_sum_directions()
     thetas = [theta0] + [
         theta0 + rng.uniform(-0.1, 0.1, size=len(theta0))
-        for _ in range(n_theta - 1)
+        for _ in range(_N_POPULATION_THETAS - 1)
     ]
     worst = 0.0
     for th in thetas:
@@ -425,12 +295,9 @@ def audit_population_missing_cov(y_grid=2000, seed=0, n_directions=10,
 def run_audits(kind, model=None, theta=None, seed=0, n=20, population=False,
                corrupt=None):
     """Full audit battery for one model kind; returns AuditRow list."""
+    family = simulation.get_family(kind)
     if population:
-        if kind == "prop_odds":
-            return audit_population_prop_odds(corrupt=corrupt)
-        return audit_population_missing_cov(seed=seed, corrupt=corrupt)
+        return globals()[f"audit_population_{family.name}"](seed, corrupt)
     if model is None:
         model = seeded_model(kind, n=n, seed=seed)
-    if kind == "prop_odds":
-        return audit_prop_odds(model, beta=theta, seed=seed, corrupt=corrupt)
-    return audit_missing_cov(model, theta=theta, seed=seed, corrupt=corrupt)
+    return audit_operators(family, model, theta=theta, seed=seed, corrupt=corrupt)

@@ -14,13 +14,14 @@ flags overriding config fields.  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import audits, estimator, missing_cov, prop_odds, simulation
+from . import audits, estimator, simulation
 from .errors import (
     ContractionViolation,
     HarnessAlarm,
@@ -36,8 +37,6 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_CONDITION = 3
 EXIT_AUDIT = 4
 EXIT_ALARM = 5
-
-MODEL_CHOICES = ("prop_odds", "missing_cov")
 
 
 def _load_config(path, allowed):
@@ -98,25 +97,16 @@ def cmd_fit(args):
             "level": args.level,
         },
     )
-    model_kind = config.get("model")
-    if model_kind not in MODEL_CHOICES:
-        raise InvalidConfig(f"model must be one of {MODEL_CHOICES}")
+    family = simulation.get_family(config.get("model"))
     data_path = config.get("data")
     if not data_path:
         raise InvalidConfig("a data file is required")
     if not os.path.exists(data_path):
         raise InvalidConfig(f"data file not found: {data_path}")
 
-    if model_kind == "prop_odds":
-        model = prop_odds.load_csv(data_path)
-        profile = prop_odds.PropOddsProfile(model)
-        theta0 = np.zeros(model.covariate_dim)
-        labels = [f"beta_{k + 1}" for k in range(model.covariate_dim)]
-    else:
-        model = missing_cov.load_csv(data_path)
-        profile = missing_cov.MissingCovProfile(model)
-        theta0 = _default_start_missing_cov(model)
-        labels = ["intercept", "slope", "log_sigma"]
+    model = family.load_csv(data_path)
+    profile = family.profile(model)
+    theta0 = family.default_start(model)
     if config.get("theta0") is not None:
         theta0 = np.asarray(config["theta0"], dtype=float)
 
@@ -139,49 +129,17 @@ def cmd_fit(args):
     level = float(config.get("level", 0.95))
     intervals = estimator.confidence_interval(fit, level)
     payload = fit.to_dict()
-    payload["model"] = model_kind
+    payload["model"] = family.name
     payload["level"] = level
     payload["ci"] = intervals
-    if model_kind == "prop_odds":
-        step = profile.nuisance(fit.theta_hat)
-        payload["beta_hat"] = fit.theta_hat.tolist()
-        payload["jumps"] = step.jump_sizes.tolist()
-        payload["nuisance"] = {
-            "jump_times": step.jump_times.tolist(),
-            "jumps": step.jump_sizes.tolist(),
-        }
-        report = profile.condition_report(fit.theta_hat)
-        payload["condition"] = {
-            "satisfied": bool(report.satisfied),
-            "min_margin": float(report.margins.min()) if len(report.margins) else None,
-        }
-    else:
-        density = profile.nuisance(fit.theta_hat)
-        payload["g_masses"] = density.masses.tolist()
-        payload["nuisance"] = {
-            "support": density.support.tolist(),
-            "g_masses": density.masses.tolist(),
-        }
-        payload["condition"] = missing_cov.check_missing_fraction(model).to_dict()
+    payload.update(family.fit_payload(profile, fit.theta_hat))
 
     out_path = config.get("out")
     if out_path:
         with open(out_path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
-    _print_fit_table(fit, intervals, labels)
+    _print_fit_table(fit, intervals, family.labels(model))
     return EXIT_OK
-
-
-def _default_start_missing_cov(model):
-    """Complete-case least squares start for the normal regression family."""
-    rows = model.complete_rows
-    y = model.y[rows]
-    x = model.points[rows, 2]
-    design = np.column_stack([np.ones(len(rows)), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    sigma = max(float(resid.std()), 1e-3)
-    return np.array([coef[0], coef[1], np.log(sigma)])
 
 
 _CHECK_KEYS = ("model", "data", "population", "seed", "n")
@@ -198,18 +156,13 @@ def cmd_check_derivs(args):
             "n": args.n,
         },
     )
-    model_kind = config.get("model")
-    if model_kind not in MODEL_CHOICES:
-        raise InvalidConfig(f"model must be one of {MODEL_CHOICES}")
+    family = simulation.get_family(config.get("model"))
     population = bool(config.get("population", False))
     model = None
     if not population and config.get("data"):
-        loader = prop_odds.load_csv if model_kind == "prop_odds" else (
-            missing_cov.load_csv
-        )
-        model = loader(config["data"])
+        model = family.load_csv(config["data"])
     rows = audits.run_audits(
-        model_kind,
+        family.name,
         model=model,
         seed=int(config.get("seed", 0)),
         n=int(config.get("n", 20)),
@@ -234,33 +187,22 @@ _MC_KEYS = (
     "model", "n", "replications", "seed", "design", "theta_start",
     "fit_tol", "max_newton", "solver_tol", "out_prefix",
 )
-_DESIGN_KEYS = {
-    "prop_odds": (
-        "beta0", "baseline_rate", "tau", "censor_atom",
-        "covariate_values", "covariate_probs",
-    ),
-    "missing_cov": ("theta0", "support", "g0", "w2"),
-}
 
 
-def _build_design(model_kind, payload):
+def _build_design(family, payload):
     if payload is None:
         return None
     if not isinstance(payload, dict):
         raise InvalidConfig("design must be a JSON object")
-    allowed = _DESIGN_KEYS[model_kind]
-    unknown = sorted(set(payload) - set(allowed))
+    allowed = {f.name for f in dataclasses.fields(family.design)}
+    unknown = sorted(set(payload) - allowed)
     if unknown:
         raise InvalidConfig(f"unknown design keys {unknown}")
     cleaned = {
         key: tuple(value) if isinstance(value, list) else value
         for key, value in payload.items()
     }
-    cls = (
-        prop_odds.PropOddsDesign if model_kind == "prop_odds"
-        else missing_cov.MissingCovDesign
-    )
-    design = cls(**cleaned)
+    design = family.design(**cleaned)
     design.validate()
     return design
 
@@ -273,15 +215,13 @@ def cmd_monte_carlo(args):
             "out_prefix": args.out_prefix,
         },
     )
-    model_kind = config.get("model")
-    if model_kind not in MODEL_CHOICES:
-        raise InvalidConfig(f"model must be one of {MODEL_CHOICES}")
+    family = simulation.get_family(config.get("model"))
     for key in ("n", "replications"):
         if key not in config:
             raise InvalidConfig(f"missing required config key {key!r}")
-    design = _build_design(model_kind, config.get("design"))
+    design = _build_design(family, config.get("design"))
     sim = simulation.SimConfig(
-        model=model_kind,
+        model=family.name,
         n=int(config["n"]),
         replications=int(config["replications"]),
         seed=int(config.get("seed", 0)),
@@ -323,7 +263,7 @@ def build_parser():
 
     fit = sub.add_parser("fit", help="fit a dataset and report estimates")
     fit.add_argument("--config", help="JSON config file")
-    fit.add_argument("--model", choices=MODEL_CHOICES)
+    fit.add_argument("--model", choices=tuple(simulation.FAMILIES))
     fit.add_argument("--data", help="CSV data file")
     fit.add_argument("--out", help="write the fit result JSON here")
     fit.add_argument("--theta0", help="comma-separated starting point")
@@ -339,7 +279,7 @@ def build_parser():
         help="audit every analytic derivative against difference quotients",
     )
     check.add_argument("--config", help="JSON config file")
-    check.add_argument("--model", choices=MODEL_CHOICES)
+    check.add_argument("--model", choices=tuple(simulation.FAMILIES))
     check.add_argument("--data", help="CSV data file (default: seeded synthetic)")
     check.add_argument("--population", action="store_true",
                        help="run the population-level checks instead")

@@ -3,13 +3,18 @@
 The parameter estimate solves the estimating equation "mean profiled
 score equals zero" by a damped Newton iteration; the asymptotic variance
 is the inverse of the averaged outer product of the per-record scores.
-Model specifics enter through a profile object exposing dim, n, score,
-mean_score, jacobian and precheck.
+Model specifics enter through a profile object exposing dim, n, weights,
+score, mean_score, jacobian, precheck and last_solution.  Both model
+families build theirs on :class:`Profile`, and describe themselves to the
+command line, the Monte Carlo harness and the audits through one
+:class:`Family` record each.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import stats
@@ -18,6 +23,7 @@ from .errors import (
     InvalidInput,
     InvalidState,
     NoConvergence,
+    ProfixError,
     SingularInformation,
     SingularJacobian,
 )
@@ -26,6 +32,79 @@ from .errors import (
 INFO_COND_LIMIT = 1e10
 
 MAX_HALVINGS = 20
+
+#: Failures that make a Newton candidate a bad step rather than a bug.
+NUMERICAL_FAILURES = (ProfixError, np.linalg.LinAlgError, FloatingPointError)
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the command line, the harness and the audits know of one family.
+
+    The family module's operators are not stored here but looked up through
+    :attr:`module` when called.  The harness draws samples with
+    ``simulation.gen_<name>``; the population audit is
+    ``audits.audit_population_<name>``.  ``audit_rows`` names the audited
+    operators as the family module does, in audit order, and lists
+    "score_jacobian" where the profile Jacobian is analytic.
+    """
+
+    name: str
+    model: type
+    profile: type
+    design: type
+    load_csv: Callable  # path -> model
+    build: Callable  # the generator's columns -> model
+    truth: Callable  # design -> true parameter
+    default_start: Callable  # model -> starting point of a fit
+    labels: Callable  # model -> parameter labels of the fit table
+    fit_payload: Callable  # (profile, theta_hat) -> family fields of the fit JSON
+    audit_rows: tuple
+    audit_seed_offset: int
+    audit_theta: Callable  # model -> parameter the audits run at
+    audit_design: object  # design of the audits' synthetic samples
+
+    @property
+    def module(self):
+        return sys.modules[self.model.__module__]
+
+
+class Profile:
+    """Profile-likelihood view of a sample: the nuisance solved per parameter.
+
+    Solves the family's nuisance fixed point at each requested parameter,
+    warm-started from the previous solve, and keeps the last solution.  A
+    family's subclass sets ``solve_nuisance`` to its module's solver and
+    defines score, mean_score, jacobian and precheck in its own body.
+    """
+
+    def __init__(self, model, F=None, solver_tol=1e-10, solver_max_iter=10_000):
+        self.model = model
+        self.weights = model.resolve_weights(F)
+        self.solver_tol = solver_tol
+        self.solver_max_iter = solver_max_iter
+        self._warm = None
+        self.last_solution = None
+
+    @property
+    def dim(self):
+        return self.model.theta_dim
+
+    @property
+    def n(self):
+        return self.model.n_obs
+
+    def solve(self, theta):
+        sol = self.solve_nuisance(
+            self.model, theta, self.weights,
+            tol=self.solver_tol, max_iter=self.solver_max_iter, eta0=self._warm,
+        )
+        self._warm = sol.eta
+        self.last_solution = sol
+        return sol
+
+    def nuisance(self, theta):
+        return self.model.as_nuisance(self.solve(theta).eta)
 
 
 @dataclass
@@ -63,10 +142,7 @@ def efficient_information(profile, theta):
     ill-conditioned to trust its inverse.
     """
     scores = profile.score(np.asarray(theta, dtype=float))
-    weights = getattr(profile, "weights", None)
-    if weights is None:
-        weights = np.full(len(scores), 1.0 / len(scores))
-    info = scores.T @ (weights[:, None] * scores)
+    info = scores.T @ (profile.weights[:, None] * scores)
     info = 0.5 * (info + info.T)
     cond = float(np.linalg.cond(info))
     if not np.isfinite(cond) or cond > INFO_COND_LIMIT:
@@ -114,7 +190,7 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
             try:
                 cand_score = profile.mean_score(candidate)
                 cand_norm = _sup(cand_score)
-            except Exception:  # noqa: BLE001 - treat solver failures as bad steps
+            except NUMERICAL_FAILURES:
                 cand_norm = np.inf
             if cand_norm < norm:
                 theta, score, norm = candidate, cand_score, cand_norm
@@ -137,10 +213,11 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
                 iterations=max_newton,
             )
 
+    # the last solve was at theta_hat; efficient_information re-solves warm
+    last = profile.last_solution
     info, cond = efficient_information(profile, theta)
     se = np.sqrt(np.diag(np.linalg.inv(info)) / profile.n)
     diagnostics = {}
-    last = getattr(profile, "last_solution", None)
     if last is not None:
         diagnostics["nuisance"] = {
             "residual": last.residual,

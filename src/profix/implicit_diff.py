@@ -39,6 +39,19 @@ class PsiDerivatives:
     d2_eta: BilinearMap
     d_f: Callable
 
+    @classmethod
+    def at(cls, point, dtheta_psi, d_eta_psi, d2_eta_psi, df_psi):
+        """Bundle a family's partial derivatives at point = (model, theta, eta, F)."""
+        dot, ddot, mixed = dtheta_psi(*point)
+        return cls(
+            d_eta=d_eta_psi(*point),
+            dot_psi=dot,
+            ddot_psi=ddot,
+            d_eta_dot=mixed,
+            d2_eta=d2_eta_psi(*point),
+            d_f=lambda h: df_psi(*point, h),
+        )
+
     @property
     def theta_dim(self):
         return self.dot_psi.shape[0]
@@ -69,22 +82,6 @@ def resolvent_apply(d_eta, rhs):
     if not np.all(np.isfinite(v)) or np.abs(check).max() > _SOLVE_RESIDUAL_TOL * scale:
         raise SingularResolvent("resolvent solve did not verify; system is singular")
     return v
-
-
-def neumann_apply(d_eta, rhs, terms=200):
-    """Geometric-series evaluation of the resolvent, for cross-checks.
-
-    Valid when the operator norm of d_eta is below one; agrees with the
-    dense solve up to the truncated tail.
-    """
-    M = _as_matrix(d_eta)
-    rhs = np.asarray(rhs, dtype=float)
-    out = rhs.copy()
-    term = rhs.copy()
-    for _ in range(terms):
-        term = M @ term
-        out += term
-    return out
 
 
 def dtheta_eta(derivs):

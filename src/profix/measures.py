@@ -3,12 +3,14 @@
 Distributions enter the computations as finite collections of weighted
 atoms, nondecreasing step functions, or masses on a finite support.  All
 types freeze their arrays after construction, so instances can be shared
-read-only across threads and Monte Carlo replications.
+read-only across threads and Monte Carlo replications.  Both model
+families keep their sample in a :class:`RecordTable` and read it from CSV
+with :func:`read_csv`.
 """
 
 from __future__ import annotations
 
-import json
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,16 +112,6 @@ class EmpiricalMeasure:
         if factor < 0:
             raise InvalidInput("scale factor must be nonnegative")
         return EmpiricalMeasure(self.points, self.weights * factor)
-
-    def to_json(self):
-        return json.dumps(
-            {"points": self.points.tolist(), "weights": self.weights.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        return cls(payload["points"], payload["weights"])
 
     def __repr__(self):
         return (
@@ -253,20 +245,11 @@ class StepFunction:
             return float(self.jump_sizes[idx])
         return 0.0
 
-    def with_sizes(self, jump_sizes):
-        """Same jump grid and horizon, new jump sizes."""
-        return StepFunction(self.jump_times, jump_sizes, self.tau)
-
     def __repr__(self):
         return (
             f"StepFunction(jumps={len(self.jump_times)}, tau={self.tau:.6g}, "
             f"total={self.total:.6g})"
         )
-
-
-def step_eval(A, u):
-    """Evaluate a step function at u, guarding the domain [0, tau]."""
-    return A(u)
 
 
 class GridDensity:
@@ -372,23 +355,6 @@ class PerturbationDirection:
         _freeze(self.grid, self.coeffs)
 
     @classmethod
-    def between_measures(cls, F, G):
-        """Direction G - F on the union of the two supports."""
-        union = mix_path(F, G, 0.5)
-        rows = union.points if union.points.ndim == 2 else union.points[:, None]
-        index = {row.tobytes(): i for i, row in enumerate(rows)}
-        signed = np.zeros(len(union))
-        for measure, sign in ((F, -1.0), (G, 1.0)):
-            pts = (measure.points if measure.points.ndim == 2
-                   else measure.points[:, None])
-            for row, weight in zip(pts, measure.weights):
-                try:
-                    signed[index[row.tobytes()]] += sign * weight
-                except KeyError:
-                    raise InvalidInput("atom lookup failed; support mismatch")
-        return cls("measure", union.points, signed)
-
-    @classmethod
     def of_jumps(cls, step, dsizes):
         return cls("jumps", step.jump_times, dsizes)
 
@@ -467,12 +433,101 @@ def composite_gauss_grid(lo, hi, cells, order=5):
     return nodes, weights, boundaries
 
 
-def trapezoid_grid(lo, hi, n):
-    """Trapezoid nodes and weights on [lo, hi] with n points."""
-    if n < 2:
-        raise InvalidInput("trapezoid rule needs at least two points")
-    nodes = np.linspace(lo, hi, n)
-    h = (hi - lo) / (n - 1)
-    weights = np.full(n, h)
-    weights[0] = weights[-1] = h / 2
-    return nodes, weights
+class RecordTable:
+    """A sample's fixed atom table, the base of both model families.
+
+    Empirical measures over the sample, and mixture paths and perturbation
+    directions from it, are weight vectors over this one table, which keeps
+    them and their derivatives on one common grid.
+    """
+
+    def __init__(self, measure, n_obs):
+        self.measure = measure
+        self.points = measure.points
+        self.weights = measure.weights
+        self.n_obs = int(n_obs) if n_obs is not None else len(measure.points)
+
+    @staticmethod
+    def sample_measure(points, weights, normalize):
+        """Measure over the rows of points, equally weighted when weights is None."""
+        if weights is None:
+            weights = np.full(len(points), 1.0 / len(points))
+        elif normalize:
+            weights = np.asarray(weights, dtype=float)
+            weights = weights / weights.sum()
+        return EmpiricalMeasure(points, weights)
+
+    @property
+    def n_records(self):
+        return len(self.points)
+
+    def resolve_weights(self, F):
+        """Weight vector over the record table for F (None = own weights)."""
+        if F is None:
+            return self.weights
+        if isinstance(F, EmpiricalMeasure):
+            if not np.array_equal(F.points, self.points):
+                raise InvalidInput("measure atoms do not match the model records")
+            return F.weights
+        F = np.asarray(F, dtype=float)
+        if F.shape != (self.n_records,):
+            raise InvalidInput("weight vector does not match the record count")
+        return F
+
+    def resolve_direction(self, h):
+        """Signed weight vector over the record table for a perturbation."""
+        if isinstance(h, PerturbationDirection):
+            if h.kind != "measure":
+                raise InvalidInput("need a measure-kind direction")
+            if not np.array_equal(h.grid, self.points):
+                raise InvalidInput("direction atoms do not match the model records")
+            return h.coeffs
+        h = np.asarray(h, dtype=float)
+        if h.shape != (self.n_records,):
+            raise InvalidInput("direction does not match the record count")
+        return h
+
+
+def read_csv(path, header, accept, parse_row):
+    """Numeric rows of a CSV file whose first line names the columns.
+
+    accept(names) tells whether the stripped column names are the expected
+    header, which the error spells out otherwise; parse_row(row, where)
+    turns one row's fields into numbers.  Blank lines are skipped, and
+    every error names the file, the line and, where there is one, the
+    column.
+    """
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        names = next(reader, None)
+        if names is None:
+            raise InvalidInput(f"{path}: line 1: empty file")
+        names = [c.strip() for c in names]
+        if not accept(names):
+            raise InvalidInput(
+                f"{path}: line 1: expected header '{header}', got {names}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            where = f"{path}: line {lineno}"
+            if len(row) != len(names):
+                raise InvalidInput(
+                    f"{where}: expected {len(names)} fields, got {len(row)}"
+                )
+            rows.append(parse_row(row, where))
+    if not rows:
+        raise InvalidInput(f"{path}: no data rows")
+    return np.asarray(rows, dtype=float)
+
+
+def parse_number(convert, text, where, column):
+    """convert(text) for int or float, or an error naming line and column."""
+    try:
+        return convert(text)
+    except ValueError:
+        noun = "an integer" if convert is int else "a number"
+        raise InvalidInput(
+            f"{where}, column {column}: could not parse {text!r} as {noun}"
+        ) from None

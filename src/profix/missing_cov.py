@@ -12,7 +12,6 @@ score machinery, and quadrature-based population versions of all checks.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .errors import (
     InvalidInput,
     SupportViolation,
 )
+from .estimator import Family, Profile
 from .fixed_point import FixedPointProblem, solve_fixed_point
 from .implicit_diff import PsiDerivatives, d2theta_eta, dtheta_eta
 from .measures import (
@@ -30,9 +30,11 @@ from .measures import (
     EmpiricalMeasure,
     GridDensity,
     LinearMap,
-    PerturbationDirection,
+    RecordTable,
     TwoSampleMeasure,
     gauss_legendre_grid,
+    parse_number,
+    read_csv,
 )
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -133,16 +135,12 @@ class MissingCovRecord:
         if (self.r == 1) != (self.x is not None):
             raise InvalidInput("x must be present exactly when r = 1")
 
-    def as_row(self):
-        return (float(self.r), self.y, self.x if self.r == 1 else 0.0)
 
-
-class MissingCovModel:
+class MissingCovModel(RecordTable):
     """Sample with sometimes-missing covariate plus its mass-point support.
 
     The atom table stores rows (r, y, x_or_zero); the covariate support is
-    the set of distinct complete-case x values, and weight vectors over
-    the table represent empirical measures and path mixtures.
+    the set of distinct complete-case x values.
     """
 
     def __init__(self, measure: EmpiricalMeasure, family: ConditionalDensity,
@@ -150,16 +148,13 @@ class MissingCovModel:
         points = measure.points
         if points.ndim != 2 or points.shape[1] != 3:
             raise InvalidInput("records need columns (r, y, x)")
-        self.measure = measure
-        self.points = points
+        super().__init__(measure, n_obs)
         self.family = family
         r = points[:, 0]
         if not np.all((r == 1) | (r == 2)):
             raise InvalidInput("r must be 1 or 2")
         self.r = r
         self.y = points[:, 1]
-        self.weights = measure.weights
-        self.n_obs = int(n_obs) if n_obs is not None else len(points)
         self.complete_rows = np.flatnonzero(r == 1)
         self.incomplete_rows = np.flatnonzero(r == 2)
         if len(self.complete_rows) == 0:
@@ -168,10 +163,6 @@ class MissingCovModel:
         self.support = np.unique(self.x_complete)
         self.slot = np.searchsorted(self.support, self.x_complete)
         self.y_incomplete = self.y[self.incomplete_rows]
-
-    @property
-    def n_records(self):
-        return len(self.r)
 
     @property
     def n_support(self):
@@ -188,41 +179,12 @@ class MissingCovModel:
         x = np.asarray(x, dtype=float)
         xfill = np.where(r == 1, x, 0.0)
         points = np.column_stack([r, y, xfill])
-        if weights is None:
-            weights = np.full(len(r), 1.0 / len(r))
-        elif normalize:
-            weights = np.asarray(weights, dtype=float)
-            weights = weights / weights.sum()
-        return cls(EmpiricalMeasure(points, weights), family, n_obs=len(r))
+        measure = cls.sample_measure(points, weights, normalize)
+        return cls(measure, family, n_obs=len(r))
 
-    @classmethod
-    def from_records(cls, records, family):
-        rows = np.array([rec.as_row() for rec in records], dtype=float)
-        return cls.from_arrays(rows[:, 0], rows[:, 1], rows[:, 2], family)
-
-    def resolve_weights(self, F):
-        if F is None:
-            return self.weights
-        if isinstance(F, EmpiricalMeasure):
-            if not np.array_equal(F.points, self.points):
-                raise InvalidInput("measure atoms do not match the model records")
-            return F.weights
-        F = np.asarray(F, dtype=float)
-        if F.shape != (self.n_records,):
-            raise InvalidInput("weight vector does not match the record count")
-        return F
-
-    def resolve_direction(self, h):
-        if isinstance(h, PerturbationDirection):
-            if h.kind != "measure":
-                raise InvalidInput("need a measure-kind direction")
-            if not np.array_equal(h.grid, self.points):
-                raise InvalidInput("direction atoms do not match the model records")
-            return h.coeffs
-        h = np.asarray(h, dtype=float)
-        if h.shape != (self.n_records,):
-            raise InvalidInput("direction does not match the record count")
-        return h
+    def joined(self, other, measure):
+        """Model on a record table holding this sample and other's."""
+        return MissingCovModel(measure, self.family)
 
     def resolve_masses(self, g):
         if isinstance(g, GridDensity):
@@ -236,6 +198,8 @@ class MissingCovModel:
 
     def masses_to_density(self, masses):
         return GridDensity(self.support, masses, kind="pmf")
+
+    as_nuisance = masses_to_density
 
     def two_sample(self, F=None):
         """The (complete, incomplete) split of a weight vector as measures."""
@@ -254,68 +218,28 @@ class MissingCovModel:
         return TwoSampleMeasure(complete, incomplete)
 
 
+def _parse_row(row, where):
+    r = parse_number(int, row[0], where, 1)
+    y = parse_number(float, row[1], where, 2)
+    text_x = row[2].strip()
+    if r == 1:
+        if not text_x:
+            raise InvalidInput(f"{where}, column 3: X required when R=1")
+        x = parse_number(float, text_x, where, 3)
+    elif r == 2:
+        if text_x:
+            raise InvalidInput(f"{where}, column 3: X must be blank when R=2")
+        x = 0.0
+    else:
+        raise InvalidInput(f"{where}, column 1: R must be 1 or 2")
+    return (float(r), y, x)
+
+
 def load_csv(path, family=None):
     """Read records from a CSV with columns R, Y, X (X blank when R = 2)."""
     family = family or NormalRegression()
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InvalidInput(f"{path}: line 1: empty file")
-        header = [c.strip() for c in header]
-        if header != ["R", "Y", "X"]:
-            raise InvalidInput(
-                f"{path}: line 1: expected header 'R,Y,X', got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InvalidInput(
-                    f"{path}: line {lineno}: expected 3 fields, got {len(row)}"
-                )
-            try:
-                r = int(row[0])
-            except ValueError:
-                raise InvalidInput(
-                    f"{path}: line {lineno}, column 1: "
-                    f"could not parse {row[0]!r} as an integer"
-                ) from None
-            try:
-                y = float(row[1])
-            except ValueError:
-                raise InvalidInput(
-                    f"{path}: line {lineno}, column 2: "
-                    f"could not parse {row[1]!r} as a number"
-                ) from None
-            text_x = row[2].strip()
-            if r == 1:
-                if not text_x:
-                    raise InvalidInput(
-                        f"{path}: line {lineno}, column 3: X required when R=1"
-                    )
-                try:
-                    x = float(text_x)
-                except ValueError:
-                    raise InvalidInput(
-                        f"{path}: line {lineno}, column 3: "
-                        f"could not parse {text_x!r} as a number"
-                    ) from None
-            elif r == 2:
-                if text_x:
-                    raise InvalidInput(
-                        f"{path}: line {lineno}, column 3: X must be blank when R=2"
-                    )
-                x = 0.0
-            else:
-                raise InvalidInput(
-                    f"{path}: line {lineno}, column 1: R must be 1 or 2"
-                )
-            rows.append((float(r), y, x))
-    if not rows:
-        raise InvalidInput(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    data = read_csv(path, "R,Y,X", lambda names: names == ["R", "Y", "X"],
+                    _parse_row)
     return MissingCovModel.from_arrays(data[:, 0], data[:, 1], data[:, 2], family)
 
 
@@ -381,13 +305,12 @@ def _workspace(model, theta, g, F):
 
 def psi_apply(model, theta, g, F=None):
     """One application of the self-consistency operator; not renormalized."""
-    ws = _workspace(model, theta, g, F)
-    ws.require_positive_denominator()
-    return model.masses_to_density(ws.p1 / ws.a)
+    return model.masses_to_density(psi_masses(model, theta, g, F))
 
 
 def psi_masses(model, theta, masses, F=None):
-    ws = _Workspace(model, theta, masses, model.resolve_weights(F))
+    """The operator on mass vectors, the map the fixed-point iteration runs."""
+    ws = _workspace(model, theta, masses, F)
     ws.require_positive_denominator()
     return ws.p1 / ws.a
 
@@ -503,15 +426,7 @@ def df_psi(model, theta, g, F=None, h=None):
 
 def psi_derivatives(model, theta, g, F=None):
     """All operator derivatives at (theta, g, F), bundled for resolvent use."""
-    dot, ddot, mixed = dtheta_psi(model, theta, g, F)
-    return PsiDerivatives(
-        d_eta=dg_psi(model, theta, g, F),
-        dot_psi=dot,
-        ddot_psi=ddot,
-        d_eta_dot=mixed,
-        d2_eta=d2g_psi(model, theta, g, F),
-        d_f=lambda h: df_psi(model, theta, g, F, h),
-    )
+    return PsiDerivatives.at((model, theta, g, F), dtheta_psi, dg_psi, d2g_psi, df_psi)
 
 
 def log_density(record, theta, g, family=None):
@@ -538,6 +453,20 @@ def log_density(record, theta, g, family=None):
     return float(np.log(fy))
 
 
+def _complete_case(model, theta, g):
+    """Complete-record rows, outcomes, covariates, densities and masses."""
+    rows = model.complete_rows
+    yc = model.y[rows]
+    xc = model.points[rows, 2]
+    fc = model.family.density(yc, xc, theta)
+    if np.any(fc <= 0.0):
+        raise SupportViolation("conditional density vanished at a complete record")
+    g_at = g[model.slot]
+    if np.any(g_at <= 0.0):
+        raise SupportViolation("complete-case x carries no mass")
+    return rows, yc, xc, fc, g_at
+
+
 def efficient_score(model, theta, F=None, g=None, eta_dot=None):
     """Per-record parameter score of the profiled log density, shape (n, d).
 
@@ -554,15 +483,7 @@ def efficient_score(model, theta, F=None, g=None, eta_dot=None):
     d = model.theta_dim
     out = np.zeros((model.n_records, d))
 
-    rows = model.complete_rows
-    yc = model.y[rows]
-    xc = model.points[rows, 2]
-    fc = model.family.density(yc, xc, theta)
-    if np.any(fc <= 0.0):
-        raise SupportViolation("conditional density vanished at a complete record")
-    g_at = g[model.slot]
-    if np.any(g_at <= 0.0):
-        raise SupportViolation("complete-case x carries no mass")
+    rows, yc, xc, fc, g_at = _complete_case(model, theta, g)
     fdot_c = model.family.dtheta(yc, xc, theta)
     out[rows] = (fdot_c / fc + eta_dot[:, model.slot] / g_at).T
 
@@ -594,15 +515,9 @@ def score_jacobian(model, theta, F=None, g=None, eta_dot=None, eta_ddot=None):
     d = model.theta_dim
     out = np.zeros((model.n_records, d, d))
 
-    rows = model.complete_rows
-    yc = model.y[rows]
-    xc = model.points[rows, 2]
-    fc = model.family.density(yc, xc, theta)
+    rows, yc, xc, fc, g_at = _complete_case(model, theta, g)
     fdot_c = model.family.dtheta(yc, xc, theta)
     fddot_c = model.family.d2theta(yc, xc, theta)
-    g_at = g[model.slot]
-    if np.any(fc <= 0.0) or np.any(g_at <= 0.0):
-        raise SupportViolation("degenerate density at a complete record")
     gdot_at = eta_dot[:, model.slot]
     gddot_at = eta_ddot[:, :, model.slot]
     score_c = fdot_c / fc
@@ -659,43 +574,14 @@ def check_missing_fraction(F):
     return MissingFractionReport(w1, w2, satisfied=bool(w2 < w1))
 
 
-class MissingCovProfile:
+class MissingCovProfile(Profile):
     """Profile-likelihood view: score and analytic Jacobian per record."""
 
-    def __init__(self, model, F=None, solver_tol=1e-10, solver_max_iter=10_000):
-        self.model = model
-        self.weights = model.resolve_weights(F)
-        self.solver_tol = solver_tol
-        self.solver_max_iter = solver_max_iter
-        self._warm = None
-        self.last_solution = None
-
-    @property
-    def dim(self):
-        return self.model.theta_dim
-
-    @property
-    def n(self):
-        return self.model.n_obs
-
-    def solve(self, theta):
-        sol = solve_nuisance(
-            self.model, theta, self.weights,
-            tol=self.solver_tol, max_iter=self.solver_max_iter, eta0=self._warm,
-        )
-        self._warm = sol.eta
-        self.last_solution = sol
-        return sol
-
-    def nuisance(self, theta):
-        return self.model.masses_to_density(self.solve(theta).eta)
+    solve_nuisance = staticmethod(solve_nuisance)
 
     def score(self, theta):
         g = self.solve(theta).eta
-        derivs = psi_derivatives(self.model, theta, g, self.weights)
-        eta_dot = dtheta_eta(derivs)
-        return efficient_score(self.model, theta, self.weights, g=g,
-                               eta_dot=eta_dot)
+        return efficient_score(self.model, theta, self.weights, g=g)
 
     def mean_score(self, theta):
         return self.score(theta).T @ self.weights
@@ -719,6 +605,30 @@ class MissingCovProfile:
                 f"mass w1={report.w1:.3f}"
             )
         return report
+
+
+def _fit_payload(profile, theta):
+    density = profile.nuisance(theta)
+    return {
+        "g_masses": density.masses.tolist(),
+        "nuisance": {
+            "support": density.support.tolist(),
+            "g_masses": density.masses.tolist(),
+        },
+        "condition": check_missing_fraction(profile.model).to_dict(),
+    }
+
+
+def _complete_case_start(model):
+    """Complete-case least squares start for the normal regression family."""
+    rows = model.complete_rows
+    y = model.y[rows]
+    x = model.points[rows, 2]
+    design = np.column_stack([np.ones(len(rows)), x])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    sigma = max(float(resid.std()), 1e-3)
+    return np.array([coef[0], coef[1], np.log(sigma)])
 
 
 @dataclass(frozen=True)
@@ -855,3 +765,25 @@ def score_orthogonality(pop, directions, theta=None):
             nuis[model.incomplete_rows] = (ws.fmat @ alpha) / ws.fy
         out.append(scores.T @ (model.weights * nuis))
     return np.asarray(out)
+
+
+def _build(r, y, x):
+    return MissingCovModel.from_arrays(r, y, x, NormalRegression())
+
+
+FAMILY = Family(
+    name="missing_cov",
+    model=MissingCovModel,
+    profile=MissingCovProfile,
+    design=MissingCovDesign,
+    load_csv=load_csv,
+    build=_build,
+    truth=lambda design: design.theta0,
+    default_start=_complete_case_start,
+    labels=lambda model: ["intercept", "slope", "log_sigma"],
+    fit_payload=_fit_payload,
+    audit_rows=("dg_psi", "d2g_psi", "dtheta_psi", "score_jacobian"),
+    audit_seed_offset=29,
+    audit_theta=lambda model: (0.05, 0.9, 0.05),
+    audit_design=MissingCovDesign(),
+)

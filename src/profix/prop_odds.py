@@ -12,7 +12,6 @@ contraction.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .errors import (
     NumericOverflow,
     RiskSetEmpty,
 )
+from .estimator import Family, Profile
 from .fixed_point import (
     FixedPointProblem,
     estimate_operator_norm,
@@ -35,8 +35,10 @@ from .measures import (
     BilinearMap,
     EmpiricalMeasure,
     LinearMap,
-    PerturbationDirection,
+    RecordTable,
     StepFunction,
+    parse_number,
+    read_csv,
 )
 from .numdiff import FdConfig, fd_theta
 
@@ -44,40 +46,20 @@ from .numdiff import FdConfig, fd_theta
 LINPRED_BOUND = 50.0
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One right-censored observation: time u, event flag, covariate row."""
-
-    u: float
-    delta: int
-    z: tuple
-
-    def as_row(self):
-        return (self.u, float(self.delta)) + tuple(self.z)
-
-
-class PropOddsModel:
-    """Survival sample plus the event-time grid the nuisance lives on.
-
-    The model owns the record table; empirical measures and perturbation
-    directions are weight vectors over that fixed table, which keeps
-    mixture paths and their derivatives on one common grid.
-    """
+class PropOddsModel(RecordTable):
+    """Survival sample plus the event-time grid the nuisance lives on."""
 
     def __init__(self, measure: EmpiricalMeasure, tau=None, n_obs=None):
         points = measure.points
         if points.ndim != 2 or points.shape[1] < 2:
             raise InvalidInput("records need columns (u, delta, z...)")
-        self.measure = measure
-        self.points = points
+        super().__init__(measure, n_obs)
         self.u = points[:, 0]
         delta = points[:, 1]
         if not np.all((delta == 0) | (delta == 1)):
             raise InvalidInput("event indicator must be 0 or 1")
         self.delta = delta
         self.z = points[:, 2:]
-        self.weights = measure.weights
-        self.n_obs = int(n_obs) if n_obs is not None else len(points)
         self.tau = float(tau) if tau is not None else float(self.u.max())
         if np.any(self.u < 0) or np.any(self.u > self.tau):
             raise InvalidInput("observed times must lie in [0, tau]")
@@ -99,16 +81,14 @@ class PropOddsModel:
         self._event_row_slot = ev_idx
 
     @property
-    def n_records(self):
-        return len(self.u)
-
-    @property
     def n_events(self):
         return len(self.event_times)
 
     @property
     def covariate_dim(self):
         return self.z.shape[1]
+
+    theta_dim = covariate_dim
 
     @classmethod
     def from_arrays(cls, u, delta, z, weights=None, tau=None, normalize=True):
@@ -118,86 +98,31 @@ class PropOddsModel:
         if z.shape[0] != len(u):
             z = z.T
         points = np.column_stack([u, delta, z])
-        if weights is None:
-            weights = np.full(len(u), 1.0 / len(u))
-        elif normalize:
-            weights = np.asarray(weights, dtype=float)
-            weights = weights / weights.sum()
-        measure = EmpiricalMeasure(points, weights)
+        measure = cls.sample_measure(points, weights, normalize)
         return cls(measure, tau=tau, n_obs=len(u))
 
-    @classmethod
-    def from_records(cls, records, tau=None):
-        rows = np.array([r.as_row() for r in records], dtype=float)
-        return cls.from_arrays(rows[:, 0], rows[:, 1], rows[:, 2:], tau=tau)
-
-    def resolve_weights(self, F):
-        """Weight vector over the record table for F (None = own weights)."""
-        if F is None:
-            return self.weights
-        if isinstance(F, EmpiricalMeasure):
-            if not np.array_equal(F.points, self.points):
-                raise InvalidInput("measure atoms do not match the model records")
-            return F.weights
-        F = np.asarray(F, dtype=float)
-        if F.shape != (self.n_records,):
-            raise InvalidInput("weight vector does not match the record count")
-        return F
-
-    def resolve_direction(self, h):
-        """Signed weight vector over the record table for a perturbation."""
-        if isinstance(h, PerturbationDirection):
-            if h.kind != "measure":
-                raise InvalidInput("need a measure-kind direction")
-            if not np.array_equal(h.grid, self.points):
-                raise InvalidInput("direction atoms do not match the model records")
-            return h.coeffs
-        h = np.asarray(h, dtype=float)
-        if h.shape != (self.n_records,):
-            raise InvalidInput("direction does not match the record count")
-        return h
+    def joined(self, other, measure):
+        """Model on a record table holding this sample and other's."""
+        return PropOddsModel(measure, tau=max(self.tau, other.tau))
 
     def jumps_to_step(self, jumps):
         return StepFunction(self.event_times, jumps, self.tau)
 
-    def zero_step(self):
-        return StepFunction(self.event_times, np.zeros(self.n_events), self.tau)
+    as_nuisance = jumps_to_step
+
+
+def _parse_row(row, where):
+    return [parse_number(float, text, where, col)
+            for col, text in enumerate(row, start=1)]
 
 
 def load_csv(path, tau=None):
     """Read records from a CSV with columns U, delta, Z1..Zp."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InvalidInput(f"{path}: line 1: empty file")
-        header = [c.strip() for c in header]
-        if len(header) < 3 or header[0] != "U" or header[1] != "delta":
-            raise InvalidInput(
-                f"{path}: line 1: expected header 'U,delta,Z1..Zp', got {header}"
-            )
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise InvalidInput(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
-                )
-            parsed = []
-            for col, text in enumerate(row, start=1):
-                try:
-                    parsed.append(float(text))
-                except ValueError:
-                    raise InvalidInput(
-                        f"{path}: line {lineno}, column {col}: "
-                        f"could not parse {text!r} as a number"
-                    ) from None
-            rows.append(parsed)
-    if not rows:
-        raise InvalidInput(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    data = read_csv(
+        path, "U,delta,Z1..Zp",
+        lambda names: len(names) >= 3 and names[:2] == ["U", "delta"],
+        _parse_row,
+    )
     return PropOddsModel.from_arrays(data[:, 0], data[:, 1], data[:, 2:], tau=tau)
 
 
@@ -251,25 +176,6 @@ class _Workspace:
 
 def _workspace(model, beta, A, F):
     return _Workspace(model, beta, A, model.resolve_weights(F))
-
-
-def weight_w(record, s, beta, A):
-    """At-risk weight of one record at time s.
-
-    (1 + delta) e^{beta'z} 1{u >= s} / (1 + e^{beta'z} A(u)); positive
-    exactly when the record is still at risk at s.
-    """
-    if not 0.0 <= s <= A.tau:
-        raise InvalidInput("time s outside [0, tau]")
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    z = np.asarray(record.z, dtype=float)
-    lin = float(z @ beta)
-    if abs(lin) > LINPRED_BOUND:
-        raise NumericOverflow(f"|beta'z| = {abs(lin):.3g} exceeds {LINPRED_BOUND}")
-    if record.u < s:
-        return 0.0
-    q = np.exp(lin)
-    return (1.0 + record.delta) * q / (1.0 + q * A(record.u))
 
 
 def psi_apply(model, beta, A, F=None):
@@ -423,15 +329,7 @@ def df_psi(model, beta, A, F=None, h=None):
 
 def psi_derivatives(model, beta, A, F=None):
     """All operator derivatives at (beta, A, F), bundled for resolvent use."""
-    dot, ddot, mixed = dbeta_psi(model, beta, A, F)
-    return PsiDerivatives(
-        d_eta=da_psi(model, beta, A, F),
-        dot_psi=dot,
-        ddot_psi=ddot,
-        d_eta_dot=mixed,
-        d2_eta=d2a_psi(model, beta, A, F),
-        d_f=lambda h: df_psi(model, beta, A, F, h),
-    )
+    return PsiDerivatives.at((model, beta, A, F), dbeta_psi, da_psi, d2a_psi, df_psi)
 
 
 def loglik(model, beta, A, F=None):
@@ -499,44 +397,19 @@ def check_variance_condition(model, beta, A, F=None):
     return VarianceConditionReport(model.event_times, lhs, rhs, satisfied)
 
 
-class PropOddsProfile:
+class PropOddsProfile(Profile):
     """Profile-likelihood view: score and Jacobian of the estimating equation.
 
-    Solves the nuisance fixed point at each requested beta (warm-started
-    from the previous solve) and differentiates the plugged-in log density
-    per record.  The Jacobian of the mean score is taken by central
-    differences of the analytic score.
+    Differentiates the plugged-in log density per record.  The Jacobian of
+    the mean score is taken by central differences of the analytic score.
     """
+
+    solve_nuisance = staticmethod(solve_nuisance)
 
     def __init__(self, model, F=None, solver_tol=1e-10, solver_max_iter=10_000,
                  jacobian_step=1e-5):
-        self.model = model
-        self.weights = model.resolve_weights(F)
-        self.solver_tol = solver_tol
-        self.solver_max_iter = solver_max_iter
+        super().__init__(model, F, solver_tol, solver_max_iter)
         self.jacobian_step = jacobian_step
-        self._warm = None
-        self.last_solution = None
-
-    @property
-    def dim(self):
-        return self.model.covariate_dim
-
-    @property
-    def n(self):
-        return self.model.n_obs
-
-    def solve(self, beta):
-        sol = solve_nuisance(
-            self.model, beta, self.weights,
-            tol=self.solver_tol, max_iter=self.solver_max_iter, eta0=self._warm,
-        )
-        self._warm = sol.eta
-        self.last_solution = sol
-        return sol
-
-    def nuisance(self, beta):
-        return self.model.jumps_to_step(self.solve(beta).eta)
 
     def score(self, beta):
         """Per-record derivative of the profiled log density, shape (n, p)."""
@@ -569,8 +442,7 @@ class PropOddsProfile:
 
     def precheck(self, beta):
         """Solve at beta and verify the contraction prerequisites."""
-        sol = self.solve(beta)
-        A = self.model.jumps_to_step(sol.eta)
+        A = self.nuisance(beta)
         report = check_variance_condition(self.model, beta, A, self.weights)
         norm = da_psi_sup_norm(self.model, beta, A, self.weights)
         if not report.satisfied or norm >= 1.0:
@@ -581,9 +453,25 @@ class PropOddsProfile:
         return report, norm
 
     def condition_report(self, beta):
-        sol = self.solve(beta)
-        A = self.model.jumps_to_step(sol.eta)
+        A = self.nuisance(beta)
         return check_variance_condition(self.model, beta, A, self.weights)
+
+
+def _fit_payload(profile, beta):
+    step = profile.nuisance(beta)
+    report = profile.condition_report(beta)
+    return {
+        "beta_hat": beta.tolist(),
+        "jumps": step.jump_sizes.tolist(),
+        "nuisance": {
+            "jump_times": step.jump_times.tolist(),
+            "jumps": step.jump_sizes.tolist(),
+        },
+        "condition": {
+            "satisfied": bool(report.satisfied),
+            "min_margin": float(report.margins.min()) if len(report.margins) else None,
+        },
+    }
 
 
 @dataclass(frozen=True)
@@ -780,4 +668,26 @@ def population_self_consistency(design=None, cells=2000, order=5):
 LINEAR_DESIGN = PropOddsDesign(
     baseline_times=None, baseline_jumps=None, baseline_rate=1.0,
     censor_atom=0.2,
+)
+
+
+def _build(u, delta, z):
+    return PropOddsModel.from_arrays(u, delta, z)
+
+
+FAMILY = Family(
+    name="prop_odds",
+    model=PropOddsModel,
+    profile=PropOddsProfile,
+    design=PropOddsDesign,
+    load_csv=load_csv,
+    build=_build,
+    truth=lambda design: design.beta0,
+    default_start=lambda model: np.zeros(model.covariate_dim),
+    labels=lambda model: [f"beta_{k + 1}" for k in range(model.covariate_dim)],
+    fit_payload=_fit_payload,
+    audit_rows=("da_psi", "d2a_psi", "dbeta_psi"),
+    audit_seed_offset=17,
+    audit_theta=lambda model: [0.5] * model.covariate_dim,
+    audit_design=LINEAR_DESIGN,
 )

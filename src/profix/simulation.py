@@ -17,12 +17,19 @@ from scipy import stats
 
 from . import estimator, missing_cov, prop_odds
 from .errors import HarnessAlarm, InvalidConfig
-from .missing_cov import MissingCovDesign, MissingCovModel, NormalRegression
-from .prop_odds import PropOddsDesign, PropOddsModel
 
 Z95 = stats.norm.ppf(0.975)
 
-MODELS = ("prop_odds", "missing_cov")
+#: Every model family's record, by model name.
+FAMILIES = {f.name: f for f in (prop_odds.FAMILY, missing_cov.FAMILY)}
+
+
+def get_family(name):
+    """The family record registered under name."""
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise InvalidConfig(f"model must be one of {tuple(FAMILIES)}") from None
 
 
 @dataclass(frozen=True)
@@ -40,24 +47,21 @@ class SimConfig:
     solver_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise InvalidConfig(f"unknown model {self.model!r}")
+        family = get_family(self.model)
         if self.n < 10:
             raise InvalidConfig("n must be at least 10")
         if self.replications < 1:
             raise InvalidConfig("replications must be at least 1")
         if self.design is None:
-            default = (
-                PropOddsDesign() if self.model == "prop_odds"
-                else MissingCovDesign()
-            )
-            object.__setattr__(self, "design", default)
+            object.__setattr__(self, "design", family.design())
+
+    @property
+    def family(self):
+        return get_family(self.model)
 
     @property
     def theta0(self):
-        if self.model == "prop_odds":
-            return np.asarray(self.design.beta0, dtype=float)
-        return np.asarray(self.design.theta0, dtype=float)
+        return np.asarray(self.family.truth(self.design), dtype=float)
 
 
 def replication_rng(seed, index):
@@ -121,18 +125,19 @@ def gen_missing_cov(design, n, rng, allow_override=False):
     return r, y, x
 
 
+def draw_model(family, design, n, rng):
+    """A sample of n records from design, drawn by ``gen_<family name>``."""
+    # looked up when called, so a replaced module attribute takes effect
+    generate = globals()[f"gen_{family.name}"]
+    return family.build(*generate(design, n, rng))
+
+
 def build_model(config, rng):
-    if config.model == "prop_odds":
-        u, delta, z = gen_prop_odds(config.design, config.n, rng)
-        return PropOddsModel.from_arrays(u, delta, z)
-    r, y, x = gen_missing_cov(config.design, config.n, rng)
-    return MissingCovModel.from_arrays(r, y, x, NormalRegression())
+    return draw_model(config.family, config.design, config.n, rng)
 
 
 def build_profile(config, model):
-    if config.model == "prop_odds":
-        return prop_odds.PropOddsProfile(model, solver_tol=config.solver_tol)
-    return missing_cov.MissingCovProfile(model, solver_tol=config.solver_tol)
+    return config.family.profile(model, solver_tol=config.solver_tol)
 
 
 @dataclass
@@ -168,7 +173,7 @@ def run_replication(config, index):
             profile, start, tol=config.fit_tol, max_newton=config.max_newton,
             force=True,
         )
-    except Exception as exc:  # noqa: BLE001 - failures are tallied, not fatal
+    except estimator.NUMERICAL_FAILURES as exc:
         return Replication(index=index, converged=False,
                            error=type(exc).__name__)
     diff = fit.theta_hat - theta0

@@ -220,6 +220,24 @@ class TestMonteCarlo:
         }))
         assert main(["monte-carlo", "--config", str(cfg), "--jobs", "1"]) == 0
 
+    def test_linear_survival_design(self, tmp_path):
+        # the design of the survival acceptance study: the step baseline's
+        # keys are set to null to select the linear baseline
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps({
+            "model": "prop_odds", "n": 60, "replications": 3, "seed": 7,
+            "design": {"baseline_times": None, "baseline_jumps": None,
+                       "baseline_rate": 1.0, "censor_atom": 0.2},
+        }))
+        prefix = tmp_path / "linear"
+        assert main(["monte-carlo", "--config", str(cfg), "--jobs", "1",
+                     "--out-prefix", str(prefix)]) == 0
+        expected = simulation.monte_carlo(simulation.SimConfig(
+            model="prop_odds", n=60, replications=3, seed=7,
+            design=prop_odds.LINEAR_DESIGN,
+        )).to_json()
+        assert (tmp_path / "linear_report.json").read_text() == expected
+
     def test_unknown_design_key_exit_1(self, tmp_path):
         cfg = tmp_path / "mc.json"
         cfg.write_text(json.dumps({

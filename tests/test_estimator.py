@@ -6,6 +6,7 @@ from profix.errors import (
     InvalidInput,
     InvalidState,
     NoConvergence,
+    RiskSetEmpty,
     SingularInformation,
 )
 from profix.estimator import confidence_interval, efficient_information, profile_mle
@@ -88,9 +89,52 @@ class TestProfileMle:
         assert np.abs(analytic - fd.T).max() / denom < 1e-3
 
     def test_diagnostics_carry_nuisance_solve(self):
+        # the start is away from theta_hat, so the solve at theta_hat is a
+        # real warm-started iteration, not a one-step re-solve
         model = ex2_model(100, 4)
         fit = profile_mle(MissingCovProfile(model), THETA0)
-        assert fit.diagnostics["nuisance"]["residual"] < 1e-10
+        nuisance = fit.diagnostics["nuisance"]
+        assert nuisance["residual"] < 1e-10
+        assert nuisance["iterations"] > 1
+        assert nuisance["contraction_estimate"] > 0
+
+    def test_numerical_failure_of_a_candidate_is_halved_past(self):
+        profile = LineSearchStub(RiskSetEmpty("empty risk set"))
+        fit = profile_mle(profile, np.zeros(1))
+        assert profile.evaluated == [0.0, 1.0, 0.5, 1.0]
+        assert fit.theta_hat[0] == 1.0
+
+    def test_programming_error_in_a_candidate_propagates(self):
+        with pytest.raises(TypeError):
+            profile_mle(LineSearchStub(TypeError("bug")), np.zeros(1))
+
+
+class LineSearchStub:
+    """Mean score theta - 1 whose first Newton candidate raises exc."""
+
+    dim = 1
+    n = 4
+    weights = np.full(4, 0.25)
+    last_solution = None
+
+    def __init__(self, exc):
+        self.exc = exc
+        self.evaluated = []
+
+    def precheck(self, theta):
+        pass
+
+    def mean_score(self, theta):
+        self.evaluated.append(float(theta[0]))
+        if len(self.evaluated) == 2:
+            raise self.exc
+        return theta - 1.0
+
+    def jacobian(self, theta):
+        return np.eye(1)
+
+    def score(self, theta):
+        return np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
 
 class TestEfficientInformation:

@@ -9,11 +9,12 @@ from profix.implicit_diff import (
     d2theta_eta,
     df_eta,
     dtheta_eta,
-    neumann_apply,
     resolvent_apply,
 )
 from profix.measures import BilinearMap, LinearMap
 from profix.numdiff import FdConfig, fd_path, fd_theta
+
+from reference import neumann_apply
 
 
 def scalar_derivs(d_eta, dot, ddot=0.0, d_eta_dot=0.0, d2_eta=0.0, d_f=None):

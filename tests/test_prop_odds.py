@@ -16,7 +16,6 @@ from profix.prop_odds import (
     PropOddsDesign,
     PropOddsModel,
     PropOddsProfile,
-    SurvivalRecord,
     check_variance_condition,
     da_psi,
     da_psi_sup_norm,
@@ -28,10 +27,14 @@ from profix.prop_odds import (
     population_self_consistency,
     psi_apply,
     solve_nuisance,
-    weight_w,
 )
 
-from reference import loglik_prop_odds_naive, psi_prop_odds_naive
+from reference import (
+    SurvivalRecord,
+    loglik_prop_odds_naive,
+    psi_prop_odds_naive,
+    weight_w,
+)
 
 
 def zero_step(tau=3.0):

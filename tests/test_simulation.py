@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from profix import missing_cov, prop_odds
+from profix import missing_cov, prop_odds, simulation
 from profix.errors import HarnessAlarm, InvalidConfig
 from profix.simulation import (
     SimConfig,
@@ -9,6 +9,7 @@ from profix.simulation import (
     gen_prop_odds,
     monte_carlo,
     replication_rng,
+    run_replication,
 )
 
 
@@ -134,6 +135,17 @@ class TestMonteCarlo:
         assert report is not None
         assert sum(report.failure_counts.values()) + report.n_success == 5
         assert report.failure_counts.get("NoConvergence", 0) > 0
+
+    def test_programming_error_is_not_tallied(self, monkeypatch):
+        def broken_profile(config, model):
+            raise TypeError("broken profile")
+
+        monkeypatch.setattr(simulation, "build_profile", broken_profile)
+        cfg = SimConfig(model="missing_cov", n=60, replications=2, seed=13)
+        with pytest.raises(TypeError):
+            run_replication(cfg, 0)
+        with pytest.raises(TypeError):
+            monte_carlo(cfg)
 
     def test_seeded_halves_agree(self):
         n, m = 80, 40
