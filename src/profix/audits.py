@@ -119,15 +119,15 @@ def audit_operators(family, model, theta=None, seed=0, corrupt=None):
 
     dirs = _scaled_directions(rng, eta)
 
-    d_eta = getattr(mod, d_eta_name)(model, theta, nuisance).matrix
-    d_eta = _maybe_corrupt(d_eta, d_eta_name, corrupt)
+    d_eta = getattr(mod, d_eta_name)(model, theta, nuisance)
     worst = 0.0
     for h in dirs:
         step = 1e-5
         fd = (psi_of_eta(eta + step * h) - psi_of_eta(eta - step * h)) / (
             2.0 * step
         )
-        worst = max(worst, rel_err(d_eta @ h, fd))
+        analytic = _maybe_corrupt(d_eta.apply(h), d_eta_name, corrupt)
+        worst = max(worst, rel_err(analytic, fd))
     rows.append(AuditRow(d_eta_name, worst, FIRST_ORDER_TOL))
 
     d2_eta = getattr(mod, d2_eta_name)(model, theta, nuisance)

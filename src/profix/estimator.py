@@ -223,6 +223,7 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
             "residual": last.residual,
             "iterations": last.iterations,
             "contraction_estimate": last.contraction_estimate,
+            "tail_contraction": last.tail_contraction,
         }
     return FitResult(
         theta_hat=theta,

@@ -20,6 +20,9 @@ from .measures import LinearMap
 #: Consecutive non-contracting difference ratios tolerated before giving up.
 VIOLATION_STREAK = 10
 
+#: Trailing difference ratios averaged into the tail contraction.
+TAIL_RATIOS = 3
+
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 
@@ -50,6 +53,7 @@ class FixedPointSolution:
     residual: float
     iterations: int
     contraction_estimate: float
+    tail_contraction: float
     residual_trace: list = field(default_factory=list, repr=False)
 
     def diagnostics(self):
@@ -57,17 +61,25 @@ class FixedPointSolution:
             "residual": self.residual,
             "iterations": self.iterations,
             "contraction_estimate": self.contraction_estimate,
+            "tail_contraction": self.tail_contraction,
             "residual_trace": list(self.residual_trace),
         }
+
+
+def _geometric_mean(values):
+    return float(np.prod(values)) ** (1.0 / len(values)) if values else 0.0
 
 
 def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Iterate eta <- Psi(eta) until the residual norm drops below tol.
 
     The contraction estimate is the largest ratio of successive difference
-    norms seen over the run.  Ten consecutive ratios at or above one abort
-    the run with :class:`ContractionViolation`; exhausting the iteration
-    budget raises :class:`NoConvergence` carrying the best residual.
+    norms seen over the run; a warm start can make an early ratio exceed
+    one in a run that converges.  The tail contraction, the geometric mean
+    of the last (at most three) ratios, is the rate near the fixed point.
+    Ten consecutive ratios at or above one abort the run with
+    :class:`ContractionViolation`; exhausting the iteration budget raises
+    :class:`NoConvergence` carrying the best residual.
     """
     if tol <= 0:
         raise InvalidInput("tolerance must be positive")
@@ -79,7 +91,7 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         )
     norm = problem.norm_kind
     trace = []
-    contraction = 0.0
+    ratios = []
     prev_diff = None
     streak = 0
     best = np.inf
@@ -92,7 +104,7 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         best = min(best, diff)
         if prev_diff is not None and prev_diff > 0.0:
             ratio = diff / prev_diff
-            contraction = max(contraction, ratio)
+            ratios.append(ratio)
             streak = streak + 1 if ratio >= 1.0 else 0
             if streak >= VIOLATION_STREAK:
                 raise ContractionViolation(
@@ -106,7 +118,8 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
                 eta=eta,
                 residual=residual,
                 iterations=iteration,
-                contraction_estimate=contraction,
+                contraction_estimate=max(ratios, default=0.0),
+                tail_contraction=_geometric_mean(ratios[-TAIL_RATIOS:]),
                 residual_trace=trace,
             )
         eta = nxt

@@ -14,9 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInput, SingularResolvent
-from .measures import BilinearMap, LinearMap
+from .measures import BilinearMap, LinearMap, MaxIndexMap
 
-#: Relative residual above which a dense resolvent solve is declared singular.
+#: Relative residual above which a resolvent solve is declared singular.
 _SOLVE_RESIDUAL_TOL = 1e-6
 
 
@@ -24,18 +24,19 @@ _SOLVE_RESIDUAL_TOL = 1e-6
 class PsiDerivatives:
     """Partial derivatives of the nuisance operator at a fixed point.
 
-    d_eta is the derivative in the nuisance itself; dot_psi and ddot_psi
-    are the first and second parameter derivatives (shapes (d, m) and
-    (d, d, m)); d_eta_dot holds one linear map per parameter component for
-    the mixed derivative; d2_eta is the second nuisance derivative as a
-    bilinear map; d_f maps a distribution perturbation to a coefficient
-    vector.
+    d_eta is the derivative in the nuisance itself, a dense
+    :class:`LinearMap` or a structured map with ``apply`` and
+    ``resolvent_solve``; dot_psi and ddot_psi are the first and second
+    parameter derivatives (shapes (d, m) and (d, d, m)); d_eta_dot holds
+    one linear map per parameter component for the mixed derivative;
+    d2_eta is the second nuisance derivative as a bilinear map; d_f maps a
+    distribution perturbation to a coefficient vector.
     """
 
-    d_eta: LinearMap
+    d_eta: LinearMap | MaxIndexMap
     dot_psi: np.ndarray
     ddot_psi: np.ndarray
-    d_eta_dot: Sequence[LinearMap]
+    d_eta_dot: Sequence[LinearMap | MaxIndexMap]
     d2_eta: BilinearMap
     d_f: Callable
 
@@ -66,20 +67,28 @@ def _as_matrix(d_eta):
 
 
 def resolvent_apply(d_eta, rhs):
-    """Solve (I - d_eta) v = rhs by a dense LU factorization.
+    """Solve (I - d_eta) v = rhs and verify the residual.
 
-    rhs may be a vector or a matrix of stacked right-hand sides (columns).
+    A map with a ``resolvent_solve`` of its own (the survival family's
+    :class:`MaxIndexMap`) solves in O(m) and is checked through its
+    ``apply``; any other map is solved by a dense LU factorization.  rhs
+    may be a vector or a matrix of stacked right-hand sides (columns).
     """
-    M = _as_matrix(d_eta)
     rhs = np.asarray(rhs, dtype=float)
-    system = np.eye(M.shape[0]) - M
+    structured = getattr(d_eta, "resolvent_solve", None)
     try:
-        v = np.linalg.solve(system, rhs)
+        if structured is not None:
+            v = structured(rhs)
+            check = v - d_eta.apply(v) - rhs
+        else:
+            M = _as_matrix(d_eta)
+            system = np.eye(M.shape[0]) - M
+            v = np.linalg.solve(system, rhs)
+            check = system @ v - rhs
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(str(exc)) from exc
-    check = system @ v - rhs
     scale = max(float(np.abs(rhs).max(initial=0.0)), 1e-300)
-    if not np.all(np.isfinite(v)) or np.abs(check).max() > _SOLVE_RESIDUAL_TOL * scale:
+    if not np.all(np.isfinite(v)) or np.abs(check).max(initial=0.0) > _SOLVE_RESIDUAL_TOL * scale:
         raise SingularResolvent("resolvent solve did not verify; system is singular")
     return v
 

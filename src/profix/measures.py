@@ -14,6 +14,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InvalidInput
 
@@ -388,6 +389,83 @@ class LinearMap:
         return self.matrix @ np.asarray(vec, dtype=float)
 
     __call__ = apply
+
+
+class MaxIndexMap:
+    """Sum of diag(a_r) K(s_r) over terms (a_r, s_r), K(s)[i, j] = s[max(i, j)].
+
+    The survival family's nuisance derivatives have this form, so they
+    apply in O(m) without an m x m matrix.  With U the upper-triangular
+    ones matrix and t = s - (s shifted up by one), K(s) = U diag(t) U',
+    which turns the resolvent of a single term into a banded system.
+    """
+
+    def __init__(self, terms):
+        self.terms = tuple(
+            (np.asarray(a, dtype=float), np.asarray(s, dtype=float))
+            for a, s in terms
+        )
+        dims = {len(x) for term in self.terms for x in term}
+        if len(dims) != 1:
+            raise InvalidInput("max-index map needs terms of one common length")
+        (self.dim,) = dims
+
+    def apply(self, vec):
+        """Image of a vector, or of stacked columns of shape (m, k).
+
+        Row i of K(s) v is s_i times the sum of v up to i plus the sum of
+        s v beyond i.
+        """
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape[:1] != (self.dim,):
+            raise InvalidInput("direction dimension mismatch")
+        column = (-1,) + (1,) * (vec.ndim - 1)
+        out = np.zeros(vec.shape)
+        for a, s in self.terms:
+            s = s.reshape(column)
+            image = s * np.cumsum(vec, axis=0)
+            image[:-1] += np.cumsum((s * vec)[::-1], axis=0)[-2::-1]
+            out += a.reshape(column) * image
+        return out
+
+    @property
+    def matrix(self):
+        """The dense m x m form, for cross-checks only."""
+        idx = np.arange(self.dim)
+        pair = np.maximum(idx[:, None], idx[None, :])
+        return sum(a[:, None] * s[pair] for a, s in self.terms)
+
+    def resolvent_solve(self, rhs):
+        """Solve (I - diag(a) K(s)) x = rhs for a single term in O(m).
+
+        With z = cumsum(x) and y = U diag(t) z the system reads
+        z_i - z_{i-1} - a_i y_i = rhs_i and y_i - y_{i+1} - t_i z_i = 0;
+        interleaving (z_i, y_i) makes it banded with two sub- and two
+        super-diagonals, which a pivoted LU solves directly.  rhs may hold
+        stacked columns; a singular system raises LinAlgError.
+        """
+        if len(self.terms) != 1:
+            raise InvalidInput("the banded resolvent needs a single term")
+        (a, s), m = self.terms[0], self.dim
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape[:1] != (m,):
+            raise InvalidInput("right-hand side dimension mismatch")
+        if m == 0:
+            return rhs.copy()
+        t = s - np.append(s[1:], 0.0)
+        bands = np.zeros((5, 2 * m))
+        bands[0, 3::2] = -1.0  # y_i - y_{i+1}
+        bands[1, 1::2] = -a  # -a_i y_i
+        bands[2] = 1.0
+        bands[3, 0::2] = -t  # -t_i z_i
+        bands[4, 0:-2:2] = -1.0  # z_i - z_{i-1}
+        b = np.zeros((2 * m,) + rhs.shape[1:])
+        b[0::2] = rhs
+        z = scipy.linalg.solve_banded(
+            (2, 2), bands, b, overwrite_ab=True, overwrite_b=True,
+            check_finite=False,
+        )[0::2]
+        return np.diff(z, axis=0, prepend=np.zeros((1,) + rhs.shape[1:]))
 
 
 class BilinearMap:

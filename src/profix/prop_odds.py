@@ -25,16 +25,12 @@ from .errors import (
     RiskSetEmpty,
 )
 from .estimator import Family, Profile
-from .fixed_point import (
-    FixedPointProblem,
-    estimate_operator_norm,
-    solve_fixed_point,
-)
+from .fixed_point import FixedPointProblem, solve_fixed_point
 from .implicit_diff import PsiDerivatives, dtheta_eta
 from .measures import (
     BilinearMap,
     EmpiricalMeasure,
-    LinearMap,
+    MaxIndexMap,
     RecordTable,
     StepFunction,
     parse_number,
@@ -215,37 +211,31 @@ def da_psi(model, beta, A, F=None):
     """Derivative of the operator in the nuisance, in jump coordinates.
 
     The direction enters only through its cumulative value at each record
-    time, so the matrix entry for output jump m and input jump j is driven
-    by the at-risk sum beyond max(s_m, t_j).
+    time, so the entry for output jump i and input jump j is driven by the
+    at-risk sum beyond the later of event times i and j: the map is
+    diag(coef) K(k_suffix) in :class:`MaxIndexMap` form.
     """
     ws = _workspace(model, beta, A, F)
-    m = model.n_events
-    if m == 0:
-        return LinearMap(np.zeros((0, 0)))
     k_suffix = ws.suffix_at_events(ws.w * ws.k)
-    pair = np.maximum(np.arange(m)[:, None], np.arange(m)[None, :])
-    coef = ws.edn * ws.inv_ew**2
-    return LinearMap(coef[:, None] * k_suffix[pair])
-
-
-def da_psi_value_map(model, beta, A, F=None):
-    """Nuisance derivative acting on function values at the event times.
-
-    Similarity-transforms the jump-coordinate matrix with the cumulative
-    operator; the sup norm of this matrix is the operator norm on function
-    values, which is the norm the contraction requirement refers to.
-    """
-    M = da_psi(model, beta, A, F).matrix
-    m = M.shape[0]
-    if m == 0:
-        return LinearMap(M)
-    C = np.tri(m)
-    Cinv = np.eye(m) - np.eye(m, k=-1)
-    return LinearMap(C @ M @ Cinv)
+    return MaxIndexMap([(ws.edn * ws.inv_ew**2, k_suffix)])
 
 
 def da_psi_sup_norm(model, beta, A, F=None):
-    return estimate_operator_norm(da_psi_value_map(model, beta, A, F), "sup")
+    """Sup norm of the nuisance derivative on values at the event times.
+
+    The cumulative operator C = U' conjugates diag(coef) U diag(t) U' to
+    the value map C diag(coef) U diag(t), whose entry (i, j) is
+    t_j cumsum(coef)_min(i, j); its absolute row sums, the norm the
+    contraction requirement refers to, come from cumulative sums in O(m).
+    """
+    ((coef, s),) = da_psi(model, beta, A, F).terms
+    t = np.abs(s - np.append(s[1:], 0.0))
+    cc = np.abs(np.cumsum(coef))
+    before = np.concatenate([[0.0], np.cumsum(t * cc)[:-1]])
+    rows = before + cc * np.cumsum(t[::-1])[::-1]
+    if not np.all(np.isfinite(rows)):
+        raise InvalidInput("nuisance derivative has non-finite entries")
+    return float(rows.max(initial=0.0))
 
 
 def d2a_psi(model, beta, A, F=None):
@@ -270,7 +260,8 @@ def dbeta_psi(model, beta, A, F=None):
     """First and second coefficient derivatives and the mixed derivative.
 
     Returns (dot, ddot, mixed): dot has shape (p, m), ddot (p, p, m), and
-    mixed is one jump-coordinate linear map per coefficient component.
+    mixed is one jump-coordinate :class:`MaxIndexMap` per coefficient
+    component.
     """
     ws = _workspace(model, beta, A, F)
     p, m = model.covariate_dim, model.n_events
@@ -291,22 +282,15 @@ def dbeta_psi(model, beta, A, F=None):
             ddot[a, b] = val
             ddot[b, a] = val
 
-    mixed = []
-    if m:
-        pair = np.maximum(np.arange(m)[:, None], np.arange(m)[None, :])
-        k_suffix = ws.suffix_at_events(ws.w * ws.k)
-        for a in range(p):
-            kd_suffix = ws.suffix_at_events(ws.w * ws.kd * z[:, a])
-            mat = (
-                (ws.edn * ws.inv_ew**2)[:, None] * kd_suffix[pair]
-                - 2.0
-                * (ws.edn * ew_dot[a] * ws.inv_ew**3)[:, None]
-                * k_suffix[pair]
-            )
-            mixed.append(LinearMap(mat))
-    else:
-        mixed = [LinearMap(np.zeros((0, 0))) for _ in range(p)]
-    return dot, ddot, tuple(mixed)
+    k_suffix = ws.suffix_at_events(ws.w * ws.k)
+    mixed = tuple(
+        MaxIndexMap([
+            (ws.edn * ws.inv_ew**2, ws.suffix_at_events(ws.w * ws.kd * z[:, a])),
+            (-2.0 * ws.edn * ew_dot[a] * ws.inv_ew**3, k_suffix),
+        ])
+        for a in range(p)
+    )
+    return dot, ddot, mixed
 
 
 def df_psi(model, beta, A, F=None, h=None):
@@ -402,6 +386,9 @@ class PropOddsProfile(Profile):
 
     Differentiates the plugged-in log density per record.  The Jacobian of
     the mean score is taken by central differences of the analytic score.
+    A covariate that is constant over the weighted records makes the
+    coefficient unidentified, as e^{beta z} then only rescales the
+    baseline odds, so such a sample is refused.
     """
 
     solve_nuisance = staticmethod(solve_nuisance)
@@ -410,6 +397,14 @@ class PropOddsProfile(Profile):
                  jacobian_step=1e-5):
         super().__init__(model, F, solver_tol, solver_max_iter)
         self.jacobian_step = jacobian_step
+        z = model.z[self.weights > 0]
+        constant = np.flatnonzero(np.ptp(z, axis=0) == 0) if len(z) else []
+        if len(constant):
+            names = ", ".join(f"Z{k + 1}" for k in constant)
+            raise InvalidInput(
+                f"covariate {names} is constant over the sample; "
+                "its coefficient is confounded with the scale of the baseline odds"
+            )
 
     def score(self, beta):
         """Per-record derivative of the profiled log density, shape (n, p)."""

@@ -18,6 +18,7 @@ from profix.measures import (
     PerturbationDirection,
     mix_path,
 )
+from profix import prop_odds
 from profix.prop_odds import LINPRED_BOUND
 
 
@@ -45,6 +46,51 @@ def psi_prop_odds_naive(u, delta, z, w, beta, jump_times, jump_sizes):
                 ew += wi * (1 + di) * q / (1 + q * a_u)
         jumps.append(edn / ew)
     return np.array(event_times), np.array(jumps)
+
+
+def da_psi_prop_odds_naive(u, delta, z, w, beta, jump_times, jump_sizes):
+    """Nuisance derivative of the survival operator in jump coordinates.
+
+    Entry (i, j) is the derivative of output jump i in input jump j: the
+    event mass at s_i over the squared at-risk sum, times the sum of
+    w (1 + delta) q^2 / (1 + q A(u))^2 over records at risk at both s_i
+    and s_j.  Event times without event mass have a zero row.
+    """
+    z = np.atleast_2d(np.asarray(z, float))
+    if z.shape[0] != len(u):
+        z = z.T
+    beta = np.atleast_1d(np.asarray(beta, float))
+    event_times = sorted(set(ui for ui, di in zip(u, delta) if di == 1))
+    m = len(event_times)
+    out = np.zeros((m, m))
+    for i, si in enumerate(event_times):
+        edn = sum(wi for ui, di, wi in zip(u, delta, w) if di == 1 and ui == si)
+        if edn == 0:
+            continue
+        ew = 0.0
+        for ui, di, zi, wi in zip(u, delta, z, w):
+            if ui >= si:
+                q = math.exp(float(zi @ beta))
+                ew += wi * (1 + di) * q / (1 + q * step_value(jump_times, jump_sizes, ui))
+        for j, sj in enumerate(event_times):
+            total = 0.0
+            for ui, di, zi, wi in zip(u, delta, z, w):
+                if ui >= max(si, sj):
+                    q = math.exp(float(zi @ beta))
+                    a_u = step_value(jump_times, jump_sizes, ui)
+                    total += wi * (1 + di) * q**2 / (1 + q * a_u) ** 2
+            out[i, j] = edn / ew**2 * total
+    return out
+
+
+def max_index_dense(terms, m):
+    """Dense sum of diag(a) K(s) over terms, with K(s)[i, j] = s[max(i, j)]."""
+    out = np.zeros((m, m))
+    for a, s in terms:
+        for i in range(m):
+            for j in range(m):
+                out[i, j] += a[i] * s[max(i, j)]
+    return out
 
 
 def loglik_prop_odds_naive(u, delta, z, w, beta, jump_times, jump_sizes):
@@ -117,6 +163,20 @@ def neumann_apply(d_eta, rhs, terms=200):
         term = M @ term
         out += term
     return out
+
+
+def da_psi_value_map(model, beta, A, F=None):
+    """Dense nuisance derivative acting on function values at the event times.
+
+    Similarity-transforms the jump-coordinate matrix with the cumulative
+    operator; its max absolute row sum is the norm that
+    ``prop_odds.da_psi_sup_norm`` computes without the matrix.
+    """
+    M = prop_odds.da_psi(model, beta, A, F).matrix
+    m = M.shape[0]
+    C = np.tri(m)
+    Cinv = np.eye(m) - np.eye(m, k=-1)
+    return LinearMap(C @ M @ Cinv)
 
 
 def step_eval(A, u):

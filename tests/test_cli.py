@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 from profix import missing_cov, prop_odds, simulation
-from profix.cli import main
+from profix.cli import EXIT_USAGE, main
 
 
 def write_ex2_csv(path, n=120, seed=31, design=None):
@@ -78,6 +78,38 @@ class TestFit:
         forced = main(["fit", "--model", "prop_odds", "--data", str(data),
                        "--force"])
         assert forced == 0
+
+    def test_forced_fit_reports_tail_contraction(self, tmp_path):
+        # the warm-started solve at the estimate has a first difference
+        # ratio above one, yet converges at a rate well below one
+        data = write_ex1_csv(tmp_path / "d.csv", n=300, seed=32,
+                             design=prop_odds.LINEAR_DESIGN)
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--model", "prop_odds", "--data", str(data),
+                     "--out", str(out), "--force"]) == 0
+        nuisance = json.loads(out.read_text())["diagnostics"]["nuisance"]
+        assert nuisance["residual"] < 1e-10
+        assert nuisance["tail_contraction"] < 1.0
+
+    def test_constant_covariate_exit_1(self, tmp_path, capsys):
+        data = write_ex1_csv(tmp_path / "d.csv", n=300, seed=32,
+                             design=prop_odds.LINEAR_DESIGN)
+        rows = data.read_text().splitlines()
+        data.write_text("\n".join(
+            [rows[0]] + [row.rsplit(",", 1)[0] + ",0.5" for row in rows[1:]]
+        ) + "\n")
+        code = main(["fit", "--model", "prop_odds", "--data", str(data),
+                     "--force"])
+        assert code == EXIT_USAGE
+        assert "Z1 is constant" in capsys.readouterr().err
+
+    def test_all_censored_fails_the_condition_check(self, tmp_path, capsys):
+        # no event times: the nuisance-derivative norm is that of an empty
+        # map, and nothing certifies the contraction
+        data = tmp_path / "d.csv"
+        data.write_text("U,delta,Z1\n1.0,0,0.5\n2.0,0,-0.5\n1.5,0,0.3\n")
+        assert main(["fit", "--model", "prop_odds", "--data", str(data)]) == 3
+        assert "sup norm 0.0000" in capsys.readouterr().err
 
     def test_force_cannot_rescue_divergent_solve(self, tmp_path):
         # past the mass-ratio threshold the iteration itself refuses

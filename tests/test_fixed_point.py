@@ -77,6 +77,20 @@ class TestSolveFixedPoint:
         payload = json.dumps(sol.diagnostics())
         assert "residual_trace" in payload
 
+    def test_tail_contraction_reads_the_last_ratios(self):
+        # an affine map with slope 0.5 contracts at exactly 0.5 per step;
+        # a short first step makes the first ratio large but not the tail
+        calls = []
+
+        def apply(v):
+            calls.append(v[0])
+            return np.array([0.1 if len(calls) == 1 else 1.0 + 0.5 * v[0]])
+
+        sol = solve_fixed_point(FixedPointProblem(apply, 1), np.zeros(1), tol=1e-12)
+        assert sol.contraction_estimate > 1.0
+        assert sol.tail_contraction == pytest.approx(0.5, rel=1e-3)
+        assert sol.diagnostics()["tail_contraction"] == sol.tail_contraction
+
     def test_survival_operator_five_records(self):
         # event/censor mix at beta=0; residual certified by naive substitution
         u = np.array([0.4, 0.9, 1.3, 2.1, 2.8])

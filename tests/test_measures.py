@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from profix.errors import InvalidInput
@@ -11,6 +11,7 @@ from profix.measures import (
     EmpiricalMeasure,
     GridDensity,
     LinearMap,
+    MaxIndexMap,
     PerturbationDirection,
     StepFunction,
     TwoSampleMeasure,
@@ -22,6 +23,7 @@ from profix.measures import (
 
 from reference import (
     direction_between,
+    max_index_dense,
     measure_from_json,
     measure_to_json,
     step_eval,
@@ -248,6 +250,72 @@ class TestLinearAndBilinearMaps:
         lhs = B.apply(a * h1 + b * h1p, h2)
         rhs = a * B.apply(h1, h2) + b * B.apply(h1p, h2)
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def max_index_terms(m, seed, n_terms, zero_share):
+    """Random terms shaped like the survival derivatives: nonnegative
+    coefficients, a share of them exactly zero, and nonincreasing suffix
+    sums with ties."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(n_terms):
+        a = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) >= zero_share)
+        s = np.cumsum(rng.choice([0.0, 0.5, 1.0], m)[::-1])[::-1] / max(m, 1)
+        terms.append((a, s))
+    return terms
+
+
+class TestMaxIndexMap:
+    @given(
+        m=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+        n_terms=st.integers(1, 2),
+        zero_share=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_apply_and_matrix_match_the_definition(self, m, seed, n_terms,
+                                                   zero_share):
+        terms = max_index_terms(m, seed, n_terms, zero_share)
+        M = MaxIndexMap(terms)
+        dense = max_index_dense(terms, m)
+        assert np.abs(M.matrix - dense).max(initial=0.0) <= 1e-15
+        v = np.random.default_rng(seed).normal(size=(m, 3))
+        assert np.allclose(M.apply(v), dense @ v, rtol=0, atol=1e-13)
+        assert np.allclose(M.apply(v[:, 0]), dense @ v[:, 0], rtol=0, atol=1e-13)
+
+    @given(
+        m=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+        zero_share=st.sampled_from([0.0, 0.5, 1.0]),
+        scale=st.sampled_from([0.5, 2.0, 5.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_resolvent_solve_matches_dense_solve(self, m, seed, zero_share, scale):
+        # scales past 1 leave the contraction regime: the banded solve
+        # does not need it
+        ((a, s),) = max_index_terms(m, seed, 1, zero_share)
+        M = MaxIndexMap([(scale * a, s)])
+        system = np.eye(m) - max_index_dense(M.terms, m)
+        rhs = np.random.default_rng(seed + 1).normal(size=(m, 2))
+        assume(m == 0 or np.linalg.cond(system) < 1e8)
+        dense = np.linalg.solve(system, rhs)
+        bound = 1e-9 * max(np.abs(dense).max(initial=0.0), 1.0)
+        assert np.abs(M.resolvent_solve(rhs) - dense).max(initial=0.0) <= bound
+        assert np.abs(M.resolvent_solve(rhs[:, 1]) - dense[:, 1]).max(initial=0.0) <= bound
+
+    def test_singular_system_raises(self):
+        # diag(1) K(1) with m = 1 is the identity: I - M is zero
+        with pytest.raises(np.linalg.LinAlgError):
+            MaxIndexMap([([1.0], [1.0])]).resolvent_solve(np.ones(1))
+
+    def test_checks_shapes(self):
+        with pytest.raises(InvalidInput):
+            MaxIndexMap([(np.ones(2), np.ones(3))])
+        M = MaxIndexMap([(np.ones(2), np.ones(2))])
+        with pytest.raises(InvalidInput):
+            M.apply(np.ones(3))
+        with pytest.raises(InvalidInput):
+            MaxIndexMap([(np.ones(2), np.ones(2))] * 2).resolvent_solve(np.ones(2))
 
 
 class TestPerturbationDirection:

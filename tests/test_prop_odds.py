@@ -1,16 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from profix import prop_odds, simulation
+from profix import estimator, prop_odds, simulation
 from profix.errors import (
     ContractionViolation,
     DegenerateJump,
     InvalidInput,
     NumericOverflow,
 )
-from profix.measures import StepFunction
+from profix.fixed_point import estimate_operator_norm
+from profix.implicit_diff import df_eta, dtheta_eta
+from profix.measures import MaxIndexMap, StepFunction
 from profix.prop_odds import (
     LINEAR_DESIGN,
     PropOddsDesign,
@@ -20,17 +25,21 @@ from profix.prop_odds import (
     da_psi,
     da_psi_sup_norm,
     d2a_psi,
+    dbeta_psi,
     df_psi,
     load_csv,
     loglik,
     population_records,
     population_self_consistency,
     psi_apply,
+    psi_derivatives,
     solve_nuisance,
 )
 
 from reference import (
     SurvivalRecord,
+    da_psi_prop_odds_naive,
+    da_psi_value_map,
     loglik_prop_odds_naive,
     psi_prop_odds_naive,
     weight_w,
@@ -268,11 +277,118 @@ class TestFixedPointInvariants:
         sol = solve_nuisance(model, beta)
         A = model.jumps_to_step(sol.eta)
         M = da_psi(model, beta, A).matrix
-        V = prop_odds.da_psi_value_map(model, beta, A).matrix
+        V = da_psi_value_map(model, beta, A).matrix
         # same spectrum under the similarity transform
         ev_m = np.sort(np.abs(np.linalg.eigvals(M)))
         ev_v = np.sort(np.abs(np.linalg.eigvals(V)))
         assert np.abs(ev_m - ev_v).max() < 1e-8
+
+
+@st.composite
+def survival_samples(draw):
+    """Tiny weighted samples on a coarse time grid: tied times, possibly a
+    single event time or none, and zero-weight events (event times without
+    event mass, as in the audits' union model)."""
+    n = draw(st.integers(1, 7))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    u = column(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+    delta = column(st.sampled_from([0.0, 1.0]))
+    z = column(st.sampled_from([-1.0, -0.3, 0.0, 0.4, 1.0]))
+    w = column(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    if sum(w) == 0:
+        w[0] = 1.0
+    beta = draw(st.sampled_from([-0.8, 0.0, 0.5]))
+    model = PropOddsModel.from_arrays(u, delta, z, weights=w)
+    A = psi_apply(model, [beta], zero_step(model.tau))
+    return model, np.array([beta]), A
+
+
+def dense_solve(d_eta, rhs):
+    return np.linalg.solve(np.eye(d_eta.dim) - d_eta.matrix, rhs)
+
+
+def rel_diff(a, b, scale=None):
+    if scale is None:
+        scale = np.abs(b).max(initial=0.0)
+    return np.abs(a - b).max(initial=0.0) / max(scale, 1e-300)
+
+
+class TestStructuredDerivatives:
+    """The O(m) nuisance-derivative maps against their dense formulas."""
+
+    @given(sample=survival_samples())
+    @settings(max_examples=60, deadline=None)
+    def test_maps_and_resolvent_match_dense(self, sample):
+        model, beta, A = sample
+        d_eta = da_psi(model, beta, A)
+        naive = da_psi_prop_odds_naive(
+            model.u, model.delta, model.z, model.weights, beta,
+            A.jump_times, A.jump_sizes,
+        )
+        assert d_eta.matrix.shape == (model.n_events,) * 2
+        assert rel_diff(d_eta.matrix, naive) <= 1e-12
+        h = np.random.default_rng(model.n_records).normal(size=(model.n_events, 2))
+        assert rel_diff(d_eta.apply(h), naive @ h) <= 1e-12
+
+        derivs = psi_derivatives(model, beta, A)
+        assert rel_diff(dtheta_eta(derivs), dense_solve(d_eta, derivs.dot_psi.T).T) <= 1e-10
+        direction = model.weights * np.linspace(-1.0, 1.0, model.n_records)
+        assert rel_diff(df_eta(derivs, direction),
+                        dense_solve(d_eta, derivs.d_f(direction))) <= 1e-10
+        # the mixed map's two terms can cancel exactly: compare on their scale
+        (mixed,) = dbeta_psi(model, beta, A)[2]
+        scale = sum(np.abs(MaxIndexMap([term]).matrix) for term in mixed.terms)
+        assert rel_diff(mixed.apply(h), mixed.matrix @ h,
+                        (scale @ np.abs(h)).max(initial=0.0)) <= 1e-12
+
+        norm = da_psi_sup_norm(model, beta, A)
+        dense_norm = np.abs(da_psi_value_map(model, beta, A).matrix).sum(axis=1)
+        assert norm == pytest.approx(dense_norm.max(initial=0.0), rel=1e-12, abs=0)
+
+    def test_no_events(self):
+        model = PropOddsModel.from_arrays([1.0, 2.0], [0.0, 0.0], [0.3, -0.3])
+        derivs = psi_derivatives(model, [0.5], zero_step(model.tau))
+        assert dtheta_eta(derivs).shape == (1, 0)
+        assert da_psi_sup_norm(model, [0.5], zero_step(model.tau)) == 0.0
+
+    def test_sup_norm_matches_dense_value_map(self, prop_odds_model):
+        pop = population_records(PropOddsDesign())
+        for model in (prop_odds_model, pop):
+            beta = [0.5]
+            A = model.jumps_to_step(solve_nuisance(model, beta).eta)
+            dense = estimate_operator_norm(da_psi_value_map(model, beta, A), "sup")
+            assert da_psi_sup_norm(model, beta, A) == pytest.approx(dense, rel=1e-13)
+
+    def test_dtheta_eta_matches_dense_at_n3000(self):
+        rng = simulation.replication_rng(20260810, 1)
+        model = PropOddsModel.from_arrays(
+            *simulation.gen_prop_odds(LINEAR_DESIGN, 3000, rng)
+        )
+        beta = [0.5]
+        A = model.jumps_to_step(solve_nuisance(model, beta).eta)
+        derivs = psi_derivatives(model, beta, A)
+        dense = dense_solve(derivs.d_eta, derivs.dot_psi.T).T
+        assert rel_diff(dtheta_eta(derivs), dense) <= 1e-12
+
+    def test_large_fit_allocates_no_m_by_m_matrix(self):
+        # m is about 11,600 at n = 20000: one dense m x m matrix is ~1 GB
+        rng = simulation.replication_rng(20260810, 2)
+        model = PropOddsModel.from_arrays(
+            *simulation.gen_prop_odds(LINEAR_DESIGN, 20000, rng)
+        )
+        tracemalloc.start()
+        try:
+            fit = estimator.profile_mle(PropOddsProfile(model), np.zeros(1),
+                                        force=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.n_events > 10_000
+        assert fit.converged
+        assert peak < 64 * 2**20
 
 
 class TestProfile:
@@ -283,6 +399,19 @@ class TestProfile:
         profile = PropOddsProfile(model)
         with pytest.raises(ContractionViolation):
             profile.precheck(np.array([0.5]))
+
+    def test_constant_covariate_refused(self, prop_odds_data):
+        u, delta, z = prop_odds_data
+        model = PropOddsModel.from_arrays(u, delta, np.full(len(u), 0.5))
+        with pytest.raises(InvalidInput, match="Z1 is constant"):
+            PropOddsProfile(model)
+        # records without weight do not count
+        model = PropOddsModel.from_arrays(
+            list(u) + [1.0], list(delta) + [1.0], [0.5] * len(u) + [-0.5],
+            weights=[1.0] * len(u) + [0.0],
+        )
+        with pytest.raises(InvalidInput):
+            PropOddsProfile(model)
 
     def test_score_matches_loglik_gradient(self, prop_odds_model):
         # mean profiled score equals the derivative of the profiled log
