@@ -9,6 +9,8 @@ flags overriding config fields.  Exit codes are a stable contract:
     3  a model condition check failed (use --force to override)
     4  a derivative audit exceeded its tolerance
     5  Monte Carlo harness alarm (too many failed replications)
+    6  any other numerical failure (singular information or Jacobian, an
+       empty risk set, a collapsed density, ...)
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_CONDITION = 3
 EXIT_AUDIT = 4
 EXIT_ALARM = 5
+EXIT_NUMERICAL = 6
+
+#: Exit codes of the errors beside the usage errors that have their own.
+_ERROR_EXITS = {NoConvergence: EXIT_NO_CONVERGENCE,
+                ContractionViolation: EXIT_CONDITION, HarnessAlarm: EXIT_ALARM}
 
 
 def _load_config(path, allowed):
@@ -74,10 +81,19 @@ def _parse_vector(text):
         raise InvalidConfig(f"cannot parse vector {text!r}") from exc
 
 
+def _cell(value, width):
+    """value right-aligned in width after a space, in %g form if %f overflows."""
+    text = f"{value:.6f}"
+    if len(text) >= width:
+        text = f"{value:.6g}"
+    return f" {text:>{width - 1}}"
+
+
 def _print_fit_table(fit, intervals, labels):
     print(f"{'component':<12}{'estimate':>14}{'se':>12}{'ci_low':>12}{'ci_high':>12}")
     for label, est, se, (lo, hi) in zip(labels, fit.theta_hat, fit.se, intervals):
-        print(f"{label:<12}{est:>14.6f}{se:>12.6f}{lo:>12.6f}{hi:>12.6f}")
+        cells = (_cell(est, 14), _cell(se, 12), _cell(lo, 12), _cell(hi, 12))
+        print(f"{label:<11} " + "".join(cells))
 
 
 _FIT_KEYS = ("model", "data", "out", "theta0", "tol", "max_newton", "force", "level")
@@ -309,7 +325,7 @@ def main(argv=None):
         return EXIT_USAGE
     except ProfixError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _ERROR_EXITS.get(type(exc), EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

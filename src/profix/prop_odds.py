@@ -122,52 +122,93 @@ def load_csv(path, tau=None):
     return PropOddsModel.from_arrays(data[:, 0], data[:, 1], data[:, 2:], tau=tau)
 
 
-class _Workspace:
-    """Per-(beta, A, weights) caches shared by the operator derivatives."""
+def _event_mass(model, values):
+    out = np.zeros(model.n_events)
+    np.add.at(out, model._event_row_slot, values[model._event_rows])
+    return out
 
-    def __init__(self, model, beta, A, w):
-        self.model = model
-        self.w = w
+
+def _suffix_at_events(model, sorted_vals):
+    """Sum of time-ordered record values over records with u >= each event time."""
+    suffix = np.concatenate([np.cumsum(sorted_vals[::-1])[::-1], [0.0]])
+    return suffix[model._event_pos]
+
+
+def _inverse_risk(edn, ew):
+    """1/EW at the event times carrying event mass, 0 elsewhere."""
+    if np.any((edn > 0) & (ew <= 0)):
+        raise RiskSetEmpty("zero at-risk weight at an event time")
+    # event rows with no event mass contribute nothing; guard the division
+    return np.where(edn > 0, 1.0 / np.where(ew > 0, ew, 1.0), 0.0)
+
+
+class _Operator:
+    """The self-consistency operator bound to (beta, weights): what does not
+    depend on A, with the records permuted into time order once, so that one
+    application, jumps to jumps, is O(n) and builds no step function."""
+
+    def __init__(self, model, beta, w):
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
         if beta.shape != (model.covariate_dim,):
             raise InvalidInput("beta does not match the covariate dimension")
-        lin = model.z @ beta
-        if np.any(np.abs(lin) > LINPRED_BOUND):
+        self.lin = model.z @ beta
+        if np.any(np.abs(self.lin) > LINPRED_BOUND):
             raise NumericOverflow(
                 f"|beta'Z| exceeds {LINPRED_BOUND}; refusing to exponentiate"
             )
-        self.q = np.exp(lin)
+        self.model = model
+        self.w = w
+        self.q = np.exp(self.lin)
+        self.qc = (1.0 + model.delta) * self.q
+        self.edn = _event_mass(model, w)
+        order = model._order
+        self._sorted = (w[order], self.qc[order], self.q[order])
+        self._cut_sorted = model._record_cut[order]
+
+    def __call__(self, jumps):
+        jumps = np.asarray(jumps, dtype=float)
+        if (jumps.shape != self.edn.shape or not np.all(np.isfinite(jumps))
+                or np.any(jumps < 0)):
+            raise InvalidInput("need one finite nonnegative jump per event time")
+        cum = np.concatenate([[0.0], np.cumsum(jumps)])
+        return self.jumps_at(cum[self._cut_sorted])
+
+    def jumps_at(self, AU_sorted):
+        """Output jumps given A at the time-ordered records."""
+        w, qc, q = self._sorted
+        ew = _suffix_at_events(self.model, w * (qc / (1.0 + q * AU_sorted)))
+        return self.edn * _inverse_risk(self.edn, ew)
+
+
+class _Workspace(_Operator):
+    """The operator at one A, with the caches its derivatives share, in record order."""
+
+    def __init__(self, model, beta, A, w):
+        super().__init__(model, beta, w)
         self.AU = np.asarray(A(model.u), dtype=float)
         self.denom = 1.0 + self.q * self.AU
         one_plus = 1.0 + model.delta
-        self.c = one_plus * self.q / self.denom
-        self.wdot = one_plus * self.q / self.denom**2
-        self.wddot = one_plus * self.q * (1.0 - self.q * self.AU) / self.denom**3
+        self.c = self.qc / self.denom
+        self.wdot = self.qc / self.denom**2
+        self.wddot = self.qc * (1.0 - self.q * self.AU) / self.denom**3
         self.k = one_plus * self.q**2 / self.denom**2
         self.k2 = 2.0 * one_plus * self.q**3 / self.denom**3
         self.kd = 2.0 * one_plus * self.q**2 / self.denom**3
-        self.edn = self._event_mass(w)
-        self.ew = self.suffix_at_events(w * self.c)
-        if np.any((self.edn > 0) & (self.ew <= 0)):
-            raise RiskSetEmpty("zero at-risk weight at an event time")
-        # event rows with no event mass contribute nothing; guard the division
-        self.inv_ew = np.where(self.edn > 0, 1.0 / np.where(self.ew > 0, self.ew, 1.0), 0.0)
-
-    def _event_mass(self, values):
-        out = np.zeros(self.model.n_events)
-        np.add.at(out, self.model._event_row_slot, values[self.model._event_rows])
-        return out
+        self.ew = self.suffix_at_events(self.w * self.c)
+        self.inv_ew = _inverse_risk(self.edn, self.ew)
 
     def suffix_at_events(self, values):
         """Sum of values over records with u >= each event time."""
-        sorted_vals = values[self.model._order]
-        suffix = np.concatenate([np.cumsum(sorted_vals[::-1])[::-1], [0.0]])
-        return suffix[self.model._event_pos]
+        return _suffix_at_events(self.model, values[self.model._order])
 
     def cumulative_at_records(self, jump_coeffs):
         """h(u_i) for the step direction with the given jump coefficients."""
         cum = np.concatenate([[0.0], np.cumsum(jump_coeffs)])
         return cum[self.model._record_cut]
+
+
+def _operator(model, beta, F):
+    return _Operator(model, beta, model.resolve_weights(F))
 
 
 def _workspace(model, beta, A, F):
@@ -180,31 +221,30 @@ def psi_apply(model, beta, A, F=None):
     Returns the step function whose jump at each event time is the
     weighted event mass there over the weighted mean at-risk weight.
     """
-    ws = _workspace(model, beta, A, F)
-    jumps = ws.edn * ws.inv_ew
-    return model.jumps_to_step(jumps)
+    AU = np.asarray(A(model.u), dtype=float)
+    return model.jumps_to_step(_operator(model, beta, F).jumps_at(AU[model._order]))
 
 
 def psi_jumps(model, beta, jumps, F=None):
-    """Operator in jump coordinates; convenience for fixed-point iteration."""
-    A = model.jumps_to_step(jumps)
-    return psi_apply(model, beta, A, F).jump_sizes
+    """Operator in jump coordinates."""
+    return _operator(model, beta, F)(jumps)
 
 
 def fixed_point_problem(model, beta, F=None):
-    return FixedPointProblem(
-        apply=lambda v: psi_jumps(model, beta, v, F),
-        dimension=model.n_events,
-        norm_kind="sup",
-    )
+    return FixedPointProblem(_operator(model, beta, F), model.n_events, norm_kind="sup")
 
 
 def solve_nuisance(model, beta, F=None, tol=1e-10, max_iter=10_000, eta0=None):
     """Solve for the baseline odds jumps at the given coefficients."""
-    if eta0 is None:
-        eta0 = psi_jumps(model, beta, np.zeros(model.n_events), F)
     problem = fixed_point_problem(model, beta, F)
+    if eta0 is None:
+        eta0 = problem.apply(np.zeros(model.n_events))
     return solve_fixed_point(problem, eta0, tol=tol, max_iter=max_iter)
+
+
+def _da_psi(ws):
+    k_suffix = ws.suffix_at_events(ws.w * ws.k)
+    return MaxIndexMap([(ws.edn * ws.inv_ew**2, k_suffix)])
 
 
 def da_psi(model, beta, A, F=None):
@@ -215,9 +255,7 @@ def da_psi(model, beta, A, F=None):
     at-risk sum beyond the later of event times i and j: the map is
     diag(coef) K(k_suffix) in :class:`MaxIndexMap` form.
     """
-    ws = _workspace(model, beta, A, F)
-    k_suffix = ws.suffix_at_events(ws.w * ws.k)
-    return MaxIndexMap([(ws.edn * ws.inv_ew**2, k_suffix)])
+    return _da_psi(_workspace(model, beta, A, F))
 
 
 def da_psi_sup_norm(model, beta, A, F=None):
@@ -238,10 +276,7 @@ def da_psi_sup_norm(model, beta, A, F=None):
     return float(rows.max(initial=0.0))
 
 
-def d2a_psi(model, beta, A, F=None):
-    """Second derivative in the nuisance as a bilinear map on jump vectors."""
-    ws = _workspace(model, beta, A, F)
-
+def _d2a_psi(ws):
     def apply(h1, h2):
         H1 = ws.cumulative_at_records(h1)
         H2 = ws.cumulative_at_records(h2)
@@ -253,19 +288,17 @@ def d2a_psi(model, beta, A, F=None):
             + 2.0 * ws.edn * first1 * first2 * ws.inv_ew**3
         )
 
-    return BilinearMap(apply, model.n_events)
+    return BilinearMap(apply, ws.model.n_events)
 
 
-def dbeta_psi(model, beta, A, F=None):
-    """First and second coefficient derivatives and the mixed derivative.
+def d2a_psi(model, beta, A, F=None):
+    """Second derivative in the nuisance as a bilinear map on jump vectors."""
+    return _d2a_psi(_workspace(model, beta, A, F))
 
-    Returns (dot, ddot, mixed): dot has shape (p, m), ddot (p, p, m), and
-    mixed is one jump-coordinate :class:`MaxIndexMap` per coefficient
-    component.
-    """
-    ws = _workspace(model, beta, A, F)
-    p, m = model.covariate_dim, model.n_events
-    z = model.z
+
+def _dbeta_psi(ws):
+    p, m = ws.model.covariate_dim, ws.model.n_events
+    z = ws.model.z
     ew_dot = np.stack(
         [ws.suffix_at_events(ws.w * ws.wdot * z[:, a]) for a in range(p)]
     )
@@ -293,15 +326,19 @@ def dbeta_psi(model, beta, A, F=None):
     return dot, ddot, mixed
 
 
-def df_psi(model, beta, A, F=None, h=None):
-    """Derivative of the operator in the distribution, in direction h.
+def dbeta_psi(model, beta, A, F=None):
+    """First and second coefficient derivatives and the mixed derivative.
 
-    h is a signed weight vector over the record table; the result is the
-    jump vector of the derivative step function.
+    Returns (dot, ddot, mixed): dot has shape (p, m), ddot (p, p, m), and
+    mixed is one jump-coordinate :class:`MaxIndexMap` per coefficient
+    component.
     """
-    ws = _workspace(model, beta, A, F)
-    hw = model.resolve_direction(h)
-    h_edn = ws._event_mass(hw)
+    return _dbeta_psi(_workspace(model, beta, A, F))
+
+
+def _df_psi(ws, h):
+    hw = ws.model.resolve_direction(h)
+    h_edn = _event_mass(ws.model, hw)
     h_ew = ws.suffix_at_events(hw * ws.c)
     # the first term needs 1/EW wherever the direction carries event mass,
     # even at event times where the base measure has none
@@ -311,9 +348,20 @@ def df_psi(model, beta, A, F=None, h=None):
     return h_edn * inv_ew_full - ws.edn * h_ew * ws.inv_ew**2
 
 
+def df_psi(model, beta, A, F=None, h=None):
+    """Derivative of the operator in the distribution, in direction h.
+
+    h is a signed weight vector over the record table; the result is the
+    jump vector of the derivative step function.
+    """
+    return _df_psi(_workspace(model, beta, A, F), h)
+
+
 def psi_derivatives(model, beta, A, F=None):
-    """All operator derivatives at (beta, A, F), bundled for resolvent use."""
-    return PsiDerivatives.at((model, beta, A, F), dbeta_psi, da_psi, d2a_psi, df_psi)
+    """All operator derivatives at (beta, A, F), sharing one workspace."""
+    return PsiDerivatives.at(
+        (_workspace(model, beta, A, F),), _dbeta_psi, _da_psi, _d2a_psi, _df_psi
+    )
 
 
 def loglik(model, beta, A, F=None):
@@ -322,12 +370,8 @@ def loglik(model, beta, A, F=None):
     Events contribute beta'z plus the log of the jump of A at their time;
     every record contributes -(1 + delta) log(1 + e^{beta'z} A(u)).
     """
-    w = model.resolve_weights(F)
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    lin = model.z @ beta
-    if np.any(np.abs(lin) > LINPRED_BOUND):
-        raise NumericOverflow(f"|beta'Z| exceeds {LINPRED_BOUND}")
-    q = np.exp(lin)
+    op = _operator(model, beta, F)
+    w, lin, q = op.w, op.lin, op.q
     AU = np.asarray(A(model.u), dtype=float)
     event_rows = model._event_rows
     jumps = np.array([A.jump_at(t) for t in model.u[event_rows]])

@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
-from profix import missing_cov, prop_odds, simulation
-from profix.cli import EXIT_USAGE, main
+import numpy as np
+
+from profix import estimator, missing_cov, prop_odds, simulation
+from profix.cli import EXIT_NUMERICAL, EXIT_USAGE, _print_fit_table, main
 
 
 def write_ex2_csv(path, n=120, seed=31, design=None):
@@ -124,6 +126,30 @@ class TestFit:
         code = main(["fit", "--model", "missing_cov", "--data", str(data),
                      "--theta0", "3,3,3", "--max-newton", "1"])
         assert code == 2
+
+    def test_numerical_failure_exit_6(self, tmp_path, capsys):
+        # a start this far out overflows the linear predictor at the first solve
+        data = write_ex1_csv(tmp_path / "d.csv", n=150, seed=41,
+                             design=prop_odds.LINEAR_DESIGN)
+        code = main(["fit", "--model", "prop_odds", "--data", str(data),
+                     "--theta0", "120", "--force"])
+        assert code == EXIT_NUMERICAL
+        assert "NumericOverflow" in capsys.readouterr().err
+
+    def test_fit_table_columns_stay_apart(self, capsys):
+        def row(se, lo, hi):
+            fit = estimator.FitResult(
+                theta_hat=np.array([0.5]), info_hat=np.eye(1), se=np.array([se]),
+                iterations=1, converged=True, score_norm=0.0, n=10,
+            )
+            _print_fit_table(fit, [(lo, hi)], ["beta_1"])
+            return capsys.readouterr().out.splitlines()[1]
+
+        assert len(row(1.2e9, -2.4e9, 2.4e9).split()) == 5
+        # values that fit keep the fixed-width layout
+        assert row(0.25, -0.01, 0.99) == (
+            f"{'beta_1':<12}{0.5:>14.6f}{0.25:>12.6f}{-0.01:>12.6f}{0.99:>12.6f}"
+        )
 
     def test_unknown_config_key_exit_1(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from profix import missing_cov
 from profix.errors import (
     ContractionViolation,
     DenominatorCollapse,
     InvalidInput,
+    NoConvergence,
     SupportViolation,
 )
 from profix.fixed_point import estimate_operator_norm
@@ -31,6 +34,7 @@ from profix.missing_cov import (
     population_model,
     population_self_consistency,
     psi_apply,
+    psi_masses,
     score_jacobian,
     score_orthogonality,
     solve_nuisance,
@@ -146,6 +150,78 @@ class TestFixedPoint:
         sol = solve_nuisance(missing_cov_model, THETA)
         density = missing_cov_model.masses_to_density(sol.eta)
         assert isinstance(density, GridDensity)
+
+
+@st.composite
+def mixture_samples(draw):
+    """Tiny weighted samples: one to three support points, and an
+    incomplete-case weight share w2 up to just past one half."""
+    support = draw(st.sampled_from([[0.4], [-1.0, 1.2], [-1.0, 0.0, 1.2]]))
+    n1 = draw(st.integers(len(support), 5))
+    x = support + draw(st.lists(st.sampled_from(support),
+                                min_size=n1 - len(support), max_size=n1 - len(support)))
+    outcomes = st.sampled_from([-1.5, -0.2, 0.4, 0.9, 2.5])
+    y1 = draw(st.lists(outcomes, min_size=n1, max_size=n1))
+    n2 = draw(st.integers(0, 4))
+    y2 = draw(st.lists(outcomes, min_size=n2, max_size=n2))
+    w2 = draw(st.sampled_from([0.1, 0.3, 0.45, 0.49, 0.499, 0.51])) if n2 else 0.0
+    weights = [(1.0 - w2) / n1] * n1 + [w2 / max(n2, 1)] * n2
+    uniform = draw(st.booleans())
+    family = UniformOutcome() if uniform else NormalRegression()
+    theta = np.zeros(2) if uniform else draw(st.sampled_from(
+        [THETA, np.array([0.0, 1.0, 0.0]), np.array([0.3, -0.6, -0.4])]
+    ))
+    model = MissingCovModel.from_arrays(
+        [1] * n1 + [2] * n2, y1 + y2, x + [0.0] * n2, family, weights=weights
+    )
+    return model, theta
+
+
+class TestOperatorInvariants:
+    """Operator and fixed-point invariants of the mixture family on tiny samples."""
+
+    @given(sample=mixture_samples(), seed=st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_operator_output_finite_or_refused(self, sample, seed):
+        model, theta = sample
+        g = np.random.default_rng(seed).dirichlet(np.ones(model.n_support))
+        try:
+            out = psi_masses(model, theta, g)
+        except (SupportViolation, DenominatorCollapse):
+            return
+        assert np.all(np.isfinite(out))
+        assert np.all(out >= 0.0)
+
+    @given(sample=mixture_samples())
+    @settings(max_examples=80, deadline=None)
+    def test_fixed_point_is_a_distribution(self, sample):
+        model, theta = sample
+        try:
+            sol = solve_nuisance(model, theta, tol=1e-12, max_iter=5000)
+        except (ContractionViolation, NoConvergence, SupportViolation,
+                DenominatorCollapse):
+            return
+        g = sol.eta
+        assert np.all(np.isfinite(g))
+        assert np.all(g >= 0.0)
+        assert abs(g.sum() - 1.0) < 1e-9
+        assert np.abs(psi_masses(model, theta, g) - g).max() < 1e-10
+
+    def test_one_support_point(self):
+        # a single covariate value carries all the mass, whatever w2 is
+        model = MissingCovModel.from_arrays(
+            [1, 1, 2, 2], [0.1, 0.5, -0.3, 1.1], [0.4, 0.4, 0.0, 0.0],
+            NormalRegression(), weights=[0.255, 0.255, 0.245, 0.245],
+        )
+        sol = solve_nuisance(model, THETA)
+        assert sol.eta == pytest.approx([1.0], abs=1e-12)
+
+    def test_outcome_outside_support_refused(self):
+        model = MissingCovModel.from_arrays(
+            [1, 1, 2], [0.2, 1.2, 2.5], [0.0, 1.0, 0.0], UniformOutcome()
+        )
+        with pytest.raises(SupportViolation):
+            psi_masses(model, np.zeros(2), np.array([0.5, 0.5]))
 
 
 class TestDerivativeOperators:

@@ -12,6 +12,7 @@ from profix.errors import (
     DegenerateJump,
     InvalidInput,
     NumericOverflow,
+    RiskSetEmpty,
 )
 from profix.fixed_point import estimate_operator_norm
 from profix.implicit_diff import df_eta, dtheta_eta
@@ -27,6 +28,7 @@ from profix.prop_odds import (
     d2a_psi,
     dbeta_psi,
     df_psi,
+    fixed_point_problem,
     load_csv,
     loglik,
     population_records,
@@ -389,6 +391,95 @@ class TestStructuredDerivatives:
         assert model.n_events > 10_000
         assert fit.converged
         assert peak < 64 * 2**20
+
+
+def bound_operator_agrees(model, beta, jumps):
+    """The fixed-point problem's operator against psi_apply on the step function."""
+    out = fixed_point_problem(model, beta).apply(jumps)
+    expected = psi_apply(model, beta, model.jumps_to_step(jumps)).jump_sizes
+    return np.array_equal(out, expected)
+
+
+class TestBoundOperator:
+    """The operator bound once per (beta, weights), on presorted arrays."""
+
+    @given(sample=survival_samples(), scale=st.sampled_from([0.0, 0.4, 3.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_psi_apply_bitwise(self, sample, scale):
+        model, beta, A = sample
+        rng = np.random.default_rng(model.n_records)
+        for jumps in (A.jump_sizes, scale * rng.uniform(size=model.n_events)):
+            assert bound_operator_agrees(model, beta, jumps)
+
+    @pytest.mark.parametrize("u, delta, w", [
+        ([1.0, 2.0, 1.5], [0, 0, 0], [1.0, 1.0, 1.0]),  # no event time
+        ([1.0, 2.0, 1.5], [0, 1, 0], [1.0, 1.0, 1.0]),  # one event time
+        ([1.0, 1.0, 2.0, 2.0, 0.5], [1, 1, 1, 0, 1], [1.0, 2.0, 0.5, 1.0, 1.0]),
+        ([1.0, 1.5, 2.0, 0.5], [1, 1, 1, 0], [1.0, 0.0, 1.0, 1.0]),  # zero-weight event
+    ])
+    def test_equals_psi_apply_on_edge_samples(self, u, delta, w):
+        model = PropOddsModel.from_arrays(u, delta, np.linspace(-1.0, 1.0, len(u)),
+                                          weights=w)
+        for jumps in (np.zeros(model.n_events), np.linspace(0.1, 0.9, model.n_events)):
+            assert bound_operator_agrees(model, [0.7], jumps)
+
+    def test_refuses_bad_jumps(self, prop_odds_model):
+        apply = fixed_point_problem(prop_odds_model, [0.5]).apply
+        jumps = np.full(prop_odds_model.n_events, 0.1)
+        for bad in (np.nan, np.inf, -1e-3):
+            corrupted = jumps.copy()
+            corrupted[-1] = bad
+            with pytest.raises(InvalidInput):
+                apply(corrupted)
+        with pytest.raises(InvalidInput):
+            apply(jumps[1:])
+
+    def test_empty_risk_set(self):
+        # the signed weights cancel the at-risk mass at the first event time
+        model = PropOddsModel.from_arrays([1.0, 2.0], [1, 0], [0.0, 0.0])
+        apply = fixed_point_problem(model, [0.0], F=np.array([0.5, -1.0])).apply
+        with pytest.raises(RiskSetEmpty):
+            apply(np.zeros(1))
+
+    def test_linear_predictor_bound_checked_when_built(self):
+        model = PropOddsModel.from_arrays([1.0, 2.0], [1, 0], [60.0, -1.0])
+        with pytest.raises(NumericOverflow):
+            fixed_point_problem(model, [1.0])
+
+
+def count_builds(monkeypatch, cls):
+    calls = []
+    original = cls.__init__
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+class TestOperatorOverhead:
+    """The fixed-point solve and the derivative bundle stay free of rebuilds."""
+
+    @pytest.fixture
+    def model(self):
+        rng = simulation.replication_rng(20260810, 1)
+        return PropOddsModel.from_arrays(
+            *simulation.gen_prop_odds(LINEAR_DESIGN, 300, rng)
+        )
+
+    def test_solve_builds_no_step_function(self, model, monkeypatch):
+        steps = count_builds(monkeypatch, StepFunction)
+        sol = solve_nuisance(model, [0.5])
+        assert sol.iterations > 1
+        assert len(steps) == 0
+
+    def test_derivative_bundle_builds_one_workspace(self, model, monkeypatch):
+        A = model.jumps_to_step(solve_nuisance(model, [0.5]).eta)
+        workspaces = count_builds(monkeypatch, prop_odds._Workspace)
+        psi_derivatives(model, [0.5], A)
+        assert len(workspaces) == 1
 
 
 class TestProfile:
