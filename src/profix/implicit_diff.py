@@ -8,19 +8,15 @@ combination of the partial derivatives of Psi at the fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
-
 import numpy as np
 
 from .errors import InvalidInput, SingularResolvent
-from .measures import BilinearMap, LinearMap, MaxIndexMap
+from .measures import LinearMap
 
 #: Relative residual above which a resolvent solve is declared singular.
 _SOLVE_RESIDUAL_TOL = 1e-6
 
 
-@dataclass
 class PsiDerivatives:
     """Partial derivatives of the nuisance operator at a fixed point.
 
@@ -31,27 +27,52 @@ class PsiDerivatives:
     one linear map per parameter component for the mixed derivative;
     d2_eta is the second nuisance derivative as a bilinear map; d_f maps a
     distribution perturbation to a coefficient vector.
+
+    A bundle built by :meth:`at` keeps the family workspace it was built
+    from and evaluates the second-order parts, ddot_psi, d_eta_dot and
+    d2_eta, on first access: only the second parameter derivative of the
+    fixed point reads them.
     """
 
-    d_eta: LinearMap | MaxIndexMap
-    dot_psi: np.ndarray
-    ddot_psi: np.ndarray
-    d_eta_dot: Sequence[LinearMap | MaxIndexMap]
-    d2_eta: BilinearMap
-    d_f: Callable
+    def __init__(self, d_eta, dot_psi, ddot_psi=None, d_eta_dot=None,
+                 d2_eta=None, d_f=None, workspace=None):
+        self.d_eta = d_eta
+        self.dot_psi = dot_psi
+        self._ddot_psi = ddot_psi
+        self._d_eta_dot = d_eta_dot
+        self._d2_eta = d2_eta
+        self.d_f = d_f
+        self.workspace = workspace
 
     @classmethod
-    def at(cls, point, dtheta_psi, d_eta_psi, d2_eta_psi, df_psi):
-        """Bundle a family's partial derivatives at point = (model, theta, eta, F)."""
-        dot, ddot, mixed = dtheta_psi(*point)
-        return cls(
-            d_eta=d_eta_psi(*point),
-            dot_psi=dot,
-            ddot_psi=ddot,
-            d_eta_dot=mixed,
-            d2_eta=d2_eta_psi(*point),
-            d_f=lambda h: df_psi(*point, h),
-        )
+    def at(cls, ws, dtheta_psi, d_eta_psi, d2_eta_psi, df_psi):
+        """Bundle a family's partial derivatives at one workspace.
+
+        dtheta_psi(ws) returns the first parameter derivative and a function
+        giving the second and the mixed ones.
+        """
+        dot, second_order = dtheta_psi(ws)
+        derivs = cls(d_eta_psi(ws), dot, d_f=lambda h: df_psi(ws, h), workspace=ws)
+        derivs._pending = (second_order, lambda: d2_eta_psi(ws))
+        return derivs
+
+    @property
+    def ddot_psi(self):
+        if self._ddot_psi is None:
+            self._ddot_psi, self._d_eta_dot = self._pending[0]()
+        return self._ddot_psi
+
+    @property
+    def d_eta_dot(self):
+        if self._d_eta_dot is None:
+            self._ddot_psi, self._d_eta_dot = self._pending[0]()
+        return self._d_eta_dot
+
+    @property
+    def d2_eta(self):
+        if self._d2_eta is None:
+            self._d2_eta = self._pending[1]()
+        return self._d2_eta
 
     @property
     def theta_dim(self):

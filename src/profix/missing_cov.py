@@ -62,15 +62,6 @@ class ConditionalDensity:
         """Interval carrying essentially all mass of y given x."""
         raise NotImplementedError
 
-    def normalization_error(self, xs, theta, n_nodes=200, span=10.0):
-        """Max over xs of |integral of the density in y minus one|."""
-        worst = 0.0
-        for x in np.atleast_1d(xs):
-            lo, hi = self.outcome_interval(x, theta, span)
-            nodes, weights = gauss_legendre_grid(lo, hi, n_nodes)
-            worst = max(worst, abs(float(weights @ self.density(nodes, x, theta)) - 1.0))
-        return worst
-
 
 class NormalRegression(ConditionalDensity):
     """y | x ~ Normal(theta0 + theta1 x, exp(2 theta2))."""
@@ -119,21 +110,6 @@ class NormalRegression(ConditionalDensity):
         mu = theta[0] + theta[1] * float(x)
         sigma = np.exp(theta[2])
         return mu - span * sigma, mu + span * sigma
-
-
-@dataclass(frozen=True)
-class MissingCovRecord:
-    """One observation: r = 1 when x is observed, 2 when it is missing."""
-
-    r: int
-    y: float
-    x: float | None = None
-
-    def __post_init__(self):
-        if self.r not in (1, 2):
-            raise InvalidInput("r must be 1 (complete) or 2 (incomplete)")
-        if (self.r == 1) != (self.x is not None):
-            raise InvalidInput("x must be present exactly when r = 1")
 
 
 class MissingCovModel(RecordTable):
@@ -243,33 +219,53 @@ def load_csv(path, family=None):
     return MissingCovModel.from_arrays(data[:, 0], data[:, 1], data[:, 2], family)
 
 
-class _Workspace:
-    """Per-(theta, g, weights) caches shared by the operator derivatives."""
+class _Operator:
+    """The self-consistency operator bound to (theta, weights): the
+    incomplete-case density matrix is evaluated once, so that one
+    application, masses to masses, is O(n2 m) and evaluates no density."""
 
-    def __init__(self, model, theta, g, w):
-        self.model = model
+    def __init__(self, model, theta, w):
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (model.theta_dim,):
             raise InvalidInput("theta does not match the family dimension")
+        self.model = model
         self.theta = theta
-        self.g = model.resolve_masses(g)
         self.w = w
         self.p1 = np.zeros(model.n_support)
         np.add.at(self.p1, model.slot, w[model.complete_rows])
         self.nu = w[model.incomplete_rows]
-        self.w1 = float(w[model.complete_rows].sum())
-        self.w2 = float(self.nu.sum())
         y2 = model.y_incomplete[:, None]
         xs = model.support[None, :]
         self.fmat = model.family.density(y2, xs, theta)
-        self.fy = self.fmat @ self.g
-        if np.any(self.fy <= 0.0):
+
+    def mixture(self, g):
+        """The masses g, the mixture density fmat @ g at the incomplete-case
+        outcomes, and the denominator a of the operator's output p1 / a."""
+        g = self.model.resolve_masses(g)
+        fy = self.fmat @ g
+        if np.any(fy <= 0.0):
             # an incomplete-case outcome outside the support of the fitted
             # mixture is reported, never trimmed
             raise SupportViolation(
                 "mixture density vanished at an incomplete-case outcome"
             )
-        self.a = 1.0 - (self.nu / self.fy) @ self.fmat
+        a = 1.0 - (self.nu / fy) @ self.fmat
+        if np.any(a <= 0.0):
+            raise DenominatorCollapse(
+                "self-consistency denominator dropped to zero or below"
+            )
+        return g, fy, a
+
+    def __call__(self, g):
+        return self.p1 / self.mixture(g)[2]
+
+
+class _Workspace(_Operator):
+    """The operator at one g, with the caches its derivatives share."""
+
+    def __init__(self, model, theta, g, w):
+        super().__init__(model, theta, w)
+        self.g, self.fy, self.a = self.mixture(g)
         self._fdot = None
         self._fddot = None
 
@@ -289,14 +285,12 @@ class _Workspace:
             self._fddot = self.model.family.d2theta(y2, xs, self.theta)
         return self._fddot
 
-    def require_positive_denominator(self):
-        if np.any(self.a <= 0.0):
-            raise DenominatorCollapse(
-                "self-consistency denominator dropped to zero or below"
-            )
-
     def dg_a_matrix(self):
         return self.fmat.T @ (self.fmat * (self.nu / self.fy**2)[:, None])
+
+
+def _operator(model, theta, F):
+    return _Operator(model, theta, model.resolve_weights(F))
 
 
 def _workspace(model, theta, g, F):
@@ -309,15 +303,13 @@ def psi_apply(model, theta, g, F=None):
 
 
 def psi_masses(model, theta, masses, F=None):
-    """The operator on mass vectors, the map the fixed-point iteration runs."""
-    ws = _workspace(model, theta, masses, F)
-    ws.require_positive_denominator()
-    return ws.p1 / ws.a
+    """The operator on mass vectors."""
+    return _operator(model, theta, F)(masses)
 
 
 def fixed_point_problem(model, theta, F=None, norm_kind="sup"):
     return FixedPointProblem(
-        apply=lambda v: psi_masses(model, theta, v, F),
+        apply=_operator(model, theta, F),
         dimension=model.n_support,
         norm_kind=norm_kind,
     )
@@ -325,30 +317,26 @@ def fixed_point_problem(model, theta, F=None, norm_kind="sup"):
 
 def solve_nuisance(model, theta, F=None, tol=1e-10, max_iter=10_000, eta0=None):
     """Solve for the covariate masses at the given theta."""
+    problem = fixed_point_problem(model, theta, F)
     if eta0 is None:
-        w = model.resolve_weights(F)
-        p1 = np.zeros(model.n_support)
-        np.add.at(p1, model.slot, w[model.complete_rows])
+        p1 = problem.apply.p1
         total = p1.sum()
         if total <= 0:
             raise InvalidInput("no complete-case mass to start from")
         eta0 = p1 / total
-    problem = fixed_point_problem(model, theta, F)
     return solve_fixed_point(problem, eta0, tol=tol, max_iter=max_iter)
+
+
+def _dg_psi(ws):
+    return LinearMap(-(ws.p1 / ws.a**2)[:, None] * ws.dg_a_matrix())
 
 
 def dg_psi(model, theta, g, F=None):
     """Derivative of the operator in the covariate masses."""
-    ws = _workspace(model, theta, g, F)
-    ws.require_positive_denominator()
-    return LinearMap(-(ws.p1 / ws.a**2)[:, None] * ws.dg_a_matrix())
+    return _dg_psi(_workspace(model, theta, g, F))
 
 
-def d2g_psi(model, theta, g, F=None):
-    """Second derivative in the covariate masses as a bilinear map."""
-    ws = _workspace(model, theta, g, F)
-    ws.require_positive_denominator()
-
+def _d2g_psi(ws):
     def apply(h1, h2):
         u1 = ws.fmat @ h1
         u2 = ws.fmat @ h2
@@ -357,18 +345,18 @@ def d2g_psi(model, theta, g, F=None):
         da2 = ws.fmat.T @ (ws.nu * u2 / ws.fy**2)
         return ws.p1 * (-d2a / ws.a**2 + 2.0 * da1 * da2 / ws.a**3)
 
-    return BilinearMap(apply, model.n_support)
+    return BilinearMap(apply, ws.model.n_support)
 
 
-def dtheta_psi(model, theta, g, F=None):
-    """First and second parameter derivatives and the mixed derivative.
+def d2g_psi(model, theta, g, F=None):
+    """Second derivative in the covariate masses as a bilinear map."""
+    return _d2g_psi(_workspace(model, theta, g, F))
 
-    Returns (dot, ddot, mixed) with shapes (d, m), (d, d, m) and one
-    mass-coordinate linear map per parameter component.
-    """
-    ws = _workspace(model, theta, g, F)
-    ws.require_positive_denominator()
-    d, m = model.theta_dim, model.n_support
+
+def _dtheta_psi(ws):
+    """The first parameter derivative, and a function giving the second
+    and mixed derivatives from the same intermediate terms."""
+    d, m = ws.model.theta_dim, ws.model.n_support
     fmat, fy, nu, g_m = ws.fmat, ws.fy, ws.nu, ws.g
     fdot = ws.fdot
     fydot = fdot @ g_m  # (d, n2)
@@ -380,42 +368,53 @@ def dtheta_psi(model, theta, g, F=None):
         )
     dot = -ws.p1 * adot / ws.a**2
 
-    fddot = ws.fddot
-    addot = np.empty((d, d, m))
-    for a_i in range(d):
-        for b_i in range(a_i, d):
-            fyddot = fddot[a_i, b_i] @ g_m
-            term = (
-                (nu / fy) @ fddot[a_i, b_i]
-                - fmat.T @ (nu * fyddot / fy**2)
-                + 2.0 * (fmat.T @ (nu * fydot[a_i] * fydot[b_i] / fy**3))
-                - fdot[a_i].T @ (nu * fydot[b_i] / fy**2)
-                - fdot[b_i].T @ (nu * fydot[a_i] / fy**2)
+    def second_order():
+        fddot = ws.fddot
+        addot = np.empty((d, d, m))
+        for a_i in range(d):
+            for b_i in range(a_i, d):
+                fyddot = fddot[a_i, b_i] @ g_m
+                term = (
+                    (nu / fy) @ fddot[a_i, b_i]
+                    - fmat.T @ (nu * fyddot / fy**2)
+                    + 2.0 * (fmat.T @ (nu * fydot[a_i] * fydot[b_i] / fy**3))
+                    - fdot[a_i].T @ (nu * fydot[b_i] / fy**2)
+                    - fdot[b_i].T @ (nu * fydot[a_i] / fy**2)
+                )
+                addot[a_i, b_i] = -term
+                addot[b_i, a_i] = -term
+        ddot = -ws.p1 * (ws.a * addot - 2.0 * adot[:, None, :] * adot[None, :, :]) / ws.a**3
+
+        dga = ws.dg_a_matrix()
+        mixed = []
+        for a_i in range(d):
+            dga_dot = (
+                fdot[a_i].T @ (fmat * (nu / fy**2)[:, None])
+                + fmat.T @ (fdot[a_i] * (nu / fy**2)[:, None])
+                - 2.0 * (fmat.T @ (fmat * (nu * fydot[a_i] / fy**3)[:, None]))
             )
-            addot[a_i, b_i] = -term
-            addot[b_i, a_i] = -term
-    ddot = -ws.p1 * (ws.a * addot - 2.0 * adot[:, None, :] * adot[None, :, :]) / ws.a**3
+            mat = -ws.p1[:, None] * (
+                dga_dot / (ws.a**2)[:, None]
+                - 2.0 * (adot[a_i] / ws.a**3)[:, None] * dga
+            )
+            mixed.append(LinearMap(mat))
+        return ddot, tuple(mixed)
 
-    dga = ws.dg_a_matrix()
-    mixed = []
-    for a_i in range(d):
-        dga_dot = (
-            fdot[a_i].T @ (fmat * (nu / fy**2)[:, None])
-            + fmat.T @ (fdot[a_i] * (nu / fy**2)[:, None])
-            - 2.0 * (fmat.T @ (fmat * (nu * fydot[a_i] / fy**3)[:, None]))
-        )
-        mat = -ws.p1[:, None] * (
-            dga_dot / (ws.a**2)[:, None]
-            - 2.0 * (adot[a_i] / ws.a**3)[:, None] * dga
-        )
-        mixed.append(LinearMap(mat))
-    return dot, ddot, tuple(mixed)
+    return dot, second_order
 
 
-def df_psi(model, theta, g, F=None, h=None):
-    """Derivative of the operator in the distribution, in direction h."""
-    ws = _workspace(model, theta, g, F)
-    ws.require_positive_denominator()
+def dtheta_psi(model, theta, g, F=None):
+    """First and second parameter derivatives and the mixed derivative.
+
+    Returns (dot, ddot, mixed) with shapes (d, m), (d, d, m) and one
+    mass-coordinate linear map per parameter component.
+    """
+    dot, second_order = _dtheta_psi(_workspace(model, theta, g, F))
+    return (dot, *second_order())
+
+
+def _df_psi(ws, h):
+    model = ws.model
     hw = model.resolve_direction(h)
     dp1 = np.zeros(model.n_support)
     np.add.at(dp1, model.slot, hw[model.complete_rows])
@@ -424,100 +423,85 @@ def df_psi(model, theta, g, F=None, h=None):
     return (dp1 * ws.a + ws.p1 * second) / ws.a**2
 
 
+def df_psi(model, theta, g, F=None, h=None):
+    """Derivative of the operator in the distribution, in direction h."""
+    return _df_psi(_workspace(model, theta, g, F), h)
+
+
 def psi_derivatives(model, theta, g, F=None):
-    """All operator derivatives at (theta, g, F), bundled for resolvent use."""
-    return PsiDerivatives.at((model, theta, g, F), dtheta_psi, dg_psi, d2g_psi, df_psi)
+    """All operator derivatives at (theta, g, F), sharing one workspace."""
+    return PsiDerivatives.at(
+        _workspace(model, theta, g, F), _dtheta_psi, _dg_psi, _d2g_psi, _df_psi
+    )
 
 
-def log_density(record, theta, g, family=None):
-    """Log density of one record under (theta, g).
-
-    Complete records contribute log f(y|x) + log g(x); incomplete ones the
-    log of the mixture density of y.
-    """
-    family = family or NormalRegression()
-    theta = np.asarray(theta, dtype=float)
-    if not isinstance(g, GridDensity):
-        raise InvalidInput("g must be a GridDensity")
-    if record.r == 1:
-        mass = g.mass_at(record.x)
-        if mass <= 0.0:
-            raise SupportViolation(
-                f"complete-case x={record.x} carries no mass"
-            )
-        f = float(family.density(record.y, record.x, theta))
-        return float(np.log(f) + np.log(mass))
-    fy = float(family.density(record.y, g.support, theta) @ g.masses)
-    if fy <= 0.0:
-        raise SupportViolation("mixture density vanished at the record outcome")
-    return float(np.log(fy))
-
-
-def _complete_case(model, theta, g):
+def _complete_case(ws):
     """Complete-record rows, outcomes, covariates, densities and masses."""
+    model = ws.model
     rows = model.complete_rows
     yc = model.y[rows]
     xc = model.points[rows, 2]
-    fc = model.family.density(yc, xc, theta)
+    fc = model.family.density(yc, xc, ws.theta)
     if np.any(fc <= 0.0):
         raise SupportViolation("conditional density vanished at a complete record")
-    g_at = g[model.slot]
+    g_at = ws.g[model.slot]
     if np.any(g_at <= 0.0):
         raise SupportViolation("complete-case x carries no mass")
     return rows, yc, xc, fc, g_at
 
 
-def efficient_score(model, theta, F=None, g=None, eta_dot=None):
-    """Per-record parameter score of the profiled log density, shape (n, d).
-
-    g and eta_dot default to the fixed point at (theta, F) and its
-    parameter derivative.
-    """
-    theta = np.asarray(theta, dtype=float)
+def _bundle(model, theta, F, g):
+    """The derivative bundle at g, by default the fixed point at (theta, F)."""
     if g is None:
         g = solve_nuisance(model, theta, F).eta
-    g = model.resolve_masses(g)
-    if eta_dot is None:
-        eta_dot = dtheta_eta(psi_derivatives(model, theta, g, F))
-    ws = _workspace(model, theta, g, F)
-    d = model.theta_dim
-    out = np.zeros((model.n_records, d))
+    return psi_derivatives(model, theta, g, F)
 
-    rows, yc, xc, fc, g_at = _complete_case(model, theta, g)
-    fdot_c = model.family.dtheta(yc, xc, theta)
+
+def efficient_score(model, theta, F=None, g=None, derivs=None):
+    """Per-record parameter score of the profiled log density, shape (n, d).
+
+    Reads the workspace of derivs, the operator's derivative bundle, which
+    defaults to the one at g, itself by default the fixed point at (theta, F).
+    """
+    if derivs is None:
+        derivs = _bundle(model, theta, F, g)
+    ws = derivs.workspace
+    eta_dot = dtheta_eta(derivs)
+    out = np.zeros((model.n_records, model.theta_dim))
+
+    rows, yc, xc, fc, g_at = _complete_case(ws)
+    fdot_c = model.family.dtheta(yc, xc, ws.theta)
     out[rows] = (fdot_c / fc + eta_dot[:, model.slot] / g_at).T
 
     if len(model.incomplete_rows):
-        fydot = ws.fdot @ g  # (d, n2)
+        fydot = ws.fdot @ ws.g  # (d, n2)
         mix_dot = eta_dot @ ws.fmat.T  # (d, n2)
         out[model.incomplete_rows] = ((fydot + mix_dot) / ws.fy).T
     return out
 
 
-def score_jacobian(model, theta, F=None, g=None, eta_dot=None, eta_ddot=None):
+def score_jacobian(model, theta, F=None, g=None, derivs=None, eta_dot=None,
+                   eta_ddot=None):
     """Per-record parameter Jacobian of the score, shape (n, d, d).
 
-    Defaults re-solve the fixed point and both implicit derivatives at
-    (theta, F).  Each record's matrix is symmetric up to roundoff.
+    derivs defaults as in :func:`efficient_score`, and eta_dot and eta_ddot
+    to the implicit derivatives it gives.  Each record's matrix is
+    symmetric up to roundoff.
     """
-    theta = np.asarray(theta, dtype=float)
-    if g is None:
-        g = solve_nuisance(model, theta, F).eta
-    g = model.resolve_masses(g)
-    derivs = None
-    if eta_dot is None or eta_ddot is None:
-        derivs = psi_derivatives(model, theta, g, F)
+    if derivs is None:
+        derivs = _bundle(model, theta, F, g)
     if eta_dot is None:
         eta_dot = dtheta_eta(derivs)
     if eta_ddot is None:
         eta_ddot = d2theta_eta(derivs, eta_dot)
-    ws = _workspace(model, theta, g, F)
+    ws = derivs.workspace
+    g = ws.g
     d = model.theta_dim
     out = np.zeros((model.n_records, d, d))
 
-    rows, yc, xc, fc, g_at = _complete_case(model, theta, g)
-    fdot_c = model.family.dtheta(yc, xc, theta)
-    fddot_c = model.family.d2theta(yc, xc, theta)
+    rows, yc, xc, fc, g_at = _complete_case(ws)
+    fdot_c = model.family.dtheta(yc, xc, ws.theta)
+    fddot_c = model.family.d2theta(yc, xc, ws.theta)
     gdot_at = eta_dot[:, model.slot]
     gddot_at = eta_ddot[:, :, model.slot]
     score_c = fdot_c / fc
@@ -592,8 +576,8 @@ class MissingCovProfile(Profile):
         eta_dot = dtheta_eta(derivs)
         eta_ddot = d2theta_eta(derivs, eta_dot)
         per_record = score_jacobian(
-            self.model, theta, self.weights, g=g,
-            eta_dot=eta_dot, eta_ddot=eta_ddot,
+            self.model, theta, self.weights,
+            derivs=derivs, eta_dot=eta_dot, eta_ddot=eta_ddot,
         )
         return np.einsum("i,iab->ab", self.weights, per_record)
 
@@ -725,7 +709,6 @@ def nuisance_stationarity(pop, theta, directions):
     model = pop.model
     sol = solve_nuisance(model, theta, None)
     ws = _Workspace(model, theta, sol.eta, model.weights)
-    ws.require_positive_denominator()
     # weight of each nuisance coordinate in the derivative of the expected
     # log density: complete-case mass over fitted mass, plus the mixture term
     coeff = ws.p1 / sol.eta + (ws.nu / ws.fy) @ ws.fmat
@@ -750,12 +733,11 @@ def score_orthogonality(pop, directions, theta=None):
     sol = solve_nuisance(model, theta, None)
     g = sol.eta
     derivs = psi_derivatives(model, theta, g, None)
-    eta_dot = dtheta_eta(derivs)
-    scores = efficient_score(model, theta, None, g=g, eta_dot=eta_dot)
+    scores = efficient_score(model, theta, derivs=derivs)
 
     # nuisance score per record for a direction alpha: alpha/g at the
     # complete-case x, mixture ratio for incomplete records
-    ws = _workspace(model, theta, g, None)
+    ws = derivs.workspace
     out = []
     for alpha in directions:
         alpha = np.asarray(alpha, dtype=float)

@@ -181,19 +181,16 @@ class _Operator:
 
 
 class _Workspace(_Operator):
-    """The operator at one A, with the caches its derivatives share, in record order."""
+    """The operator at one A, with the first-order weights its derivatives
+    share, in record order; the second-order parts build their own."""
 
     def __init__(self, model, beta, A, w):
         super().__init__(model, beta, w)
         self.AU = np.asarray(A(model.u), dtype=float)
         self.denom = 1.0 + self.q * self.AU
-        one_plus = 1.0 + model.delta
         self.c = self.qc / self.denom
         self.wdot = self.qc / self.denom**2
-        self.wddot = self.qc * (1.0 - self.q * self.AU) / self.denom**3
-        self.k = one_plus * self.q**2 / self.denom**2
-        self.k2 = 2.0 * one_plus * self.q**3 / self.denom**3
-        self.kd = 2.0 * one_plus * self.q**2 / self.denom**3
+        self.k = (1.0 + model.delta) * self.q**2 / self.denom**2
         self.ew = self.suffix_at_events(self.w * self.c)
         self.inv_ew = _inverse_risk(self.edn, self.ew)
 
@@ -277,10 +274,12 @@ def da_psi_sup_norm(model, beta, A, F=None):
 
 
 def _d2a_psi(ws):
+    k2 = 2.0 * (1.0 + ws.model.delta) * ws.q**3 / ws.denom**3
+
     def apply(h1, h2):
         H1 = ws.cumulative_at_records(h1)
         H2 = ws.cumulative_at_records(h2)
-        second = ws.suffix_at_events(ws.w * ws.k2 * H1 * H2)
+        second = ws.suffix_at_events(ws.w * k2 * H1 * H2)
         first1 = -ws.suffix_at_events(ws.w * ws.k * H1)
         first2 = -ws.suffix_at_events(ws.w * ws.k * H2)
         return (
@@ -297,6 +296,8 @@ def d2a_psi(model, beta, A, F=None):
 
 
 def _dbeta_psi(ws):
+    """The first coefficient derivative, and a function giving the second
+    and mixed derivatives from the same at-risk sums."""
     p, m = ws.model.covariate_dim, ws.model.n_events
     z = ws.model.z
     ew_dot = np.stack(
@@ -304,26 +305,31 @@ def _dbeta_psi(ws):
     )
     dot = -ws.edn * ew_dot * ws.inv_ew**2
 
-    ddot = np.empty((p, p, m))
-    for a in range(p):
-        for b in range(a, p):
-            ew_ddot = ws.suffix_at_events(ws.w * ws.wddot * z[:, a] * z[:, b])
-            val = (
-                -ws.edn * ew_ddot * ws.inv_ew**2
-                + 2.0 * ws.edn * ew_dot[a] * ew_dot[b] * ws.inv_ew**3
-            )
-            ddot[a, b] = val
-            ddot[b, a] = val
+    def second_order():
+        wddot = ws.qc * (1.0 - ws.q * ws.AU) / ws.denom**3
+        kd = 2.0 * (1.0 + ws.model.delta) * ws.q**2 / ws.denom**3
+        ddot = np.empty((p, p, m))
+        for a in range(p):
+            for b in range(a, p):
+                ew_ddot = ws.suffix_at_events(ws.w * wddot * z[:, a] * z[:, b])
+                val = (
+                    -ws.edn * ew_ddot * ws.inv_ew**2
+                    + 2.0 * ws.edn * ew_dot[a] * ew_dot[b] * ws.inv_ew**3
+                )
+                ddot[a, b] = val
+                ddot[b, a] = val
 
-    k_suffix = ws.suffix_at_events(ws.w * ws.k)
-    mixed = tuple(
-        MaxIndexMap([
-            (ws.edn * ws.inv_ew**2, ws.suffix_at_events(ws.w * ws.kd * z[:, a])),
-            (-2.0 * ws.edn * ew_dot[a] * ws.inv_ew**3, k_suffix),
-        ])
-        for a in range(p)
-    )
-    return dot, ddot, mixed
+        k_suffix = ws.suffix_at_events(ws.w * ws.k)
+        mixed = tuple(
+            MaxIndexMap([
+                (ws.edn * ws.inv_ew**2, ws.suffix_at_events(ws.w * kd * z[:, a])),
+                (-2.0 * ws.edn * ew_dot[a] * ws.inv_ew**3, k_suffix),
+            ])
+            for a in range(p)
+        )
+        return ddot, mixed
+
+    return dot, second_order
 
 
 def dbeta_psi(model, beta, A, F=None):
@@ -333,7 +339,8 @@ def dbeta_psi(model, beta, A, F=None):
     mixed is one jump-coordinate :class:`MaxIndexMap` per coefficient
     component.
     """
-    return _dbeta_psi(_workspace(model, beta, A, F))
+    dot, second_order = _dbeta_psi(_workspace(model, beta, A, F))
+    return (dot, *second_order())
 
 
 def _df_psi(ws, h):
@@ -360,7 +367,7 @@ def df_psi(model, beta, A, F=None, h=None):
 def psi_derivatives(model, beta, A, F=None):
     """All operator derivatives at (beta, A, F), sharing one workspace."""
     return PsiDerivatives.at(
-        (_workspace(model, beta, A, F),), _dbeta_psi, _da_psi, _d2a_psi, _df_psi
+        _workspace(model, beta, A, F), _dbeta_psi, _da_psi, _d2a_psi, _df_psi
     )
 
 
@@ -458,7 +465,7 @@ class PropOddsProfile(Profile):
         A = model.jumps_to_step(jumps)
         derivs = psi_derivatives(model, beta, A, self.weights)
         jump_dot = dtheta_eta(derivs)  # (p, m)
-        ws = _Workspace(model, beta, A, self.weights)
+        ws = derivs.workspace
         cum_dot = np.cumsum(jump_dot, axis=1)
         padded = np.concatenate([np.zeros((self.dim, 1)), cum_dot], axis=1)
         Adot_u = padded[:, model._record_cut]  # (p, n)

@@ -11,14 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from profix.errors import InvalidInput, NumericOverflow
+from profix.errors import InvalidInput, NumericOverflow, SupportViolation
 from profix.measures import (
     EmpiricalMeasure,
+    GridDensity,
     LinearMap,
     PerturbationDirection,
+    gauss_legendre_grid,
     mix_path,
 )
 from profix import prop_odds
+from profix.missing_cov import NormalRegression
 from profix.prop_odds import LINPRED_BOUND
 
 
@@ -132,6 +135,55 @@ def psi_missing_cov_naive(r, y, x, w, support, family, theta, g_masses):
             a -= wi * float(family.density(yi, xj, theta)) / fy
         out.append(p1 / a)
     return np.array(out)
+
+
+@dataclass(frozen=True)
+class MissingCovRecord:
+    """One observation: r = 1 when x is observed, 2 when it is missing."""
+
+    r: int
+    y: float
+    x: float | None = None
+
+    def __post_init__(self):
+        if self.r not in (1, 2):
+            raise InvalidInput("r must be 1 (complete) or 2 (incomplete)")
+        if (self.r == 1) != (self.x is not None):
+            raise InvalidInput("x must be present exactly when r = 1")
+
+
+def log_density(record, theta, g, family=None):
+    """Log density of one record under (theta, g).
+
+    Complete records contribute log f(y|x) + log g(x); incomplete ones the
+    log of the mixture density of y.
+    """
+    family = family or NormalRegression()
+    theta = np.asarray(theta, dtype=float)
+    if not isinstance(g, GridDensity):
+        raise InvalidInput("g must be a GridDensity")
+    if record.r == 1:
+        mass = g.mass_at(record.x)
+        if mass <= 0.0:
+            raise SupportViolation(
+                f"complete-case x={record.x} carries no mass"
+            )
+        f = float(family.density(record.y, record.x, theta))
+        return float(np.log(f) + np.log(mass))
+    fy = float(family.density(record.y, g.support, theta) @ g.masses)
+    if fy <= 0.0:
+        raise SupportViolation("mixture density vanished at the record outcome")
+    return float(np.log(fy))
+
+
+def normalization_error(family, xs, theta, n_nodes=200, span=10.0):
+    """Max over xs of |integral of the family's density in y minus one|."""
+    worst = 0.0
+    for x in np.atleast_1d(xs):
+        lo, hi = family.outcome_interval(x, theta, span)
+        nodes, weights = gauss_legendre_grid(lo, hi, n_nodes)
+        worst = max(worst, abs(float(weights @ family.density(nodes, x, theta)) - 1.0))
+    return worst
 
 
 def normal_fisher_information(theta, x_moment1, x_moment2):

@@ -25,3 +25,29 @@ def test_tracer_installs_and_uninstalls():
     assert patches
     for owner, attr, original in patches:
         assert owner.__dict__[attr] is original
+
+
+def test_tracer_records_each_familys_layers():
+    # a call that routes around a wrapped name would silently zero the
+    # per-layer metrics built on these spans
+    from profix import estimator, simulation
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        # the survival audit design has the linear baseline
+        for name, n in (("missing_cov", 100), ("prop_odds", 200)):
+            family = simulation.get_family(name)
+            rng = simulation.replication_rng(7, 0)
+            model = simulation.draw_model(family, family.audit_design, n, rng)
+            estimator.profile_mle(
+                family.profile(model), family.default_start(model), force=True
+            )
+    finally:
+        tracing.uninstall(patches)
+    recorded = {span.name for span in tracer.spans}
+    assert {
+        "missing_cov.psi_derivatives", "missing_cov.score_jacobian",
+        "prop_odds.psi_derivatives", "fixed_point.apply",
+    } <= recorded

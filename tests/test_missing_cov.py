@@ -20,7 +20,6 @@ from profix.missing_cov import (
     MissingCovDesign,
     MissingCovModel,
     MissingCovProfile,
-    MissingCovRecord,
     NormalRegression,
     check_missing_fraction,
     dg_psi,
@@ -28,19 +27,25 @@ from profix.missing_cov import (
     df_psi,
     dtheta_psi,
     efficient_score,
+    fixed_point_problem,
     load_csv,
-    log_density,
     nuisance_stationarity,
     population_model,
     population_self_consistency,
     psi_apply,
+    psi_derivatives,
     psi_masses,
     score_jacobian,
     score_orthogonality,
     solve_nuisance,
 )
 
-from reference import psi_missing_cov_naive
+from reference import (
+    MissingCovRecord,
+    log_density,
+    normalization_error,
+    psi_missing_cov_naive,
+)
 
 THETA = np.array([0.05, 0.9, 0.05])
 
@@ -70,8 +75,8 @@ class TestNormalRegression:
     def test_normalization(self):
         family = NormalRegression()
         for theta in ([0.0, 1.0, 0.0], [0.3, -0.5, 0.4]):
-            err = family.normalization_error(
-                np.linspace(-2, 2, 5), np.asarray(theta)
+            err = normalization_error(
+                family, np.linspace(-2, 2, 5), np.asarray(theta)
             )
             assert err < 1e-8
 
@@ -222,6 +227,125 @@ class TestOperatorInvariants:
         )
         with pytest.raises(SupportViolation):
             psi_masses(model, np.zeros(2), np.array([0.5, 0.5]))
+
+
+def record_calls(monkeypatch, owner, attr):
+    """Wrap owner.attr so that each call appends its arguments to the list returned."""
+    calls = []
+    original = getattr(owner, attr)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, recorded)
+    return calls
+
+
+def dirichlet_masses(model, seed):
+    return np.random.default_rng(seed).dirichlet(np.ones(model.n_support))
+
+
+class TestBoundOperator:
+    """The operator bound once per (theta, weights), and the derivative
+    bundle that defers its second-order parts."""
+
+    @given(sample=mixture_samples(), seed=st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_naive_oracle(self, sample, seed):
+        model, theta = sample
+        g = dirichlet_masses(model, seed)
+        try:
+            out = fixed_point_problem(model, theta).apply(g)
+        except (SupportViolation, DenominatorCollapse):
+            return
+        ref = psi_missing_cov_naive(
+            model.r, model.y, model.points[:, 2], model.weights,
+            model.support, model.family, theta, g,
+        )
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @given(sample=mixture_samples(), seed=st.integers(0, 3),
+           order=st.permutations(["dot_psi", "ddot_psi", "d_eta_dot", "d2_eta"]))
+    @settings(max_examples=60, deadline=None)
+    def test_bundle_equals_wrappers(self, sample, seed, order):
+        # whichever part of the bundle is read first, each equals the
+        # public wrapper's value bitwise
+        model, theta = sample
+        g = dirichlet_masses(model, seed)
+        try:
+            derivs = psi_derivatives(model, theta, g)
+        except (SupportViolation, DenominatorCollapse):
+            return
+        h1, h2 = np.random.default_rng(seed).normal(size=(2, model.n_support))
+        dot, ddot, mixed = dtheta_psi(model, theta, g)
+        expected = {
+            "dot_psi": dot,
+            "ddot_psi": ddot,
+            "d_eta_dot": [m.matrix for m in mixed],
+            "d2_eta": d2g_psi(model, theta, g).apply(h1, h2),
+        }
+        for name in order:
+            value = getattr(derivs, name)
+            if name == "d_eta_dot":
+                value = [m.matrix for m in value]
+            elif name == "d2_eta":
+                value = value.apply(h1, h2)
+            assert np.array_equal(value, expected[name])
+        assert np.array_equal(derivs.d_eta.matrix, dg_psi(model, theta, g).matrix)
+
+    def test_wrong_theta_refused_when_bound(self, missing_cov_model):
+        with pytest.raises(InvalidInput, match="theta"):
+            fixed_point_problem(missing_cov_model, np.zeros(4))
+
+    def test_wrong_masses_refused_per_call(self, missing_cov_model):
+        apply = fixed_point_problem(missing_cov_model, THETA).apply
+        m = missing_cov_model.n_support
+        for bad in (np.full(m - 1, 1.0 / (m - 1)), np.full(m + 1, 1.0 / (m + 1))):
+            with pytest.raises(InvalidInput, match="mass vector"):
+                apply(bad)
+        assert np.all(np.isfinite(apply(np.full(m, 1.0 / m))))
+
+    def test_support_violation_and_denominator_collapse(self):
+        outside = MissingCovModel.from_arrays(
+            [1, 1, 2], [0.2, 1.2, 2.5], [0.0, 1.0, 0.0], UniformOutcome()
+        )
+        with pytest.raises(SupportViolation):
+            fixed_point_problem(outside, np.zeros(2)).apply(np.array([0.5, 0.5]))
+        collapsing = MissingCovModel.from_arrays(
+            [1, 1, 2, 2, 2], [0.0, 5.0, 0.0, 0.0, 0.0],
+            [0.0, 5.0, 0.0, 0.0, 0.0], NormalRegression(),
+        )
+        theta, g = np.array([0.0, 1.0, 0.0]), np.array([0.01, 0.99])
+        with pytest.raises(DenominatorCollapse):
+            fixed_point_problem(collapsing, theta).apply(g)
+        with pytest.raises(DenominatorCollapse):
+            psi_derivatives(collapsing, theta, g)
+
+
+class TestOperatorOverhead:
+    """The fixed-point solve, the derivative bundle and the score stay free
+    of rebuilds and of second-order work."""
+
+    def test_solve_evaluates_density_matrix_once(self, missing_cov_model, monkeypatch):
+        model = missing_cov_model
+        calls = record_calls(monkeypatch, NormalRegression, "density")
+        sol = solve_nuisance(model, THETA)
+        assert sol.iterations > 1
+        shape = (len(model.incomplete_rows), 1)
+        assert sum(np.shape(args[1]) == shape for args in calls) == 1
+
+    def test_derivative_bundle_builds_one_workspace(self, missing_cov_model, monkeypatch):
+        g = solve_nuisance(missing_cov_model, THETA).eta
+        workspaces = record_calls(monkeypatch, missing_cov._Workspace, "__init__")
+        psi_derivatives(missing_cov_model, THETA, g)
+        assert len(workspaces) == 1
+
+    def test_score_reads_no_second_derivative(self, missing_cov_model, monkeypatch):
+        profile = MissingCovProfile(missing_cov_model)
+        calls = record_calls(monkeypatch, NormalRegression, "d2theta")
+        profile.score(THETA)
+        assert calls == []
 
 
 class TestDerivativeOperators:

@@ -481,6 +481,32 @@ class TestOperatorOverhead:
         psi_derivatives(model, [0.5], A)
         assert len(workspaces) == 1
 
+    def test_score_builds_one_workspace(self, model, monkeypatch):
+        profile = PropOddsProfile(model)
+        workspaces = count_builds(monkeypatch, prop_odds._Workspace)
+        profile.score([0.5])
+        assert len(workspaces) == 1
+
+    @given(sample=survival_samples(),
+           order=st.permutations(["dot_psi", "ddot_psi", "d_eta_dot"]))
+    @settings(max_examples=40, deadline=None)
+    def test_bundle_second_order_equals_dbeta_psi(self, sample, order):
+        # the bundle defers ddot_psi and d_eta_dot; whichever part is read
+        # first, each equals the eager wrapper's value bitwise
+        model, beta, A = sample
+        try:
+            derivs = psi_derivatives(model, beta, A)
+        except RiskSetEmpty:
+            return
+        dot, ddot, mixed = dbeta_psi(model, beta, A)
+        expected = {"dot_psi": dot, "ddot_psi": ddot,
+                    "d_eta_dot": [m.matrix for m in mixed]}
+        for name in order:
+            value = getattr(derivs, name)
+            if name == "d_eta_dot":
+                value = [m.matrix for m in value]
+            assert np.array_equal(value, expected[name])
+
 
 class TestProfile:
     def test_precheck_raises_on_linear_design(self):
