@@ -180,7 +180,7 @@ def audit_operators(family, model, theta=None, seed=0, corrupt=None):
     if "score_jacobian" in family.audit_rows:
         # score Jacobian versus differences of the analytic score
         profile = family.profile(model, solver_tol=1e-12)
-        jac = profile.jacobian(theta)
+        jac = profile.jacobian(profile.point(theta))
         fd_jac = fd_theta(profile.mean_score, theta, FdConfig(step=1e-4))
         rows.append(_row("score_jacobian", jac, fd_jac.T, SECOND_ORDER_TOL, corrupt))
 

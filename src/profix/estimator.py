@@ -4,7 +4,9 @@ The parameter estimate solves the estimating equation "mean profiled
 score equals zero" by a damped Newton iteration; the asymptotic variance
 is the inverse of the averaged outer product of the per-record scores.
 Model specifics enter through a profile object exposing dim, n, weights,
-score, mean_score, jacobian, precheck and last_solution.  Both model
+score, mean_score, jacobian, precheck and last_point: each score call
+records the :class:`Point` it evaluated, and the Newton Jacobian and the
+information read the accepted point instead of solving again.  Both model
 families build theirs on :class:`Profile`, and describe themselves to the
 command line, the Monte Carlo harness and the audits through one
 :class:`Family` record each.
@@ -27,6 +29,7 @@ from .errors import (
     SingularInformation,
     SingularJacobian,
 )
+from .implicit_diff import dtheta_eta
 
 #: Condition number beyond which the information matrix is declared singular.
 INFO_COND_LIMIT = 1e10
@@ -58,7 +61,7 @@ class Family:
     truth: Callable  # design -> true parameter
     default_start: Callable  # model -> starting point of a fit
     labels: Callable  # model -> parameter labels of the fit table
-    fit_payload: Callable  # (profile, theta_hat) -> family fields of the fit JSON
+    fit_payload: Callable  # (fitted profile, theta_hat) -> family fields of fit JSON
     audit_rows: tuple
     audit_seed_offset: int
     audit_theta: Callable  # model -> parameter the audits run at
@@ -69,13 +72,29 @@ class Family:
         return sys.modules[self.model.__module__]
 
 
+@dataclass(frozen=True)
+class Point:
+    """One evaluation of a profile at theta: the nuisance fixed point's
+    ``FixedPointSolution``, the operator's derivative bundle there, the
+    fixed point's implicit derivative eta_dot and the per-record scores."""
+
+    theta: np.ndarray
+    solution: object
+    derivs: object
+    eta_dot: np.ndarray
+    scores: np.ndarray
+
+
 class Profile:
     """Profile-likelihood view of a sample: the nuisance solved per parameter.
 
-    Solves the family's nuisance fixed point at each requested parameter,
-    warm-started from the previous solve, and keeps the last solution.  A
-    family's subclass sets ``solve_nuisance`` to its module's solver and
-    defines score, mean_score, jacobian and precheck in its own body.
+    :meth:`point` solves the family's nuisance fixed point at a parameter,
+    warm-started from the previous solve, and evaluates the scores there;
+    score returns them and records the point as last_point, from which
+    jacobian reads.  A family's subclass sets ``solve_nuisance`` to its
+    module's solver, defines ``derivatives`` (its bundle at a fixed point)
+    and ``point_scores``, and defines score, mean_score, jacobian and
+    precheck in its own body.
     """
 
     def __init__(self, model, F=None, solver_tol=1e-10, solver_max_iter=10_000):
@@ -84,7 +103,7 @@ class Profile:
         self.solver_tol = solver_tol
         self.solver_max_iter = solver_max_iter
         self._warm = None
-        self.last_solution = None
+        self.last_point = None
 
     @property
     def dim(self):
@@ -100,11 +119,16 @@ class Profile:
             tol=self.solver_tol, max_iter=self.solver_max_iter, eta0=self._warm,
         )
         self._warm = sol.eta
-        self.last_solution = sol
         return sol
 
-    def nuisance(self, theta):
-        return self.model.as_nuisance(self.solve(theta).eta)
+    def point(self, theta):
+        """Solve at theta and evaluate the :class:`Point` there."""
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        solution = self.solve(theta)
+        derivs = self.derivatives(theta, solution.eta)
+        eta_dot = dtheta_eta(derivs)
+        scores = self.point_scores(theta, solution.eta, derivs, eta_dot)
+        return Point(theta, solution, derivs, eta_dot, scores)
 
 
 @dataclass
@@ -135,13 +159,13 @@ class FitResult:
         }
 
 
-def efficient_information(profile, theta):
-    """Averaged outer product of per-record scores at theta.
+def efficient_information(profile, point):
+    """Averaged outer product of the per-record scores of a point.
 
     Raises :class:`SingularInformation` when the matrix is too
     ill-conditioned to trust its inverse.
     """
-    scores = profile.score(np.asarray(theta, dtype=float))
+    scores = point.scores
     info = scores.T @ (profile.weights[:, None] * scores)
     info = 0.5 * (info + info.T)
     cond = float(np.linalg.cond(info))
@@ -160,9 +184,11 @@ def _sup(v):
 def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
     """Damped Newton solve of the profiled estimating equation.
 
-    Each step re-solves the nuisance fixed point inside the profile; step
-    halving accepts only iterates that reduce the sup norm of the mean
-    score.  The returned standard errors are inverse-information based.
+    Each candidate is one evaluation point of the profile; step halving
+    accepts only candidates that reduce the sup norm of the mean score, and
+    the Jacobian of each step and the information at the estimate are read
+    from the accepted point.  The returned standard errors are
+    inverse-information based.
     """
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     if theta.shape != (profile.dim,):
@@ -171,13 +197,14 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
         profile.precheck(theta)
 
     score = profile.mean_score(theta)
+    point = profile.last_point
     norm = _sup(score)
     iterations = 0
     for iterations in range(1, max_newton + 1):
         if norm < tol:
             iterations -= 1
             break
-        jac = profile.jacobian(theta)
+        jac = profile.jacobian(point)
         try:
             step = np.linalg.solve(jac, score)
         except np.linalg.LinAlgError as exc:
@@ -194,6 +221,7 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
                 cand_norm = np.inf
             if cand_norm < norm:
                 theta, score, norm = candidate, cand_score, cand_norm
+                point = profile.last_point
                 break
             lam /= 2.0
         else:
@@ -213,18 +241,10 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
                 iterations=max_newton,
             )
 
-    # the last solve was at theta_hat; efficient_information re-solves warm
-    last = profile.last_solution
-    info, cond = efficient_information(profile, theta)
+    info, cond = efficient_information(profile, point)
     se = np.sqrt(np.diag(np.linalg.inv(info)) / profile.n)
-    diagnostics = {}
-    if last is not None:
-        diagnostics["nuisance"] = {
-            "residual": last.residual,
-            "iterations": last.iterations,
-            "contraction_estimate": last.contraction_estimate,
-            "tail_contraction": last.tail_contraction,
-        }
+    nuisance = point.solution.diagnostics()
+    del nuisance["residual_trace"]
     return FitResult(
         theta_hat=theta,
         info_hat=info,
@@ -234,7 +254,7 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
         score_norm=norm,
         n=profile.n,
         info_condition=cond,
-        diagnostics=diagnostics,
+        diagnostics={"nuisance": nuisance},
     )
 
 

@@ -13,6 +13,7 @@ score machinery, and quadrature-based population versions of all checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -234,9 +235,17 @@ class _Operator:
         self.p1 = np.zeros(model.n_support)
         np.add.at(self.p1, model.slot, w[model.complete_rows])
         self.nu = w[model.incomplete_rows]
-        y2 = model.y_incomplete[:, None]
-        xs = model.support[None, :]
-        self.fmat = model.family.density(y2, xs, theta)
+        self.fmat = self.incomplete(model.family.density)
+
+    def incomplete(self, f):
+        """f at the incomplete-case outcomes (rows) and the support (columns)."""
+        model = self.model
+        return f(model.y_incomplete[:, None], model.support[None, :], self.theta)
+
+    def complete(self, f):
+        """f at the complete records."""
+        model = self.model
+        return f(model.y[model.complete_rows], model.x_complete, self.theta)
 
     def mixture(self, g):
         """The masses g, the mixture density fmat @ g at the incomplete-case
@@ -261,29 +270,28 @@ class _Operator:
 
 
 class _Workspace(_Operator):
-    """The operator at one g, with the caches its derivatives share."""
+    """The operator at one g, with the caches its derivatives and the
+    scores share; the family's derivatives are evaluated on first read."""
 
     def __init__(self, model, theta, g, w):
         super().__init__(model, theta, w)
         self.g, self.fy, self.a = self.mixture(g)
-        self._fdot = None
-        self._fddot = None
 
-    @property
+    @cached_property
     def fdot(self):
-        if self._fdot is None:
-            y2 = self.model.y_incomplete[:, None]
-            xs = self.model.support[None, :]
-            self._fdot = self.model.family.dtheta(y2, xs, self.theta)
-        return self._fdot
+        return self.incomplete(self.model.family.dtheta)
 
-    @property
+    @cached_property
     def fddot(self):
-        if self._fddot is None:
-            y2 = self.model.y_incomplete[:, None]
-            xs = self.model.support[None, :]
-            self._fddot = self.model.family.d2theta(y2, xs, self.theta)
-        return self._fddot
+        return self.incomplete(self.model.family.d2theta)
+
+    @cached_property
+    def fc(self):
+        return self.complete(self.model.family.density)
+
+    @cached_property
+    def fdot_c(self):
+        return self.complete(self.model.family.dtheta)
 
     def dg_a_matrix(self):
         return self.fmat.T @ (self.fmat * (self.nu / self.fy**2)[:, None])
@@ -436,18 +444,14 @@ def psi_derivatives(model, theta, g, F=None):
 
 
 def _complete_case(ws):
-    """Complete-record rows, outcomes, covariates, densities and masses."""
-    model = ws.model
-    rows = model.complete_rows
-    yc = model.y[rows]
-    xc = model.points[rows, 2]
-    fc = model.family.density(yc, xc, ws.theta)
+    """Complete-record densities and fitted masses, checked positive."""
+    fc = ws.fc
     if np.any(fc <= 0.0):
         raise SupportViolation("conditional density vanished at a complete record")
-    g_at = ws.g[model.slot]
+    g_at = ws.g[ws.model.slot]
     if np.any(g_at <= 0.0):
         raise SupportViolation("complete-case x carries no mass")
-    return rows, yc, xc, fc, g_at
+    return fc, g_at
 
 
 def _bundle(model, theta, F, g):
@@ -457,21 +461,22 @@ def _bundle(model, theta, F, g):
     return psi_derivatives(model, theta, g, F)
 
 
-def efficient_score(model, theta, F=None, g=None, derivs=None):
+def efficient_score(model, theta, F=None, g=None, derivs=None, eta_dot=None):
     """Per-record parameter score of the profiled log density, shape (n, d).
 
     Reads the workspace of derivs, the operator's derivative bundle, which
-    defaults to the one at g, itself by default the fixed point at (theta, F).
+    defaults to the one at g, itself by default the fixed point at (theta, F);
+    eta_dot defaults to the implicit derivative the bundle gives.
     """
     if derivs is None:
         derivs = _bundle(model, theta, F, g)
+    if eta_dot is None:
+        eta_dot = dtheta_eta(derivs)
     ws = derivs.workspace
-    eta_dot = dtheta_eta(derivs)
     out = np.zeros((model.n_records, model.theta_dim))
 
-    rows, yc, xc, fc, g_at = _complete_case(ws)
-    fdot_c = model.family.dtheta(yc, xc, ws.theta)
-    out[rows] = (fdot_c / fc + eta_dot[:, model.slot] / g_at).T
+    fc, g_at = _complete_case(ws)
+    out[model.complete_rows] = (ws.fdot_c / fc + eta_dot[:, model.slot] / g_at).T
 
     if len(model.incomplete_rows):
         fydot = ws.fdot @ ws.g  # (d, n2)
@@ -499,14 +504,12 @@ def score_jacobian(model, theta, F=None, g=None, derivs=None, eta_dot=None,
     d = model.theta_dim
     out = np.zeros((model.n_records, d, d))
 
-    rows, yc, xc, fc, g_at = _complete_case(ws)
-    fdot_c = model.family.dtheta(yc, xc, ws.theta)
-    fddot_c = model.family.d2theta(yc, xc, ws.theta)
+    fc, g_at = _complete_case(ws)
     gdot_at = eta_dot[:, model.slot]
     gddot_at = eta_ddot[:, :, model.slot]
-    score_c = fdot_c / fc
-    out[rows] = (
-        fddot_c / fc
+    score_c = ws.fdot_c / fc
+    out[model.complete_rows] = (
+        ws.complete(model.family.d2theta) / fc
         - np.einsum("ai,bi->abi", score_c, score_c)
         + gddot_at / g_at
         - np.einsum("ai,bi->abi", gdot_at / g_at, gdot_at / g_at)
@@ -563,21 +566,25 @@ class MissingCovProfile(Profile):
 
     solve_nuisance = staticmethod(solve_nuisance)
 
+    def derivatives(self, theta, g):
+        return psi_derivatives(self.model, theta, g, self.weights)
+
+    def point_scores(self, theta, g, derivs, eta_dot):
+        return efficient_score(self.model, theta, self.weights,
+                               derivs=derivs, eta_dot=eta_dot)
+
     def score(self, theta):
-        g = self.solve(theta).eta
-        return efficient_score(self.model, theta, self.weights, g=g)
+        self.last_point = self.point(theta)
+        return self.last_point.scores
 
     def mean_score(self, theta):
         return self.score(theta).T @ self.weights
 
-    def jacobian(self, theta):
-        g = self.solve(theta).eta
-        derivs = psi_derivatives(self.model, theta, g, self.weights)
-        eta_dot = dtheta_eta(derivs)
-        eta_ddot = d2theta_eta(derivs, eta_dot)
+    def jacobian(self, point):
+        """Jacobian of the mean score at a point, from its bundle."""
         per_record = score_jacobian(
-            self.model, theta, self.weights,
-            derivs=derivs, eta_dot=eta_dot, eta_ddot=eta_ddot,
+            self.model, point.theta, self.weights,
+            derivs=point.derivs, eta_dot=point.eta_dot,
         )
         return np.einsum("i,iab->ab", self.weights, per_record)
 
@@ -592,7 +599,7 @@ class MissingCovProfile(Profile):
 
 
 def _fit_payload(profile, theta):
-    density = profile.nuisance(theta)
+    density = profile.model.masses_to_density(profile.last_point.solution.eta)
     return {
         "g_masses": density.masses.tolist(),
         "nuisance": {

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .estimator import Family, Profile
 from .fixed_point import FixedPointProblem, solve_fixed_point
-from .implicit_diff import PsiDerivatives, dtheta_eta
+from .implicit_diff import PsiDerivatives, d2theta_eta
 from .measures import (
     BilinearMap,
     EmpiricalMeasure,
@@ -36,7 +36,7 @@ from .measures import (
     parse_number,
     read_csv,
 )
-from .numdiff import FdConfig, fd_theta
+from .numdiff import fd_theta  # noqa: F401 - bench/tracing.py hooks prop_odds.fd_theta
 
 #: Linear predictors beyond this magnitude refuse to exponentiate.
 LINPRED_BOUND = 50.0
@@ -199,9 +199,11 @@ class _Workspace(_Operator):
         return _suffix_at_events(self.model, values[self.model._order])
 
     def cumulative_at_records(self, jump_coeffs):
-        """h(u_i) for the step direction with the given jump coefficients."""
-        cum = np.concatenate([[0.0], np.cumsum(jump_coeffs)])
-        return cum[self.model._record_cut]
+        """h(u_i) for the step directions with the given jump coefficients
+        (the last axis runs over event times, and then over records)."""
+        cum = np.cumsum(jump_coeffs, axis=-1)
+        padded = np.concatenate([np.zeros(cum.shape[:-1] + (1,)), cum], axis=-1)
+        return padded[..., self.model._record_cut]
 
 
 def _operator(model, beta, F):
@@ -421,7 +423,11 @@ def check_variance_condition(model, beta, A, F=None):
     The left side dominating everywhere is the empirical analogue of the
     condition that makes the nuisance operator contract in the sup norm.
     """
-    ws = _workspace(model, beta, A, F)
+    return _variance_condition(_workspace(model, beta, A, F))
+
+
+def _variance_condition(ws):
+    model = ws.model
     frac = model.delta / (1.0 + model.delta)
     lhs = ws.suffix_at_events(ws.w * frac * ws.c**2)
     ew2 = ws.suffix_at_events(ws.w * ws.c**2)
@@ -436,18 +442,17 @@ class PropOddsProfile(Profile):
     """Profile-likelihood view: score and Jacobian of the estimating equation.
 
     Differentiates the plugged-in log density per record.  The Jacobian of
-    the mean score is taken by central differences of the analytic score.
-    A covariate that is constant over the weighted records makes the
-    coefficient unidentified, as e^{beta z} then only rescales the
-    baseline odds, so such a sample is refused.
+    the mean score differentiates that score once more in closed form,
+    from the second coefficient derivative of the fixed point.  A covariate
+    that is constant over the weighted records makes the coefficient
+    unidentified, as e^{beta z} then only rescales the baseline odds, so
+    such a sample is refused.
     """
 
     solve_nuisance = staticmethod(solve_nuisance)
 
-    def __init__(self, model, F=None, solver_tol=1e-10, solver_max_iter=10_000,
-                 jacobian_step=1e-5):
+    def __init__(self, model, F=None, solver_tol=1e-10, solver_max_iter=10_000):
         super().__init__(model, F, solver_tol, solver_max_iter)
-        self.jacobian_step = jacobian_step
         z = model.z[self.weights > 0]
         constant = np.flatnonzero(np.ptp(z, axis=0) == 0) if len(z) else []
         if len(constant):
@@ -457,38 +462,57 @@ class PropOddsProfile(Profile):
                 "its coefficient is confounded with the scale of the baseline odds"
             )
 
-    def score(self, beta):
-        """Per-record derivative of the profiled log density, shape (n, p)."""
-        model = self.model
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        jumps = self.solve(beta).eta
-        A = model.jumps_to_step(jumps)
-        derivs = psi_derivatives(model, beta, A, self.weights)
-        jump_dot = dtheta_eta(derivs)  # (p, m)
-        ws = derivs.workspace
-        cum_dot = np.cumsum(jump_dot, axis=1)
-        padded = np.concatenate([np.zeros((self.dim, 1)), cum_dot], axis=1)
-        Adot_u = padded[:, model._record_cut]  # (p, n)
-        ratio = np.zeros((self.dim, model.n_records))
-        rows = model._event_rows
+    def derivatives(self, beta, jumps):
+        return psi_derivatives(self.model, beta, self.model.jumps_to_step(jumps),
+                               self.weights)
+
+    def point_scores(self, beta, jumps, derivs, jump_dot):
+        """Per-record derivative of the profiled log density, shape (n, p):
+        delta (z + J'/J) - (1 + delta) q (z A(U) + A'(U)) / (1 + q A(U))."""
+        model, ws = self.model, derivs.workspace
         slot = model._event_row_slot
-        safe = np.where(jumps > 0, jumps, 1.0)
-        ratio[:, rows] = jump_dot[:, slot] / safe[slot]
+        safe = np.where(jumps > 0, jumps, 1.0)[slot]  # J' = 0 where J = 0
+        ratio = np.zeros((self.dim, model.n_records))
+        ratio[:, model._event_rows] = jump_dot[:, slot] / safe
         zT = model.z.T
-        hazard = ws.q * (zT * ws.AU + Adot_u) / ws.denom
+        hazard = ws.q * (zT * ws.AU + ws.cumulative_at_records(jump_dot)) / ws.denom
         score = model.delta * (zT + ratio) - (1.0 + model.delta) * hazard
         return score.T
+
+    def score(self, beta):
+        self.last_point = self.point(beta)
+        return self.last_point.scores
 
     def mean_score(self, beta):
         return self.score(beta).T @ self.weights
 
-    def jacobian(self, beta):
-        cfg = FdConfig(step=self.jacobian_step, scheme="central")
-        return fd_theta(self.mean_score, np.atleast_1d(beta), cfg)
+    def jacobian(self, point):
+        """Jacobian of the mean score at a point: rows are score components,
+        columns coefficient components."""
+        model, ws, w = self.model, point.derivs.workspace, self.weights
+        jump_dot = point.eta_dot
+        jump_ddot = d2theta_eta(point.derivs, jump_dot)
+        rows, slot = model._event_rows, model._event_row_slot
+        # an event time without event mass has zero J, J' and J''
+        safe = np.where(point.solution.eta > 0, point.solution.eta, 1.0)[slot]
+        ratio = jump_dot[:, slot] / safe
+        events = (jump_ddot[:, :, slot] / safe) @ w[rows] - (ratio * w[rows]) @ ratio.T
+        # with N = z A(U) + A'(U) and D = 1 + q A(U), the beta_b-derivative of
+        # q N_a / D is q (z_b N_a + z_a A'_b + A''_ab) / D - q^2 N_a N_b / D^2
+        zT = model.z.T
+        adot = ws.cumulative_at_records(jump_dot)
+        num = zT * ws.AU + adot
+        wc = w * ws.c
+        hazard = (
+            (num * wc) @ model.z + (zT * wc) @ adot.T
+            + ws.cumulative_at_records(jump_ddot) @ wc
+            - (num * (wc * ws.q / ws.denom)) @ num.T
+        )
+        return events - hazard
 
     def precheck(self, beta):
         """Solve at beta and verify the contraction prerequisites."""
-        A = self.nuisance(beta)
+        A = self.model.jumps_to_step(self.solve(beta).eta)
         report = check_variance_condition(self.model, beta, A, self.weights)
         norm = da_psi_sup_norm(self.model, beta, A, self.weights)
         if not report.satisfied or norm >= 1.0:
@@ -498,14 +522,11 @@ class PropOddsProfile(Profile):
             )
         return report, norm
 
-    def condition_report(self, beta):
-        A = self.nuisance(beta)
-        return check_variance_condition(self.model, beta, A, self.weights)
-
 
 def _fit_payload(profile, beta):
-    step = profile.nuisance(beta)
-    report = profile.condition_report(beta)
+    point = profile.last_point
+    step = profile.model.jumps_to_step(point.solution.eta)
+    report = _variance_condition(point.derivs.workspace)
     return {
         "beta_hat": beta.tolist(),
         "jumps": step.jump_sizes.tolist(),
@@ -732,7 +753,7 @@ FAMILY = Family(
     default_start=lambda model: np.zeros(model.covariate_dim),
     labels=lambda model: [f"beta_{k + 1}" for k in range(model.covariate_dim)],
     fit_payload=_fit_payload,
-    audit_rows=("da_psi", "d2a_psi", "dbeta_psi"),
+    audit_rows=("da_psi", "d2a_psi", "dbeta_psi", "score_jacobian"),
     audit_seed_offset=17,
     audit_theta=lambda model: [0.5] * model.covariate_dim,
     audit_design=LINEAR_DESIGN,

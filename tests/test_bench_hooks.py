@@ -51,3 +51,33 @@ def test_tracer_records_each_familys_layers():
         "missing_cov.psi_derivatives", "missing_cov.score_jacobian",
         "prop_odds.psi_derivatives", "fixed_point.apply",
     } <= recorded
+
+
+def test_tracer_counts_a_survival_fit():
+    # the per-layer counts rest on profile_mle scoring its start and each
+    # candidate through mean_score and taking one Jacobian per Newton step
+    from profix import estimator, simulation
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    family = simulation.get_family("prop_odds")
+    model = simulation.draw_model(
+        family, family.audit_design, 200, simulation.replication_rng(7, 0)
+    )
+
+    def fit():
+        return estimator.profile_mle(
+            family.profile(model), family.default_start(model), force=True
+        )
+
+    patches = tracing.install(tracer)
+    try:
+        result = tracer.call("bench.op", "bench", fit, (), {}, op=True)
+    finally:
+        tracing.uninstall(patches)
+    metrics = tracing.layer_metrics(tracer.spans, 1, 1.0)
+    steps = metrics["estimator.newton_steps"]
+    assert steps == result.iterations
+    assert metrics["estimator.halvings"] >= 0
+    assert metrics["numdiff.fd_theta_calls"] == 0
+    assert metrics["estimator.score_calls"] == steps + metrics["estimator.halvings"] + 1

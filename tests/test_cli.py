@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from profix import estimator, missing_cov, prop_odds, simulation
 from profix.cli import EXIT_NUMERICAL, EXIT_USAGE, _print_fit_table, main
@@ -54,6 +55,24 @@ class TestFit:
         assert code == 0
         payload = json.loads(out.read_text())
         assert "jumps" in payload["nuisance"]
+
+    @pytest.mark.parametrize("name", ["prop_odds", "missing_cov"])
+    def test_payload_reads_the_final_point(self, name, monkeypatch):
+        # the nuisance and the condition report of the fit JSON are those
+        # at theta_hat that the fit computed, not a re-solve
+        family = simulation.get_family(name)
+        model = simulation.draw_model(family, family.audit_design, 150,
+                                      simulation.replication_rng(5, 0))
+        profile = family.profile(model)
+        fit = estimator.profile_mle(profile, family.default_start(model), force=True)
+        solves = []
+        monkeypatch.setattr(family.module, "solve_fixed_point",
+                            lambda *args, **kwargs: solves.append(1))
+        payload = family.fit_payload(profile, fit.theta_hat)
+        assert solves == []
+        masses = payload["jumps"] if name == "prop_odds" else payload["g_masses"]
+        assert np.array_equal(masses, profile.last_point.solution.eta)
+        assert payload["condition"]["satisfied"] in (True, False)
 
     def test_empty_file_exit_1(self, tmp_path):
         data = tmp_path / "empty.csv"
@@ -216,6 +235,12 @@ class TestCheckDerivs:
                      "--corrupt", "da_psi"])
         assert code == 4
         assert "da_psi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["prop_odds", "missing_cov"])
+    def test_corrupted_score_jacobian_exit_4(self, name, capsys):
+        code = main(["check-derivs", "--model", name, "--corrupt", "score_jacobian"])
+        assert code == 4
+        assert "score_jacobian" in capsys.readouterr().err
 
     def test_population_missing_cov(self, capsys):
         code = main(["check-derivs", "--model", "missing_cov", "--population"])

@@ -9,7 +9,13 @@ from profix.errors import (
     RiskSetEmpty,
     SingularInformation,
 )
-from profix.estimator import confidence_interval, efficient_information, profile_mle
+from profix.estimator import (
+    Point,
+    confidence_interval,
+    efficient_information,
+    profile_mle,
+)
+from profix.fixed_point import FixedPointSolution
 from profix.missing_cov import MissingCovModel, MissingCovProfile, NormalRegression
 
 from reference import normal_fisher_information
@@ -83,7 +89,7 @@ class TestProfileMle:
         model = ex2_model(300, 14)
         profile = MissingCovProfile(model, solver_tol=1e-12)
         fit = profile_mle(profile, THETA0, tol=1e-10)
-        analytic = profile.jacobian(fit.theta_hat)
+        analytic = profile.jacobian(profile.point(fit.theta_hat))
         fd = fd_theta(profile.mean_score, fit.theta_hat, FdConfig(step=1e-4))
         denom = max(np.abs(fd).max(), 1e-10)
         assert np.abs(analytic - fd.T).max() / denom < 1e-3
@@ -115,11 +121,13 @@ class LineSearchStub:
     dim = 1
     n = 4
     weights = np.full(4, 0.25)
-    last_solution = None
+    solution = FixedPointSolution(np.zeros(1), 0.0, 1, 0.0, 0.0)
+    scores = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
     def __init__(self, exc):
         self.exc = exc
         self.evaluated = []
+        self.last_point = None
 
     def precheck(self, theta):
         pass
@@ -128,13 +136,11 @@ class LineSearchStub:
         self.evaluated.append(float(theta[0]))
         if len(self.evaluated) == 2:
             raise self.exc
+        self.last_point = Point(theta, self.solution, None, None, self.scores)
         return theta - 1.0
 
-    def jacobian(self, theta):
+    def jacobian(self, point):
         return np.eye(1)
-
-    def score(self, theta):
-        return np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
 
 class TestEfficientInformation:
@@ -153,7 +159,7 @@ class TestEfficientInformation:
         model = ex2_model(n, 8, design)
         profile = MissingCovProfile(model)
         fit = profile_mle(profile, THETA0, tol=1e-10)
-        info, _ = efficient_information(profile, fit.theta_hat)
+        info, _ = efficient_information(profile, profile.point(fit.theta_hat))
         x = model.points[model.complete_rows, 2]
         fisher = normal_fisher_information(
             fit.theta_hat, x.mean(), np.mean(x * x)
@@ -170,8 +176,9 @@ class TestEfficientInformation:
         m1 = MissingCovModel.from_arrays(r, y, x, NormalRegression())
         m2 = MissingCovModel.from_arrays(r[perm], y[perm], x[perm],
                                          NormalRegression())
-        i1, _ = efficient_information(MissingCovProfile(m1), THETA0)
-        i2, _ = efficient_information(MissingCovProfile(m2), THETA0)
+        p1, p2 = MissingCovProfile(m1), MissingCovProfile(m2)
+        i1, _ = efficient_information(p1, p1.point(THETA0))
+        i2, _ = efficient_information(p2, p2.point(THETA0))
         assert np.array_equal(i1, i2)
 
     def test_singular_information(self):
@@ -183,7 +190,7 @@ class TestEfficientInformation:
         )
         profile = MissingCovProfile(model)
         with pytest.raises(SingularInformation):
-            efficient_information(profile, np.zeros(2))
+            efficient_information(profile, profile.point(np.zeros(2)))
 
 
 class TestConfidenceInterval:

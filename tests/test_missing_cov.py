@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profix import missing_cov
+from profix import estimator, missing_cov
 from profix.errors import (
     ContractionViolation,
     DenominatorCollapse,
@@ -347,6 +347,37 @@ class TestOperatorOverhead:
         profile.score(THETA)
         assert calls == []
 
+    @pytest.mark.parametrize("read", ["jacobian", "information"])
+    def test_jacobian_and_information_solve_nothing(self, missing_cov_model,
+                                                    monkeypatch, read):
+        # both read the point the score evaluated: its solution, its bundle
+        profile = MissingCovProfile(missing_cov_model)
+        point = profile.point(THETA)
+        solves = record_calls(monkeypatch, missing_cov, "solve_fixed_point")
+        workspaces = record_calls(monkeypatch, missing_cov._Workspace, "__init__")
+        if read == "jacobian":
+            assert profile.jacobian(point).shape == (3, 3)
+        else:
+            assert estimator.efficient_information(profile, point)[0].shape == (3, 3)
+        assert solves == [] and workspaces == []
+
+    def test_complete_case_values_once_per_point(self, missing_cov_model,
+                                                 monkeypatch):
+        # the score and the Jacobian at one point share the complete-case
+        # density and its first derivative
+        model = missing_cov_model
+        profile = MissingCovProfile(model)
+        calls = {name: record_calls(monkeypatch, NormalRegression, name)
+                 for name in ("density", "dtheta", "d2theta")}
+        profile.jacobian(profile.point(THETA))
+        at_complete = {
+            name: sum(np.shape(a[1]) == model.complete_rows.shape for a in args)
+            for name, args in calls.items()
+        }
+        # dtheta and d2theta each evaluate the density themselves
+        assert at_complete["dtheta"] == 1
+        assert at_complete["density"] - at_complete["dtheta"] - at_complete["d2theta"] == 1
+
 
 class TestDerivativeOperators:
     def test_w2_zero_gives_zero_maps(self):
@@ -473,7 +504,7 @@ class TestScores:
         from profix.numdiff import FdConfig, fd_theta
 
         profile = MissingCovProfile(missing_cov_model, solver_tol=1e-12)
-        analytic = profile.jacobian(THETA)
+        analytic = profile.jacobian(profile.point(THETA))
         fd = fd_theta(profile.mean_score, THETA, FdConfig(step=1e-4))
         denom = max(np.abs(fd).max(), 1e-10)
         assert np.abs(analytic - fd.T).max() / denom < 1e-3

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from profix import estimator, prop_odds, simulation
@@ -15,6 +15,7 @@ from profix.errors import (
     RiskSetEmpty,
 )
 from profix.fixed_point import estimate_operator_norm
+from profix.numdiff import FdConfig, fd_theta
 from profix.implicit_diff import df_eta, dtheta_eta
 from profix.measures import MaxIndexMap, StepFunction
 from profix.prop_odds import (
@@ -287,10 +288,10 @@ class TestFixedPointInvariants:
 
 
 @st.composite
-def survival_samples(draw):
+def survival_samples(draw, p=1):
     """Tiny weighted samples on a coarse time grid: tied times, possibly a
     single event time or none, and zero-weight events (event times without
-    event mass, as in the audits' union model)."""
+    event mass, as in the audits' union model); p covariates."""
     n = draw(st.integers(1, 7))
 
     def column(elements):
@@ -298,14 +299,16 @@ def survival_samples(draw):
 
     u = column(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
     delta = column(st.sampled_from([0.0, 1.0]))
-    z = column(st.sampled_from([-1.0, -0.3, 0.0, 0.4, 1.0]))
+    z = np.column_stack([
+        column(st.sampled_from([-1.0, -0.3, 0.0, 0.4, 1.0])) for _ in range(p)
+    ])
     w = column(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
     if sum(w) == 0:
         w[0] = 1.0
-    beta = draw(st.sampled_from([-0.8, 0.0, 0.5]))
+    beta = np.array([draw(st.sampled_from([-0.8, 0.0, 0.5])) for _ in range(p)])
     model = PropOddsModel.from_arrays(u, delta, z, weights=w)
-    A = psi_apply(model, [beta], zero_step(model.tau))
-    return model, np.array([beta]), A
+    A = psi_apply(model, beta, zero_step(model.tau))
+    return model, beta, A
 
 
 def dense_solve(d_eta, rhs):
@@ -393,6 +396,68 @@ class TestStructuredDerivatives:
         assert peak < 64 * 2**20
 
 
+def tied_sample(p):
+    """Tied event and censoring times and an event record of zero weight."""
+    u = [1.0, 1.0, 1.5, 1.5, 2.0, 0.5, 2.0]
+    delta = [1, 1, 1, 0, 1, 1, 0]
+    w = [1.0, 2.0, 0.0, 1.0, 0.5, 1.0, 1.0]
+    z = np.column_stack([np.linspace(-1.0, 1.0, 7), np.cos(np.arange(7.0))])[:, :p]
+    model = PropOddsModel.from_arrays(u, delta, z, weights=w)
+    beta = np.full(p, 0.5)
+    return model, beta, psi_apply(model, beta, zero_step(model.tau))
+
+
+def analytic_and_difference_jacobian(sample):
+    """The closed-form Jacobian at the sample's beta, the transposed central
+    differences of the mean score, and the scale both are compared on."""
+    model, beta, _ = sample
+    try:
+        profile = PropOddsProfile(model, solver_tol=1e-13)
+    except InvalidInput:  # a covariate constant over the weighted records
+        return None
+    jac = profile.jacobian(profile.point(beta))
+    fd = fd_theta(profile.mean_score, beta, FdConfig(step=1e-5)).T
+    # a sample can make the Jacobian vanish identically; its summands are
+    # on the scale of the covariates' weighted second moment
+    scale = max(np.abs(fd).max(), float(model.weights @ (model.z**2).sum(axis=1)))
+    return jac, fd, scale
+
+
+class TestAnalyticJacobian:
+    """The survival Jacobian in closed form against differences of the score."""
+
+    @given(sample=st.sampled_from([1, 2]).flatmap(lambda p: survival_samples(p=p)))
+    @example(sample=tied_sample(1))
+    @example(sample=tied_sample(2))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_differences_of_mean_score(self, sample):
+        result = analytic_and_difference_jacobian(sample)
+        if result is None:
+            return
+        jac, fd, scale = result
+        assert jac.shape == fd.shape == (len(sample[1]),) * 2
+        assert rel_diff(jac, fd, scale) <= 1e-6
+
+    @given(sample=survival_samples(p=2))
+    @example(sample=tied_sample(2))
+    @settings(max_examples=40, deadline=None)
+    def test_symmetric(self, sample):
+        result = analytic_and_difference_jacobian(sample)
+        if result is None:
+            return
+        jac, _, scale = result
+        assert rel_diff(jac, jac.T, scale) <= 1e-10
+
+    def test_refused_linear_predictor_raises(self):
+        model = PropOddsModel.from_arrays([1.0, 2.0, 1.5], [1, 0, 1], [60.0, -1.0, 0.5])
+        profile = PropOddsProfile(model)
+        with pytest.raises(NumericOverflow):
+            profile.jacobian(profile.point([1.0]))
+        with pytest.raises(NumericOverflow):
+            profile.score([1.0])
+        assert profile.last_point is None  # a call that raises records nothing
+
+
 def bound_operator_agrees(model, beta, jumps):
     """The fixed-point problem's operator against psi_apply on the step function."""
     out = fixed_point_problem(model, beta).apply(jumps)
@@ -459,8 +524,21 @@ def count_builds(monkeypatch, cls):
     return calls
 
 
+def count_calls(monkeypatch, owner, attr):
+    calls = []
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
 class TestOperatorOverhead:
-    """The fixed-point solve and the derivative bundle stay free of rebuilds."""
+    """The fixed-point solve, the derivative bundle and the fit stay free
+    of rebuilds and of repeated evaluations."""
 
     @pytest.fixture
     def model(self):
@@ -486,6 +564,27 @@ class TestOperatorOverhead:
         workspaces = count_builds(monkeypatch, prop_odds._Workspace)
         profile.score([0.5])
         assert len(workspaces) == 1
+
+    def test_fit_scores_each_candidate_once(self, model, monkeypatch):
+        # the start and each accepted candidate are the only evaluations:
+        # the Jacobian and the information read the accepted point
+        calls = {name: count_calls(monkeypatch, PropOddsProfile, name)
+                 for name in ("score", "mean_score")}
+        differences = count_calls(monkeypatch, prop_odds, "fd_theta")
+        fit = estimator.profile_mle(PropOddsProfile(model), np.zeros(1), force=True)
+        assert fit.iterations >= 2
+        assert len(calls["mean_score"]) == fit.iterations + 1  # no halvings
+        assert len(calls["score"]) == fit.iterations + 1
+        assert differences == []
+
+    def test_information_solves_nothing(self, model, monkeypatch):
+        profile = PropOddsProfile(model)
+        point = profile.point([0.5])
+        solves = count_calls(monkeypatch, prop_odds, "solve_fixed_point")
+        workspaces = count_builds(monkeypatch, prop_odds._Workspace)
+        info, _ = estimator.efficient_information(profile, point)
+        assert info.shape == (1, 1)
+        assert solves == [] and workspaces == []
 
     @given(sample=survival_samples(),
            order=st.permutations(["dot_psi", "ddot_psi", "d_eta_dot"]))
