@@ -25,6 +25,11 @@ ETA_DDOT_TOL = 1e-3
 DF_ETA_TOL = 1e-4
 POPULATION_TOL = 1e-6
 NORM_BOUND_SLACK = 1e-6
+#: Error that ``corrupt`` injects into the named row, relative to the
+#: analytic value (added to the value of a population row, which is itself
+#: an error): a decade above the loosest tolerance, so that a corrupted row
+#: fails by a margin and not by the sign of the audit's own error.
+CORRUPTION = 1e-2
 
 _N_DIRECTIONS = 3
 #: Zero-sum nuisance directions and parameter points of the population audit.
@@ -53,8 +58,8 @@ def rel_err(analytic, reference):
 
 
 def _maybe_corrupt(value, name, corrupt):
-    if corrupt is not None and corrupt == name:
-        return np.asarray(value) * (1.0 + 1e-3)
+    if corrupt == name:
+        return np.asarray(value) * (1.0 + CORRUPTION)
     return value
 
 
@@ -62,6 +67,13 @@ def _row(name, analytic, reference, tol, corrupt):
     """Audit row comparing an analytic value with its difference oracle."""
     analytic = _maybe_corrupt(analytic, name, corrupt)
     return AuditRow(name, rel_err(analytic, reference), tol)
+
+
+def _population_row(name, error, tol, corrupt):
+    """Audit row of an absolute error; corrupting it adds CORRUPTION."""
+    if corrupt == name:
+        error = error + CORRUPTION
+    return AuditRow(name, float(error), tol)
 
 
 def seeded_model(kind, n=20, seed=0):
@@ -242,8 +254,8 @@ def audit_population_prop_odds(seed, corrupt):
     shares with the other population audit.
     """
     check = prop_odds.population_self_consistency()
-    value = _maybe_corrupt(check["sup_error"], "self_consistency", corrupt)
-    return [AuditRow("self_consistency", float(value), POPULATION_TOL)]
+    return [_population_row("self_consistency", check["sup_error"],
+                            POPULATION_TOL, corrupt)]
 
 
 def audit_population_missing_cov(seed, corrupt):
@@ -255,15 +267,15 @@ def audit_population_missing_cov(seed, corrupt):
     rows = []
 
     check = missing_cov.population_self_consistency(pop)
-    value = _maybe_corrupt(check["sup_error"], "self_consistency", corrupt)
-    rows.append(AuditRow("self_consistency", float(value), POPULATION_TOL))
+    rows.append(_population_row("self_consistency", check["sup_error"],
+                                POPULATION_TOL, corrupt))
 
     bound = design.w2 / (1.0 - design.w2)
     norm = estimate_operator_norm(
         missing_cov.dg_psi(pop.model, theta0, pop.g0), "l1"
     )
-    norm = float(_maybe_corrupt(norm, "dg_psi_l1_norm", corrupt))
-    rows.append(AuditRow("dg_psi_l1_norm_excess", norm - bound, NORM_BOUND_SLACK))
+    rows.append(_population_row("dg_psi_l1_norm_excess", norm - bound,
+                                NORM_BOUND_SLACK, corrupt))
 
     def zero_sum_directions():
         dirs = []
@@ -282,13 +294,12 @@ def audit_population_missing_cov(seed, corrupt):
     for th in thetas:
         vals = missing_cov.nuisance_stationarity(pop, th, dirs)
         worst = max(worst, float(np.abs(vals).max()))
-    worst = float(_maybe_corrupt(worst, "nuisance_stationarity", corrupt))
-    rows.append(AuditRow("nuisance_stationarity", worst, POPULATION_TOL))
+    rows.append(_population_row("nuisance_stationarity", worst,
+                                POPULATION_TOL, corrupt))
 
     orth = missing_cov.score_orthogonality(pop, dirs)
-    value = float(np.abs(orth).max())
-    value = float(_maybe_corrupt(value, "score_orthogonality", corrupt))
-    rows.append(AuditRow("score_orthogonality", value, POPULATION_TOL))
+    rows.append(_population_row("score_orthogonality", np.abs(orth).max(),
+                                POPULATION_TOL, corrupt))
     return rows
 
 

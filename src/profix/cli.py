@@ -126,6 +126,8 @@ def cmd_fit(args):
     if config.get("theta0") is not None:
         theta0 = np.asarray(config["theta0"], dtype=float)
 
+    level = float(config.get("level", 0.95))
+    estimator.check_level(level)
     force = bool(config.get("force", False))
     try:
         fit = estimator.profile_mle(
@@ -142,7 +144,6 @@ def cmd_fit(args):
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    level = float(config.get("level", 0.95))
     intervals = estimator.confidence_interval(fit, level)
     payload = fit.to_dict()
     payload["model"] = family.name

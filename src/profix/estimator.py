@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .errors import (
     InvalidInput,
@@ -190,6 +190,8 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
     from the accepted point.  The returned standard errors are
     inverse-information based.
     """
+    if not 0.0 < tol < np.inf:
+        raise InvalidInput("tolerance must be finite and positive")
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     if theta.shape != (profile.dim,):
         raise InvalidInput("starting point does not match the parameter dimension")
@@ -258,13 +260,18 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
     )
 
 
+def check_level(level):
+    """Refuse a confidence level outside (0, 1), NaN included."""
+    if not 0.0 < level < 1.0:
+        raise InvalidInput("level must lie in (0, 1)")
+
+
 def confidence_interval(fit, level=0.95):
     """Per-component normal-theory intervals at the given level."""
     if not fit.converged:
         raise InvalidState("confidence intervals need a converged fit")
-    if not 0.0 < level < 1.0:
-        raise InvalidInput("level must lie in (0, 1)")
-    z = stats.norm.ppf(0.5 * (1.0 + level))
+    check_level(level)
+    z = ndtri(0.5 * (1.0 + level))
     return [
         (float(t - z * s), float(t + z * s))
         for t, s in zip(fit.theta_hat, fit.se)

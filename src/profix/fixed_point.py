@@ -81,7 +81,7 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     :class:`ContractionViolation`; exhausting the iteration budget raises
     :class:`NoConvergence` carrying the best residual.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidInput("tolerance must be positive")
     eta = np.asarray(eta0, dtype=float).copy()
     if eta.shape != (problem.dimension,):

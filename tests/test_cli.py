@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import profix
 from profix import estimator, missing_cov, prop_odds, simulation
 from profix.cli import EXIT_NUMERICAL, EXIT_USAGE, _print_fit_table, main
 
@@ -169,6 +172,27 @@ class TestFit:
         assert row(0.25, -0.01, 0.99) == (
             f"{'beta_1':<12}{0.5:>14.6f}{0.25:>12.6f}{-0.01:>12.6f}{0.99:>12.6f}"
         )
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_invalid_tolerance_exit_1(self, tol, tmp_path, capsys):
+        data = write_ex2_csv(tmp_path / "d.csv")
+        code = main(["fit", "--model", "missing_cov", "--data", str(data),
+                     f"--tol={tol}"])
+        assert code == EXIT_USAGE
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["0", "1", "-0.5", "1.5", "nan"])
+    def test_invalid_level_exit_1_before_fitting(self, level, tmp_path,
+                                                  monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the level was checked")
+
+        monkeypatch.setattr(estimator, "profile_mle", no_fit)
+        data = write_ex2_csv(tmp_path / "d.csv")
+        code = main(["fit", "--model", "missing_cov", "--data", str(data),
+                     f"--level={level}"])
+        assert code == EXIT_USAGE
+        assert "level must lie in (0, 1)" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_1(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -337,3 +361,15 @@ def test_installed_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats is most of the start-up time of every profix process
+    src = str(Path(profix.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, profix, profix.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

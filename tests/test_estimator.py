@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from profix import estimator, missing_cov, prop_odds, simulation
 from profix.errors import (
@@ -74,6 +75,13 @@ class TestProfileMle:
         model = ex2_model(50, 3)
         with pytest.raises(InvalidInput):
             profile_mle(MissingCovProfile(model), np.zeros(2))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tolerance_guard(self, tol):
+        profile = MissingCovProfile(ex2_model(50, 3))
+        with pytest.raises(InvalidInput, match="tolerance"):
+            profile_mle(profile, THETA0, tol=tol)
+        assert profile.last_point is None
 
     def test_prop_odds_fit(self):
         rng = simulation.replication_rng(12, 0)
@@ -223,3 +231,15 @@ class TestConfidenceInterval:
     def test_level_domain(self):
         with pytest.raises(InvalidInput):
             confidence_interval(self._fit(), 1.0)
+
+    @pytest.mark.parametrize("level", [1e-12, 0.5, 0.9, 0.95, 0.99, 1 - 1e-12])
+    def test_bitwise_equal_to_scipy_stats(self, level):
+        fit = estimator.FitResult(
+            theta_hat=np.array([1.0, -0.3, 7.25]), info_hat=np.eye(3),
+            se=np.array([0.1, 2.5e-3, 3.0]), iterations=3, converged=True,
+            score_norm=0.0, n=100,
+        )
+        z = stats.norm.ppf(0.5 * (1.0 + level))
+        expected = [(float(t - z * s), float(t + z * s))
+                    for t, s in zip(fit.theta_hat, fit.se)]
+        assert confidence_interval(fit, level) == expected

@@ -69,6 +69,8 @@ class TestSolveFixedPoint:
             solve_fixed_point(problem, np.zeros(2))
         with pytest.raises(InvalidInput):
             solve_fixed_point(problem, np.zeros(1), tol=-1.0)
+        with pytest.raises(InvalidInput):
+            solve_fixed_point(problem, np.zeros(1), tol=np.nan)
 
     def test_diagnostics_json_ready(self):
         import json

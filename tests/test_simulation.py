@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from profix import missing_cov, prop_odds, simulation
 from profix.errors import HarnessAlarm, InvalidConfig
 from profix.simulation import (
+    Z95,
     SimConfig,
+    _ks_normal,
     gen_missing_cov,
     gen_prop_odds,
     monte_carlo,
@@ -106,6 +111,12 @@ class TestSimConfig:
         with pytest.raises(InvalidConfig):
             SimConfig(model="missing_cov", n=100, replications=0)
 
+    @pytest.mark.parametrize("key", ["fit_tol", "solver_tol"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tolerance_validation(self, key, tol):
+        with pytest.raises(InvalidConfig, match=key):
+            SimConfig(model="missing_cov", n=100, replications=1, **{key: tol})
+
 
 class TestMonteCarlo:
     def test_single_replication(self):
@@ -165,3 +176,28 @@ class TestMonteCarlo:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("replication,converged,error")
+
+
+class TestNormalTheory:
+    """The scipy.special forms equal scipy.stats' normal quantile and KS
+    statistic bitwise."""
+
+    def test_z95(self):
+        assert Z95 == stats.norm.ppf(0.975)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.floats(-40.0, 40.0),
+            st.sampled_from([0.0, -1.5, 1.5, 40.0, -40.0]),
+        ),
+        min_size=1, max_size=300,
+    ))
+    @example([0.0])
+    @example([40.0])
+    @example([-40.0, -40.0, 40.0])
+    @example([1.5] * 300)
+    def test_ks_statistic(self, values):
+        x = np.array(values)
+        expected = stats.kstest(x, "norm").statistic
+        assert _ks_normal(x) == expected
