@@ -39,7 +39,6 @@ from .measures import (
     StepFunction,
     TwoSampleMeasure,
     empirical_from_sample,
-    mix_path,
 )
 from .numdiff import FdConfig, fd_path, fd_theta
 from .simulation import McReport, SimConfig, gen_missing_cov, gen_prop_odds, monte_carlo
@@ -82,7 +81,6 @@ __all__ = [
     "fd_theta",
     "gen_missing_cov",
     "gen_prop_odds",
-    "mix_path",
     "monte_carlo",
     "profile_mle",
     "resolvent_apply",

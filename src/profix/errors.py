@@ -13,10 +13,6 @@ class InvalidConfig(ProfixError):
     """A configuration object or file is malformed or inconsistent."""
 
 
-class InvalidState(ProfixError):
-    """An operation was requested on an object in the wrong state."""
-
-
 class NumericOverflow(ProfixError):
     """A linear predictor is too large to exponentiate safely."""
 

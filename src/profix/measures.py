@@ -14,7 +14,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInput
 
@@ -104,11 +103,6 @@ class EmpiricalMeasure:
     def total_mass(self):
         return float(self.weights.sum())
 
-    def expectation(self, values):
-        """Weighted sum of per-atom values (integral against the measure)."""
-        values = np.asarray(values, dtype=float)
-        return values.T @ self.weights
-
     def scaled(self, factor):
         if factor < 0:
             raise InvalidInput("scale factor must be nonnegative")
@@ -142,32 +136,11 @@ def empirical_from_sample(points, weights=None):
     return EmpiricalMeasure(points, weights)
 
 
-def mix_path(F, G, t):
-    """Point on the straight-line path (1 - t) F + t G.
-
-    The endpoints are returned exactly; interior points live on the union
-    of the two supports.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise InvalidInput(f"path parameter t={t} outside [0, 1]")
-    if t == 0.0:
-        return EmpiricalMeasure(F.points, F.weights)
-    if t == 1.0:
-        return EmpiricalMeasure(G.points, G.weights)
-    if F.points.ndim != G.points.ndim:
-        raise InvalidInput("measures live on different sample spaces")
-    points = np.concatenate([F.points, G.points])
-    weights = np.concatenate([(1.0 - t) * F.weights, t * G.weights])
-    return EmpiricalMeasure(points, weights)
-
-
 @dataclass(frozen=True)
 class TwoSampleMeasure:
     """A measure split into a complete-case and an incomplete-case part.
 
-    The two components are sub-measures whose masses w1 and w2 add to one;
-    projecting the combined measure onto sample s returns component s
-    exactly.
+    The two components are sub-measures whose masses w1 and w2 add to one.
     """
 
     complete: EmpiricalMeasure
@@ -187,13 +160,6 @@ class TwoSampleMeasure:
     @property
     def w2(self):
         return self.incomplete.total_mass
-
-    def project(self, s):
-        if s == 1:
-            return self.complete
-        if s == 2:
-            return self.incomplete
-        raise InvalidInput("sample index must be 1 or 2")
 
 
 def _cumulative_at(jump_times, cumulative, u):
@@ -355,14 +321,6 @@ class PerturbationDirection:
             self.norm = float(np.abs(coeffs).max()) if len(coeffs) else 0.0
         _freeze(self.grid, self.coeffs)
 
-    @classmethod
-    def of_jumps(cls, step, dsizes):
-        return cls("jumps", step.jump_times, dsizes)
-
-    @classmethod
-    def of_masses(cls, density, dmasses):
-        return cls("masses", density.support, dmasses)
-
     def scaled(self, factor):
         return PerturbationDirection(self.kind, self.grid, self.coeffs * factor)
 
@@ -376,14 +334,6 @@ class LinearMap:
             raise InvalidInput("linear map needs a 2-d matrix")
         self.matrix = matrix
         _freeze(self.matrix)
-
-    @property
-    def domain_dim(self):
-        return self.matrix.shape[1]
-
-    @property
-    def codomain_dim(self):
-        return self.matrix.shape[0]
 
     def apply(self, vec):
         return self.matrix @ np.asarray(vec, dtype=float)
@@ -452,6 +402,8 @@ class MaxIndexMap:
             raise InvalidInput("right-hand side dimension mismatch")
         if m == 0:
             return rhs.copy()
+        import scipy.linalg  # here: a mixture process never needs it
+
         t = s - np.append(s[1:], 0.0)
         bands = np.zeros((5, 2 * m))
         bands[0, 3::2] = -1.0  # y_i - y_{i+1}

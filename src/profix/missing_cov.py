@@ -94,18 +94,21 @@ class NormalRegression(ConditionalDensity):
     def d2theta(self, y, x, theta):
         sigma, r, s = self._log_score(y, x, theta)
         x = np.asarray(x, dtype=float)
-        h00 = -1.0 / sigma**2
-        h01 = -x / sigma**2
-        h02 = -2.0 * r / sigma
-        h11 = -(x * x) / sigma**2
-        h12 = -2.0 * r * x / sigma
-        h22 = -2.0 * r * r
-        rows = [[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]]
-        hess = np.stack(
-            [np.stack(np.broadcast_arrays(*row)) for row in rows]
-        )
-        outer = np.einsum("a...,b...->ab...", s, s)
-        return self.density(y, x, theta) * (outer + hess)
+        hess = {
+            (0, 0): -1.0 / sigma**2,
+            (0, 1): -x / sigma**2,
+            (0, 2): -2.0 * r / sigma,
+            (1, 1): -(x * x) / sigma**2,
+            (1, 2): -2.0 * r * x / sigma,
+            (2, 2): -2.0 * r * r,
+        }
+        # filled pair by pair: full-size outer-product and Hessian temporaries
+        # tripled the allocation, which glibc then returns and faults back in
+        f = self.density(y, x, theta)
+        out = np.empty((3, 3) + f.shape)
+        for (a, b), h in hess.items():
+            out[a, b] = out[b, a] = f * (s[a] * s[b] + h)
+        return out
 
     def outcome_interval(self, x, theta, span=8.0):
         mu = theta[0] + theta[1] * float(x)

@@ -224,11 +224,6 @@ def psi_apply(model, beta, A, F=None):
     return model.jumps_to_step(_operator(model, beta, F).jumps_at(AU[model._order]))
 
 
-def psi_jumps(model, beta, jumps, F=None):
-    """Operator in jump coordinates."""
-    return _operator(model, beta, F)(jumps)
-
-
 def fixed_point_problem(model, beta, F=None):
     return FixedPointProblem(_operator(model, beta, F), model.n_events, norm_kind="sup")
 
@@ -598,12 +593,6 @@ class PropOddsDesign:
             return cum[np.searchsorted(times, t, side="right")]
         return self.baseline_rate * t
 
-    def baseline_step(self):
-        """The true baseline as a step function on [0, tau] (step designs)."""
-        if not self.is_step:
-            raise InvalidInput("the linear design has no exact step representation")
-        return StepFunction(self.baseline_times, self.baseline_jumps, self.tau)
-
 
 class _PopulationLaw:
     """Joint densities of (u, delta) given the covariate under a linear design."""
@@ -648,35 +637,6 @@ class _PopulationLaw:
                              self.design.censor_atom)
         surv_t = 1.0 / (1.0 + q * rate * tau)
         return p_atom * surv_t * q / (1.0 + q * rate * tau)
-
-
-def population_records(design):
-    """Exact population atom table for a step-baseline design with C = tau.
-
-    Returns a model whose weights are the exact joint probabilities, so
-    every empirical operation doubles as its population version.
-    """
-    design.validate()
-    if not design.is_step:
-        raise InvalidInput("exact enumeration needs a step baseline")
-    if design.censor_atom < 1.0:
-        raise InvalidInput("exact enumeration needs censoring at tau only")
-    beta0 = np.atleast_1d(np.asarray(design.beta0, dtype=float))
-    times = np.asarray(design.baseline_times, dtype=float)
-    cum = np.cumsum(design.baseline_jumps)
-    rows, weights = [], []
-    for z_val, pz in zip(design.covariate_values, design.covariate_probs):
-        q = float(np.exp(np.atleast_1d(z_val) @ beta0))
-        surv = 1.0 / (1.0 + q * cum)
-        prev = np.concatenate([[1.0], surv[:-1]])
-        mass = prev - surv
-        for t, m in zip(times, mass):
-            rows.append([t, 1.0, z_val])
-            weights.append(pz * m)
-        rows.append([design.tau, 0.0, z_val])
-        weights.append(pz * surv[-1])
-    measure = EmpiricalMeasure(np.asarray(rows), np.asarray(weights))
-    return PropOddsModel(measure, tau=design.tau)
 
 
 def population_self_consistency(design=None, cells=2000, order=5):

@@ -17,12 +17,97 @@ from profix.measures import (
     GridDensity,
     LinearMap,
     PerturbationDirection,
+    StepFunction,
     gauss_legendre_grid,
-    mix_path,
 )
 from profix import prop_odds
 from profix.missing_cov import NormalRegression
-from profix.prop_odds import LINPRED_BOUND
+from profix.prop_odds import LINPRED_BOUND, PropOddsModel
+
+
+def expectation(measure, values):
+    """Weighted sum of per-atom values (integral against the measure)."""
+    values = np.asarray(values, dtype=float)
+    return values.T @ measure.weights
+
+
+def mix_path(F, G, t):
+    """Point on the straight-line path (1 - t) F + t G.
+
+    The endpoints are returned exactly; interior points live on the union
+    of the two supports.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise InvalidInput(f"path parameter t={t} outside [0, 1]")
+    if t == 0.0:
+        return EmpiricalMeasure(F.points, F.weights)
+    if t == 1.0:
+        return EmpiricalMeasure(G.points, G.weights)
+    if F.points.ndim != G.points.ndim:
+        raise InvalidInput("measures live on different sample spaces")
+    points = np.concatenate([F.points, G.points])
+    weights = np.concatenate([(1.0 - t) * F.weights, t * G.weights])
+    return EmpiricalMeasure(points, weights)
+
+
+def project(two_sample, s):
+    """Component s (1 complete, 2 incomplete) of a two-sample measure."""
+    if s == 1:
+        return two_sample.complete
+    if s == 2:
+        return two_sample.incomplete
+    raise InvalidInput("sample index must be 1 or 2")
+
+
+def jumps_direction(step, dsizes):
+    """Direction of signed jump sizes over a step function's grid."""
+    return PerturbationDirection("jumps", step.jump_times, dsizes)
+
+
+def masses_direction(density, dmasses):
+    """Direction of signed masses over a density's support."""
+    return PerturbationDirection("masses", density.support, dmasses)
+
+
+def psi_jumps(model, beta, jumps, F=None):
+    """The survival self-consistency operator in jump coordinates."""
+    return prop_odds.fixed_point_problem(model, beta, F).apply(jumps)
+
+
+def baseline_step(design):
+    """The true baseline of a step design as a step function on [0, tau]."""
+    if not design.is_step:
+        raise InvalidInput("the linear design has no exact step representation")
+    return StepFunction(design.baseline_times, design.baseline_jumps, design.tau)
+
+
+def population_records(design):
+    """Exact population atom table for a step-baseline design with C = tau.
+
+    Returns a model whose weights are the exact joint probabilities, so
+    every empirical operation doubles as its population version.
+    """
+    design.validate()
+    if not design.is_step:
+        raise InvalidInput("exact enumeration needs a step baseline")
+    if design.censor_atom < 1.0:
+        raise InvalidInput("exact enumeration needs censoring at tau only")
+    beta0 = np.atleast_1d(np.asarray(design.beta0, dtype=float))
+    times = np.asarray(design.baseline_times, dtype=float)
+    cum = np.cumsum(design.baseline_jumps)
+    rows, weights = [], []
+    for z_val, pz in zip(design.covariate_values, design.covariate_probs):
+        q = float(np.exp(np.atleast_1d(z_val) @ beta0))
+        surv = 1.0 / (1.0 + q * cum)
+        prev = np.concatenate([[1.0], surv[:-1]])
+        mass = prev - surv
+        for t, m in zip(times, mass):
+            rows.append([t, 1.0, z_val])
+            weights.append(pz * m)
+        rows.append([design.tau, 0.0, z_val])
+        weights.append(pz * surv[-1])
+    measure = EmpiricalMeasure(np.asarray(rows), np.asarray(weights))
+    return PropOddsModel(measure, tau=design.tau)
 
 
 def step_value(times, sizes, u):

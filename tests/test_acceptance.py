@@ -14,6 +14,8 @@ from profix import audits, cli, estimator, missing_cov, prop_odds, simulation
 from profix.fixed_point import estimate_operator_norm, vector_norm
 from profix.measures import StepFunction
 
+from reference import population_records, psi_jumps
+
 
 def report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}  {detail}")
@@ -34,7 +36,7 @@ class TestCriterion1FixedPointResiduals:
         sol1 = prop_odds.solve_nuisance(model1, [0.5], tol=2e-12)
         dt1 = time.time() - t0
         res1 = vector_norm(
-            prop_odds.psi_jumps(model1, [0.5], sol1.eta) - sol1.eta, "sup"
+            psi_jumps(model1, [0.5], sol1.eta) - sol1.eta, "sup"
         )
         ok &= res1 < 1e-10 and dt1 < 1.0
         details.append(f"survival sup residual {res1:.2e} in {dt1:.3f}s")
@@ -46,7 +48,7 @@ class TestCriterion1FixedPointResiduals:
         sol1b = prop_odds.solve_nuisance(model1b, [0.5], tol=2e-12)
         dt1b = time.time() - t0
         res1b = vector_norm(
-            prop_odds.psi_jumps(model1b, [0.5], sol1b.eta) - sol1b.eta, "sup"
+            psi_jumps(model1b, [0.5], sol1b.eta) - sol1b.eta, "sup"
         )
         ok &= res1b < 1e-10 and dt1b < 1.0
         details.append(f"survival(linear) sup {res1b:.2e} in {dt1b:.3f}s")
@@ -138,7 +140,7 @@ class TestCriterion4ContractionInstances:
         design = prop_odds.PropOddsDesign()
         beta0 = np.asarray(design.beta0)
 
-        pop = prop_odds.population_records(design)
+        pop = population_records(design)
         sol = prop_odds.solve_nuisance(pop, beta0)
         A = pop.jumps_to_step(sol.eta)
         rep_pop = prop_odds.check_variance_condition(pop, beta0, A)

@@ -44,7 +44,7 @@ class TestFit:
                      "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["converged"] is True
+        assert "converged" not in payload
         assert len(payload["theta_hat"]) == 3
         assert "g_masses" in payload["nuisance"]
         table = capsys.readouterr().out
@@ -162,7 +162,7 @@ class TestFit:
         def row(se, lo, hi):
             fit = estimator.FitResult(
                 theta_hat=np.array([0.5]), info_hat=np.eye(1), se=np.array([se]),
-                iterations=1, converged=True, score_norm=0.0, n=10,
+                iterations=1, score_norm=0.0, n=10,
             )
             _print_fit_table(fit, [(lo, hi)], ["beta_1"])
             return capsys.readouterr().out.splitlines()[1]
@@ -363,13 +363,46 @@ def test_installed_entry_point(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def test_import_leaves_out_scipy_stats():
-    # scipy.stats is most of the start-up time of every profix process
+def run_fresh(code):
+    """Standard output of code run in a fresh interpreter on this profix."""
     src = str(Path(profix.__file__).parents[1])
     result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, profix, profix.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.split()
+
+
+LOADED = "print(*(m in sys.modules for m in ('scipy.linalg', 'scipy.special')))"
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats is most of the start-up time of every profix process, and
+    # scipy.linalg and scipy.special most of what is left
+    code = ("import sys, profix, profix.cli; "
+            "print('scipy.stats' in sys.modules); " + LOADED)
+    assert run_fresh(code) == ["False", "False", "False"]
+
+
+def test_scipy_loads_where_it_is_called():
+    # a mixture replication forms no interval and solves no banded system;
+    # a survival fit's interval and a KS statistic then load what they need
+    code = f"""
+import sys
+import numpy as np
+from profix import estimator, prop_odds, simulation
+config = simulation.SimConfig(model="missing_cov", n=200, replications=1)
+assert simulation.run_replication(config, 0).converged
+{LOADED}
+rng = simulation.replication_rng(3, 0)
+model = prop_odds.PropOddsModel.from_arrays(
+    *simulation.gen_prop_odds(prop_odds.LINEAR_DESIGN, 200, rng))
+fit = estimator.profile_mle(prop_odds.PropOddsProfile(model), np.zeros(1),
+                            force=True)
+(lo, hi), = estimator.confidence_interval(fit)
+assert lo < fit.theta_hat[0] < hi
+assert 0.0 < simulation._ks_normal(rng.standard_normal(50)) < 1.0
+{LOADED}
+"""
+    assert run_fresh(code) == ["False", "False", "True", "True"]

@@ -5,7 +5,6 @@ from scipy import stats
 from profix import estimator, missing_cov, prop_odds, simulation
 from profix.errors import (
     InvalidInput,
-    InvalidState,
     NoConvergence,
     RiskSetEmpty,
     SingularInformation,
@@ -35,7 +34,6 @@ class TestProfileMle:
     def test_example2_run_record(self):
         model = ex2_model(500, 1)
         fit = profile_mle(MissingCovProfile(model), THETA0)
-        assert fit.converged
         assert fit.score_norm < 1e-8
         assert np.abs(fit.theta_hat - THETA0).max() < 0.2
 
@@ -89,7 +87,7 @@ class TestProfileMle:
         u, delta, z = simulation.gen_prop_odds(design, 400, rng)
         model = prop_odds.PropOddsModel.from_arrays(u, delta, z)
         fit = profile_mle(prop_odds.PropOddsProfile(model), np.array([0.0]))
-        assert fit.converged and fit.score_norm < 1e-8
+        assert fit.score_norm < 1e-8
 
     def test_jacobian_agreement_at_the_estimate(self):
         from profix.numdiff import FdConfig, fd_theta
@@ -208,7 +206,6 @@ class TestConfidenceInterval:
             info_hat=np.eye(1),
             se=np.array([se]),
             iterations=3,
-            converged=True,
             score_norm=0.0,
             n=100,
         )
@@ -222,12 +219,6 @@ class TestConfidenceInterval:
         lo, hi = confidence_interval(self._fit(), 1e-12)[0]
         assert hi - lo < 1e-10
 
-    def test_needs_convergence(self):
-        fit = self._fit()
-        fit.converged = False
-        with pytest.raises(InvalidState):
-            confidence_interval(fit)
-
     def test_level_domain(self):
         with pytest.raises(InvalidInput):
             confidence_interval(self._fit(), 1.0)
@@ -236,8 +227,8 @@ class TestConfidenceInterval:
     def test_bitwise_equal_to_scipy_stats(self, level):
         fit = estimator.FitResult(
             theta_hat=np.array([1.0, -0.3, 7.25]), info_hat=np.eye(3),
-            se=np.array([0.1, 2.5e-3, 3.0]), iterations=3, converged=True,
-            score_norm=0.0, n=100,
+            se=np.array([0.1, 2.5e-3, 3.0]), iterations=3, score_norm=0.0,
+            n=100,
         )
         z = stats.norm.ppf(0.5 * (1.0 + level))
         expected = [(float(t - z * s), float(t + z * s))

@@ -17,6 +17,8 @@ from profix.simulation import (
     run_replication,
 )
 
+from reference import baseline_step
+
 
 class TestGenPropOdds:
     def test_survival_shape_at_beta_zero(self):
@@ -53,12 +55,12 @@ class TestGenPropOdds:
         step = prop_odds.PropOddsDesign()
         assert step.baseline(1.2) == pytest.approx(0.05 + 0.12)
         assert step.baseline(0.1) == 0.0
-        truth = step.baseline_step()
+        truth = baseline_step(step)
         assert truth(1.2) == pytest.approx(step.baseline(1.2))
         linear = prop_odds.LINEAR_DESIGN
         assert linear.baseline(0.7) == pytest.approx(0.7)
         with pytest.raises(Exception):
-            linear.baseline_step()
+            baseline_step(linear)
 
     def test_invalid_baseline(self):
         with pytest.raises(InvalidConfig):
