@@ -4,18 +4,20 @@ The parameter estimate solves the estimating equation "mean profiled
 score equals zero" by a damped Newton iteration; the asymptotic variance
 is the inverse of the averaged outer product of the per-record scores.
 Model specifics enter through a profile object exposing dim, n, weights,
-score, mean_score, jacobian, precheck and last_point: each score call
-records the :class:`Point` it evaluated, and the Newton Jacobian and the
-information read the accepted point instead of solving again.  Both model
-families build theirs on :class:`Profile`, and describe themselves to the
-command line, the Monte Carlo harness and the audits through one
-:class:`Family` record each.
+score, mean_score, jacobian, precheck, last_point and the solve counters
+solves and solve_iterations: each score call records the :class:`Point`
+it evaluated, and the Newton Jacobian and the information read the
+accepted point instead of solving again.  Both model families build
+theirs on :class:`Profile`, and describe themselves to the command line,
+the Monte Carlo harness and the audits through one :class:`Family`
+record each.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -27,7 +29,7 @@ from .errors import (
     SingularInformation,
     SingularJacobian,
 )
-from .implicit_diff import dtheta_eta
+from .implicit_diff import d2theta_eta, dtheta_eta
 
 #: Condition number beyond which the information matrix is declared singular.
 INFO_COND_LIMIT = 1e10
@@ -74,7 +76,9 @@ class Family:
 class Point:
     """One evaluation of a profile at theta: the nuisance fixed point's
     ``FixedPointSolution``, the operator's derivative bundle there, the
-    fixed point's implicit derivative eta_dot and the per-record scores."""
+    fixed point's implicit derivative eta_dot and the per-record scores.
+    The second implicit derivative eta_ddot is computed on first read and
+    kept."""
 
     theta: np.ndarray
     solution: object
@@ -82,17 +86,22 @@ class Point:
     eta_dot: np.ndarray
     scores: np.ndarray
 
+    @cached_property
+    def eta_ddot(self):
+        return d2theta_eta(self.derivs, self.eta_dot)
+
 
 class Profile:
     """Profile-likelihood view of a sample: the nuisance solved per parameter.
 
-    :meth:`point` solves the family's nuisance fixed point at a parameter,
-    warm-started from the previous solve, and evaluates the scores there;
-    score returns them and records the point as last_point, from which
-    jacobian reads.  A family's subclass sets ``solve_nuisance`` to its
-    module's solver, defines ``derivatives`` (its bundle at a fixed point)
-    and ``point_scores``, and defines score, mean_score, jacobian and
-    precheck in its own body.
+    :meth:`point` solves the family's nuisance fixed point at a parameter
+    and evaluates the scores there, recording the point as last_point, from
+    which jacobian reads.  Each solve starts from the Taylor prediction off
+    last_point (see :meth:`start`); each completed solve adds one to
+    ``solves`` and its iterations to ``solve_iterations``.  A family's subclass sets ``solve_nuisance`` to
+    its module's solver, defines ``derivatives`` (its bundle at a fixed
+    point) and ``point_scores``, and defines score, mean_score, jacobian
+    and precheck in its own body.
     """
 
     def __init__(self, model, F=None, solver_tol=1e-10, solver_max_iter=10_000):
@@ -100,8 +109,9 @@ class Profile:
         self.weights = model.resolve_weights(F)
         self.solver_tol = solver_tol
         self.solver_max_iter = solver_max_iter
-        self._warm = None
         self.last_point = None
+        self.solves = 0
+        self.solve_iterations = 0
 
     @property
     def dim(self):
@@ -111,22 +121,49 @@ class Profile:
     def n(self):
         return self.model.n_obs
 
+    def start(self, theta):
+        """Starting nuisance of the solve at theta, None for the family's own.
+
+        The nuisance is differentiable in theta, so from last_point the start
+        is eta + D eta_dot + D' eta_ddot D / 2 with D = theta - point.theta;
+        the second-order term enters only where the point's eta_ddot has
+        already been computed, as it has for a Newton step's accepted point.
+        A prediction with a negative or non-finite entry, which the
+        operator would refuse, falls back to the point's eta.
+        """
+        point = self.last_point
+        if point is None:
+            return None
+        eta = point.solution.eta
+        delta = theta - point.theta
+        guess = eta + delta @ point.eta_dot
+        eta_ddot = point.__dict__.get("eta_ddot")  # cached_property's slot
+        if eta_ddot is not None:
+            guess += 0.5 * np.einsum("j,k,jkm->m", delta, delta, eta_ddot)
+        if not np.all(np.isfinite(guess)) or np.any(guess < 0.0):
+            return eta
+        return guess
+
     def solve(self, theta):
         sol = self.solve_nuisance(
             self.model, theta, self.weights,
-            tol=self.solver_tol, max_iter=self.solver_max_iter, eta0=self._warm,
+            tol=self.solver_tol, max_iter=self.solver_max_iter,
+            eta0=self.start(theta),
         )
-        self._warm = sol.eta
+        self.solves += 1
+        self.solve_iterations += sol.iterations
         return sol
 
     def point(self, theta):
-        """Solve at theta and evaluate the :class:`Point` there."""
+        """Solve at theta, evaluate the :class:`Point` there and record it
+        as last_point; a failed evaluation leaves last_point as it was."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         solution = self.solve(theta)
         derivs = self.derivatives(theta, solution.eta)
         eta_dot = dtheta_eta(derivs)
         scores = self.point_scores(theta, solution.eta, derivs, eta_dot)
-        return Point(theta, solution, derivs, eta_dot, scores)
+        self.last_point = Point(theta, solution, derivs, eta_dot, scores)
+        return self.last_point
 
 
 @dataclass
@@ -184,13 +221,16 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
     accepts only candidates that reduce the sup norm of the mean score, and
     the Jacobian of each step and the information at the estimate are read
     from the accepted point.  The returned standard errors are
-    inverse-information based.
+    inverse-information based.  The diagnostics hold the nuisance solve at
+    the estimate and, under "nuisance_solves", the count and total
+    iterations of every nuisance solve of the fit.
     """
     if not 0.0 < tol < np.inf:
         raise InvalidInput("tolerance must be finite and positive")
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     if theta.shape != (profile.dim,):
         raise InvalidInput("starting point does not match the parameter dimension")
+    solves, solve_iterations = profile.solves, profile.solve_iterations
     if not force:
         profile.precheck(theta)
 
@@ -251,7 +291,13 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
         score_norm=norm,
         n=profile.n,
         info_condition=cond,
-        diagnostics={"nuisance": nuisance},
+        diagnostics={
+            "nuisance": nuisance,
+            "nuisance_solves": {
+                "count": profile.solves - solves,
+                "iterations": profile.solve_iterations - solve_iterations,
+            },
+        },
     )
 
 

@@ -74,9 +74,11 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     """Iterate eta <- Psi(eta) until the residual norm drops below tol.
 
     The contraction estimate is the largest ratio of successive difference
-    norms seen over the run; a warm start can make an early ratio exceed
-    one in a run that converges.  The tail contraction, the geometric mean
-    of the last (at most three) ratios, is the rate near the fixed point.
+    norms seen over the run, the residual taken as the difference after
+    the last; a warm start can make an early ratio exceed one in a run that
+    converges.  The tail contraction, the geometric mean of the last (at
+    most three) ratios, is the rate near the fixed point.  A run whose
+    first difference is zero has no ratio and reports 0.0 for both.
     Ten consecutive ratios at or above one abort the run with
     :class:`ContractionViolation`; exhausting the iteration budget raises
     :class:`NoConvergence` carrying the best residual.
@@ -114,6 +116,8 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         if diff <= tol:
             eta = nxt
             residual = vector_norm(problem.apply(eta) - eta, norm)
+            if diff > 0.0:
+                ratios.append(residual / diff)
             return FixedPointSolution(
                 eta=eta,
                 residual=residual,

@@ -103,11 +103,6 @@ class EmpiricalMeasure:
     def total_mass(self):
         return float(self.weights.sum())
 
-    def scaled(self, factor):
-        if factor < 0:
-            raise InvalidInput("scale factor must be nonnegative")
-        return EmpiricalMeasure(self.points, self.weights * factor)
-
     def __repr__(self):
         return (
             f"EmpiricalMeasure(n={len(self)}, total_mass={self.total_mass:.6g})"
@@ -293,36 +288,20 @@ class GridDensity:
 
 
 class PerturbationDirection:
-    """Signed coefficients shape-matched to the object they perturb.
+    """Signed atom weights over a fixed atom table: a direction in which to
+    perturb a measure, with its total variation as norm."""
 
-    kind "measure" carries signed atom weights over a fixed atom table,
-    kind "jumps" signed jump sizes over a step function's grid, and kind
-    "masses" signed masses over a density's support.
-    """
-
-    KINDS = ("measure", "jumps", "masses")
-
-    def __init__(self, kind, grid, coeffs):
-        if kind not in self.KINDS:
-            raise InvalidInput(f"unknown direction kind {kind!r}")
+    def __init__(self, grid, coeffs):
         grid = np.array(grid, dtype=float)
         coeffs = np.array(coeffs, dtype=float)
         if len(coeffs) != len(grid):
             raise InvalidInput("coefficients must match the base grid")
         if not np.all(np.isfinite(coeffs)):
             raise InvalidInput("non-finite direction coefficient")
-        self.kind = kind
         self.grid = grid
         self.coeffs = coeffs
-        # total variation for measures, uniform norm for function directions
-        if kind == "measure":
-            self.norm = float(np.abs(coeffs).sum())
-        else:
-            self.norm = float(np.abs(coeffs).max()) if len(coeffs) else 0.0
+        self.norm = float(np.abs(coeffs).sum())
         _freeze(self.grid, self.coeffs)
-
-    def scaled(self, factor):
-        return PerturbationDirection(self.kind, self.grid, self.coeffs * factor)
 
 
 class LinearMap:
@@ -507,8 +486,6 @@ class RecordTable:
     def resolve_direction(self, h):
         """Signed weight vector over the record table for a perturbation."""
         if isinstance(h, PerturbationDirection):
-            if h.kind != "measure":
-                raise InvalidInput("need a measure-kind direction")
             if not np.array_equal(h.grid, self.points):
                 raise InvalidInput("direction atoms do not match the model records")
             return h.coeffs

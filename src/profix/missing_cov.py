@@ -577,8 +577,7 @@ class MissingCovProfile(Profile):
                                derivs=derivs, eta_dot=eta_dot)
 
     def score(self, theta):
-        self.last_point = self.point(theta)
-        return self.last_point.scores
+        return self.point(theta).scores
 
     def mean_score(self, theta):
         return self.score(theta).T @ self.weights
@@ -587,7 +586,7 @@ class MissingCovProfile(Profile):
         """Jacobian of the mean score at a point, from its bundle."""
         per_record = score_jacobian(
             self.model, point.theta, self.weights,
-            derivs=point.derivs, eta_dot=point.eta_dot,
+            derivs=point.derivs, eta_dot=point.eta_dot, eta_ddot=point.eta_ddot,
         )
         return np.einsum("i,iab->ab", self.weights, per_record)
 

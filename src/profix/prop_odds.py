@@ -26,7 +26,7 @@ from .errors import (
 )
 from .estimator import Family, Profile
 from .fixed_point import FixedPointProblem, solve_fixed_point
-from .implicit_diff import PsiDerivatives, d2theta_eta
+from .implicit_diff import PsiDerivatives
 from .measures import (
     BilinearMap,
     EmpiricalMeasure,
@@ -475,8 +475,7 @@ class PropOddsProfile(Profile):
         return score.T
 
     def score(self, beta):
-        self.last_point = self.point(beta)
-        return self.last_point.scores
+        return self.point(beta).scores
 
     def mean_score(self, beta):
         return self.score(beta).T @ self.weights
@@ -485,8 +484,7 @@ class PropOddsProfile(Profile):
         """Jacobian of the mean score at a point: rows are score components,
         columns coefficient components."""
         model, ws, w = self.model, point.derivs.workspace, self.weights
-        jump_dot = point.eta_dot
-        jump_ddot = d2theta_eta(point.derivs, jump_dot)
+        jump_dot, jump_ddot = point.eta_dot, point.eta_ddot
         rows, slot = model._event_rows, model._event_row_slot
         # an event time without event mass has zero J, J' and J''
         safe = np.where(point.solution.eta > 0, point.solution.eta, 1.0)[slot]
@@ -506,8 +504,10 @@ class PropOddsProfile(Profile):
         return events - hazard
 
     def precheck(self, beta):
-        """Solve at beta and verify the contraction prerequisites."""
-        A = self.model.jumps_to_step(self.solve(beta).eta)
+        """Verify the contraction prerequisites at beta's point, from which
+        the fit's first score then starts."""
+        point = self.point(beta)
+        A = self.model.jumps_to_step(point.solution.eta)
         report = check_variance_condition(self.model, beta, A, self.weights)
         norm = da_psi_sup_norm(self.model, beta, A, self.weights)
         if not report.satisfied or norm >= 1.0:

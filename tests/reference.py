@@ -21,8 +21,8 @@ from profix.measures import (
     gauss_legendre_grid,
 )
 from profix import prop_odds
-from profix.missing_cov import NormalRegression
-from profix.prop_odds import LINPRED_BOUND, PropOddsModel
+from profix.missing_cov import MissingCovProfile, NormalRegression
+from profix.prop_odds import LINPRED_BOUND, PropOddsModel, PropOddsProfile
 
 
 def expectation(measure, values):
@@ -57,16 +57,6 @@ def project(two_sample, s):
     if s == 2:
         return two_sample.incomplete
     raise InvalidInput("sample index must be 1 or 2")
-
-
-def jumps_direction(step, dsizes):
-    """Direction of signed jump sizes over a step function's grid."""
-    return PerturbationDirection("jumps", step.jump_times, dsizes)
-
-
-def masses_direction(density, dmasses):
-    """Direction of signed masses over a density's support."""
-    return PerturbationDirection("masses", density.support, dmasses)
 
 
 def psi_jumps(model, beta, jumps, F=None):
@@ -385,5 +375,21 @@ def direction_between(F, G):
                 signed[index[row.tobytes()]] += sign * weight
             except KeyError:
                 raise InvalidInput("atom lookup failed; support mismatch")
-    return PerturbationDirection("measure", union.points, signed)
+    return PerturbationDirection(union.points, signed)
 
+
+class PlainWarmStart:
+    """Profile mixin: start each nuisance solve from the last point's eta,
+    ignoring the derivatives of the nuisance in the parameter."""
+
+    def start(self, theta):
+        point = self.last_point
+        return None if point is None else point.solution.eta
+
+
+class PlainPropOddsProfile(PlainWarmStart, PropOddsProfile):
+    pass
+
+
+class PlainMissingCovProfile(PlainWarmStart, MissingCovProfile):
+    pass

@@ -18,7 +18,11 @@ from profix.estimator import (
 from profix.fixed_point import FixedPointSolution
 from profix.missing_cov import MissingCovModel, MissingCovProfile, NormalRegression
 
-from reference import normal_fisher_information
+from reference import (
+    PlainMissingCovProfile,
+    PlainPropOddsProfile,
+    normal_fisher_information,
+)
 
 THETA0 = np.array([0.0, 1.0, 0.0])
 
@@ -28,6 +32,12 @@ def ex2_model(n, seed, design=None):
     design = design or missing_cov.MissingCovDesign()
     r, y, x = simulation.gen_missing_cov(design, n, rng)
     return MissingCovModel.from_arrays(r, y, x, NormalRegression())
+
+
+def linear_survival_model(n, seed):
+    rng = simulation.replication_rng(seed, 0)
+    u, delta, z = simulation.gen_prop_odds(prop_odds.LINEAR_DESIGN, n, rng)
+    return prop_odds.PropOddsModel.from_arrays(u, delta, z)
 
 
 class TestProfileMle:
@@ -101,13 +111,19 @@ class TestProfileMle:
         assert np.abs(analytic - fd.T).max() / denom < 1e-3
 
     def test_diagnostics_carry_nuisance_solve(self):
-        # the start is away from theta_hat, so the solve at theta_hat is a
-        # real warm-started iteration, not a one-step re-solve
+        # the diagnostics are those of the solve at theta_hat, not of the
+        # start's solve or of a later re-solve
         model = ex2_model(100, 4)
-        fit = profile_mle(MissingCovProfile(model), THETA0)
+        profile = MissingCovProfile(model)
+        fit = profile_mle(profile, THETA0)
+        point = profile.last_point
+        assert np.array_equal(point.theta, fit.theta_hat)
+        expected = point.solution.diagnostics()
+        del expected["residual_trace"]
         nuisance = fit.diagnostics["nuisance"]
+        assert nuisance == expected
         assert nuisance["residual"] < 1e-10
-        assert nuisance["iterations"] > 1
+        assert nuisance["iterations"] >= 1
         assert nuisance["contraction_estimate"] > 0
 
     def test_numerical_failure_of_a_candidate_is_halved_past(self):
@@ -121,12 +137,91 @@ class TestProfileMle:
             profile_mle(LineSearchStub(TypeError("bug")), np.zeros(1))
 
 
+def recording(profile_cls):
+    """profile_cls recording each parameter it solves at, and how many of
+    those solves started from the last point's eta itself."""
+
+    class Recording(profile_cls):
+        def __init__(self, model):
+            super().__init__(model)
+            self.evaluated = []
+            self.fallbacks = 0
+
+        def start(self, theta):
+            self.evaluated.append(theta)
+            guess = super().start(theta)
+            if guess is not None and np.array_equal(guess, self.last_point.solution.eta):
+                self.fallbacks += 1
+            return guess
+
+    return Recording
+
+
+def fit_both(model, start):
+    """Fits with the Taylor-predicted start and with the plain warm start."""
+    if isinstance(model, MissingCovModel):
+        classes = MissingCovProfile, PlainMissingCovProfile
+    else:
+        classes = prop_odds.PropOddsProfile, PlainPropOddsProfile
+    profiles = [recording(cls)(model) for cls in classes]
+    fits = [profile_mle(p, start, force=True) for p in profiles]
+    return profiles, fits
+
+
+def assert_same_fit(fits, profiles):
+    fit, plain = fits
+    assert fit.iterations == plain.iterations
+    assert len(profiles[0].evaluated) == len(profiles[1].evaluated)
+    for a, b in zip(*(p.evaluated for p in profiles)):
+        assert np.abs(a - b).max() <= 1e-8 * plain.se.min()
+    assert np.abs(fit.theta_hat - plain.theta_hat).max() <= 1e-8 * plain.se.min()
+    assert np.abs(fit.se / plain.se - 1.0).max() <= 1e-8
+
+
+class TestNuisanceStart:
+    @pytest.mark.parametrize("make, n, seed, start, iterations", [
+        (linear_survival_model, 300, 32, np.zeros(1), 57),
+        (ex2_model, 500, 1, THETA0, 46),
+    ], ids=["prop_odds", "missing_cov"])
+    def test_prediction_saves_iterations(self, make, n, seed, start, iterations):
+        profiles, fits = fit_both(make(n, seed), start)
+        assert_same_fit(fits, profiles)
+        solves = [f.diagnostics["nuisance_solves"] for f in fits]
+        assert solves[0]["count"] == solves[1]["count"] == len(profiles[0].evaluated)
+        assert solves[0]["iterations"] == iterations
+        assert solves[0]["iterations"] < solves[1]["iterations"]
+        assert profiles[0].fallbacks == 0
+
+    @pytest.mark.parametrize("make, n, seed, start", [
+        (linear_survival_model, 300, 30, np.array([4.0])),
+        (ex2_model, 200, 4, THETA0 + [1.0, 0.0, 0.0]),
+    ], ids=["prop_odds", "missing_cov"])
+    def test_negative_prediction_falls_back(self, make, n, seed, start):
+        # a far start's first Newton candidate predicts a negative jump or
+        # mass, which the operator would refuse as a bad step
+        profiles, fits = fit_both(make(n, seed), start)
+        assert profiles[0].fallbacks > 0
+        assert_same_fit(fits, profiles)
+
+    def test_precheck_point_starts_the_first_score(self):
+        rng = simulation.replication_rng(12, 0)
+        u, delta, z = simulation.gen_prop_odds(prop_odds.PropOddsDesign(), 400, rng)
+        profile = prop_odds.PropOddsProfile(
+            prop_odds.PropOddsModel.from_arrays(u, delta, z))
+        profile.precheck(np.zeros(1))
+        cold = profile.solve_iterations
+        profile.mean_score(np.zeros(1))
+        assert profile.solves == 2
+        assert profile.solve_iterations == cold + 1
+
+
 class LineSearchStub:
     """Mean score theta - 1 whose first Newton candidate raises exc."""
 
     dim = 1
     n = 4
     weights = np.full(4, 0.25)
+    solves = solve_iterations = 0
     solution = FixedPointSolution(np.zeros(1), 0.0, 1, 0.0, 0.0)
     scores = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 

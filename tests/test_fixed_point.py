@@ -93,6 +93,17 @@ class TestSolveFixedPoint:
         assert sol.tail_contraction == pytest.approx(0.5, rel=1e-3)
         assert sol.diagnostics()["tail_contraction"] == sol.tail_contraction
 
+    def test_one_iteration_solve_reads_the_residual_ratio(self):
+        # the residual check is the difference after the last, so a start
+        # one step from the fixed point still measures the rate; a start at
+        # the fixed point has no nonzero difference to divide by
+        problem = scalar_problem(lambda e: 0.5 * e)
+        sol = solve_fixed_point(problem, np.array([2.0**-30]), tol=1e-6)
+        assert sol.iterations == 1
+        assert sol.contraction_estimate == sol.tail_contraction == 0.5
+        exact = solve_fixed_point(problem, np.zeros(1), tol=1e-6)
+        assert exact.contraction_estimate == exact.tail_contraction == 0.0
+
     def test_survival_operator_five_records(self):
         # event/censor mix at beta=0; residual certified by naive substitution
         u = np.array([0.4, 0.9, 1.3, 2.1, 2.8])

@@ -12,6 +12,7 @@ from profix.measures import (
     GridDensity,
     LinearMap,
     MaxIndexMap,
+    PerturbationDirection,
     StepFunction,
     TwoSampleMeasure,
     composite_gauss_grid,
@@ -22,8 +23,6 @@ from profix.measures import (
 from reference import (
     direction_between,
     expectation,
-    jumps_direction,
-    masses_direction,
     max_index_dense,
     measure_from_json,
     measure_to_json,
@@ -96,13 +95,10 @@ class TestScaledSubMeasures:
     def test_two_sample_from_scaled_parts(self):
         F1 = empirical_from_sample([0.0, 1.0])
         F2 = empirical_from_sample([5.0])
-        ts = TwoSampleMeasure(F1.scaled(0.7), F2.scaled(0.3))
+        ts = TwoSampleMeasure(EmpiricalMeasure(F1.points, 0.7 * F1.weights),
+                              EmpiricalMeasure(F2.points, 0.3 * F2.weights))
         assert ts.w1 == pytest.approx(0.7)
         assert ts.w2 == pytest.approx(0.3)
-
-    def test_negative_factor_rejected(self):
-        with pytest.raises(InvalidInput):
-            empirical_from_sample([0.0]).scaled(-1.0)
 
 
 class TestMixPath:
@@ -330,16 +326,12 @@ class TestPerturbationDirection:
         assert h.norm > 0
 
     def test_shape_mismatch(self):
-        A = StepFunction([1.0, 2.0], [0.5, 0.3], tau=3.0)
         with pytest.raises(InvalidInput):
-            jumps_direction(A, [0.1])
+            PerturbationDirection([1.0, 2.0], [0.1])
 
-    def test_mass_direction_norm(self):
-        g = GridDensity([0.0, 1.0, 2.0], [0.2, 0.5, 0.3])
-        h = masses_direction(g, [0.1, -0.4, 0.3])
-        assert h.kind == "masses"
-        assert h.norm == pytest.approx(0.4)
-        assert h.scaled(2.0).norm == pytest.approx(0.8)
+    def test_norm_is_total_variation(self):
+        h = PerturbationDirection([0.0, 1.0, 2.0], [0.1, -0.4, 0.3])
+        assert h.norm == pytest.approx(0.8)
 
     def test_self_direction_is_zero(self):
         F = empirical_from_sample([0.0, 1.0])

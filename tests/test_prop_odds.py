@@ -165,7 +165,7 @@ class TestDerivativeOperators:
         sol = solve_nuisance(model, beta)
         A = model.jumps_to_step(sol.eta)
         coeffs = rng.normal(size=model.n_records) * model.weights
-        direction = PerturbationDirection("measure", model.points, coeffs)
+        direction = PerturbationDirection(model.points, coeffs)
         via_object = df_psi(model, beta, A, None, direction)
         via_array = df_psi(model, beta, A, None, coeffs)
         assert np.array_equal(via_object, via_array)
