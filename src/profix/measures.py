@@ -200,13 +200,6 @@ class StepFunction:
     def total(self):
         return float(self._cumulative[-1]) if len(self._cumulative) else 0.0
 
-    def jump_at(self, u):
-        """Size of the jump exactly at u (zero if there is none)."""
-        idx = np.searchsorted(self.jump_times, u)
-        if idx < len(self.jump_times) and self.jump_times[idx] == u:
-            return float(self.jump_sizes[idx])
-        return 0.0
-
     def __repr__(self):
         return (
             f"StepFunction(jumps={len(self.jump_times)}, tau={self.tau:.6g}, "
@@ -271,12 +264,6 @@ class GridDensity:
     def total_mass(self):
         return float(self.masses.sum())
 
-    def mass_at(self, x):
-        idx = np.searchsorted(self.support, x)
-        if idx < len(self.support) and self.support[idx] == x:
-            return float(self.masses[idx])
-        return 0.0
-
     def __len__(self):
         return len(self.support)
 
@@ -320,13 +307,26 @@ class LinearMap:
     __call__ = apply
 
 
+def suffix_increments(s):
+    """The t whose suffix sums are s: t_i = s_i - s_{i+1}, with s_{m+1} = 0."""
+    return s - np.append(s[1:], 0.0)
+
+
 class MaxIndexMap:
     """Sum of diag(a_r) K(s_r) over terms (a_r, s_r), K(s)[i, j] = s[max(i, j)].
 
     The survival family's nuisance derivatives have this form, so they
     apply in O(m) without an m x m matrix.  With U the upper-triangular
-    ones matrix and t = s - (s shifted up by one), K(s) = U diag(t) U',
-    which turns the resolvent of a single term into a banded system.
+    ones matrix and t = suffix_increments(s), K(s) = U diag(t) U', so for
+    one term with a > 0, I - diag(a) K(s) = diag(a) U M U' with
+    M = U^{-1} diag(1/a) U^{-T} - diag(t) symmetric tridiagonal:
+    M_ii = 1/a_i + 1/a_{i+1} - t_i (1/a_{m+1} = 0), M_{i,i+1} = -1/a_{i+1}.
+    M is congruent to diag(1/a) - K(s), hence to
+    I - diag(a)^{1/2} K(s) diag(a)^{1/2}, whose eigenvalues are one minus
+    those of diag(a) K(s).  For t >= 0 these are real and nonnegative, so M
+    is positive definite exactly when diag(a) K(s) has spectral radius
+    below one: M's Cholesky factor both solves the resolvent and tests the
+    contraction.
     """
 
     def __init__(self, terms):
@@ -367,36 +367,64 @@ class MaxIndexMap:
     def resolvent_solve(self, rhs):
         """Solve (I - diag(a) K(s)) x = rhs for a single term in O(m).
 
-        With z = cumsum(x) and y = U diag(t) z the system reads
-        z_i - z_{i-1} - a_i y_i = rhs_i and y_i - y_{i+1} - t_i z_i = 0;
-        interleaving (z_i, y_i) makes it banded with two sub- and two
-        super-diagonals, which a pivoted LU solves directly.  rhs may hold
-        stacked columns; a singular system raises LinAlgError.
+        Rows with a_i = 0 read x_i = rhs_i.  The free rows F = {a > 0} form
+        the same system on the subsequence, K(s)_FF = K(s_F), with rhs_F +
+        a_F (K(s) r)_F as right-hand side, r being rhs with the free rows
+        zeroed.  There x = U^{-T} M^{-1} U^{-1} (rhs / a).  Forming M adds
+        1/a_i - t_i to 1/a_{i+1} and so loses digits where a falls steeply;
+        past _STEEP_FALL one refinement step against apply restores them.
+        rhs may hold stacked columns.  An M that is not positive definite
+        (spectral radius one or more) raises LinAlgError.
         """
         if len(self.terms) != 1:
-            raise InvalidInput("the banded resolvent needs a single term")
+            raise InvalidInput("the tridiagonal resolvent needs a single term")
         (a, s), m = self.terms[0], self.dim
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[:1] != (m,):
             raise InvalidInput("right-hand side dimension mismatch")
+        if not np.all((a >= 0) & np.isfinite(a)):
+            raise InvalidInput("the resolvent needs finite nonnegative coefficients")
         if m == 0:
             return rhs.copy()
+        column = (-1,) + (1,) * (rhs.ndim - 1)
+        free = a > 0
+        if not free.all():
+            out = rhs.copy()
+            fixed = np.where(free.reshape(column), 0.0, rhs)
+            free_map = MaxIndexMap([(a[free], s[free])])
+            out[free] = free_map.resolvent_solve((rhs + self.apply(fixed))[free])
+            return out
         import scipy.linalg  # here: a mixture process never needs it
 
-        t = s - np.append(s[1:], 0.0)
-        bands = np.zeros((5, 2 * m))
-        bands[0, 3::2] = -1.0  # y_i - y_{i+1}
-        bands[1, 1::2] = -a  # -a_i y_i
-        bands[2] = 1.0
-        bands[3, 0::2] = -t  # -t_i z_i
-        bands[4, 0:-2:2] = -1.0  # z_i - z_{i-1}
-        b = np.zeros((2 * m,) + rhs.shape[1:])
-        b[0::2] = rhs
-        z = scipy.linalg.solve_banded(
-            (2, 2), bands, b, overwrite_ab=True, overwrite_b=True,
-            check_finite=False,
-        )[0::2]
-        return np.diff(z, axis=0, prepend=np.zeros((1,) + rhs.shape[1:]))
+        inv_a = 1.0 / a
+        inv_next = np.append(inv_a[1:], 0.0)
+        bands = np.stack([inv_a + inv_next - suffix_increments(s), -inv_next])
+        # ptsv refuses a single row (no off-diagonal); pbsv takes its 1 x 1 band
+        bands = bands[: 1 + (m > 1)]
+
+        def solve(r):
+            y = r * inv_a.reshape(column)
+            y[:-1] -= y[1:].copy()  # U^{-1}
+            try:
+                w = scipy.linalg.solveh_banded(
+                    bands, y, lower=True, overwrite_b=True, check_finite=False
+                )
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    "I - d_eta Psi is not positive definite: the nuisance derivative "
+                    f"has spectral radius >= 1 and does not contract ({exc})"
+                ) from exc
+            return np.diff(w, axis=0, prepend=np.zeros((1,) + r.shape[1:]))  # U^{-T}
+
+        x = solve(rhs)
+        if np.any(np.maximum.accumulate(a)[:-1] > _STEEP_FALL * a[1:]):
+            x += solve(rhs - x + self.apply(x))
+        return x
+
+
+#: Largest fall a_i / a_j (i < j) the resolvent solves without refinement;
+#: survival coefficients rise as the risk set shrinks.
+_STEEP_FALL = 16.0
 
 
 class BilinearMap:

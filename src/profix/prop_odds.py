@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     ContractionViolation,
-    DegenerateJump,
     InvalidConfig,
     InvalidInput,
     NumericOverflow,
@@ -35,6 +34,7 @@ from .measures import (
     StepFunction,
     parse_number,
     read_csv,
+    suffix_increments,
 )
 from .numdiff import fd_theta  # noqa: F401 - bench/tracing.py hooks prop_odds.fd_theta
 
@@ -253,6 +253,11 @@ def da_psi(model, beta, A, F=None):
 
 
 def da_psi_sup_norm(model, beta, A, F=None):
+    """Sup norm of the nuisance derivative at (beta, A); see _sup_norm."""
+    return _sup_norm(da_psi(model, beta, A, F))
+
+
+def _sup_norm(d_eta):
     """Sup norm of the nuisance derivative on values at the event times.
 
     The cumulative operator C = U' conjugates diag(coef) U diag(t) U' to
@@ -260,8 +265,8 @@ def da_psi_sup_norm(model, beta, A, F=None):
     t_j cumsum(coef)_min(i, j); its absolute row sums, the norm the
     contraction requirement refers to, come from cumulative sums in O(m).
     """
-    ((coef, s),) = da_psi(model, beta, A, F).terms
-    t = np.abs(s - np.append(s[1:], 0.0))
+    ((coef, s),) = d_eta.terms
+    t = np.abs(suffix_increments(s))
     cc = np.abs(np.cumsum(coef))
     before = np.concatenate([[0.0], np.cumsum(t * cc)[:-1]])
     rows = before + cc * np.cumsum(t[::-1])[::-1]
@@ -368,27 +373,6 @@ def psi_derivatives(model, beta, A, F=None):
     )
 
 
-def loglik(model, beta, A, F=None):
-    """Average log likelihood of the sample at (beta, A).
-
-    Events contribute beta'z plus the log of the jump of A at their time;
-    every record contributes -(1 + delta) log(1 + e^{beta'z} A(u)).
-    """
-    op = _operator(model, beta, F)
-    w, lin, q = op.w, op.lin, op.q
-    AU = np.asarray(A(model.u), dtype=float)
-    event_rows = model._event_rows
-    jumps = np.array([A.jump_at(t) for t in model.u[event_rows]])
-    active = w[event_rows] > 0
-    if np.any(active & (jumps <= 0)):
-        raise DegenerateJump("an observed event time has no jump in A")
-    log_jump = np.zeros(model.n_records)
-    safe = np.where(jumps > 0, jumps, 1.0)
-    log_jump[event_rows] = np.where(active, np.log(safe), 0.0)
-    terms = model.delta * (lin + log_jump) - (1.0 + model.delta) * np.log1p(q * AU)
-    return float(w @ terms)
-
-
 @dataclass
 class VarianceConditionReport:
     """Per-event-time margins of the at-risk weight variance condition."""
@@ -401,15 +385,6 @@ class VarianceConditionReport:
     @property
     def margins(self):
         return self.lhs - self.rhs
-
-    def to_dict(self):
-        return {
-            "event_times": self.event_times.tolist(),
-            "lhs": self.lhs.tolist(),
-            "rhs": self.rhs.tolist(),
-            "margins": self.margins.tolist(),
-            "satisfied": bool(self.satisfied),
-        }
 
 
 def check_variance_condition(model, beta, A, F=None):
@@ -506,10 +481,9 @@ class PropOddsProfile(Profile):
     def precheck(self, beta):
         """Verify the contraction prerequisites at beta's point, from which
         the fit's first score then starts."""
-        point = self.point(beta)
-        A = self.model.jumps_to_step(point.solution.eta)
-        report = check_variance_condition(self.model, beta, A, self.weights)
-        norm = da_psi_sup_norm(self.model, beta, A, self.weights)
+        derivs = self.point(beta).derivs
+        report = _variance_condition(derivs.workspace)
+        norm = _sup_norm(derivs.d_eta)
         if not report.satisfied or norm >= 1.0:
             raise ContractionViolation(
                 f"variance condition satisfied={report.satisfied}, "

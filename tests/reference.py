@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from profix.errors import InvalidInput, NumericOverflow, SupportViolation
+from profix.errors import (
+    DegenerateJump,
+    InvalidInput,
+    NumericOverflow,
+    SupportViolation,
+)
 from profix.measures import (
     EmpiricalMeasure,
     GridDensity,
@@ -171,6 +176,15 @@ def max_index_dense(terms, m):
     return out
 
 
+def max_index_spectral_radius(a, s):
+    """Spectral radius of diag(a) K(s), from its symmetric similar form
+    diag(a)^1/2 K(s) diag(a)^1/2 (real, nonnegative spectrum for s
+    nonincreasing)."""
+    root = np.sqrt(a)
+    K = max_index_dense([(np.ones(len(s)), s)], len(s))
+    return np.linalg.eigvalsh(root[:, None] * K * root[None, :]).max(initial=0.0)
+
+
 def loglik_prop_odds_naive(u, delta, z, w, beta, jump_times, jump_sizes):
     u = np.asarray(u, float)
     delta = np.asarray(delta, float)
@@ -188,6 +202,28 @@ def loglik_prop_odds_naive(u, delta, z, w, beta, jump_times, jump_sizes):
             term += float(zi @ beta) + math.log(jump)
         total += wi * term
     return total
+
+
+def loglik(model, beta, A, F=None):
+    """Average survival log likelihood of the sample at (beta, A), vectorized.
+
+    Events contribute beta'z plus the log of the jump of A at their time;
+    every record contributes -(1 + delta) log(1 + e^{beta'z} A(u)).
+    """
+    w = model.resolve_weights(F)
+    lin = model.z @ np.atleast_1d(np.asarray(beta, dtype=float))
+    AU = np.asarray(A(model.u), dtype=float)
+    event_rows = model._event_rows
+    jump_of = dict(zip(A.jump_times, A.jump_sizes))
+    jumps = np.array([jump_of.get(t, 0.0) for t in model.u[event_rows]])
+    active = w[event_rows] > 0
+    if np.any(active & (jumps <= 0)):
+        raise DegenerateJump("an observed event time has no jump in A")
+    log_jump = np.zeros(model.n_records)
+    safe = np.where(jumps > 0, jumps, 1.0)
+    log_jump[event_rows] = np.where(active, np.log(safe), 0.0)
+    terms = model.delta * (lin + log_jump) - (1.0 + model.delta) * np.log1p(np.exp(lin) * AU)
+    return float(w @ terms)
 
 
 def psi_missing_cov_naive(r, y, x, w, support, family, theta, g_masses):
@@ -238,7 +274,7 @@ def log_density(record, theta, g, family=None):
     if not isinstance(g, GridDensity):
         raise InvalidInput("g must be a GridDensity")
     if record.r == 1:
-        mass = g.mass_at(record.x)
+        mass = dict(zip(g.support, g.masses)).get(record.x, 0.0)
         if mass <= 0.0:
             raise SupportViolation(
                 f"complete-case x={record.x} carries no mass"

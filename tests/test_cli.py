@@ -403,7 +403,7 @@ def test_import_leaves_out_scipy_stats():
 
 
 def test_scipy_loads_where_it_is_called():
-    # a mixture replication forms no interval and solves no banded system;
+    # a mixture replication forms no interval and solves no tridiagonal system;
     # a survival fit's interval and a KS statistic then load what they need
     code = f"""
 import sys

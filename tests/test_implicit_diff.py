@@ -11,10 +11,10 @@ from profix.implicit_diff import (
     dtheta_eta,
     resolvent_apply,
 )
-from profix.measures import BilinearMap, LinearMap
+from profix.measures import BilinearMap, LinearMap, MaxIndexMap
 from profix.numdiff import FdConfig, fd_path, fd_theta
 
-from reference import neumann_apply
+from reference import max_index_spectral_radius, neumann_apply
 
 
 def scalar_derivs(d_eta, dot, ddot=0.0, d_eta_dot=0.0, d2_eta=0.0, d_f=None):
@@ -58,6 +58,20 @@ class TestResolvent:
     def test_singular(self):
         with pytest.raises(SingularResolvent):
             resolvent_apply(np.eye(3), np.ones(3))
+
+    def test_survival_map_past_contraction_is_singular(self, prop_odds_model):
+        # the nuisance derivative at a survival fixed point, with its
+        # coefficients scaled until the spectral radius reaches 1.5
+        model, beta = prop_odds_model, [0.5]
+        A = model.jumps_to_step(prop_odds.solve_nuisance(model, beta).eta)
+        ((coef, s),) = prop_odds.da_psi(model, beta, A).terms
+        rho = max_index_spectral_radius(coef, s)
+        assert 0.0 < rho < 1.0
+        rhs = np.ones(len(s))
+        assert np.all(np.isfinite(resolvent_apply(MaxIndexMap([(coef, s)]), rhs)))
+        with pytest.raises(SingularResolvent,
+                           match="not positive definite.*does not contract"):
+            resolvent_apply(MaxIndexMap([(1.5 / rho * coef, s)]), rhs)
 
     def test_neumann_certifies_population_contraction(
         self, missing_cov_population

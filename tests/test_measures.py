@@ -24,6 +24,7 @@ from reference import (
     direction_between,
     expectation,
     max_index_dense,
+    max_index_spectral_radius,
     measure_from_json,
     measure_to_json,
     mix_path,
@@ -158,11 +159,6 @@ class TestStepFunction:
         with pytest.raises(InvalidInput):
             StepFunction([0.0], [0.1], tau=3.0)
 
-    def test_jump_at(self):
-        A = StepFunction([1.0, 2.0], [0.5, 0.3], tau=3.0)
-        assert A.jump_at(2.0) == pytest.approx(0.3)
-        assert A.jump_at(1.5) == 0.0
-
     @given(
         times=st.lists(
             st.floats(0.01, 9.99, allow_nan=False), min_size=1, max_size=8,
@@ -210,11 +206,6 @@ class TestGridDensity:
         g = GridDensity([0.0, 1.0], [2.0, 2.0], kind="density",
                         quad_weights=[0.25, 0.25])
         assert np.allclose(g.masses, [0.5, 0.5])
-
-    def test_mass_at(self):
-        g = GridDensity([0.0, 1.0], [0.4, 0.6])
-        assert g.mass_at(1.0) == pytest.approx(0.6)
-        assert g.mass_at(0.5) == 0.0
 
 
 class TestLinearAndBilinearMaps:
@@ -264,6 +255,16 @@ def max_index_terms(m, seed, n_terms, zero_share):
     return terms
 
 
+def assert_resolvent_matches_dense(M, rhs):
+    """resolvent_solve agrees with the dense solve, for stacked columns and
+    for a single column."""
+    system = np.eye(M.dim) - max_index_dense(M.terms, M.dim)
+    dense = np.linalg.solve(system, rhs) if M.dim else rhs
+    bound = 1e-9 * max(np.abs(dense).max(initial=0.0), 1.0)
+    assert np.abs(M.resolvent_solve(rhs) - dense).max(initial=0.0) <= bound
+    assert np.abs(M.resolvent_solve(rhs[:, 1]) - dense[:, 1]).max(initial=0.0) <= bound
+
+
 class TestMaxIndexMap:
     @given(
         m=st.integers(0, 8),
@@ -290,17 +291,55 @@ class TestMaxIndexMap:
     )
     @settings(max_examples=80, deadline=None)
     def test_resolvent_solve_matches_dense_solve(self, m, seed, zero_share, scale):
-        # scales past 1 leave the contraction regime: the banded solve
-        # does not need it
+        # the solve is defined exactly where the map contracts: inside,
+        # it agrees with the dense solve; outside, it raises
         ((a, s),) = max_index_terms(m, seed, 1, zero_share)
-        M = MaxIndexMap([(scale * a, s)])
+        a = scale * a
+        M = MaxIndexMap([(a, s)])
         system = np.eye(m) - max_index_dense(M.terms, m)
         rhs = np.random.default_rng(seed + 1).normal(size=(m, 2))
         assume(m == 0 or np.linalg.cond(system) < 1e8)
-        dense = np.linalg.solve(system, rhs)
-        bound = 1e-9 * max(np.abs(dense).max(initial=0.0), 1.0)
-        assert np.abs(M.resolvent_solve(rhs) - dense).max(initial=0.0) <= bound
-        assert np.abs(M.resolvent_solve(rhs[:, 1]) - dense[:, 1]).max(initial=0.0) <= bound
+        rho = max_index_spectral_radius(a, s)
+        if rho < 1 - 1e-9:
+            assert_resolvent_matches_dense(M, rhs)
+        elif rho > 1 + 1e-9:
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                M.resolvent_solve(rhs)
+
+    def test_all_coefficients_zero(self):
+        rhs = np.random.default_rng(3).normal(size=(5, 2))
+        M = MaxIndexMap([(np.zeros(5), np.linspace(1.0, 0.2, 5))])
+        assert np.array_equal(M.resolvent_solve(rhs), rhs)
+
+    def test_leading_and_trailing_zero_coefficients(self):
+        a = np.array([0.0, 0.0, 0.7, 0.3, 0.0, 0.9, 0.0])
+        s = np.cumsum(np.arange(7.0, 0.0, -1.0)[::-1])[::-1] / 40.0
+        M = MaxIndexMap([(a, s)])
+        assert max_index_spectral_radius(a, s) < 1.0
+        assert_resolvent_matches_dense(M, np.random.default_rng(4).normal(size=(7, 3)))
+
+    def test_one_free_row(self):
+        a = np.array([0.0, 0.8, 0.0, 0.0])
+        s = np.array([2.0, 1.0, 0.5, 0.25])
+        assert_resolvent_matches_dense(MaxIndexMap([(a, s)]),
+                                       np.random.default_rng(5).normal(size=(4, 2)))
+        # its pivot 1/a - s_1 is negative once a s_1 exceeds one
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            MaxIndexMap([(1.5 * a, s)]).resolvent_solve(np.ones(4))
+
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_coefficients_spread_over_eight_decades(self, rising):
+        m = 12
+        a = np.geomspace(1e-8, 1.0, m)
+        a = a if rising else a[::-1]
+        s = np.cumsum(np.random.default_rng(6).uniform(0.0, 1.0, m)[::-1])[::-1] / m
+        a = a * 0.9 / max_index_spectral_radius(a, s)
+        assert_resolvent_matches_dense(MaxIndexMap([(a, s)]),
+                                       np.random.default_rng(7).normal(size=(m, 2)))
+
+    def test_negative_coefficient_refused(self):
+        with pytest.raises(InvalidInput):
+            MaxIndexMap([([0.5, -0.1], [1.0, 0.5])]).resolvent_solve(np.ones(2))
 
     def test_singular_system_raises(self):
         # diag(1) K(1) with m = 1 is the identity: I - M is zero

@@ -31,7 +31,6 @@ from profix.prop_odds import (
     df_psi,
     fixed_point_problem,
     load_csv,
-    loglik,
     population_self_consistency,
     psi_apply,
     psi_derivatives,
@@ -42,6 +41,7 @@ from reference import (
     SurvivalRecord,
     da_psi_prop_odds_naive,
     da_psi_value_map,
+    loglik,
     loglik_prop_odds_naive,
     population_records,
     psi_prop_odds_naive,
@@ -614,6 +614,31 @@ class TestProfile:
         profile = PropOddsProfile(model)
         with pytest.raises(ContractionViolation):
             profile.precheck(np.array([0.5]))
+
+    def test_precheck_reads_its_point(self, monkeypatch):
+        rng = simulation.replication_rng(3, 0)
+        u, delta, z = simulation.gen_prop_odds(PropOddsDesign(), 200, rng)
+        model = PropOddsModel.from_arrays(u, delta, z)
+        profile = PropOddsProfile(model)
+        beta = np.array([0.5])
+        builds = []
+        init = prop_odds._Workspace.__init__
+
+        def counting_init(self, *args):
+            builds.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(prop_odds._Workspace, "__init__", counting_init)
+        report, norm = profile.precheck(beta)
+        assert len(builds) == 1
+        monkeypatch.undo()
+        A = model.jumps_to_step(profile.last_point.solution.eta)
+        expected = check_variance_condition(model, beta, A)
+        assert report.satisfied and expected.satisfied
+        for field in ("lhs", "rhs"):
+            got, want = getattr(report, field), getattr(expected, field)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        assert norm == pytest.approx(da_psi_sup_norm(model, beta, A), rel=1e-15, abs=0)
 
     def test_constant_covariate_refused(self, prop_odds_data):
         u, delta, z = prop_odds_data
