@@ -5,9 +5,9 @@ score equals zero" by a damped Newton iteration; the asymptotic variance
 is the inverse of the averaged outer product of the per-record scores.
 Model specifics enter through a profile object exposing dim, n, weights,
 score, mean_score, jacobian, precheck, last_point and the solve counters
-solves and solve_iterations: each score call records the :class:`Point`
-it evaluated, and the Newton Jacobian and the information read the
-accepted point instead of solving again.  Both model families build
+solves, solve_iterations and solves_started: each score call records the
+:class:`Point` it evaluated, and the Newton Jacobian and the information
+read the accepted point instead of solving again.  Both model families build
 theirs on :class:`Profile`, and describe themselves to the command line,
 the Monte Carlo harness and the audits through one :class:`Family`
 record each.
@@ -97,8 +97,9 @@ class Profile:
     :meth:`point` solves the family's nuisance fixed point at a parameter
     and evaluates the scores there, recording the point as last_point, from
     which jacobian reads.  Each solve starts from the Taylor prediction off
-    last_point (see :meth:`start`); each completed solve adds one to
-    ``solves`` and its iterations to ``solve_iterations``.  A family's subclass sets ``solve_nuisance`` to
+    last_point (see :meth:`start`); each solve adds one to ``solves_started``
+    and, if it completes, one to ``solves`` and its iterations to
+    ``solve_iterations``.  A family's subclass sets ``solve_nuisance`` to
     its module's solver, defines ``derivatives`` (its bundle at a fixed
     point) and ``point_scores``, and defines score, mean_score, jacobian
     and precheck in its own body.
@@ -112,6 +113,7 @@ class Profile:
         self.last_point = None
         self.solves = 0
         self.solve_iterations = 0
+        self.solves_started = 0
 
     @property
     def dim(self):
@@ -145,6 +147,7 @@ class Profile:
         return guess
 
     def solve(self, theta):
+        self.solves_started += 1
         sol = self.solve_nuisance(
             self.model, theta, self.weights,
             tol=self.solver_tol, max_iter=self.solver_max_iter,
@@ -223,7 +226,8 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
     from the accepted point.  The returned standard errors are
     inverse-information based.  The diagnostics hold the nuisance solve at
     the estimate and, under "nuisance_solves", the count and total
-    iterations of every nuisance solve of the fit.
+    iterations of the fit's completed nuisance solves, the number it
+    started, and the number of those that raised, started minus count.
     """
     if not 0.0 < tol < np.inf:
         raise InvalidInput("tolerance must be finite and positive")
@@ -231,6 +235,7 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
     if theta.shape != (profile.dim,):
         raise InvalidInput("starting point does not match the parameter dimension")
     solves, solve_iterations = profile.solves, profile.solve_iterations
+    started = profile.solves_started
     if not force:
         profile.precheck(theta)
 
@@ -283,6 +288,7 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
     se = np.sqrt(np.diag(np.linalg.inv(info)) / profile.n)
     nuisance = point.solution.diagnostics()
     del nuisance["residual_trace"]
+    count, started = profile.solves - solves, profile.solves_started - started
     return FitResult(
         theta_hat=theta,
         info_hat=info,
@@ -294,8 +300,10 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
         diagnostics={
             "nuisance": nuisance,
             "nuisance_solves": {
-                "count": profile.solves - solves,
+                "count": count,
                 "iterations": profile.solve_iterations - solve_iterations,
+                "started": started,
+                "failed": started - count,
             },
         },
     )

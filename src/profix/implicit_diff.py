@@ -25,8 +25,9 @@ class PsiDerivatives:
     ``resolvent_solve``; dot_psi and ddot_psi are the first and second
     parameter derivatives (shapes (d, m) and (d, d, m)); d_eta_dot holds
     one linear map per parameter component for the mixed derivative;
-    d2_eta is the second nuisance derivative as a bilinear map; d_f maps a
-    distribution perturbation to a coefficient vector.
+    d2_eta is the second nuisance derivative as a :class:`BilinearMap`,
+    whose ``pairs`` evaluates it at every pair of a stack of directions;
+    d_f maps a distribution perturbation to a coefficient vector.
 
     A bundle built by :meth:`at` keeps the family workspace it was built
     from and evaluates the second-order parts, ddot_psi, d_eta_dot and
@@ -109,7 +110,8 @@ def resolvent_apply(d_eta, rhs):
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(str(exc)) from exc
     scale = max(float(np.abs(rhs).max(initial=0.0)), 1e-300)
-    if not np.all(np.isfinite(v)) or np.abs(check).max(initial=0.0) > _SOLVE_RESIDUAL_TOL * scale:
+    # written so that a NaN residual fails it
+    if not (np.all(np.isfinite(v)) and np.all(np.abs(check) <= _SOLVE_RESIDUAL_TOL * scale)):
         raise SingularResolvent("resolvent solve did not verify; system is singular")
     return v
 
@@ -126,25 +128,21 @@ def d2theta_eta(derivs, eta_dot):
     Assembles, for every component pair (j, k), the sum of the pure second
     parameter derivative, both mixed parameter/nuisance terms evaluated at
     the first derivative, and the second nuisance derivative at the first
-    derivative pair, then applies the resolvent.  The result is symmetric
-    in (j, k) up to roundoff.
+    derivative pair, then applies the resolvent.  The second nuisance
+    derivative comes from ``d2_eta.pairs(eta_dot)``, one call for all
+    pairs; the right-hand side of each pair j < k is copied onto (k, j),
+    so the result is exactly symmetric in (j, k).
     """
     eta_dot = np.asarray(eta_dot, dtype=float)
     d = derivs.theta_dim
     if eta_dot.shape != (d, derivs.eta_dim):
         raise InvalidInput("eta_dot does not match the derivative shapes")
-    mixed = [derivs.d_eta_dot[j].apply(eta_dot.T) for j in range(d)]
-    rhs = np.empty((d, d, derivs.eta_dim))
+    # mixed[j, k] = d_eta_dot[j] applied to eta_dot[k]
+    mixed = np.stack([m.apply(eta_dot.T).T for m in derivs.d_eta_dot])
+    rhs = (derivs.ddot_psi + mixed + mixed.transpose(1, 0, 2)
+           + derivs.d2_eta.pairs(eta_dot))
     for j in range(d):
-        for k in range(j, d):
-            total = (
-                derivs.ddot_psi[j, k]
-                + mixed[j][:, k]
-                + mixed[k][:, j]
-                + derivs.d2_eta.apply(eta_dot[j], eta_dot[k])
-            )
-            rhs[j, k] = total
-            rhs[k, j] = total
+        rhs[j + 1:, j] = rhs[j, j + 1:]
     flat = resolvent_apply(derivs.d_eta, rhs.reshape(d * d, -1).T).T
     return flat.reshape(d, d, -1)
 

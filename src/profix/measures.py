@@ -428,10 +428,12 @@ _STEEP_FALL = 16.0
 
 
 class BilinearMap:
-    """Vector-valued bilinear form: apply(h1, h2) is linear in each slot."""
+    """Vector-valued bilinear form: apply(h1, h2) is linear in each slot;
+    pairs_fn, when given, computes :meth:`pairs` in one batched pass."""
 
-    def __init__(self, fn, input_dim, output_dim=None):
+    def __init__(self, fn, input_dim, output_dim=None, pairs_fn=None):
         self._fn = fn
+        self._pairs_fn = pairs_fn
         self.input_dim = input_dim
         self.output_dim = input_dim if output_dim is None else output_dim
 
@@ -443,6 +445,21 @@ class BilinearMap:
         return self._fn(h1, h2)
 
     __call__ = apply
+
+    def pairs(self, H):
+        """The (d, d, output_dim) array of apply(H[j], H[k]) for directions H
+        of shape (d, input_dim); without pairs_fn, apply on j <= k, mirrored."""
+        H = np.asarray(H, dtype=float)
+        if H.ndim != 2 or H.shape[1] != self.input_dim:
+            raise InvalidInput("direction dimension mismatch")
+        if self._pairs_fn is not None:
+            return self._pairs_fn(H)
+        d = len(H)
+        out = np.empty((d, d, self.output_dim))
+        for j in range(d):
+            for k in range(j, d):
+                out[j, k] = out[k, j] = self._fn(H[j], H[k])
+        return out
 
 
 def gauss_legendre_grid(lo, hi, n):

@@ -70,44 +70,39 @@ class NormalRegression(ConditionalDensity):
     dim = 3
 
     def _moments(self, y, x, theta):
+        """sigma, the standardized residual r and the density."""
         mu = theta[0] + theta[1] * np.asarray(x, dtype=float)
         sigma = np.exp(theta[2])
         r = (np.asarray(y, dtype=float) - mu) / sigma
-        return sigma, r
+        return sigma, r, np.exp(-0.5 * r * r) / (sigma * _SQRT_2PI)
 
     def density(self, y, x, theta):
-        sigma, r = self._moments(y, x, theta)
-        return np.exp(-0.5 * r * r) / (sigma * _SQRT_2PI)
-
-    def _log_score(self, y, x, theta):
-        sigma, r = self._moments(y, x, theta)
-        x = np.asarray(x, dtype=float)
-        s0 = r / sigma
-        s1 = r * x / sigma
-        s2 = r * r - 1.0
-        return sigma, r, np.stack(np.broadcast_arrays(s0, s1, s2))
+        return self._moments(y, x, theta)[2]
 
     def dtheta(self, y, x, theta):
-        _, _, s = self._log_score(y, x, theta)
-        return self.density(y, x, theta) * s
+        sigma, r, f = self._moments(y, x, theta)
+        x = np.asarray(x, dtype=float)
+        score = (r / sigma, r * x / sigma, r * r - 1.0)
+        return f * np.stack(np.broadcast_arrays(*score))
 
     def d2theta(self, y, x, theta):
-        sigma, r, s = self._log_score(y, x, theta)
+        # f (s_a s_b + h_ab), with s the score and h the Hessian of log f,
+        # simplified: the entries are f (r^2 - 1) / sigma^2, f r (r^2 - 3) /
+        # sigma and f ((r^2 - 1)^2 - 2 r^2), times one power of x per slope
+        sigma, r, f = self._moments(y, x, theta)
         x = np.asarray(x, dtype=float)
-        hess = {
-            (0, 0): -1.0 / sigma**2,
-            (0, 1): -x / sigma**2,
-            (0, 2): -2.0 * r / sigma,
-            (1, 1): -(x * x) / sigma**2,
-            (1, 2): -2.0 * r * x / sigma,
-            (2, 2): -2.0 * r * r,
-        }
+        r2 = r * r
+        location = f * (r2 - 1.0) / sigma**2
+        scale = f * r * (r2 - 3.0) / sigma
         # filled pair by pair: full-size outer-product and Hessian temporaries
         # tripled the allocation, which glibc then returns and faults back in
-        f = self.density(y, x, theta)
         out = np.empty((3, 3) + f.shape)
-        for (a, b), h in hess.items():
-            out[a, b] = out[b, a] = f * (s[a] * s[b] + h)
+        out[0, 0] = location
+        out[0, 1] = out[1, 0] = location * x
+        out[1, 1] = location * (x * x)
+        out[0, 2] = out[2, 0] = scale
+        out[1, 2] = out[2, 1] = scale * x
+        out[2, 2] = f * ((r2 - 1.0) ** 2 - 2.0 * r2)
         return out
 
     def outcome_interval(self, x, theta, span=8.0):
@@ -289,6 +284,11 @@ class _Workspace(_Operator):
         return self.incomplete(self.model.family.d2theta)
 
     @cached_property
+    def fyddot(self):
+        """Second parameter derivative of the mixture density, (d, d, n2)."""
+        return self.fddot @ self.g
+
+    @cached_property
     def fc(self):
         return self.complete(self.model.family.density)
 
@@ -296,7 +296,8 @@ class _Workspace(_Operator):
     def fdot_c(self):
         return self.complete(self.model.family.dtheta)
 
-    def dg_a_matrix(self):
+    @cached_property
+    def dg_a(self):
         return self.fmat.T @ (self.fmat * (self.nu / self.fy**2)[:, None])
 
 
@@ -339,7 +340,7 @@ def solve_nuisance(model, theta, F=None, tol=1e-10, max_iter=10_000, eta0=None):
 
 
 def _dg_psi(ws):
-    return LinearMap(-(ws.p1 / ws.a**2)[:, None] * ws.dg_a_matrix())
+    return LinearMap(-(ws.p1 / ws.a**2)[:, None] * ws.dg_a)
 
 
 def dg_psi(model, theta, g, F=None):
@@ -348,15 +349,15 @@ def dg_psi(model, theta, g, F=None):
 
 
 def _d2g_psi(ws):
-    def apply(h1, h2):
-        u1 = ws.fmat @ h1
-        u2 = ws.fmat @ h2
-        d2a = -2.0 * (ws.fmat.T @ (ws.nu * u1 * u2 / ws.fy**3))
-        da1 = ws.fmat.T @ (ws.nu * u1 / ws.fy**2)
-        da2 = ws.fmat.T @ (ws.nu * u2 / ws.fy**2)
-        return ws.p1 * (-d2a / ws.a**2 + 2.0 * da1 * da2 / ws.a**3)
+    def pairs(H):
+        # the form at every pair of rows of H: two products with fmat in all
+        u = H @ ws.fmat.T  # (d, n2)
+        d2a = -2.0 * ((u[:, None, :] * u[None, :, :] * (ws.nu / ws.fy**3)) @ ws.fmat)
+        da = (u * (ws.nu / ws.fy**2)) @ ws.fmat  # (d, m)
+        return ws.p1 * (-d2a / ws.a**2 + 2.0 * da[:, None, :] * da[None, :, :] / ws.a**3)
 
-    return BilinearMap(apply, ws.model.n_support)
+    return BilinearMap(lambda h1, h2: pairs(np.stack([h1, h2]))[0, 1],
+                       ws.model.n_support, pairs_fn=pairs)
 
 
 def d2g_psi(model, theta, g, F=None):
@@ -367,49 +368,28 @@ def d2g_psi(model, theta, g, F=None):
 def _dtheta_psi(ws):
     """The first parameter derivative, and a function giving the second
     and mixed derivatives from the same intermediate terms."""
-    d, m = ws.model.theta_dim, ws.model.n_support
-    fmat, fy, nu, g_m = ws.fmat, ws.fy, ws.nu, ws.g
-    fdot = ws.fdot
-    fydot = fdot @ g_m  # (d, n2)
-
-    adot = np.empty((d, m))
-    for a_i in range(d):
-        adot[a_i] = -(
-            (nu / fy) @ fdot[a_i] - fmat.T @ (nu * fydot[a_i] / fy**2)
-        )
+    fmat, fy, nu, fdot = ws.fmat, ws.fy, ws.nu, ws.fdot
+    fydot = fdot @ ws.g  # (d, n2)
+    c2 = nu / fy**2
+    adot = (c2 * fydot) @ fmat - (nu / fy) @ fdot  # (d, m)
     dot = -ws.p1 * adot / ws.a**2
 
     def second_order():
-        fddot = ws.fddot
-        addot = np.empty((d, d, m))
-        for a_i in range(d):
-            for b_i in range(a_i, d):
-                fyddot = fddot[a_i, b_i] @ g_m
-                term = (
-                    (nu / fy) @ fddot[a_i, b_i]
-                    - fmat.T @ (nu * fyddot / fy**2)
-                    + 2.0 * (fmat.T @ (nu * fydot[a_i] * fydot[b_i] / fy**3))
-                    - fdot[a_i].T @ (nu * fydot[b_i] / fy**2)
-                    - fdot[b_i].T @ (nu * fydot[a_i] / fy**2)
-                )
-                addot[a_i, b_i] = -term
-                addot[b_i, a_i] = -term
+        # every parameter pair at once; stacked arrays lead with (d, d) or d
+        c3 = nu / fy**3
+        v = c2 * ws.fyddot - 2.0 * c3 * fydot[:, None, :] * fydot[None, :, :]
+        t3 = (c2 * fydot) @ fdot  # t3[a, b] = fdot[a].T @ (c2 fydot[b])
+        addot = -((nu / fy) @ ws.fddot - v @ fmat - t3 - t3.transpose(1, 0, 2))
         ddot = -ws.p1 * (ws.a * addot - 2.0 * adot[:, None, :] * adot[None, :, :]) / ws.a**3
 
-        dga = ws.dg_a_matrix()
-        mixed = []
-        for a_i in range(d):
-            dga_dot = (
-                fdot[a_i].T @ (fmat * (nu / fy**2)[:, None])
-                + fmat.T @ (fdot[a_i] * (nu / fy**2)[:, None])
-                - 2.0 * (fmat.T @ (fmat * (nu * fydot[a_i] / fy**3)[:, None]))
-            )
-            mat = -ws.p1[:, None] * (
-                dga_dot / (ws.a**2)[:, None]
-                - 2.0 * (adot[a_i] / ws.a**3)[:, None] * dga
-            )
-            mixed.append(LinearMap(mat))
-        return ddot, tuple(mixed)
+        half = fdot.transpose(0, 2, 1) @ (fmat * c2[:, None])  # (d, m, m)
+        third = (fmat.T * (c3 * fydot)[:, None, :]) @ fmat
+        dga_dot = half + half.transpose(0, 2, 1) - 2.0 * third
+        mats = -ws.p1[:, None] * (
+            dga_dot / (ws.a**2)[:, None]
+            - 2.0 * (adot / ws.a**3)[:, :, None] * ws.dg_a
+        )
+        return ddot, tuple(LinearMap(mat) for mat in mats)
 
     return dot, second_order
 
@@ -490,11 +470,12 @@ def efficient_score(model, theta, F=None, g=None, derivs=None, eta_dot=None):
 
 def score_jacobian(model, theta, F=None, g=None, derivs=None, eta_dot=None,
                    eta_ddot=None):
-    """Per-record parameter Jacobian of the score, shape (n, d, d).
+    """Parameter Jacobian of the mean score under F's weights, shape (d, d).
 
     derivs defaults as in :func:`efficient_score`, and eta_dot and eta_ddot
-    to the implicit derivatives it gives.  Each record's matrix is
-    symmetric up to roundoff.
+    to the implicit derivatives it gives.  Each block of per-record terms,
+    record axis last, is contracted with the weights as it is formed, so no
+    per-record matrix is built.  The result is symmetric up to roundoff.
     """
     if derivs is None:
         derivs = _bundle(model, theta, F, g)
@@ -503,33 +484,29 @@ def score_jacobian(model, theta, F=None, g=None, derivs=None, eta_dot=None,
     if eta_ddot is None:
         eta_ddot = d2theta_eta(derivs, eta_dot)
     ws = derivs.workspace
-    g = ws.g
-    d = model.theta_dim
-    out = np.zeros((model.n_records, d, d))
+    w = model.resolve_weights(F)
 
-    fc, g_at = _complete_case(ws)
-    gdot_at = eta_dot[:, model.slot]
-    gddot_at = eta_ddot[:, :, model.slot]
+    fc, _ = _complete_case(ws)
+    w_c = w[model.complete_rows]
     score_c = ws.fdot_c / fc
-    out[model.complete_rows] = (
-        ws.complete(model.family.d2theta) / fc
-        - np.einsum("ai,bi->abi", score_c, score_c)
-        + gddot_at / g_at
-        - np.einsum("ai,bi->abi", gdot_at / g_at, gdot_at / g_at)
-    ).transpose(2, 0, 1)
+    # the mass terms depend on the record only through its slot
+    per_mass = np.bincount(model.slot, w_c, minlength=model.n_support) / ws.g
+    out = (
+        ws.complete(model.family.d2theta) @ (w_c / fc)
+        - (score_c * w_c) @ score_c.T
+        + eta_ddot @ per_mass
+        - (eta_dot * (per_mass / ws.g)) @ eta_dot.T
+    )
 
     if len(model.incomplete_rows):
-        fy = ws.fy
-        fydot = ws.fdot @ g  # (d, n2)
-        fyddot = np.einsum("ablj,j->abl", ws.fddot, g)
-        mix_dot = eta_dot @ ws.fmat.T  # (d, n2): d_g f_Y(gdot)
-        cross = np.einsum("alj,bj->abl", ws.fdot, eta_dot)  # d_g fdot_Y(gdot)
-        mix_ddot = np.einsum("abj,lj->abl", eta_ddot, ws.fmat)
-        num_dot = fydot + mix_dot
-        out[model.incomplete_rows] = (
-            (fyddot + cross + cross.transpose(1, 0, 2) + mix_ddot) / fy
-            - np.einsum("al,bl->abl", num_dot, num_dot) / fy**2
-        ).transpose(2, 0, 1)
+        w_f = w[model.incomplete_rows] / ws.fy
+        # d_g fdot_Y(gdot), contracted: cross[a, b] = sum_l w_f fdot[a] @ gdot[b]
+        cross = (w_f @ ws.fdot) @ eta_dot.T
+        num_dot = ws.fdot @ ws.g + eta_dot @ ws.fmat.T  # (d, n2)
+        out += (
+            ws.fyddot @ w_f + cross + cross.T + eta_ddot @ (w_f @ ws.fmat)
+            - (num_dot * (w_f / ws.fy)) @ num_dot.T
+        )
     return out
 
 
@@ -565,7 +542,8 @@ def check_missing_fraction(F):
 
 
 class MissingCovProfile(Profile):
-    """Profile-likelihood view: score and analytic Jacobian per record."""
+    """Profile-likelihood view: per-record scores and the analytic Jacobian
+    of the mean score."""
 
     solve_nuisance = staticmethod(solve_nuisance)
 
@@ -584,11 +562,10 @@ class MissingCovProfile(Profile):
 
     def jacobian(self, point):
         """Jacobian of the mean score at a point, from its bundle."""
-        per_record = score_jacobian(
+        return score_jacobian(
             self.model, point.theta, self.weights,
             derivs=point.derivs, eta_dot=point.eta_dot, eta_ddot=point.eta_ddot,
         )
-        return np.einsum("i,iab->ab", self.weights, per_record)
 
     def precheck(self, theta):
         report = check_missing_fraction(self.model.two_sample(self.weights))

@@ -248,6 +248,96 @@ def psi_missing_cov_naive(r, y, x, w, support, family, theta, g_masses):
     return np.array(out)
 
 
+def second_order_loops(ws):
+    """Parameter derivatives of the mixture operator at a workspace, one
+    parameter or pair at a time: (dot, ddot, mixed matrices)."""
+    d, m = ws.model.theta_dim, ws.model.n_support
+    fmat, fy, nu, g_m, fdot, fddot = ws.fmat, ws.fy, ws.nu, ws.g, ws.fdot, ws.fddot
+    fydot = fdot @ g_m
+    adot = np.empty((d, m))
+    for a_i in range(d):
+        adot[a_i] = -(
+            (nu / fy) @ fdot[a_i] - fmat.T @ (nu * fydot[a_i] / fy**2)
+        )
+    addot = np.empty((d, d, m))
+    for a_i in range(d):
+        for b_i in range(a_i, d):
+            fyddot = fddot[a_i, b_i] @ g_m
+            term = (
+                (nu / fy) @ fddot[a_i, b_i]
+                - fmat.T @ (nu * fyddot / fy**2)
+                + 2.0 * (fmat.T @ (nu * fydot[a_i] * fydot[b_i] / fy**3))
+                - fdot[a_i].T @ (nu * fydot[b_i] / fy**2)
+                - fdot[b_i].T @ (nu * fydot[a_i] / fy**2)
+            )
+            addot[a_i, b_i] = -term
+            addot[b_i, a_i] = -term
+    ddot = -ws.p1 * (ws.a * addot - 2.0 * adot[:, None, :] * adot[None, :, :]) / ws.a**3
+
+    dga = fmat.T @ (fmat * (nu / fy**2)[:, None])
+    mixed = []
+    for a_i in range(d):
+        dga_dot = (
+            fdot[a_i].T @ (fmat * (nu / fy**2)[:, None])
+            + fmat.T @ (fdot[a_i] * (nu / fy**2)[:, None])
+            - 2.0 * (fmat.T @ (fmat * (nu * fydot[a_i] / fy**3)[:, None]))
+        )
+        mixed.append(-ws.p1[:, None] * (
+            dga_dot / (ws.a**2)[:, None]
+            - 2.0 * (adot[a_i] / ws.a**3)[:, None] * dga
+        ))
+    return -ws.p1 * adot / ws.a**2, ddot, mixed
+
+
+def d2g_pairs_loop(ws, H):
+    """Second nuisance derivative of the mixture operator at a workspace,
+    one pair of rows of H at a time, shape (d, d, m)."""
+    def apply(h1, h2):
+        u1 = ws.fmat @ h1
+        u2 = ws.fmat @ h2
+        d2a = -2.0 * (ws.fmat.T @ (ws.nu * u1 * u2 / ws.fy**3))
+        da1 = ws.fmat.T @ (ws.nu * u1 / ws.fy**2)
+        da2 = ws.fmat.T @ (ws.nu * u2 / ws.fy**2)
+        return ws.p1 * (-d2a / ws.a**2 + 2.0 * da1 * da2 / ws.a**3)
+
+    return np.array([[apply(h1, h2) for h2 in H] for h1 in H])
+
+
+def score_jacobian_per_record(model, derivs, eta_dot, eta_ddot):
+    """Per-record parameter Jacobian of the mixture score, shape (n, d, d),
+    from the bundle derivs and the implicit derivatives of its fixed point."""
+    ws = derivs.workspace
+    g = ws.g
+    d = model.theta_dim
+    out = np.zeros((model.n_records, d, d))
+
+    fc = ws.complete(model.family.density)
+    g_at = g[model.slot]
+    gdot_at = eta_dot[:, model.slot]
+    gddot_at = eta_ddot[:, :, model.slot]
+    score_c = ws.complete(model.family.dtheta) / fc
+    out[model.complete_rows] = (
+        ws.complete(model.family.d2theta) / fc
+        - np.einsum("ai,bi->abi", score_c, score_c)
+        + gddot_at / g_at
+        - np.einsum("ai,bi->abi", gdot_at / g_at, gdot_at / g_at)
+    ).transpose(2, 0, 1)
+
+    if len(model.incomplete_rows):
+        fy = ws.fy
+        fydot = ws.fdot @ g  # (d, n2)
+        fyddot = np.einsum("ablj,j->abl", ws.fddot, g)
+        mix_dot = eta_dot @ ws.fmat.T  # (d, n2): d_g f_Y(gdot)
+        cross = np.einsum("alj,bj->abl", ws.fdot, eta_dot)  # d_g fdot_Y(gdot)
+        mix_ddot = np.einsum("abj,lj->abl", eta_ddot, ws.fmat)
+        num_dot = fydot + mix_dot
+        out[model.incomplete_rows] = (
+            (fyddot + cross + cross.transpose(1, 0, 2) + mix_ddot) / fy
+            - np.einsum("al,bl->abl", num_dot, num_dot) / fy**2
+        ).transpose(2, 0, 1)
+    return out
+
+
 @dataclass(frozen=True)
 class MissingCovRecord:
     """One observation: r = 1 when x is observed, 2 when it is missing."""

@@ -126,6 +126,12 @@ class TestProfileMle:
         assert nuisance["iterations"] >= 1
         assert nuisance["contraction_estimate"] > 0
 
+    def test_failed_solves_are_counted(self):
+        # from this far start four Newton candidates raise inside their solve
+        fit = profile_mle(MissingCovProfile(ex2_model(200, 4)), np.array([1.0, 1.0, 0.0]))
+        solves = fit.diagnostics["nuisance_solves"]
+        assert (solves["started"], solves["failed"], solves["count"]) == (12, 4, 8)
+
     def test_numerical_failure_of_a_candidate_is_halved_past(self):
         profile = LineSearchStub(RiskSetEmpty("empty risk set"))
         fit = profile_mle(profile, np.zeros(1))
@@ -221,7 +227,7 @@ class LineSearchStub:
     dim = 1
     n = 4
     weights = np.full(4, 0.25)
-    solves = solve_iterations = 0
+    solves = solve_iterations = solves_started = 0
     solution = FixedPointSolution(np.zeros(1), 0.0, 1, 0.0, 0.0)
     scores = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 

@@ -59,6 +59,20 @@ class TestResolvent:
         with pytest.raises(SingularResolvent):
             resolvent_apply(np.eye(3), np.ones(3))
 
+    def test_structured_nan_residual_is_singular(self):
+        # a zero coefficient row solves to rhs exactly, finite, while apply
+        # multiplies the NaN suffix sum into the residual
+        with pytest.raises(SingularResolvent, match="did not verify"):
+            resolvent_apply(MaxIndexMap([(np.zeros(3), [np.nan, 1.0, 0.5])]), np.ones(3))
+
+    def test_dense_nan_residual_is_singular(self, monkeypatch):
+        # LAPACK spreads a NaN of the system into the solution, which the
+        # finiteness test catches first; a solve that returns finite values
+        # leaves only the residual to catch it
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.ones_like(b))
+        with pytest.raises(SingularResolvent, match="did not verify"):
+            resolvent_apply(np.array([[0.0, np.nan], [0.0, 0.0]]), np.ones(2))
+
     def test_survival_map_past_contraction_is_singular(self, prop_odds_model):
         # the nuisance derivative at a survival fixed point, with its
         # coefficients scaled until the spectral radius reaches 1.5

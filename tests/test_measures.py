@@ -241,6 +241,23 @@ class TestLinearAndBilinearMaps:
         rhs = a * B.apply(h1, h2) + b * B.apply(h1p, h2)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    def test_default_pairs_is_the_apply_loop(self, rng):
+        T = rng.normal(size=(3, 3, 3))
+        T = T + T.transpose(0, 2, 1)
+
+        def form(h1, h2):
+            return np.einsum("ijk,j,k->i", T, h1, h2)
+
+        # a symmetric form: pairs applies it on j <= k and mirrors
+        B = BilinearMap(form, 3)
+        H = rng.normal(size=(4, 3))
+        pairs = B.pairs(H)
+        for j, k in zip(*np.triu_indices(4)):
+            assert np.array_equal(pairs[j, k], B.apply(H[j], H[k]))
+            assert np.array_equal(pairs[k, j], pairs[j, k])
+        with pytest.raises(InvalidInput, match="dimension"):
+            B.pairs(rng.normal(size=(4, 2)))
+
 
 def max_index_terms(m, seed, n_terms, zero_share):
     """Random terms shaped like the survival derivatives: nonnegative

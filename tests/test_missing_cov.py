@@ -1,4 +1,5 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from profix.errors import (
     SupportViolation,
 )
 from profix.fixed_point import estimate_operator_norm
+from profix.implicit_diff import d2theta_eta, dtheta_eta
 from profix.measures import GridDensity
 from profix.missing_cov import (
     ConditionalDensity,
@@ -42,9 +44,12 @@ from profix.missing_cov import (
 
 from reference import (
     MissingCovRecord,
+    d2g_pairs_loop,
     log_density,
     normalization_error,
     psi_missing_cov_naive,
+    score_jacobian_per_record,
+    second_order_loops,
 )
 
 THETA = np.array([0.05, 0.9, 0.05])
@@ -363,20 +368,30 @@ class TestOperatorOverhead:
 
     def test_complete_case_values_once_per_point(self, missing_cov_model,
                                                  monkeypatch):
-        # the score and the Jacobian at one point share the complete-case
-        # density and its first derivative
+        # the score and the Jacobian at one point evaluate the density and
+        # each of its derivatives once at the complete records, and share
+        # one mixture second derivative between eta_ddot and the Jacobian
         model = missing_cov_model
         profile = MissingCovProfile(model)
         calls = {name: record_calls(monkeypatch, NormalRegression, name)
                  for name in ("density", "dtheta", "d2theta")}
+        fyddot = missing_cov._Workspace.__dict__["fyddot"]
+        computed = []
+
+        def counted(ws):
+            computed.append(ws)
+            return fyddot.func(ws)
+
+        counting = cached_property(counted)
+        counting.__set_name__(missing_cov._Workspace, "fyddot")
+        monkeypatch.setattr(missing_cov._Workspace, "fyddot", counting)
         profile.jacobian(profile.point(THETA))
         at_complete = {
             name: sum(np.shape(a[1]) == model.complete_rows.shape for a in args)
             for name, args in calls.items()
         }
-        # dtheta and d2theta each evaluate the density themselves
-        assert at_complete["dtheta"] == 1
-        assert at_complete["density"] - at_complete["dtheta"] - at_complete["d2theta"] == 1
+        assert at_complete == {"density": 1, "dtheta": 1, "d2theta": 1}
+        assert len(computed) == 1
 
 
 class TestDerivativeOperators:
@@ -485,6 +500,14 @@ class TestLogDensity:
             MissingCovRecord(r=3, y=0.0)
 
 
+def per_record_jacobian(model, theta):
+    """The reference per-record score Jacobian at the fixed point at theta."""
+    derivs = psi_derivatives(model, theta, solve_nuisance(model, theta).eta)
+    eta_dot = dtheta_eta(derivs)
+    return score_jacobian_per_record(model, derivs, eta_dot,
+                                     d2theta_eta(derivs, eta_dot))
+
+
 class TestScores:
     def test_theta_free_and_complete_scores_vanish(self):
         family = UniformOutcome()
@@ -493,11 +516,12 @@ class TestScores:
         )
         scores = efficient_score(model, np.zeros(2))
         assert np.abs(scores).max() == 0.0
-        jac = score_jacobian(model, np.zeros(2))
+        jac = per_record_jacobian(model, np.zeros(2))
         assert np.abs(jac).max() == 0.0
+        assert np.abs(score_jacobian(model, np.zeros(2))).max() == 0.0
 
     def test_jacobian_symmetry(self, missing_cov_model):
-        jac = score_jacobian(missing_cov_model, THETA)
+        jac = per_record_jacobian(missing_cov_model, THETA)
         assert np.abs(jac - jac.transpose(0, 2, 1)).max() <= 1e-8
 
     def test_jacobian_matches_fd_of_score(self, missing_cov_model):
@@ -508,6 +532,42 @@ class TestScores:
         fd = fd_theta(profile.mean_score, THETA, FdConfig(step=1e-4))
         denom = max(np.abs(fd).max(), 1e-10)
         assert np.abs(analytic - fd.T).max() / denom < 1e-3
+
+
+def assert_close(batched, loop, rtol=1e-12):
+    assert np.abs(batched - loop).max() <= rtol * np.abs(loop).max()
+
+
+class TestBatchedJacobian:
+    """The Jacobian point's batched second-order pieces against the
+    pair-by-pair loops they replace, on a sample and a population."""
+
+    @pytest.fixture(params=["missing_cov_model", "missing_cov_population"])
+    def point(self, request):
+        model = request.getfixturevalue(request.param)
+        return MissingCovProfile(getattr(model, "model", model)).point(THETA)
+
+    def test_derivatives_match_loops(self, point):
+        dot, ddot, mixed = second_order_loops(point.derivs.workspace)
+        assert_close(point.derivs.dot_psi, dot)
+        assert_close(point.derivs.ddot_psi, ddot)
+        for batched, loop in zip(point.derivs.d_eta_dot, mixed, strict=True):
+            assert_close(batched.matrix, loop)
+
+    def test_d2g_pairs_match_apply_loop(self, point, rng):
+        form = point.derivs.d2_eta
+        for H in (point.eta_dot, rng.normal(size=(4, form.input_dim))):
+            loop = d2g_pairs_loop(point.derivs.workspace, H)
+            assert_close(form.pairs(H), loop)
+            assert_close(form.apply(H[0], H[1]), loop[0, 1])
+
+    def test_score_jacobian_is_weighted_per_record_sum(self, point):
+        model = point.derivs.workspace.model
+        per_record = score_jacobian_per_record(
+            model, point.derivs, point.eta_dot, point.eta_ddot)
+        jac = score_jacobian(model, THETA, derivs=point.derivs,
+                             eta_dot=point.eta_dot, eta_ddot=point.eta_ddot)
+        assert_close(jac, np.einsum("i,iab->ab", model.weights, per_record))
 
 
 class TestMissingFraction:
