@@ -109,18 +109,20 @@ def _scaled_directions(rng, base, count=_N_DIRECTIONS):
 def audit_operators(family, model, theta=None, seed=0, corrupt=None):
     """Operator-derivative audits of one family on one dataset.
 
-    The nuisance, parameter and mixed derivatives are the family module's
-    functions named by ``family.audit_rows``; the operator in coefficient
+    The nuisance, parameter, mixed and distribution derivatives are the
+    fields of the family's derivative bundle (``psi_derivatives``), in rows
+    labelled by ``family.audit_rows``; the operator in coefficient
     coordinates is the map of the family's fixed-point problem.
     """
     mod = family.module
-    d_eta_name, d2_eta_name, dtheta_name = family.audit_rows[:3]
+    d_eta_name, d2_eta_name, dtheta_name = family.audit_rows
     rng = np.random.default_rng(seed + family.audit_seed_offset)
     theta = np.atleast_1d(np.asarray(
         family.audit_theta(model) if theta is None else theta, dtype=float
     ))
     eta = mod.solve_nuisance(model, theta, tol=1e-12).eta
     nuisance = model.as_nuisance(eta)
+    derivs = mod.psi_derivatives(model, theta, nuisance)
     rows = []
 
     def psi_of_eta(v):
@@ -131,70 +133,63 @@ def audit_operators(family, model, theta=None, seed=0, corrupt=None):
 
     dirs = _scaled_directions(rng, eta)
 
-    d_eta = getattr(mod, d_eta_name)(model, theta, nuisance)
     worst = 0.0
     for h in dirs:
         step = 1e-5
         fd = (psi_of_eta(eta + step * h) - psi_of_eta(eta - step * h)) / (
             2.0 * step
         )
-        analytic = _maybe_corrupt(d_eta.apply(h), d_eta_name, corrupt)
+        analytic = _maybe_corrupt(derivs.d_eta.apply(h), d_eta_name, corrupt)
         worst = max(worst, rel_err(analytic, fd))
     rows.append(AuditRow(d_eta_name, worst, FIRST_ORDER_TOL))
 
-    d2_eta = getattr(mod, d2_eta_name)(model, theta, nuisance)
     worst = 0.0
     for h1, h2 in zip(dirs, dirs[1:] + dirs[:1]):
         fd = fd_bilinear(
             lambda s, t: psi_of_eta(eta + s * h1 + t * h2), h1, h2, step=1e-4
         )
-        analytic = _maybe_corrupt(d2_eta.apply(h1, h2), d2_eta_name, corrupt)
+        analytic = _maybe_corrupt(derivs.d2_eta.apply(h1, h2), d2_eta_name, corrupt)
         worst = max(worst, rel_err(analytic, fd))
     rows.append(AuditRow(d2_eta_name, worst, SECOND_ORDER_TOL))
 
-    dtheta_psi = getattr(mod, dtheta_name)
-    dot, ddot, mixed = dtheta_psi(model, theta, nuisance)
+    def dot_at(t, at):
+        return mod.psi_derivatives(model, t, at).dot_psi
+
     fd_dot = fd_theta(psi_of_theta, theta, FdConfig(step=1e-5))
-    rows.append(_row(f"{dtheta_name}.dot", dot, fd_dot, FIRST_ORDER_TOL, corrupt))
-
-    def dot_of_theta(t):
-        return dtheta_psi(model, t, nuisance)[0]
-
-    fd_ddot = fd_theta(dot_of_theta, theta, FdConfig(step=1e-4))
-    rows.append(_row(f"{dtheta_name}.ddot", ddot, fd_ddot.transpose(1, 0, 2),
-                     SECOND_ORDER_TOL, corrupt))
+    rows.append(_row(f"{dtheta_name}.dot", derivs.dot_psi, fd_dot,
+                     FIRST_ORDER_TOL, corrupt))
+    fd_ddot = fd_theta(lambda t: dot_at(t, nuisance), theta, FdConfig(step=1e-4))
+    rows.append(_row(f"{dtheta_name}.ddot", derivs.ddot_psi,
+                     fd_ddot.transpose(1, 0, 2), SECOND_ORDER_TOL, corrupt))
 
     worst = 0.0
     name = f"{dtheta_name}.mixed"
     for h in dirs:
-        def dot_along(t, h=h):
-            return dtheta_psi(model, theta, model.as_nuisance(eta + t * h))[0]
-
         step = 1e-4
-        fd = (dot_along(step) - dot_along(-step)) / (2.0 * step)
-        analytic = np.stack([m.apply(h) for m in mixed])
+        fd = (dot_at(theta, model.as_nuisance(eta + step * h))
+              - dot_at(theta, model.as_nuisance(eta - step * h))) / (2.0 * step)
+        analytic = np.stack([m.apply(h) for m in derivs.d_eta_dot])
         analytic = _maybe_corrupt(analytic, name, corrupt)
         worst = max(worst, rel_err(analytic, fd))
     rows.append(AuditRow(name, worst, SECOND_ORDER_TOL))
 
     union, w_base, w_target = union_with_resample(model, family.name, seed + 1000)
     eta_u = mod.solve_nuisance(union, theta, w_base, tol=1e-12).eta
+    derivs_u = mod.psi_derivatives(union, theta, union.as_nuisance(eta_u), w_base)
     h_dir = w_target - w_base
-    analytic = mod.df_psi(union, theta, union.as_nuisance(eta_u), w_base, h_dir)
 
     def psi_at_path(t):
         F = (1.0 - t) * w_base + t * w_target
         return mod.fixed_point_problem(union, theta, F).apply(eta_u)
 
     fd = fd_path(psi_at_path, FdConfig(step=1e-5, scheme="forward", richardson=True))
-    rows.append(_row("df_psi", analytic, fd, FIRST_ORDER_TOL, corrupt))
+    rows.append(_row("df_psi", derivs_u.d_f(h_dir), fd, FIRST_ORDER_TOL, corrupt))
 
-    if "score_jacobian" in family.audit_rows:
-        # score Jacobian versus differences of the analytic score
-        profile = family.profile(model, solver_tol=1e-12)
-        jac = profile.jacobian(profile.point(theta))
-        fd_jac = fd_theta(profile.mean_score, theta, FdConfig(step=1e-4))
-        rows.append(_row("score_jacobian", jac, fd_jac.T, SECOND_ORDER_TOL, corrupt))
+    # score Jacobian versus differences of the analytic score
+    profile = family.profile(model, solver_tol=1e-12)
+    jac = profile.jacobian(profile.point(theta))
+    fd_jac = fd_theta(profile.mean_score, theta, FdConfig(step=1e-4))
+    rows.append(_row("score_jacobian", jac, fd_jac.T, SECOND_ORDER_TOL, corrupt))
 
     rows.extend(
         _audit_implicit(mod, model, theta, eta, union, w_base, w_target, corrupt)
@@ -272,7 +267,7 @@ def audit_population_missing_cov(seed, corrupt):
 
     bound = design.w2 / (1.0 - design.w2)
     norm = estimate_operator_norm(
-        missing_cov.dg_psi(pop.model, theta0, pop.g0), "l1"
+        missing_cov.psi_derivatives(pop.model, theta0, pop.g0).d_eta, "l1"
     )
     rows.append(_population_row("dg_psi_l1_norm_excess", norm - bound,
                                 NORM_BOUND_SLACK, corrupt))

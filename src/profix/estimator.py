@@ -44,12 +44,12 @@ NUMERICAL_FAILURES = (ProfixError, np.linalg.LinAlgError, FloatingPointError)
 class Family:
     """What the command line, the harness and the audits know of one family.
 
-    The family module's operators are not stored here but looked up through
-    :attr:`module` when called.  The harness draws samples with
-    ``simulation.gen_<name>``; the population audit is
-    ``audits.audit_population_<name>``.  ``audit_rows`` names the audited
-    operators as the family module does, in audit order, and lists
-    "score_jacobian" where the profile Jacobian is analytic.
+    The family module's solver and derivative bundle are not stored here
+    but looked up through :attr:`module` when called.  The harness draws
+    samples with ``simulation.gen_<name>``; the population audit is
+    ``audits.audit_population_<name>``.  ``audit_rows`` labels the audit
+    rows of the bundle's nuisance, second nuisance and parameter
+    derivatives, in audit order.
     """
 
     name: str

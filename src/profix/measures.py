@@ -208,21 +208,11 @@ class StepFunction:
 
 
 class GridDensity:
-    """Masses, or quadrature-weighted density values, on a finite support.
+    """Probability masses on a finite support, stored in support order."""
 
-    kind "pmf" stores probability masses at the support points; kind
-    "density" stores density values together with the quadrature weights
-    that turn them into masses.
-    """
-
-    KINDS = ("pmf", "density")
-
-    def __init__(self, support, masses, kind="pmf", quad_weights=None,
-                 normalize=False):
+    def __init__(self, support, masses):
         support = np.array(support, dtype=float)
         masses = np.array(masses, dtype=float)
-        if kind not in self.KINDS:
-            raise InvalidInput(f"unknown kind {kind!r}")
         if support.ndim != 1 or masses.shape != support.shape:
             raise InvalidInput("support and masses must be matching 1-d arrays")
         if len(support) == 0:
@@ -232,46 +222,12 @@ class GridDensity:
         if not np.all(np.isfinite(masses)) or np.any(masses < 0):
             raise InvalidInput("masses must be finite and nonnegative")
         order = np.argsort(support)
-        support = support[order]
-        masses = masses[order]
-        if kind == "density":
-            if quad_weights is None:
-                raise InvalidInput("density kind needs quadrature weights")
-            quad_weights = np.asarray(quad_weights, dtype=float)[order]
-            if np.any(quad_weights <= 0):
-                raise InvalidInput("quadrature weights must be positive")
-        self.kind = kind
-        self.support = support
-        self.values = masses
-        self.quad_weights = quad_weights
-        if normalize:
-            total = self.total_mass
-            if total <= 0:
-                raise InvalidInput("cannot normalize a zero density")
-            self.values = self.values / total
-        _freeze(self.support, self.values)
-        if self.quad_weights is not None:
-            _freeze(self.quad_weights)
-
-    @property
-    def masses(self):
-        """Masses at the support points (values times weights for densities)."""
-        if self.kind == "pmf":
-            return self.values
-        return self.values * self.quad_weights
-
-    @property
-    def total_mass(self):
-        return float(self.masses.sum())
-
-    def __len__(self):
-        return len(self.support)
+        self.support = support[order]
+        self.masses = masses[order]
+        _freeze(self.support, self.masses)
 
     def __repr__(self):
-        return (
-            f"GridDensity(kind={self.kind!r}, n={len(self)}, "
-            f"total_mass={self.total_mass:.6g})"
-        )
+        return f"GridDensity(n={len(self.support)}, total_mass={self.masses.sum():.6g})"
 
 
 class PerturbationDirection:

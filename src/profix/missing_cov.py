@@ -6,8 +6,8 @@ complete-case values, and its likelihood maximizer given the regression
 parameter solves a self-consistency equation: each mass equals the
 complete-case mass at that point divided by one minus the incomplete-case
 average of the conditional-to-mixture density ratio.  This module
-implements the operator, its derivatives, the log density and efficient
-score machinery, and quadrature-based population versions of all checks.
+implements the operator, the bundle of its derivatives at one point, the
+profiled score and its Jacobian, and population versions of all checks.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .estimator import Family, Profile
 from .fixed_point import FixedPointProblem, solve_fixed_point
-from .implicit_diff import PsiDerivatives, d2theta_eta, dtheta_eta
+from .implicit_diff import PsiDerivatives, dtheta_eta
 from .measures import (
     BilinearMap,
     EmpiricalMeasure,
@@ -172,7 +172,7 @@ class MissingCovModel(RecordTable):
         return g
 
     def masses_to_density(self, masses):
-        return GridDensity(self.support, masses, kind="pmf")
+        return GridDensity(self.support, masses)
 
     as_nuisance = masses_to_density
 
@@ -280,6 +280,11 @@ class _Workspace(_Operator):
         return self.incomplete(self.model.family.dtheta)
 
     @cached_property
+    def fydot(self):
+        """First parameter derivative of the mixture density, (d, n2)."""
+        return self.fdot @ self.g
+
+    @cached_property
     def fddot(self):
         return self.incomplete(self.model.family.d2theta)
 
@@ -319,12 +324,8 @@ def psi_masses(model, theta, masses, F=None):
     return _operator(model, theta, F)(masses)
 
 
-def fixed_point_problem(model, theta, F=None, norm_kind="sup"):
-    return FixedPointProblem(
-        apply=_operator(model, theta, F),
-        dimension=model.n_support,
-        norm_kind=norm_kind,
-    )
+def fixed_point_problem(model, theta, F=None):
+    return FixedPointProblem(_operator(model, theta, F), model.n_support)
 
 
 def solve_nuisance(model, theta, F=None, tol=1e-10, max_iter=10_000, eta0=None):
@@ -340,15 +341,12 @@ def solve_nuisance(model, theta, F=None, tol=1e-10, max_iter=10_000, eta0=None):
 
 
 def _dg_psi(ws):
+    """Derivative of the operator in the covariate masses."""
     return LinearMap(-(ws.p1 / ws.a**2)[:, None] * ws.dg_a)
 
 
-def dg_psi(model, theta, g, F=None):
-    """Derivative of the operator in the covariate masses."""
-    return _dg_psi(_workspace(model, theta, g, F))
-
-
 def _d2g_psi(ws):
+    """Second derivative in the covariate masses as a bilinear map."""
     def pairs(H):
         # the form at every pair of rows of H: two products with fmat in all
         u = H @ ws.fmat.T  # (d, n2)
@@ -360,16 +358,10 @@ def _d2g_psi(ws):
                        ws.model.n_support, pairs_fn=pairs)
 
 
-def d2g_psi(model, theta, g, F=None):
-    """Second derivative in the covariate masses as a bilinear map."""
-    return _d2g_psi(_workspace(model, theta, g, F))
-
-
 def _dtheta_psi(ws):
     """The first parameter derivative, and a function giving the second
     and mixed derivatives from the same intermediate terms."""
-    fmat, fy, nu, fdot = ws.fmat, ws.fy, ws.nu, ws.fdot
-    fydot = fdot @ ws.g  # (d, n2)
+    fmat, fy, nu, fdot, fydot = ws.fmat, ws.fy, ws.nu, ws.fdot, ws.fydot
     c2 = nu / fy**2
     adot = (c2 * fydot) @ fmat - (nu / fy) @ fdot  # (d, m)
     dot = -ws.p1 * adot / ws.a**2
@@ -394,17 +386,8 @@ def _dtheta_psi(ws):
     return dot, second_order
 
 
-def dtheta_psi(model, theta, g, F=None):
-    """First and second parameter derivatives and the mixed derivative.
-
-    Returns (dot, ddot, mixed) with shapes (d, m), (d, d, m) and one
-    mass-coordinate linear map per parameter component.
-    """
-    dot, second_order = _dtheta_psi(_workspace(model, theta, g, F))
-    return (dot, *second_order())
-
-
 def _df_psi(ws, h):
+    """Derivative of the operator in the distribution, in direction h."""
     model = ws.model
     hw = model.resolve_direction(h)
     dp1 = np.zeros(model.n_support)
@@ -412,11 +395,6 @@ def _df_psi(ws, h):
     hnu = hw[model.incomplete_rows]
     second = ws.fmat.T @ (hnu / ws.fy)
     return (dp1 * ws.a + ws.p1 * second) / ws.a**2
-
-
-def df_psi(model, theta, g, F=None, h=None):
-    """Derivative of the operator in the distribution, in direction h."""
-    return _df_psi(_workspace(model, theta, g, F), h)
 
 
 def psi_derivatives(model, theta, g, F=None):
@@ -437,54 +415,33 @@ def _complete_case(ws):
     return fc, g_at
 
 
-def _bundle(model, theta, F, g):
-    """The derivative bundle at g, by default the fixed point at (theta, F)."""
-    if g is None:
-        g = solve_nuisance(model, theta, F).eta
-    return psi_derivatives(model, theta, g, F)
-
-
-def efficient_score(model, theta, F=None, g=None, derivs=None, eta_dot=None):
-    """Per-record parameter score of the profiled log density, shape (n, d).
-
-    Reads the workspace of derivs, the operator's derivative bundle, which
-    defaults to the one at g, itself by default the fixed point at (theta, F);
-    eta_dot defaults to the implicit derivative the bundle gives.
-    """
-    if derivs is None:
-        derivs = _bundle(model, theta, F, g)
-    if eta_dot is None:
-        eta_dot = dtheta_eta(derivs)
+def efficient_score(derivs, eta_dot):
+    """Per-record parameter score of the profiled log density, shape (n, d),
+    from the derivative bundle at a fixed point and its implicit derivative."""
     ws = derivs.workspace
+    model = ws.model
     out = np.zeros((model.n_records, model.theta_dim))
 
     fc, g_at = _complete_case(ws)
     out[model.complete_rows] = (ws.fdot_c / fc + eta_dot[:, model.slot] / g_at).T
 
     if len(model.incomplete_rows):
-        fydot = ws.fdot @ ws.g  # (d, n2)
         mix_dot = eta_dot @ ws.fmat.T  # (d, n2)
-        out[model.incomplete_rows] = ((fydot + mix_dot) / ws.fy).T
+        out[model.incomplete_rows] = ((ws.fydot + mix_dot) / ws.fy).T
     return out
 
 
-def score_jacobian(model, theta, F=None, g=None, derivs=None, eta_dot=None,
-                   eta_ddot=None):
-    """Parameter Jacobian of the mean score under F's weights, shape (d, d).
+def score_jacobian(point):
+    """Parameter Jacobian of the mean score at a profile point, shape (d, d).
 
-    derivs defaults as in :func:`efficient_score`, and eta_dot and eta_ddot
-    to the implicit derivatives it gives.  Each block of per-record terms,
-    record axis last, is contracted with the weights as it is formed, so no
-    per-record matrix is built.  The result is symmetric up to roundoff.
+    The model and the weights are those of the point's derivative bundle.
+    Each block of per-record terms, record axis last, is contracted with the
+    weights as it is formed, so no per-record matrix is built.  The result
+    is symmetric up to roundoff.
     """
-    if derivs is None:
-        derivs = _bundle(model, theta, F, g)
-    if eta_dot is None:
-        eta_dot = dtheta_eta(derivs)
-    if eta_ddot is None:
-        eta_ddot = d2theta_eta(derivs, eta_dot)
-    ws = derivs.workspace
-    w = model.resolve_weights(F)
+    ws = point.derivs.workspace
+    model, w = ws.model, ws.w
+    eta_dot, eta_ddot = point.eta_dot, point.eta_ddot
 
     fc, _ = _complete_case(ws)
     w_c = w[model.complete_rows]
@@ -502,7 +459,7 @@ def score_jacobian(model, theta, F=None, g=None, derivs=None, eta_dot=None,
         w_f = w[model.incomplete_rows] / ws.fy
         # d_g fdot_Y(gdot), contracted: cross[a, b] = sum_l w_f fdot[a] @ gdot[b]
         cross = (w_f @ ws.fdot) @ eta_dot.T
-        num_dot = ws.fdot @ ws.g + eta_dot @ ws.fmat.T  # (d, n2)
+        num_dot = ws.fydot + eta_dot @ ws.fmat.T  # (d, n2)
         out += (
             ws.fyddot @ w_f + cross + cross.T + eta_ddot @ (w_f @ ws.fmat)
             - (num_dot * (w_f / ws.fy)) @ num_dot.T
@@ -551,8 +508,7 @@ class MissingCovProfile(Profile):
         return psi_derivatives(self.model, theta, g, self.weights)
 
     def point_scores(self, theta, g, derivs, eta_dot):
-        return efficient_score(self.model, theta, self.weights,
-                               derivs=derivs, eta_dot=eta_dot)
+        return efficient_score(derivs, eta_dot)
 
     def score(self, theta):
         return self.point(theta).scores
@@ -562,10 +518,7 @@ class MissingCovProfile(Profile):
 
     def jacobian(self, point):
         """Jacobian of the mean score at a point, from its bundle."""
-        return score_jacobian(
-            self.model, point.theta, self.weights,
-            derivs=point.derivs, eta_dot=point.eta_dot, eta_ddot=point.eta_ddot,
-        )
+        return score_jacobian(point)
 
     def precheck(self, theta):
         report = check_missing_fraction(self.model.two_sample(self.weights))
@@ -719,7 +672,7 @@ def score_orthogonality(pop, directions, theta=None):
     sol = solve_nuisance(model, theta, None)
     g = sol.eta
     derivs = psi_derivatives(model, theta, g, None)
-    scores = efficient_score(model, theta, derivs=derivs)
+    scores = efficient_score(derivs, dtheta_eta(derivs))
 
     # nuisance score per record for a direction alpha: alpha/g at the
     # complete-case x, mixture ratio for incomplete records
@@ -750,7 +703,7 @@ FAMILY = Family(
     default_start=_complete_case_start,
     labels=lambda model: ["intercept", "slope", "log_sigma"],
     fit_payload=_fit_payload,
-    audit_rows=("dg_psi", "d2g_psi", "dtheta_psi", "score_jacobian"),
+    audit_rows=("dg_psi", "d2g_psi", "dtheta_psi"),
     audit_seed_offset=29,
     audit_theta=lambda model: (0.05, 0.9, 0.05),
     audit_design=MissingCovDesign(),

@@ -5,9 +5,9 @@ covariates).  Given the regression coefficients, the baseline odds
 function maximizing the likelihood solves a self-consistency equation on
 the grid of observed event times: each jump equals the weighted event
 mass at that time divided by the weighted mean of an at-risk weight W.
-This module implements that operator, its derivatives in every argument,
-the log likelihood, and the variance condition that makes the operator a
-contraction.
+This module implements that operator, the bundle of its derivatives at
+one point, the profiled score and its Jacobian, and the variance condition
+that makes the operator a contraction.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def psi_apply(model, beta, A, F=None):
 
 
 def fixed_point_problem(model, beta, F=None):
-    return FixedPointProblem(_operator(model, beta, F), model.n_events, norm_kind="sup")
+    return FixedPointProblem(_operator(model, beta, F), model.n_events)
 
 
 def solve_nuisance(model, beta, F=None, tol=1e-10, max_iter=10_000, eta0=None):
@@ -237,11 +237,6 @@ def solve_nuisance(model, beta, F=None, tol=1e-10, max_iter=10_000, eta0=None):
 
 
 def _da_psi(ws):
-    k_suffix = ws.suffix_at_events(ws.w * ws.k)
-    return MaxIndexMap([(ws.edn * ws.inv_ew**2, k_suffix)])
-
-
-def da_psi(model, beta, A, F=None):
     """Derivative of the operator in the nuisance, in jump coordinates.
 
     The direction enters only through its cumulative value at each record
@@ -249,12 +244,8 @@ def da_psi(model, beta, A, F=None):
     at-risk sum beyond the later of event times i and j: the map is
     diag(coef) K(k_suffix) in :class:`MaxIndexMap` form.
     """
-    return _da_psi(_workspace(model, beta, A, F))
-
-
-def da_psi_sup_norm(model, beta, A, F=None):
-    """Sup norm of the nuisance derivative at (beta, A); see _sup_norm."""
-    return _sup_norm(da_psi(model, beta, A, F))
+    k_suffix = ws.suffix_at_events(ws.w * ws.k)
+    return MaxIndexMap([(ws.edn * ws.inv_ew**2, k_suffix)])
 
 
 def _sup_norm(d_eta):
@@ -276,6 +267,7 @@ def _sup_norm(d_eta):
 
 
 def _d2a_psi(ws):
+    """Second derivative in the nuisance as a bilinear map on jump vectors."""
     k2 = 2.0 * (1.0 + ws.model.delta) * ws.q**3 / ws.denom**3
 
     def apply(h1, h2):
@@ -290,11 +282,6 @@ def _d2a_psi(ws):
         )
 
     return BilinearMap(apply, ws.model.n_events)
-
-
-def d2a_psi(model, beta, A, F=None):
-    """Second derivative in the nuisance as a bilinear map on jump vectors."""
-    return _d2a_psi(_workspace(model, beta, A, F))
 
 
 def _dbeta_psi(ws):
@@ -334,18 +321,12 @@ def _dbeta_psi(ws):
     return dot, second_order
 
 
-def dbeta_psi(model, beta, A, F=None):
-    """First and second coefficient derivatives and the mixed derivative.
-
-    Returns (dot, ddot, mixed): dot has shape (p, m), ddot (p, p, m), and
-    mixed is one jump-coordinate :class:`MaxIndexMap` per coefficient
-    component.
-    """
-    dot, second_order = _dbeta_psi(_workspace(model, beta, A, F))
-    return (dot, *second_order())
-
-
 def _df_psi(ws, h):
+    """Derivative of the operator in the distribution, in direction h.
+
+    h is a signed weight vector over the record table; the result is the
+    jump vector of the derivative step function.
+    """
     hw = ws.model.resolve_direction(h)
     h_edn = _event_mass(ws.model, hw)
     h_ew = ws.suffix_at_events(hw * ws.c)
@@ -355,15 +336,6 @@ def _df_psi(ws, h):
         raise RiskSetEmpty("direction carries event mass with empty risk set")
     inv_ew_full = np.where(ws.ew > 0, 1.0 / np.where(ws.ew > 0, ws.ew, 1.0), 0.0)
     return h_edn * inv_ew_full - ws.edn * h_ew * ws.inv_ew**2
-
-
-def df_psi(model, beta, A, F=None, h=None):
-    """Derivative of the operator in the distribution, in direction h.
-
-    h is a signed weight vector over the record table; the result is the
-    jump vector of the derivative step function.
-    """
-    return _df_psi(_workspace(model, beta, A, F), h)
 
 
 def psi_derivatives(model, beta, A, F=None):
@@ -387,16 +359,12 @@ class VarianceConditionReport:
         return self.lhs - self.rhs
 
 
-def check_variance_condition(model, beta, A, F=None):
+def _variance_condition(ws):
     """Compare E[delta/(1+delta) W^2] with Var(W) at every event time.
 
     The left side dominating everywhere is the empirical analogue of the
     condition that makes the nuisance operator contract in the sup norm.
     """
-    return _variance_condition(_workspace(model, beta, A, F))
-
-
-def _variance_condition(ws):
     model = ws.model
     frac = model.delta / (1.0 + model.delta)
     lhs = ws.suffix_at_events(ws.w * frac * ws.c**2)
@@ -687,7 +655,7 @@ FAMILY = Family(
     default_start=lambda model: np.zeros(model.covariate_dim),
     labels=lambda model: [f"beta_{k + 1}" for k in range(model.covariate_dim)],
     fit_payload=_fit_payload,
-    audit_rows=("da_psi", "d2a_psi", "dbeta_psi", "score_jacobian"),
+    audit_rows=("da_psi", "d2a_psi", "dbeta_psi"),
     audit_seed_offset=17,
     audit_theta=lambda model: [0.5] * model.covariate_dim,
     audit_design=LINEAR_DESIGN,

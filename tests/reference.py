@@ -423,9 +423,9 @@ def da_psi_value_map(model, beta, A, F=None):
 
     Similarity-transforms the jump-coordinate matrix with the cumulative
     operator; its max absolute row sum is the norm that
-    ``prop_odds.da_psi_sup_norm`` computes without the matrix.
+    ``prop_odds._sup_norm`` computes without the matrix.
     """
-    M = prop_odds.da_psi(model, beta, A, F).matrix
+    M = prop_odds.psi_derivatives(model, beta, A, F).d_eta.matrix
     m = M.shape[0]
     C = np.tri(m)
     Cinv = np.eye(m) - np.eye(m, k=-1)

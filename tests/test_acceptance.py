@@ -127,7 +127,9 @@ class TestCriterion4ContractionInstances:
         design = pop.design
         bound = design.w2 / (1.0 - design.w2)
         norm = estimate_operator_norm(
-            missing_cov.dg_psi(pop.model, np.asarray(design.theta0), pop.g0),
+            missing_cov.psi_derivatives(
+                pop.model, np.asarray(design.theta0), pop.g0
+            ).d_eta,
             "l1",
         )
         ok = norm <= bound + 1e-6
@@ -140,19 +142,20 @@ class TestCriterion4ContractionInstances:
         design = prop_odds.PropOddsDesign()
         beta0 = np.asarray(design.beta0)
 
-        pop = population_records(design)
-        sol = prop_odds.solve_nuisance(pop, beta0)
-        A = pop.jumps_to_step(sol.eta)
-        rep_pop = prop_odds.check_variance_condition(pop, beta0, A)
-        norm_pop = prop_odds.da_psi_sup_norm(pop, beta0, A)
+        def condition_and_norm(model):
+            # both read the derivative bundle at the fixed point, as the
+            # fit's precheck does
+            A = model.jumps_to_step(prop_odds.solve_nuisance(model, beta0).eta)
+            derivs = prop_odds.psi_derivatives(model, beta0, A)
+            return (prop_odds._variance_condition(derivs.workspace),
+                    prop_odds._sup_norm(derivs.d_eta))
 
+        rep_pop, norm_pop = condition_and_norm(population_records(design))
         rng = simulation.replication_rng(1004, 0)
         u, delta, z = simulation.gen_prop_odds(design, 500, rng)
-        model = prop_odds.PropOddsModel.from_arrays(u, delta, z)
-        sol_n = prop_odds.solve_nuisance(model, beta0)
-        A_n = model.jumps_to_step(sol_n.eta)
-        rep_n = prop_odds.check_variance_condition(model, beta0, A_n)
-        norm_n = prop_odds.da_psi_sup_norm(model, beta0, A_n)
+        rep_n, norm_n = condition_and_norm(
+            prop_odds.PropOddsModel.from_arrays(u, delta, z)
+        )
 
         ok = (rep_pop.satisfied and norm_pop < 1.0
               and rep_n.satisfied and norm_n < 1.0)

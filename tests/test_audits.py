@@ -10,6 +10,32 @@ TOLERANCES = (
 )
 
 
+#: Row names as ``check-derivs`` prints them and ``--corrupt`` takes them.
+ROWS = {
+    ("prop_odds", False): [
+        "da_psi", "d2a_psi", "dbeta_psi.dot", "dbeta_psi.ddot",
+        "dbeta_psi.mixed", "df_psi", "score_jacobian", "eta_dot", "eta_ddot",
+        "df_eta",
+    ],
+    ("missing_cov", False): [
+        "dg_psi", "d2g_psi", "dtheta_psi.dot", "dtheta_psi.ddot",
+        "dtheta_psi.mixed", "df_psi", "score_jacobian", "eta_dot", "eta_ddot",
+        "df_eta",
+    ],
+    ("prop_odds", True): ["self_consistency"],
+    ("missing_cov", True): [
+        "self_consistency", "dg_psi_l1_norm_excess", "nuisance_stationarity",
+        "score_orthogonality",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind, population", list(ROWS))
+def test_row_names_in_order(kind, population):
+    rows = audits.run_audits(kind, population=population)
+    assert [row.name for row in rows] == ROWS[kind, population]
+
+
 def test_corruption_a_decade_above_every_tolerance():
     assert audits.CORRUPTION >= 10.0 * max(TOLERANCES)
 

@@ -78,7 +78,7 @@ class TestResolvent:
         # coefficients scaled until the spectral radius reaches 1.5
         model, beta = prop_odds_model, [0.5]
         A = model.jumps_to_step(prop_odds.solve_nuisance(model, beta).eta)
-        ((coef, s),) = prop_odds.da_psi(model, beta, A).terms
+        ((coef, s),) = prop_odds.psi_derivatives(model, beta, A).d_eta.terms
         rho = max_index_spectral_radius(coef, s)
         assert 0.0 < rho < 1.0
         rhs = np.ones(len(s))

@@ -194,18 +194,9 @@ class TestTwoSampleMeasure:
 
 
 class TestGridDensity:
-    def test_pmf_normalization(self):
-        g = GridDensity([0.0, 1.0, 2.0], [1.0, 2.0, 1.0], normalize=True)
-        assert abs(g.total_mass - 1.0) < 1e-10
-
     def test_distinct_support(self):
         with pytest.raises(InvalidInput):
             GridDensity([0.0, 0.0], [0.5, 0.5])
-
-    def test_density_kind_masses(self):
-        g = GridDensity([0.0, 1.0], [2.0, 2.0], kind="density",
-                        quad_weights=[0.25, 0.25])
-        assert np.allclose(g.masses, [0.5, 0.5])
 
 
 class TestLinearAndBilinearMaps:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profix import estimator, missing_cov
+from profix import estimator, missing_cov, simulation
 from profix.errors import (
     ContractionViolation,
     DenominatorCollapse,
@@ -24,10 +24,6 @@ from profix.missing_cov import (
     MissingCovProfile,
     NormalRegression,
     check_missing_fraction,
-    dg_psi,
-    d2g_psi,
-    df_psi,
-    dtheta_psi,
     efficient_score,
     fixed_point_problem,
     load_csv,
@@ -273,9 +269,9 @@ class TestBoundOperator:
     @given(sample=mixture_samples(), seed=st.integers(0, 3),
            order=st.permutations(["dot_psi", "ddot_psi", "d_eta_dot", "d2_eta"]))
     @settings(max_examples=60, deadline=None)
-    def test_bundle_equals_wrappers(self, sample, seed, order):
-        # whichever part of the bundle is read first, each equals the
-        # public wrapper's value bitwise
+    def test_bundle_parts_independent_of_read_order(self, sample, seed, order):
+        # whichever part of the bundle is read first, each equals bitwise
+        # what a bundle read in order gives
         model, theta = sample
         g = dirichlet_masses(model, seed)
         try:
@@ -283,12 +279,12 @@ class TestBoundOperator:
         except (SupportViolation, DenominatorCollapse):
             return
         h1, h2 = np.random.default_rng(seed).normal(size=(2, model.n_support))
-        dot, ddot, mixed = dtheta_psi(model, theta, g)
+        ref = psi_derivatives(model, theta, g)
         expected = {
-            "dot_psi": dot,
-            "ddot_psi": ddot,
-            "d_eta_dot": [m.matrix for m in mixed],
-            "d2_eta": d2g_psi(model, theta, g).apply(h1, h2),
+            "dot_psi": ref.dot_psi,
+            "ddot_psi": ref.ddot_psi,
+            "d_eta_dot": [m.matrix for m in ref.d_eta_dot],
+            "d2_eta": ref.d2_eta.apply(h1, h2),
         }
         for name in order:
             value = getattr(derivs, name)
@@ -297,7 +293,6 @@ class TestBoundOperator:
             elif name == "d2_eta":
                 value = value.apply(h1, h2)
             assert np.array_equal(value, expected[name])
-        assert np.array_equal(derivs.d_eta.matrix, dg_psi(model, theta, g).matrix)
 
     def test_wrong_theta_refused_when_bound(self, missing_cov_model):
         with pytest.raises(InvalidInput, match="theta"):
@@ -370,28 +365,31 @@ class TestOperatorOverhead:
                                                  monkeypatch):
         # the score and the Jacobian at one point evaluate the density and
         # each of its derivatives once at the complete records, and share
-        # one mixture second derivative between eta_ddot and the Jacobian
+        # one mixture first and second derivative between the bundle, the
+        # score, eta_ddot and the Jacobian
         model = missing_cov_model
         profile = MissingCovProfile(model)
         calls = {name: record_calls(monkeypatch, NormalRegression, name)
                  for name in ("density", "dtheta", "d2theta")}
-        fyddot = missing_cov._Workspace.__dict__["fyddot"]
-        computed = []
+        computed = {"fydot": [], "fyddot": []}
+        for name, seen in computed.items():
+            cached = missing_cov._Workspace.__dict__[name]
 
-        def counted(ws):
-            computed.append(ws)
-            return fyddot.func(ws)
+            def counted(ws, cached=cached, seen=seen):
+                seen.append(ws)
+                return cached.func(ws)
 
-        counting = cached_property(counted)
-        counting.__set_name__(missing_cov._Workspace, "fyddot")
-        monkeypatch.setattr(missing_cov._Workspace, "fyddot", counting)
+            counting = cached_property(counted)
+            counting.__set_name__(missing_cov._Workspace, name)
+            monkeypatch.setattr(missing_cov._Workspace, name, counting)
         profile.jacobian(profile.point(THETA))
         at_complete = {
             name: sum(np.shape(a[1]) == model.complete_rows.shape for a in args)
             for name, args in calls.items()
         }
         assert at_complete == {"density": 1, "dtheta": 1, "d2theta": 1}
-        assert len(computed) == 1
+        assert {name: len(seen) for name, seen in computed.items()} == {
+            "fydot": 1, "fyddot": 1}
 
 
 class TestDerivativeOperators:
@@ -399,24 +397,23 @@ class TestDerivativeOperators:
         model = MissingCovModel.from_arrays(
             [1, 1], [0.1, 0.4], [0.0, 1.0], NormalRegression()
         )
-        g = np.array([0.5, 0.5])
-        assert np.allclose(dg_psi(model, THETA, g).matrix, 0.0)
-        dot, ddot, mixed = dtheta_psi(model, THETA, g)
-        assert np.abs(dot).max() == 0.0
-        assert np.abs(ddot).max() == 0.0
+        derivs = psi_derivatives(model, THETA, np.array([0.5, 0.5]))
+        assert np.allclose(derivs.d_eta.matrix, 0.0)
+        assert np.abs(derivs.dot_psi).max() == 0.0
+        assert np.abs(derivs.ddot_psi).max() == 0.0
 
     def test_theta_free_family_zero_dot(self):
         family = UniformOutcome()
         model = MissingCovModel.from_arrays(
             [1, 1, 2], [0.2, 1.2, 0.9], [0.0, 1.0, 0.0], family
         )
-        dot, _, _ = dtheta_psi(model, np.zeros(2), np.array([0.5, 0.5]))
-        assert np.abs(dot).max() == 0.0
+        derivs = psi_derivatives(model, np.zeros(2), np.array([0.5, 0.5]))
+        assert np.abs(derivs.dot_psi).max() == 0.0
 
     def test_second_derivative_symmetry(self, missing_cov_model, rng):
         model = missing_cov_model
         g = solve_nuisance(model, THETA).eta
-        form = d2g_psi(model, THETA, g)
+        form = psi_derivatives(model, THETA, g).d2_eta
         for _ in range(5):
             h1, h2 = rng.normal(size=(2, model.n_support))
             left = form.apply(h1, h2)
@@ -433,13 +430,13 @@ class TestDerivativeOperators:
         )
         g = np.array([0.5, 0.5])
         h = np.array([0.2, -0.2])
-        out = df_psi(model, THETA, g, None, h)
+        out = psi_derivatives(model, THETA, g).d_f(h)
         assert np.allclose(out, h)
 
     def test_df_zero(self, missing_cov_model):
         g = solve_nuisance(missing_cov_model, THETA).eta
-        out = df_psi(missing_cov_model, THETA, g, None,
-                     np.zeros(missing_cov_model.n_records))
+        out = psi_derivatives(missing_cov_model, THETA, g).d_f(
+            np.zeros(missing_cov_model.n_records))
         assert np.allclose(out, 0.0)
 
 
@@ -514,11 +511,11 @@ class TestScores:
         model = MissingCovModel.from_arrays(
             [1, 1], [0.2, 1.2], [0.0, 1.0], family
         )
-        scores = efficient_score(model, np.zeros(2))
-        assert np.abs(scores).max() == 0.0
+        point = MissingCovProfile(model).point(np.zeros(2))
+        assert np.abs(efficient_score(point.derivs, point.eta_dot)).max() == 0.0
         jac = per_record_jacobian(model, np.zeros(2))
         assert np.abs(jac).max() == 0.0
-        assert np.abs(score_jacobian(model, np.zeros(2))).max() == 0.0
+        assert np.abs(score_jacobian(point)).max() == 0.0
 
     def test_jacobian_symmetry(self, missing_cov_model):
         jac = per_record_jacobian(missing_cov_model, THETA)
@@ -532,6 +529,22 @@ class TestScores:
         fd = fd_theta(profile.mean_score, THETA, FdConfig(step=1e-4))
         denom = max(np.abs(fd).max(), 1e-10)
         assert np.abs(analytic - fd.T).max() / denom < 1e-3
+
+    def test_profile_weights_of_its_own(self, rng):
+        # a profile whose weights F are not the model's: score_jacobian
+        # reads F from the point's bundle, as the mean score weighs by it
+        # (n=200 at the design's missing share; the n=50 fixture's is 0.44,
+        # which reweighting can push to where the operator stops contracting)
+        from profix.numdiff import FdConfig, fd_theta
+
+        r, y, x = simulation.gen_missing_cov(
+            MissingCovDesign(), 200, simulation.replication_rng(102, 1))
+        model = MissingCovModel.from_arrays(r, y, x, NormalRegression())
+        F = rng.uniform(0.2, 1.8, size=model.n_records)
+        profile = MissingCovProfile(model, F / F.sum(), solver_tol=1e-12)
+        analytic = profile.jacobian(profile.point(THETA))
+        fd = fd_theta(profile.mean_score, THETA, FdConfig(step=1e-4))
+        assert np.abs(analytic - fd.T).max() / np.abs(fd).max() < 1e-6
 
 
 def assert_close(batched, loop, rtol=1e-12):
@@ -565,8 +578,7 @@ class TestBatchedJacobian:
         model = point.derivs.workspace.model
         per_record = score_jacobian_per_record(
             model, point.derivs, point.eta_dot, point.eta_ddot)
-        jac = score_jacobian(model, THETA, derivs=point.derivs,
-                             eta_dot=point.eta_dot, eta_ddot=point.eta_ddot)
+        jac = score_jacobian(point)
         assert_close(jac, np.einsum("i,iab->ab", model.weights, per_record))
 
 
@@ -613,7 +625,8 @@ class TestPopulation:
         pop = missing_cov_population
         design = pop.design
         norm = estimate_operator_norm(
-            dg_psi(pop.model, np.asarray(design.theta0), pop.g0), "l1"
+            psi_derivatives(pop.model, np.asarray(design.theta0), pop.g0).d_eta,
+            "l1",
         )
         assert norm <= design.w2 / (1.0 - design.w2) + 1e-6
 

@@ -23,12 +23,6 @@ from profix.prop_odds import (
     PropOddsDesign,
     PropOddsModel,
     PropOddsProfile,
-    check_variance_condition,
-    da_psi,
-    da_psi_sup_norm,
-    d2a_psi,
-    dbeta_psi,
-    df_psi,
     fixed_point_problem,
     load_csv,
     population_self_consistency,
@@ -51,6 +45,16 @@ from reference import (
 
 def zero_step(tau=3.0):
     return StepFunction([], [], tau)
+
+
+def variance_condition(model, beta, A):
+    """The variance-condition report read from the bundle at (beta, A)."""
+    return prop_odds._variance_condition(psi_derivatives(model, beta, A).workspace)
+
+
+def sup_norm(model, beta, A):
+    """The O(m) sup norm of the bundle's nuisance derivative at (beta, A)."""
+    return prop_odds._sup_norm(psi_derivatives(model, beta, A).d_eta)
 
 
 class TestWeightW:
@@ -123,22 +127,22 @@ class TestDerivativeOperators:
     def test_single_record_nuisance_derivative(self):
         # one event at 1, beta=0, A=0: output jump responds at rate 1/2
         model = PropOddsModel.from_arrays([1.0], [1.0], [0.0])
-        mat = da_psi(model, [0.0], zero_step(model.tau)).matrix
+        mat = psi_derivatives(model, [0.0], zero_step(model.tau)).d_eta.matrix
         assert mat.shape == (1, 1)
         assert mat[0, 0] == pytest.approx(0.5)
 
     def test_zero_direction(self, prop_odds_model):
         model = prop_odds_model
         A = psi_apply(model, [0.5], zero_step(model.tau))
-        mat = da_psi(model, [0.5], A)
-        assert np.allclose(mat.apply(np.zeros(model.n_events)), 0.0)
+        d_eta = psi_derivatives(model, [0.5], A).d_eta
+        assert np.allclose(d_eta.apply(np.zeros(model.n_events)), 0.0)
 
     def test_second_derivative_symmetry(self, prop_odds_model, rng):
         model = prop_odds_model
         beta = [0.5]
         sol = solve_nuisance(model, beta)
         A = model.jumps_to_step(sol.eta)
-        form = d2a_psi(model, beta, A)
+        form = psi_derivatives(model, beta, A).d2_eta
         for _ in range(5):
             h1 = rng.normal(size=model.n_events)
             h2 = rng.normal(size=model.n_events)
@@ -154,7 +158,7 @@ class TestDerivativeOperators:
         )
         sol = solve_nuisance(model, [0.0])
         A = model.jumps_to_step(sol.eta)
-        dot, _, _ = prop_odds.dbeta_psi(model, [0.0], A)
+        dot = psi_derivatives(model, [0.0], A).dot_psi
         assert np.abs(dot).max() < 1e-15
 
     def test_df_accepts_direction_objects(self, prop_odds_model, rng):
@@ -166,8 +170,9 @@ class TestDerivativeOperators:
         A = model.jumps_to_step(sol.eta)
         coeffs = rng.normal(size=model.n_records) * model.weights
         direction = PerturbationDirection(model.points, coeffs)
-        via_object = df_psi(model, beta, A, None, direction)
-        via_array = df_psi(model, beta, A, None, coeffs)
+        d_f = psi_derivatives(model, beta, A).d_f
+        via_object = d_f(direction)
+        via_array = d_f(coeffs)
         assert np.array_equal(via_object, via_array)
 
     def test_df_zero_and_self_direction(self, prop_odds_model):
@@ -175,10 +180,10 @@ class TestDerivativeOperators:
         beta = [0.5]
         sol = solve_nuisance(model, beta)
         A = model.jumps_to_step(sol.eta)
-        zero = df_psi(model, beta, A, None, np.zeros(model.n_records))
-        assert np.allclose(zero, 0.0)
+        d_f = psi_derivatives(model, beta, A).d_f
+        assert np.allclose(d_f(np.zeros(model.n_records)), 0.0)
         self_dir = model.weights - model.weights
-        assert np.allclose(df_psi(model, beta, A, None, self_dir), 0.0)
+        assert np.allclose(d_f(self_dir), 0.0)
 
 
 class TestLoglik:
@@ -228,7 +233,7 @@ class TestVarianceCondition:
         model = PropOddsModel.from_arrays(
             [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]
         )
-        report = check_variance_condition(model, [0.0], zero_step(model.tau))
+        report = variance_condition(model, [0.0], zero_step(model.tau))
         assert report.satisfied
         assert report.lhs[0] == pytest.approx(2.0)
         assert report.rhs[0] == pytest.approx(0.0)
@@ -237,7 +242,7 @@ class TestVarianceCondition:
         model = PropOddsModel.from_arrays(
             [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]
         )
-        report = check_variance_condition(model, [0.0], zero_step(model.tau))
+        report = variance_condition(model, [0.0], zero_step(model.tau))
         assert not report.satisfied
 
     def test_default_design_satisfied_n500(self):
@@ -247,10 +252,10 @@ class TestVarianceCondition:
         beta = np.asarray(PropOddsDesign().beta0)
         sol = solve_nuisance(model, beta)
         A = model.jumps_to_step(sol.eta)
-        report = check_variance_condition(model, beta, A)
+        report = variance_condition(model, beta, A)
         assert report.satisfied
         # conclusion of the contraction argument: sup norm below one
-        assert da_psi_sup_norm(model, beta, A) < 1.0
+        assert sup_norm(model, beta, A) < 1.0
 
     def test_condition_implies_norm_below_one(self):
         # exact population version of the same implication
@@ -259,9 +264,9 @@ class TestVarianceCondition:
         beta = np.asarray(design.beta0)
         sol = solve_nuisance(pop, beta)
         A = pop.jumps_to_step(sol.eta)
-        report = check_variance_condition(pop, beta, A)
+        report = variance_condition(pop, beta, A)
         assert report.satisfied
-        assert da_psi_sup_norm(pop, beta, A) < 1.0
+        assert sup_norm(pop, beta, A) < 1.0
 
 
 class TestFixedPointInvariants:
@@ -279,7 +284,7 @@ class TestFixedPointInvariants:
         beta = [0.5]
         sol = solve_nuisance(model, beta)
         A = model.jumps_to_step(sol.eta)
-        M = da_psi(model, beta, A).matrix
+        M = psi_derivatives(model, beta, A).d_eta.matrix
         V = da_psi_value_map(model, beta, A).matrix
         # same spectrum under the similarity transform
         ev_m = np.sort(np.abs(np.linalg.eigvals(M)))
@@ -328,7 +333,8 @@ class TestStructuredDerivatives:
     @settings(max_examples=60, deadline=None)
     def test_maps_and_resolvent_match_dense(self, sample):
         model, beta, A = sample
-        d_eta = da_psi(model, beta, A)
+        derivs = psi_derivatives(model, beta, A)
+        d_eta = derivs.d_eta
         naive = da_psi_prop_odds_naive(
             model.u, model.delta, model.z, model.weights, beta,
             A.jump_times, A.jump_sizes,
@@ -338,18 +344,17 @@ class TestStructuredDerivatives:
         h = np.random.default_rng(model.n_records).normal(size=(model.n_events, 2))
         assert rel_diff(d_eta.apply(h), naive @ h) <= 1e-12
 
-        derivs = psi_derivatives(model, beta, A)
         assert rel_diff(dtheta_eta(derivs), dense_solve(d_eta, derivs.dot_psi.T).T) <= 1e-10
         direction = model.weights * np.linspace(-1.0, 1.0, model.n_records)
         assert rel_diff(df_eta(derivs, direction),
                         dense_solve(d_eta, derivs.d_f(direction))) <= 1e-10
         # the mixed map's two terms can cancel exactly: compare on their scale
-        (mixed,) = dbeta_psi(model, beta, A)[2]
+        (mixed,) = derivs.d_eta_dot
         scale = sum(np.abs(MaxIndexMap([term]).matrix) for term in mixed.terms)
         assert rel_diff(mixed.apply(h), mixed.matrix @ h,
                         (scale @ np.abs(h)).max(initial=0.0)) <= 1e-12
 
-        norm = da_psi_sup_norm(model, beta, A)
+        norm = prop_odds._sup_norm(d_eta)
         dense_norm = np.abs(da_psi_value_map(model, beta, A).matrix).sum(axis=1)
         assert norm == pytest.approx(dense_norm.max(initial=0.0), rel=1e-12, abs=0)
 
@@ -357,7 +362,7 @@ class TestStructuredDerivatives:
         model = PropOddsModel.from_arrays([1.0, 2.0], [0.0, 0.0], [0.3, -0.3])
         derivs = psi_derivatives(model, [0.5], zero_step(model.tau))
         assert dtheta_eta(derivs).shape == (1, 0)
-        assert da_psi_sup_norm(model, [0.5], zero_step(model.tau)) == 0.0
+        assert sup_norm(model, [0.5], zero_step(model.tau)) == 0.0
 
     def test_sup_norm_matches_dense_value_map(self, prop_odds_model):
         pop = population_records(PropOddsDesign())
@@ -365,7 +370,7 @@ class TestStructuredDerivatives:
             beta = [0.5]
             A = model.jumps_to_step(solve_nuisance(model, beta).eta)
             dense = estimate_operator_norm(da_psi_value_map(model, beta, A), "sup")
-            assert da_psi_sup_norm(model, beta, A) == pytest.approx(dense, rel=1e-13)
+            assert sup_norm(model, beta, A) == pytest.approx(dense, rel=1e-13)
 
     def test_dtheta_eta_matches_dense_at_n3000(self):
         rng = simulation.replication_rng(20260810, 1)
@@ -446,6 +451,17 @@ class TestAnalyticJacobian:
             return
         jac, _, scale = result
         assert rel_diff(jac, jac.T, scale) <= 1e-10
+
+    def test_profile_weights_of_its_own(self, prop_odds_model, rng):
+        # a profile whose weights F are not the model's: its Jacobian and
+        # its mean score both weigh the records by F
+        model = prop_odds_model
+        F = rng.uniform(0.2, 1.8, size=model.n_records)
+        profile = PropOddsProfile(model, F / F.sum(), solver_tol=1e-13)
+        beta = np.array([0.5])
+        jac = profile.jacobian(profile.point(beta))
+        fd = fd_theta(profile.mean_score, beta, FdConfig(step=1e-5)).T
+        assert rel_diff(jac, fd) <= 1e-6
 
     def test_refused_linear_predictor_raises(self):
         model = PropOddsModel.from_arrays([1.0, 2.0, 1.5], [1, 0, 1], [60.0, -1.0, 0.5])
@@ -588,17 +604,17 @@ class TestOperatorOverhead:
     @given(sample=survival_samples(),
            order=st.permutations(["dot_psi", "ddot_psi", "d_eta_dot"]))
     @settings(max_examples=40, deadline=None)
-    def test_bundle_second_order_equals_dbeta_psi(self, sample, order):
+    def test_bundle_second_order_independent_of_read_order(self, sample, order):
         # the bundle defers ddot_psi and d_eta_dot; whichever part is read
-        # first, each equals the eager wrapper's value bitwise
+        # first, each equals bitwise what a bundle read in order gives
         model, beta, A = sample
         try:
             derivs = psi_derivatives(model, beta, A)
         except RiskSetEmpty:
             return
-        dot, ddot, mixed = dbeta_psi(model, beta, A)
-        expected = {"dot_psi": dot, "ddot_psi": ddot,
-                    "d_eta_dot": [m.matrix for m in mixed]}
+        ref = psi_derivatives(model, beta, A)
+        expected = {"dot_psi": ref.dot_psi, "ddot_psi": ref.ddot_psi,
+                    "d_eta_dot": [m.matrix for m in ref.d_eta_dot]}
         for name in order:
             value = getattr(derivs, name)
             if name == "d_eta_dot":
@@ -633,12 +649,12 @@ class TestProfile:
         assert len(builds) == 1
         monkeypatch.undo()
         A = model.jumps_to_step(profile.last_point.solution.eta)
-        expected = check_variance_condition(model, beta, A)
+        expected = variance_condition(model, beta, A)
         assert report.satisfied and expected.satisfied
         for field in ("lhs", "rhs"):
             got, want = getattr(report, field), getattr(expected, field)
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-        assert norm == pytest.approx(da_psi_sup_norm(model, beta, A), rel=1e-15, abs=0)
+        assert norm == pytest.approx(sup_norm(model, beta, A), rel=1e-15, abs=0)
 
     def test_constant_covariate_refused(self, prop_odds_data):
         u, delta, z = prop_odds_data
