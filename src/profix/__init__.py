@@ -37,7 +37,6 @@ from .measures import (
     LinearMap,
     PerturbationDirection,
     StepFunction,
-    TwoSampleMeasure,
     empirical_from_sample,
 )
 from .numdiff import FdConfig, fd_path, fd_theta
@@ -69,7 +68,6 @@ __all__ = [
     "PsiDerivatives",
     "SimConfig",
     "StepFunction",
-    "TwoSampleMeasure",
     "confidence_interval",
     "d2theta_eta",
     "df_eta",

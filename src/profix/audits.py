@@ -111,8 +111,8 @@ def audit_operators(family, model, theta=None, seed=0, corrupt=None):
 
     The nuisance, parameter, mixed and distribution derivatives are the
     fields of the family's derivative bundle (``psi_derivatives``), in rows
-    labelled by ``family.audit_rows``; the operator in coefficient
-    coordinates is the map of the family's fixed-point problem.
+    labelled by ``family.audit_rows``; their difference oracles apply the
+    family's bound ``Operator``, the same one the bundle is built from.
     """
     mod = family.module
     d_eta_name, d2_eta_name, dtheta_name = family.audit_rows
@@ -120,17 +120,10 @@ def audit_operators(family, model, theta=None, seed=0, corrupt=None):
     theta = np.atleast_1d(np.asarray(
         family.audit_theta(model) if theta is None else theta, dtype=float
     ))
-    eta = mod.solve_nuisance(model, theta, tol=1e-12).eta
-    nuisance = model.as_nuisance(eta)
-    derivs = mod.psi_derivatives(model, theta, nuisance)
+    psi_of_eta = mod.Operator(model, theta)
+    eta = mod.solve_nuisance(psi_of_eta, tol=1e-12).eta
+    derivs = mod.psi_derivatives(psi_of_eta, eta)
     rows = []
-
-    def psi_of_eta(v):
-        return mod.fixed_point_problem(model, theta).apply(v)
-
-    def psi_of_theta(t):
-        return mod.fixed_point_problem(model, t).apply(eta)
-
     dirs = _scaled_directions(rng, eta)
 
     worst = 0.0
@@ -153,12 +146,12 @@ def audit_operators(family, model, theta=None, seed=0, corrupt=None):
     rows.append(AuditRow(d2_eta_name, worst, SECOND_ORDER_TOL))
 
     def dot_at(t, at):
-        return mod.psi_derivatives(model, t, at).dot_psi
+        return mod.psi_derivatives(mod.Operator(model, t), at).dot_psi
 
-    fd_dot = fd_theta(psi_of_theta, theta, FdConfig(step=1e-5))
+    fd_dot = fd_theta(lambda t: mod.Operator(model, t)(eta), theta, FdConfig(step=1e-5))
     rows.append(_row(f"{dtheta_name}.dot", derivs.dot_psi, fd_dot,
                      FIRST_ORDER_TOL, corrupt))
-    fd_ddot = fd_theta(lambda t: dot_at(t, nuisance), theta, FdConfig(step=1e-4))
+    fd_ddot = fd_theta(lambda t: dot_at(t, eta), theta, FdConfig(step=1e-4))
     rows.append(_row(f"{dtheta_name}.ddot", derivs.ddot_psi,
                      fd_ddot.transpose(1, 0, 2), SECOND_ORDER_TOL, corrupt))
 
@@ -166,24 +159,26 @@ def audit_operators(family, model, theta=None, seed=0, corrupt=None):
     name = f"{dtheta_name}.mixed"
     for h in dirs:
         step = 1e-4
-        fd = (dot_at(theta, model.as_nuisance(eta + step * h))
-              - dot_at(theta, model.as_nuisance(eta - step * h))) / (2.0 * step)
+        fd = (dot_at(theta, eta + step * h) - dot_at(theta, eta - step * h)) / (
+            2.0 * step
+        )
         analytic = np.stack([m.apply(h) for m in derivs.d_eta_dot])
         analytic = _maybe_corrupt(analytic, name, corrupt)
         worst = max(worst, rel_err(analytic, fd))
     rows.append(AuditRow(name, worst, SECOND_ORDER_TOL))
 
     union, w_base, w_target = union_with_resample(model, family.name, seed + 1000)
-    eta_u = mod.solve_nuisance(union, theta, w_base, tol=1e-12).eta
-    derivs_u = mod.psi_derivatives(union, theta, union.as_nuisance(eta_u), w_base)
-    h_dir = w_target - w_base
 
-    def psi_at_path(t):
-        F = (1.0 - t) * w_base + t * w_target
-        return mod.fixed_point_problem(union, theta, F).apply(eta_u)
+    def on_path(t):
+        return mod.Operator(union, theta, (1.0 - t) * w_base + t * w_target)
 
-    fd = fd_path(psi_at_path, FdConfig(step=1e-5, scheme="forward", richardson=True))
-    rows.append(_row("df_psi", derivs_u.d_f(h_dir), fd, FIRST_ORDER_TOL, corrupt))
+    op_u = mod.Operator(union, theta, w_base)
+    eta_u = mod.solve_nuisance(op_u, tol=1e-12).eta
+    derivs_u = mod.psi_derivatives(op_u, eta_u)
+    path_fd = FdConfig(step=1e-5, scheme="forward", richardson=True)
+    fd = fd_path(lambda t: on_path(t)(eta_u), path_fd)
+    rows.append(_row("df_psi", derivs_u.d_f(w_target - w_base), fd, FIRST_ORDER_TOL,
+                     corrupt))
 
     # score Jacobian versus differences of the analytic score
     profile = family.profile(model, solver_tol=1e-12)
@@ -191,55 +186,35 @@ def audit_operators(family, model, theta=None, seed=0, corrupt=None):
     fd_jac = fd_theta(profile.mean_score, theta, FdConfig(step=1e-4))
     rows.append(_row("score_jacobian", jac, fd_jac.T, SECOND_ORDER_TOL, corrupt))
 
-    rows.extend(
-        _audit_implicit(mod, model, theta, eta, union, w_base, w_target, corrupt)
-    )
-    return rows
-
-
-def _audit_implicit(mod, model, theta, eta, union, w_base, w_target, corrupt):
-    """Resolvent-formula derivatives versus re-solve difference quotients."""
-    rows = []
-    warm = {"eta": eta}
-
-    def solved_eta(t):
-        sol = mod.solve_nuisance(model, t, tol=1e-12, eta0=warm["eta"])
-        warm["eta"] = sol.eta
-        return sol.eta
-
-    derivs = mod.psi_derivatives(model, theta, model.as_nuisance(eta))
+    # resolvent-formula derivatives versus re-solve difference quotients
+    solved_eta = _warm_solves(mod, lambda t: mod.Operator(model, t), eta)
     eta_dot = dtheta_eta(derivs)
     fd_dot = fd_theta(solved_eta, theta, FdConfig(step=1e-5))
     rows.append(_row("eta_dot", eta_dot, fd_dot, ETA_DOT_TOL, corrupt))
 
-    def dot_at(t):
-        d = mod.psi_derivatives(model, t, model.as_nuisance(solved_eta(t)))
-        return dtheta_eta(d)
+    def eta_dot_at(t):
+        return dtheta_eta(mod.psi_derivatives(mod.Operator(model, t), solved_eta(t)))
 
-    eta_ddot = d2theta_eta(derivs, eta_dot)
-    fd_ddot = fd_theta(dot_at, theta, FdConfig(step=1e-4))
-    rows.append(_row("eta_ddot", eta_ddot, fd_ddot.transpose(1, 0, 2),
-                     ETA_DDOT_TOL, corrupt))
+    fd_ddot = fd_theta(eta_dot_at, theta, FdConfig(step=1e-4))
+    rows.append(_row("eta_ddot", d2theta_eta(derivs, eta_dot),
+                     fd_ddot.transpose(1, 0, 2), ETA_DDOT_TOL, corrupt))
 
-    sol_u = mod.solve_nuisance(union, theta, w_base, tol=1e-12)
-    derivs_u = mod.psi_derivatives(
-        union, theta, union.as_nuisance(sol_u.eta), w_base
-    )
-    h_dir = w_target - w_base
-    analytic = df_eta(derivs_u, h_dir)
-    warm_u = {"eta": sol_u.eta}
-
-    def eta_at_path(t):
-        sol = mod.solve_nuisance(
-            union, theta, (1.0 - t) * w_base + t * w_target,
-            tol=1e-12, eta0=warm_u["eta"],
-        )
-        warm_u["eta"] = sol.eta
-        return sol.eta
-
-    fd = fd_path(eta_at_path, FdConfig(step=1e-5, scheme="forward", richardson=True))
-    rows.append(_row("df_eta", analytic, fd, DF_ETA_TOL, corrupt))
+    fd = fd_path(_warm_solves(mod, on_path, eta_u), path_fd)
+    rows.append(_row("df_eta", df_eta(derivs_u, w_target - w_base), fd, DF_ETA_TOL,
+                     corrupt))
     return rows
+
+
+def _warm_solves(mod, bind, eta):
+    """t -> the fixed point of the operator bind(t), each solve starting
+    from the solution before it."""
+    warm = {"eta": eta}
+
+    def solved(t):
+        warm["eta"] = mod.solve_nuisance(bind(t), tol=1e-12, eta0=warm["eta"]).eta
+        return warm["eta"]
+
+    return solved
 
 
 def audit_population_prop_odds(seed, corrupt):
@@ -266,9 +241,8 @@ def audit_population_missing_cov(seed, corrupt):
                                 POPULATION_TOL, corrupt))
 
     bound = design.w2 / (1.0 - design.w2)
-    norm = estimate_operator_norm(
-        missing_cov.psi_derivatives(pop.model, theta0, pop.g0).d_eta, "l1"
-    )
+    op = missing_cov.Operator(pop.model, theta0)
+    norm = estimate_operator_norm(missing_cov.psi_derivatives(op, pop.g0).d_eta, "l1")
     rows.append(_population_row("dg_psi_l1_norm_excess", norm - bound,
                                 NORM_BOUND_SLACK, corrupt))
 

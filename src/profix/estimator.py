@@ -44,9 +44,11 @@ NUMERICAL_FAILURES = (ProfixError, np.linalg.LinAlgError, FloatingPointError)
 class Family:
     """What the command line, the harness and the audits know of one family.
 
-    The family module's solver and derivative bundle are not stored here
-    but looked up through :attr:`module` when called.  The harness draws
-    samples with ``simulation.gen_<name>``; the population audit is
+    The family module's ``Operator``, ``solve_nuisance`` and
+    ``psi_derivatives`` are not stored here but looked up through
+    :attr:`module` when called; the solve, the bundle and the audits share
+    one operator bound per point.  The harness draws samples with
+    ``simulation.gen_<name>``; the population audit is
     ``audits.audit_population_<name>``.  ``audit_rows`` labels the audit
     rows of the bundle's nuisance, second nuisance and parameter
     derivatives, in audit order.
@@ -94,15 +96,15 @@ class Point:
 class Profile:
     """Profile-likelihood view of a sample: the nuisance solved per parameter.
 
-    :meth:`point` solves the family's nuisance fixed point at a parameter
-    and evaluates the scores there, recording the point as last_point, from
+    :meth:`point` binds the family's ``Operator`` once at a parameter, solves
+    its fixed point, builds the derivative bundle from the same operator and
+    evaluates the scores there, recording the point as last_point, from
     which jacobian reads.  Each solve starts from the Taylor prediction off
-    last_point (see :meth:`start`); each solve adds one to ``solves_started``
-    and, if it completes, one to ``solves`` and its iterations to
-    ``solve_iterations``.  A family's subclass sets ``solve_nuisance`` to
-    its module's solver, defines ``derivatives`` (its bundle at a fixed
-    point) and ``point_scores``, and defines score, mean_score, jacobian
-    and precheck in its own body.
+    last_point (see :meth:`start`), adds one to ``solves_started`` (a bind
+    that raises included) and, if it completes, one to ``solves`` and its
+    iterations to ``solve_iterations``.  A family's subclass supplies
+    ``point_scores`` and precheck, and defines score, mean_score and
+    jacobian in its own body, where ``bench/tracing.py`` wraps them.
     """
 
     def __init__(self, model, F=None, solver_tol=1e-10, solver_max_iter=10_000):
@@ -114,6 +116,12 @@ class Profile:
         self.solves = 0
         self.solve_iterations = 0
         self.solves_started = 0
+
+    @property
+    def module(self):
+        """The family module, where Operator, solve_nuisance and
+        psi_derivatives are looked up when called."""
+        return sys.modules[type(self.model).__module__]
 
     @property
     def dim(self):
@@ -147,24 +155,25 @@ class Profile:
         return guess
 
     def solve(self, theta):
+        """The family's operator bound at theta, and its fixed point."""
         self.solves_started += 1
-        sol = self.solve_nuisance(
-            self.model, theta, self.weights,
-            tol=self.solver_tol, max_iter=self.solver_max_iter,
+        op = self.module.Operator(self.model, theta, self.weights)
+        sol = self.module.solve_nuisance(
+            op, tol=self.solver_tol, max_iter=self.solver_max_iter,
             eta0=self.start(theta),
         )
         self.solves += 1
         self.solve_iterations += sol.iterations
-        return sol
+        return op, sol
 
     def point(self, theta):
         """Solve at theta, evaluate the :class:`Point` there and record it
         as last_point; a failed evaluation leaves last_point as it was."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        solution = self.solve(theta)
-        derivs = self.derivatives(theta, solution.eta)
+        op, solution = self.solve(theta)
+        derivs = self.module.psi_derivatives(op, solution.eta)
         eta_dot = dtheta_eta(derivs)
-        scores = self.point_scores(theta, solution.eta, derivs, eta_dot)
+        scores = self.point_scores(solution.eta, derivs, eta_dot)
         self.last_point = Point(theta, solution, derivs, eta_dot, scores)
         return self.last_point
 

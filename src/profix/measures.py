@@ -11,14 +11,10 @@ with :func:`read_csv`.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
-
-#: Absolute tolerance for "this collection of weights is a probability".
-MASS_TOL = 1e-12
 
 
 def _freeze(*arrays):
@@ -129,32 +125,6 @@ def empirical_from_sample(points, weights=None):
             raise InvalidInput("weights must have positive total")
         weights = weights / total
     return EmpiricalMeasure(points, weights)
-
-
-@dataclass(frozen=True)
-class TwoSampleMeasure:
-    """A measure split into a complete-case and an incomplete-case part.
-
-    The two components are sub-measures whose masses w1 and w2 add to one.
-    """
-
-    complete: EmpiricalMeasure
-    incomplete: EmpiricalMeasure
-
-    def __post_init__(self):
-        w1, w2 = self.complete.total_mass, self.incomplete.total_mass
-        if abs(w1 + w2 - 1.0) > MASS_TOL:
-            raise InvalidInput(f"component masses {w1} + {w2} do not sum to 1")
-        if w1 <= 0:
-            raise InvalidInput("complete-case mass must be positive")
-
-    @property
-    def w1(self):
-        return self.complete.total_mass
-
-    @property
-    def w2(self):
-        return self.incomplete.total_mass
 
 
 def _cumulative_at(jump_times, cumulative, u):
@@ -384,38 +354,27 @@ _STEEP_FALL = 16.0
 
 
 class BilinearMap:
-    """Vector-valued bilinear form: apply(h1, h2) is linear in each slot;
-    pairs_fn, when given, computes :meth:`pairs` in one batched pass."""
+    """Vector-valued bilinear form given by its batched evaluation: pairs_fn
+    maps directions H of shape (d, input_dim) to the (d, d, ...) array of
+    the form at every pair (H[j], H[k])."""
 
-    def __init__(self, fn, input_dim, output_dim=None, pairs_fn=None):
-        self._fn = fn
+    def __init__(self, pairs_fn, input_dim):
         self._pairs_fn = pairs_fn
         self.input_dim = input_dim
-        self.output_dim = input_dim if output_dim is None else output_dim
 
     def apply(self, h1, h2):
-        h1 = np.asarray(h1, dtype=float)
-        h2 = np.asarray(h2, dtype=float)
-        if len(h1) != self.input_dim or len(h2) != self.input_dim:
+        if np.shape(h1) != np.shape(h2):
             raise InvalidInput("direction dimension mismatch")
-        return self._fn(h1, h2)
+        return self.pairs(np.stack([h1, h2]))[0, 1]
 
     __call__ = apply
 
     def pairs(self, H):
-        """The (d, d, output_dim) array of apply(H[j], H[k]) for directions H
-        of shape (d, input_dim); without pairs_fn, apply on j <= k, mirrored."""
+        """The form at every pair of rows of H."""
         H = np.asarray(H, dtype=float)
         if H.ndim != 2 or H.shape[1] != self.input_dim:
             raise InvalidInput("direction dimension mismatch")
-        if self._pairs_fn is not None:
-            return self._pairs_fn(H)
-        d = len(H)
-        out = np.empty((d, d, self.output_dim))
-        for j in range(d):
-            for k in range(j, d):
-                out[j, k] = out[k, j] = self._fn(H[j], H[k])
-        return out
+        return self._pairs_fn(H)
 
 
 def gauss_legendre_grid(lo, hi, n):

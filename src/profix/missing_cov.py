@@ -32,7 +32,6 @@ from .measures import (
     GridDensity,
     LinearMap,
     RecordTable,
-    TwoSampleMeasure,
     gauss_legendre_grid,
     parse_number,
     read_csv,
@@ -162,10 +161,6 @@ class MissingCovModel(RecordTable):
         return MissingCovModel(measure, self.family)
 
     def resolve_masses(self, g):
-        if isinstance(g, GridDensity):
-            if not np.array_equal(g.support, self.support):
-                raise InvalidInput("density support does not match the model")
-            return g.masses
         g = np.asarray(g, dtype=float)
         if g.shape != (self.n_support,):
             raise InvalidInput("mass vector does not match the support size")
@@ -173,24 +168,6 @@ class MissingCovModel(RecordTable):
 
     def masses_to_density(self, masses):
         return GridDensity(self.support, masses)
-
-    as_nuisance = masses_to_density
-
-    def two_sample(self, F=None):
-        """The (complete, incomplete) split of a weight vector as measures."""
-        w = self.resolve_weights(F)
-        complete = EmpiricalMeasure(
-            np.column_stack([self.y[self.complete_rows],
-                             self.points[self.complete_rows, 2]]),
-            w[self.complete_rows],
-        )
-        if len(self.incomplete_rows):
-            incomplete = EmpiricalMeasure(
-                self.y_incomplete, w[self.incomplete_rows]
-            )
-        else:
-            incomplete = EmpiricalMeasure(np.zeros((0,)), np.zeros((0,)))
-        return TwoSampleMeasure(complete, incomplete)
 
 
 def _parse_row(row, where):
@@ -218,18 +195,21 @@ def load_csv(path, family=None):
     return MissingCovModel.from_arrays(data[:, 0], data[:, 1], data[:, 2], family)
 
 
-class _Operator:
-    """The self-consistency operator bound to (theta, weights): the
+class Operator:
+    """The self-consistency operator bound to (theta, F): the
     incomplete-case density matrix is evaluated once, so that one
-    application, masses to masses, is O(n2 m) and evaluates no density."""
+    application, masses to masses, is O(n2 m) and evaluates no density.
+    The fixed-point solve, the derivative bundle and the audits all read
+    this one binding."""
 
-    def __init__(self, model, theta, w):
+    def __init__(self, model, theta, F=None):
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (model.theta_dim,):
             raise InvalidInput("theta does not match the family dimension")
         self.model = model
         self.theta = theta
-        self.w = w
+        self.dim = model.n_support
+        self.w = w = model.resolve_weights(F)
         self.p1 = np.zeros(model.n_support)
         np.add.at(self.p1, model.slot, w[model.complete_rows])
         self.nu = w[model.incomplete_rows]
@@ -266,18 +246,27 @@ class _Operator:
     def __call__(self, g):
         return self.p1 / self.mixture(g)[2]
 
+    def cold_start(self):
+        """The normalized complete-case masses, where a solve without a
+        start begins."""
+        total = self.p1.sum()
+        if total <= 0:
+            raise InvalidInput("no complete-case mass to start from")
+        return self.p1 / total
 
-class _Workspace(_Operator):
-    """The operator at one g, with the caches its derivatives and the
+
+class _Workspace:
+    """The bound operator at one g, with the caches its derivatives and the
     scores share; the family's derivatives are evaluated on first read."""
 
-    def __init__(self, model, theta, g, w):
-        super().__init__(model, theta, w)
-        self.g, self.fy, self.a = self.mixture(g)
+    def __init__(self, op, g):
+        self.op, self.model, self.w = op, op.model, op.w
+        self.p1, self.nu, self.fmat = op.p1, op.nu, op.fmat
+        self.g, self.fy, self.a = op.mixture(g)
 
     @cached_property
     def fdot(self):
-        return self.incomplete(self.model.family.dtheta)
+        return self.op.incomplete(self.model.family.dtheta)
 
     @cached_property
     def fydot(self):
@@ -286,7 +275,7 @@ class _Workspace(_Operator):
 
     @cached_property
     def fddot(self):
-        return self.incomplete(self.model.family.d2theta)
+        return self.op.incomplete(self.model.family.d2theta)
 
     @cached_property
     def fyddot(self):
@@ -295,23 +284,15 @@ class _Workspace(_Operator):
 
     @cached_property
     def fc(self):
-        return self.complete(self.model.family.density)
+        return self.op.complete(self.model.family.density)
 
     @cached_property
     def fdot_c(self):
-        return self.complete(self.model.family.dtheta)
+        return self.op.complete(self.model.family.dtheta)
 
     @cached_property
     def dg_a(self):
         return self.fmat.T @ (self.fmat * (self.nu / self.fy**2)[:, None])
-
-
-def _operator(model, theta, F):
-    return _Operator(model, theta, model.resolve_weights(F))
-
-
-def _workspace(model, theta, g, F):
-    return _Workspace(model, theta, g, model.resolve_weights(F))
 
 
 def psi_apply(model, theta, g, F=None):
@@ -321,22 +302,13 @@ def psi_apply(model, theta, g, F=None):
 
 def psi_masses(model, theta, masses, F=None):
     """The operator on mass vectors."""
-    return _operator(model, theta, F)(masses)
+    return Operator(model, theta, F)(masses)
 
 
-def fixed_point_problem(model, theta, F=None):
-    return FixedPointProblem(_operator(model, theta, F), model.n_support)
-
-
-def solve_nuisance(model, theta, F=None, tol=1e-10, max_iter=10_000, eta0=None):
-    """Solve for the covariate masses at the given theta."""
-    problem = fixed_point_problem(model, theta, F)
-    if eta0 is None:
-        p1 = problem.apply.p1
-        total = p1.sum()
-        if total <= 0:
-            raise InvalidInput("no complete-case mass to start from")
-        eta0 = p1 / total
+def solve_nuisance(op, tol=1e-10, max_iter=10_000, eta0=None):
+    """Solve for the covariate masses of a bound operator."""
+    eta0 = op.cold_start() if eta0 is None else eta0
+    problem = FixedPointProblem(op, op.dim)
     return solve_fixed_point(problem, eta0, tol=tol, max_iter=max_iter)
 
 
@@ -354,8 +326,7 @@ def _d2g_psi(ws):
         da = (u * (ws.nu / ws.fy**2)) @ ws.fmat  # (d, m)
         return ws.p1 * (-d2a / ws.a**2 + 2.0 * da[:, None, :] * da[None, :, :] / ws.a**3)
 
-    return BilinearMap(lambda h1, h2: pairs(np.stack([h1, h2]))[0, 1],
-                       ws.model.n_support, pairs_fn=pairs)
+    return BilinearMap(pairs, ws.model.n_support)
 
 
 def _dtheta_psi(ws):
@@ -397,11 +368,10 @@ def _df_psi(ws, h):
     return (dp1 * ws.a + ws.p1 * second) / ws.a**2
 
 
-def psi_derivatives(model, theta, g, F=None):
-    """All operator derivatives at (theta, g, F), sharing one workspace."""
-    return PsiDerivatives.at(
-        _workspace(model, theta, g, F), _dtheta_psi, _dg_psi, _d2g_psi, _df_psi
-    )
+def psi_derivatives(op, g):
+    """All derivatives of the bound operator at the masses g, sharing one
+    workspace."""
+    return PsiDerivatives.at(_Workspace(op, g), _dtheta_psi, _dg_psi, _d2g_psi, _df_psi)
 
 
 def _complete_case(ws):
@@ -449,7 +419,7 @@ def score_jacobian(point):
     # the mass terms depend on the record only through its slot
     per_mass = np.bincount(model.slot, w_c, minlength=model.n_support) / ws.g
     out = (
-        ws.complete(model.family.d2theta) @ (w_c / fc)
+        ws.op.complete(model.family.d2theta) @ (w_c / fc)
         - (score_c * w_c) @ score_c.T
         + eta_ddot @ per_mass
         - (eta_dot * (per_mass / ws.g)) @ eta_dot.T
@@ -488,26 +458,29 @@ class MissingFractionReport:
         }
 
 
-def check_missing_fraction(F):
+def check_missing_fraction(model, weights):
     """Report whether incomplete mass is strictly below complete mass."""
-    if isinstance(F, MissingCovModel):
-        F = F.two_sample()
-    if not isinstance(F, TwoSampleMeasure):
-        raise InvalidInput("need a TwoSampleMeasure or a model")
-    w1, w2 = F.w1, F.w2
+    w1 = float(weights[model.complete_rows].sum())
+    w2 = float(weights[model.incomplete_rows].sum())
     return MissingFractionReport(w1, w2, satisfied=bool(w2 < w1))
 
 
 class MissingCovProfile(Profile):
     """Profile-likelihood view: per-record scores and the analytic Jacobian
-    of the mean score."""
+    of the mean score.  A covariate that takes one value over the weighted
+    complete records leaves the slope unidentified, as it then only shifts
+    the intercept, so such a sample is refused."""
 
-    solve_nuisance = staticmethod(solve_nuisance)
+    def __init__(self, model, F=None, solver_tol=1e-10, solver_max_iter=10_000):
+        super().__init__(model, F, solver_tol, solver_max_iter)
+        x = model.x_complete[self.weights[model.complete_rows] > 0]
+        if len(x) and np.ptp(x) == 0:
+            raise InvalidInput(
+                "covariate X is constant over the complete records; "
+                "its slope is confounded with the intercept"
+            )
 
-    def derivatives(self, theta, g):
-        return psi_derivatives(self.model, theta, g, self.weights)
-
-    def point_scores(self, theta, g, derivs, eta_dot):
+    def point_scores(self, g, derivs, eta_dot):
         return efficient_score(derivs, eta_dot)
 
     def score(self, theta):
@@ -521,7 +494,7 @@ class MissingCovProfile(Profile):
         return score_jacobian(point)
 
     def precheck(self, theta):
-        report = check_missing_fraction(self.model.two_sample(self.weights))
+        report = check_missing_fraction(self.model, self.weights)
         if not report.satisfied:
             raise ContractionViolation(
                 f"incomplete mass w2={report.w2:.3f} is not below complete "
@@ -531,14 +504,14 @@ class MissingCovProfile(Profile):
 
 
 def _fit_payload(profile, theta):
-    density = profile.model.masses_to_density(profile.last_point.solution.eta)
+    masses = profile.last_point.solution.eta.tolist()
     return {
-        "g_masses": density.masses.tolist(),
+        "g_masses": masses,
         "nuisance": {
-            "support": density.support.tolist(),
-            "g_masses": density.masses.tolist(),
+            "support": profile.model.support.tolist(),
+            "g_masses": masses,
         },
-        "condition": check_missing_fraction(profile.model).to_dict(),
+        "condition": check_missing_fraction(profile.model, profile.weights).to_dict(),
     }
 
 
@@ -644,13 +617,11 @@ def nuisance_stationarity(pop, theta, directions):
     log density in the nuisance at the profiled fixed point; the values
     should vanish because the profile is a stationary point.
     """
-    theta = np.asarray(theta, dtype=float)
-    model = pop.model
-    sol = solve_nuisance(model, theta, None)
-    ws = _Workspace(model, theta, sol.eta, model.weights)
+    op = Operator(pop.model, theta)
+    g, fy, _ = op.mixture(solve_nuisance(op).eta)
     # weight of each nuisance coordinate in the derivative of the expected
     # log density: complete-case mass over fitted mass, plus the mixture term
-    coeff = ws.p1 / sol.eta + (ws.nu / ws.fy) @ ws.fmat
+    coeff = op.p1 / g + (op.nu / fy) @ op.fmat
     values = []
     for alpha in directions:
         alpha = np.asarray(alpha, dtype=float)
@@ -669,9 +640,9 @@ def score_orthogonality(pop, directions, theta=None):
     theta = np.asarray(
         pop.design.theta0 if theta is None else theta, dtype=float
     )
-    sol = solve_nuisance(model, theta, None)
-    g = sol.eta
-    derivs = psi_derivatives(model, theta, g, None)
+    op = Operator(model, theta)
+    g = solve_nuisance(op).eta
+    derivs = psi_derivatives(op, g)
     scores = efficient_score(derivs, dtheta_eta(derivs))
 
     # nuisance score per record for a direction alpha: alpha/g at the

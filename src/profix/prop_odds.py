@@ -104,7 +104,17 @@ class PropOddsModel(RecordTable):
     def jumps_to_step(self, jumps):
         return StepFunction(self.event_times, jumps, self.tau)
 
-    as_nuisance = jumps_to_step
+    def suffix_at_events(self, values):
+        """Sum of values over records with u >= each event time (last axis)."""
+        return _suffix_at_events(self, values[..., self._order])
+
+    def cumulative_at_records(self, jump_coeffs):
+        """h(u_i) for the step directions with the given jump coefficients
+        (the last axis runs over event times, and then over records): the
+        cumulative sums a :class:`StepFunction` evaluates, bit for bit."""
+        cum = np.cumsum(jump_coeffs, axis=-1)
+        padded = np.concatenate([np.zeros(cum.shape[:-1] + (1,)), cum], axis=-1)
+        return padded[..., self._record_cut]
 
 
 def _parse_row(row, where):
@@ -129,9 +139,11 @@ def _event_mass(model, values):
 
 
 def _suffix_at_events(model, sorted_vals):
-    """Sum of time-ordered record values over records with u >= each event time."""
-    suffix = np.concatenate([np.cumsum(sorted_vals[::-1])[::-1], [0.0]])
-    return suffix[model._event_pos]
+    """Sum of time-ordered record values over records with u >= each event
+    time, along the last axis."""
+    suffix = np.cumsum(sorted_vals[..., ::-1], axis=-1)[..., ::-1]
+    padded = np.concatenate([suffix, np.zeros(suffix.shape[:-1] + (1,))], axis=-1)
+    return padded[..., model._event_pos]
 
 
 def _inverse_risk(edn, ew):
@@ -142,12 +154,14 @@ def _inverse_risk(edn, ew):
     return np.where(edn > 0, 1.0 / np.where(ew > 0, ew, 1.0), 0.0)
 
 
-class _Operator:
-    """The self-consistency operator bound to (beta, weights): what does not
+class Operator:
+    """The self-consistency operator bound to (beta, F): what does not
     depend on A, with the records permuted into time order once, so that one
-    application, jumps to jumps, is O(n) and builds no step function."""
+    application, jumps to jumps, is O(n) and builds no step function.  The
+    fixed-point solve, the derivative bundle and the audits all read this
+    one binding."""
 
-    def __init__(self, model, beta, w):
+    def __init__(self, model, beta, F=None):
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
         if beta.shape != (model.covariate_dim,):
             raise InvalidInput("beta does not match the covariate dimension")
@@ -157,7 +171,8 @@ class _Operator:
                 f"|beta'Z| exceeds {LINPRED_BOUND}; refusing to exponentiate"
             )
         self.model = model
-        self.w = w
+        self.dim = model.n_events
+        self.w = w = model.resolve_weights(F)
         self.q = np.exp(self.lin)
         self.qc = (1.0 + model.delta) * self.q
         self.edn = _event_mass(model, w)
@@ -166,12 +181,17 @@ class _Operator:
         self._cut_sorted = model._record_cut[order]
 
     def __call__(self, jumps):
+        cum = np.concatenate([[0.0], np.cumsum(self.checked(jumps))])
+        return self.jumps_at(cum[self._cut_sorted])
+
+    def checked(self, jumps):
+        """jumps as an array, refused unless one finite nonnegative jump per
+        event time."""
         jumps = np.asarray(jumps, dtype=float)
         if (jumps.shape != self.edn.shape or not np.all(np.isfinite(jumps))
                 or np.any(jumps < 0)):
             raise InvalidInput("need one finite nonnegative jump per event time")
-        cum = np.concatenate([[0.0], np.cumsum(jumps)])
-        return self.jumps_at(cum[self._cut_sorted])
+        return jumps
 
     def jumps_at(self, AU_sorted):
         """Output jumps given A at the time-ordered records."""
@@ -179,39 +199,26 @@ class _Operator:
         ew = _suffix_at_events(self.model, w * (qc / (1.0 + q * AU_sorted)))
         return self.edn * _inverse_risk(self.edn, ew)
 
+    def cold_start(self):
+        """Psi(0), where a solve without a start begins."""
+        return self(np.zeros(self.dim))
 
-class _Workspace(_Operator):
-    """The operator at one A, with the first-order weights its derivatives
-    share, in record order; the second-order parts build their own."""
 
-    def __init__(self, model, beta, A, w):
-        super().__init__(model, beta, w)
-        self.AU = np.asarray(A(model.u), dtype=float)
+class _Workspace:
+    """The bound operator at one A, with the first-order weights its
+    derivatives share, in record order; the second-order parts build their
+    own."""
+
+    def __init__(self, op, jumps):
+        model = self.model = op.model
+        self.w, self.q, self.qc, self.edn = op.w, op.q, op.qc, op.edn
+        self.AU = model.cumulative_at_records(op.checked(jumps))
         self.denom = 1.0 + self.q * self.AU
         self.c = self.qc / self.denom
         self.wdot = self.qc / self.denom**2
         self.k = (1.0 + model.delta) * self.q**2 / self.denom**2
-        self.ew = self.suffix_at_events(self.w * self.c)
+        self.ew = model.suffix_at_events(self.w * self.c)
         self.inv_ew = _inverse_risk(self.edn, self.ew)
-
-    def suffix_at_events(self, values):
-        """Sum of values over records with u >= each event time."""
-        return _suffix_at_events(self.model, values[self.model._order])
-
-    def cumulative_at_records(self, jump_coeffs):
-        """h(u_i) for the step directions with the given jump coefficients
-        (the last axis runs over event times, and then over records)."""
-        cum = np.cumsum(jump_coeffs, axis=-1)
-        padded = np.concatenate([np.zeros(cum.shape[:-1] + (1,)), cum], axis=-1)
-        return padded[..., self.model._record_cut]
-
-
-def _operator(model, beta, F):
-    return _Operator(model, beta, model.resolve_weights(F))
-
-
-def _workspace(model, beta, A, F):
-    return _Workspace(model, beta, A, model.resolve_weights(F))
 
 
 def psi_apply(model, beta, A, F=None):
@@ -221,18 +228,13 @@ def psi_apply(model, beta, A, F=None):
     weighted event mass there over the weighted mean at-risk weight.
     """
     AU = np.asarray(A(model.u), dtype=float)
-    return model.jumps_to_step(_operator(model, beta, F).jumps_at(AU[model._order]))
+    return model.jumps_to_step(Operator(model, beta, F).jumps_at(AU[model._order]))
 
 
-def fixed_point_problem(model, beta, F=None):
-    return FixedPointProblem(_operator(model, beta, F), model.n_events)
-
-
-def solve_nuisance(model, beta, F=None, tol=1e-10, max_iter=10_000, eta0=None):
-    """Solve for the baseline odds jumps at the given coefficients."""
-    problem = fixed_point_problem(model, beta, F)
-    if eta0 is None:
-        eta0 = problem.apply(np.zeros(model.n_events))
+def solve_nuisance(op, tol=1e-10, max_iter=10_000, eta0=None):
+    """Solve for the baseline odds jumps of a bound operator."""
+    eta0 = op.cold_start() if eta0 is None else eta0
+    problem = FixedPointProblem(op, op.dim)
     return solve_fixed_point(problem, eta0, tol=tol, max_iter=max_iter)
 
 
@@ -244,7 +246,7 @@ def _da_psi(ws):
     at-risk sum beyond the later of event times i and j: the map is
     diag(coef) K(k_suffix) in :class:`MaxIndexMap` form.
     """
-    k_suffix = ws.suffix_at_events(ws.w * ws.k)
+    k_suffix = ws.model.suffix_at_events(ws.w * ws.k)
     return MaxIndexMap([(ws.edn * ws.inv_ew**2, k_suffix)])
 
 
@@ -267,31 +269,29 @@ def _sup_norm(d_eta):
 
 
 def _d2a_psi(ws):
-    """Second derivative in the nuisance as a bilinear map on jump vectors."""
+    """Second derivative in the nuisance as a bilinear map on jump vectors,
+    evaluated at every pair of a stack of directions at once."""
     k2 = 2.0 * (1.0 + ws.model.delta) * ws.q**3 / ws.denom**3
+    suffix = ws.model.suffix_at_events
 
-    def apply(h1, h2):
-        H1 = ws.cumulative_at_records(h1)
-        H2 = ws.cumulative_at_records(h2)
-        second = ws.suffix_at_events(ws.w * k2 * H1 * H2)
-        first1 = -ws.suffix_at_events(ws.w * ws.k * H1)
-        first2 = -ws.suffix_at_events(ws.w * ws.k * H2)
+    def pairs(H):
+        HU = ws.model.cumulative_at_records(H)  # (d, n)
+        second = suffix(ws.w * k2 * HU[:, None, :] * HU[None, :, :])
+        first = -suffix(ws.w * ws.k * HU)  # (d, m)
         return (
             -ws.edn * second * ws.inv_ew**2
-            + 2.0 * ws.edn * first1 * first2 * ws.inv_ew**3
+            + 2.0 * ws.edn * first[:, None, :] * first[None, :, :] * ws.inv_ew**3
         )
 
-    return BilinearMap(apply, ws.model.n_events)
+    return BilinearMap(pairs, ws.model.n_events)
 
 
 def _dbeta_psi(ws):
     """The first coefficient derivative, and a function giving the second
     and mixed derivatives from the same at-risk sums."""
     p, m = ws.model.covariate_dim, ws.model.n_events
-    z = ws.model.z
-    ew_dot = np.stack(
-        [ws.suffix_at_events(ws.w * ws.wdot * z[:, a]) for a in range(p)]
-    )
+    z, suffix = ws.model.z, ws.model.suffix_at_events
+    ew_dot = np.stack([suffix(ws.w * ws.wdot * z[:, a]) for a in range(p)])
     dot = -ws.edn * ew_dot * ws.inv_ew**2
 
     def second_order():
@@ -300,7 +300,7 @@ def _dbeta_psi(ws):
         ddot = np.empty((p, p, m))
         for a in range(p):
             for b in range(a, p):
-                ew_ddot = ws.suffix_at_events(ws.w * wddot * z[:, a] * z[:, b])
+                ew_ddot = suffix(ws.w * wddot * z[:, a] * z[:, b])
                 val = (
                     -ws.edn * ew_ddot * ws.inv_ew**2
                     + 2.0 * ws.edn * ew_dot[a] * ew_dot[b] * ws.inv_ew**3
@@ -308,10 +308,10 @@ def _dbeta_psi(ws):
                 ddot[a, b] = val
                 ddot[b, a] = val
 
-        k_suffix = ws.suffix_at_events(ws.w * ws.k)
+        k_suffix = suffix(ws.w * ws.k)
         mixed = tuple(
             MaxIndexMap([
-                (ws.edn * ws.inv_ew**2, ws.suffix_at_events(ws.w * kd * z[:, a])),
+                (ws.edn * ws.inv_ew**2, suffix(ws.w * kd * z[:, a])),
                 (-2.0 * ws.edn * ew_dot[a] * ws.inv_ew**3, k_suffix),
             ])
             for a in range(p)
@@ -329,7 +329,7 @@ def _df_psi(ws, h):
     """
     hw = ws.model.resolve_direction(h)
     h_edn = _event_mass(ws.model, hw)
-    h_ew = ws.suffix_at_events(hw * ws.c)
+    h_ew = ws.model.suffix_at_events(hw * ws.c)
     # the first term needs 1/EW wherever the direction carries event mass,
     # even at event times where the base measure has none
     if np.any((h_edn != 0) & (ws.ew <= 0)):
@@ -338,11 +338,10 @@ def _df_psi(ws, h):
     return h_edn * inv_ew_full - ws.edn * h_ew * ws.inv_ew**2
 
 
-def psi_derivatives(model, beta, A, F=None):
-    """All operator derivatives at (beta, A, F), sharing one workspace."""
-    return PsiDerivatives.at(
-        _workspace(model, beta, A, F), _dbeta_psi, _da_psi, _d2a_psi, _df_psi
-    )
+def psi_derivatives(op, jumps):
+    """All derivatives of the bound operator at the given jumps, sharing one
+    workspace."""
+    return PsiDerivatives.at(_Workspace(op, jumps), _dbeta_psi, _da_psi, _d2a_psi, _df_psi)
 
 
 @dataclass
@@ -367,8 +366,8 @@ def _variance_condition(ws):
     """
     model = ws.model
     frac = model.delta / (1.0 + model.delta)
-    lhs = ws.suffix_at_events(ws.w * frac * ws.c**2)
-    ew2 = ws.suffix_at_events(ws.w * ws.c**2)
+    lhs = model.suffix_at_events(ws.w * frac * ws.c**2)
+    ew2 = model.suffix_at_events(ws.w * ws.c**2)
     rhs = ew2 - ws.ew**2
     # with no events the left side is identically zero: nothing certifies
     # the contraction, so the report cannot come back satisfied
@@ -387,8 +386,6 @@ class PropOddsProfile(Profile):
     such a sample is refused.
     """
 
-    solve_nuisance = staticmethod(solve_nuisance)
-
     def __init__(self, model, F=None, solver_tol=1e-10, solver_max_iter=10_000):
         super().__init__(model, F, solver_tol, solver_max_iter)
         z = model.z[self.weights > 0]
@@ -400,11 +397,7 @@ class PropOddsProfile(Profile):
                 "its coefficient is confounded with the scale of the baseline odds"
             )
 
-    def derivatives(self, beta, jumps):
-        return psi_derivatives(self.model, beta, self.model.jumps_to_step(jumps),
-                               self.weights)
-
-    def point_scores(self, beta, jumps, derivs, jump_dot):
+    def point_scores(self, jumps, derivs, jump_dot):
         """Per-record derivative of the profiled log density, shape (n, p):
         delta (z + J'/J) - (1 + delta) q (z A(U) + A'(U)) / (1 + q A(U))."""
         model, ws = self.model, derivs.workspace
@@ -413,7 +406,7 @@ class PropOddsProfile(Profile):
         ratio = np.zeros((self.dim, model.n_records))
         ratio[:, model._event_rows] = jump_dot[:, slot] / safe
         zT = model.z.T
-        hazard = ws.q * (zT * ws.AU + ws.cumulative_at_records(jump_dot)) / ws.denom
+        hazard = ws.q * (zT * ws.AU + model.cumulative_at_records(jump_dot)) / ws.denom
         score = model.delta * (zT + ratio) - (1.0 + model.delta) * hazard
         return score.T
 
@@ -436,12 +429,12 @@ class PropOddsProfile(Profile):
         # with N = z A(U) + A'(U) and D = 1 + q A(U), the beta_b-derivative of
         # q N_a / D is q (z_b N_a + z_a A'_b + A''_ab) / D - q^2 N_a N_b / D^2
         zT = model.z.T
-        adot = ws.cumulative_at_records(jump_dot)
+        adot = model.cumulative_at_records(jump_dot)
         num = zT * ws.AU + adot
         wc = w * ws.c
         hazard = (
             (num * wc) @ model.z + (zT * wc) @ adot.T
-            + ws.cumulative_at_records(jump_ddot) @ wc
+            + model.cumulative_at_records(jump_ddot) @ wc
             - (num * (wc * ws.q / ws.denom)) @ num.T
         )
         return events - hazard
@@ -462,14 +455,14 @@ class PropOddsProfile(Profile):
 
 def _fit_payload(profile, beta):
     point = profile.last_point
-    step = profile.model.jumps_to_step(point.solution.eta)
+    jumps = point.solution.eta.tolist()
     report = _variance_condition(point.derivs.workspace)
     return {
         "beta_hat": beta.tolist(),
-        "jumps": step.jump_sizes.tolist(),
+        "jumps": jumps,
         "nuisance": {
-            "jump_times": step.jump_times.tolist(),
-            "jumps": step.jump_sizes.tolist(),
+            "jump_times": profile.model.event_times.tolist(),
+            "jumps": jumps,
         },
         "condition": {
             "satisfied": bool(report.satisfied),

@@ -55,18 +55,9 @@ def mix_path(F, G, t):
     return EmpiricalMeasure(points, weights)
 
 
-def project(two_sample, s):
-    """Component s (1 complete, 2 incomplete) of a two-sample measure."""
-    if s == 1:
-        return two_sample.complete
-    if s == 2:
-        return two_sample.incomplete
-    raise InvalidInput("sample index must be 1 or 2")
-
-
 def psi_jumps(model, beta, jumps, F=None):
     """The survival self-consistency operator in jump coordinates."""
-    return prop_odds.fixed_point_problem(model, beta, F).apply(jumps)
+    return prop_odds.Operator(model, beta, F)(jumps)
 
 
 def baseline_step(design):
@@ -303,6 +294,26 @@ def d2g_pairs_loop(ws, H):
     return np.array([[apply(h1, h2) for h2 in H] for h1 in H])
 
 
+def d2a_pairs_loop(ws, H):
+    """Second nuisance derivative of the survival operator at a workspace,
+    one pair of rows of H at a time, shape (d, d, m), with the step
+    directions and the at-risk sums formed as dense indicator products."""
+    model = ws.model
+    steps = (model.event_times[None, :] <= model.u[:, None]).astype(float)  # (n, m)
+    at_risk = steps.T  # (m, n): record i at risk at event time j
+    k2 = 2.0 * (1.0 + model.delta) * ws.q**3 / ws.denom**3
+
+    def apply(h1, h2):
+        H1, H2 = steps @ h1, steps @ h2
+        second = at_risk @ (ws.w * k2 * H1 * H2)
+        first1 = -(at_risk @ (ws.w * ws.k * H1))
+        first2 = -(at_risk @ (ws.w * ws.k * H2))
+        return (-ws.edn * second * ws.inv_ew**2
+                + 2.0 * ws.edn * first1 * first2 * ws.inv_ew**3)
+
+    return np.array([[apply(h1, h2) for h2 in H] for h1 in H])
+
+
 def score_jacobian_per_record(model, derivs, eta_dot, eta_ddot):
     """Per-record parameter Jacobian of the mixture score, shape (n, d, d),
     from the bundle derivs and the implicit derivatives of its fixed point."""
@@ -311,13 +322,13 @@ def score_jacobian_per_record(model, derivs, eta_dot, eta_ddot):
     d = model.theta_dim
     out = np.zeros((model.n_records, d, d))
 
-    fc = ws.complete(model.family.density)
+    fc = ws.op.complete(model.family.density)
     g_at = g[model.slot]
     gdot_at = eta_dot[:, model.slot]
     gddot_at = eta_ddot[:, :, model.slot]
-    score_c = ws.complete(model.family.dtheta) / fc
+    score_c = ws.op.complete(model.family.dtheta) / fc
     out[model.complete_rows] = (
-        ws.complete(model.family.d2theta) / fc
+        ws.op.complete(model.family.d2theta) / fc
         - np.einsum("ai,bi->abi", score_c, score_c)
         + gddot_at / g_at
         - np.einsum("ai,bi->abi", gdot_at / g_at, gdot_at / g_at)
@@ -418,14 +429,14 @@ def neumann_apply(d_eta, rhs, terms=200):
     return out
 
 
-def da_psi_value_map(model, beta, A, F=None):
+def da_psi_value_map(model, beta, jumps, F=None):
     """Dense nuisance derivative acting on function values at the event times.
 
     Similarity-transforms the jump-coordinate matrix with the cumulative
     operator; its max absolute row sum is the norm that
     ``prop_odds._sup_norm`` computes without the matrix.
     """
-    M = prop_odds.psi_derivatives(model, beta, A, F).d_eta.matrix
+    M = prop_odds.psi_derivatives(prop_odds.Operator(model, beta, F), jumps).d_eta.matrix
     m = M.shape[0]
     C = np.tri(m)
     Cinv = np.eye(m) - np.eye(m, k=-1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from profix import audits, cli, estimator, missing_cov, prop_odds, simulation
-from profix.fixed_point import estimate_operator_norm, vector_norm
+from profix.fixed_point import estimate_operator_norm
 from profix.measures import StepFunction
 
 from reference import population_records, psi_jumps
@@ -33,11 +33,9 @@ class TestCriterion1FixedPointResiduals:
         )
         model1 = prop_odds.PropOddsModel.from_arrays(u, delta, z)
         t0 = time.time()
-        sol1 = prop_odds.solve_nuisance(model1, [0.5], tol=2e-12)
+        sol1 = prop_odds.solve_nuisance(prop_odds.Operator(model1, [0.5]), tol=2e-12)
         dt1 = time.time() - t0
-        res1 = vector_norm(
-            psi_jumps(model1, [0.5], sol1.eta) - sol1.eta, "sup"
-        )
+        res1 = float(np.abs(psi_jumps(model1, [0.5], sol1.eta) - sol1.eta).max())
         ok &= res1 < 1e-10 and dt1 < 1.0
         details.append(f"survival sup residual {res1:.2e} in {dt1:.3f}s")
 
@@ -45,11 +43,9 @@ class TestCriterion1FixedPointResiduals:
         u, delta, z = simulation.gen_prop_odds(prop_odds.LINEAR_DESIGN, 200, rng)
         model1b = prop_odds.PropOddsModel.from_arrays(u, delta, z)
         t0 = time.time()
-        sol1b = prop_odds.solve_nuisance(model1b, [0.5], tol=2e-12)
+        sol1b = prop_odds.solve_nuisance(prop_odds.Operator(model1b, [0.5]), tol=2e-12)
         dt1b = time.time() - t0
-        res1b = vector_norm(
-            psi_jumps(model1b, [0.5], sol1b.eta) - sol1b.eta, "sup"
-        )
+        res1b = float(np.abs(psi_jumps(model1b, [0.5], sol1b.eta) - sol1b.eta).max())
         ok &= res1b < 1e-10 and dt1b < 1.0
         details.append(f"survival(linear) sup {res1b:.2e} in {dt1b:.3f}s")
 
@@ -62,11 +58,12 @@ class TestCriterion1FixedPointResiduals:
         )
         theta = np.array([0.0, 1.0, 0.0])
         t0 = time.time()
-        sol2 = missing_cov.solve_nuisance(model2, theta, tol=2e-12)
+        op2 = missing_cov.Operator(model2, theta)
+        sol2 = missing_cov.solve_nuisance(op2, tol=2e-12)
         dt2 = time.time() - t0
-        diff = missing_cov.psi_masses(model2, theta, sol2.eta) - sol2.eta
-        res_sup = vector_norm(diff, "sup")
-        res_l1 = vector_norm(diff, "l1")
+        diff = op2(sol2.eta) - sol2.eta
+        res_sup = float(np.abs(diff).max())
+        res_l1 = float(np.abs(diff).sum())
         ok &= res_sup < 1e-10 and res_l1 < 1e-10 and dt2 < 1.0
         details.append(
             f"mixture sup {res_sup:.2e} l1 {res_l1:.2e} in {dt2:.3f}s"
@@ -126,12 +123,8 @@ class TestCriterion4ContractionInstances:
         pop = missing_cov.population_model(y_grid=2000, y_grid_complete=400)
         design = pop.design
         bound = design.w2 / (1.0 - design.w2)
-        norm = estimate_operator_norm(
-            missing_cov.psi_derivatives(
-                pop.model, np.asarray(design.theta0), pop.g0
-            ).d_eta,
-            "l1",
-        )
+        op = missing_cov.Operator(pop.model, design.theta0)
+        norm = estimate_operator_norm(missing_cov.psi_derivatives(op, pop.g0).d_eta, "l1")
         ok = norm <= bound + 1e-6
         assert report(
             "criterion 4a: mixture nuisance-derivative L1 norm <= 3/7 + 1e-6",
@@ -145,8 +138,8 @@ class TestCriterion4ContractionInstances:
         def condition_and_norm(model):
             # both read the derivative bundle at the fixed point, as the
             # fit's precheck does
-            A = model.jumps_to_step(prop_odds.solve_nuisance(model, beta0).eta)
-            derivs = prop_odds.psi_derivatives(model, beta0, A)
+            op = prop_odds.Operator(model, beta0)
+            derivs = prop_odds.psi_derivatives(op, prop_odds.solve_nuisance(op).eta)
             return (prop_odds._variance_condition(derivs.workspace),
                     prop_odds._sup_norm(derivs.d_eta))
 

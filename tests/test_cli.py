@@ -144,6 +144,19 @@ class TestFit:
         assert code == EXIT_USAGE
         assert "Z1 is constant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_constant_mixture_covariate_exit_1(self, tmp_path, capsys, force):
+        # every complete record has X = 0.5: the slope is not identified
+        data = write_ex2_csv(tmp_path / "d.csv", n=200, seed=33)
+        rows = data.read_text().splitlines()
+        data.write_text("\n".join(
+            [rows[0]] + [row.rsplit(",", 1)[0] + ("," if row.startswith("2") else ",0.5")
+                         for row in rows[1:]]
+        ) + "\n")
+        code = main(["fit", "--model", "missing_cov", "--data", str(data)] + force)
+        assert code == EXIT_USAGE
+        assert "covariate X is constant" in capsys.readouterr().err
+
     def test_all_censored_fails_the_condition_check(self, tmp_path, capsys):
         # no event times: the nuisance-derivative norm is that of an empty
         # map, and nothing certifies the contraction

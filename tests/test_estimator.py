@@ -6,6 +6,7 @@ from profix import estimator, missing_cov, prop_odds, simulation
 from profix.errors import (
     InvalidInput,
     NoConvergence,
+    NumericOverflow,
     RiskSetEmpty,
     SingularInformation,
 )
@@ -16,6 +17,7 @@ from profix.estimator import (
     profile_mle,
 )
 from profix.fixed_point import FixedPointSolution
+from profix.measures import StepFunction
 from profix.missing_cov import MissingCovModel, MissingCovProfile, NormalRegression
 
 from reference import (
@@ -219,6 +221,62 @@ class TestNuisanceStart:
         profile.mean_score(np.zeros(1))
         assert profile.solves == 2
         assert profile.solve_iterations == cold + 1
+
+
+def count_calls(monkeypatch, owner, attr):
+    calls = []
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+class TestOneBindPerPoint:
+    """A point binds its family's operator once: the solve and the
+    derivative bundle share it."""
+
+    @pytest.mark.parametrize("name, make", [
+        ("prop_odds", linear_survival_model), ("missing_cov", ex2_model),
+    ])
+    def test_one_operator_per_point(self, name, make, monkeypatch):
+        family = simulation.get_family(name)
+        model = make(200, 3)
+        profile = family.profile(model)
+        start = np.asarray(family.default_start(model), dtype=float)
+        binds = count_calls(monkeypatch, family.module.Operator, "__init__")
+        profile.point(start)
+        assert len(binds) == 1
+        profile.point(start + 0.01)
+        assert len(binds) == 2
+
+    def test_mixture_point_evaluates_the_density_twice(self, monkeypatch):
+        # once for the bound operator's incomplete-case matrix, once at the
+        # complete records for the score
+        profile = MissingCovProfile(ex2_model(200, 3))
+        calls = count_calls(monkeypatch, NormalRegression, "density")
+        profile.point(THETA0)
+        assert len(calls) == 2
+
+    def test_survival_fit_builds_no_step_function(self, monkeypatch):
+        profile = prop_odds.PropOddsProfile(linear_survival_model(200, 3))
+        steps = count_calls(monkeypatch, StepFunction, "__init__")
+        profile_mle(profile, np.zeros(1), force=True)
+        assert steps == []
+
+    @pytest.mark.parametrize("theta, error", [
+        ([1.0], NumericOverflow), ([0.1, 0.2], InvalidInput),
+    ])
+    def test_refused_bind_counts_as_a_failed_solve(self, theta, error):
+        model = prop_odds.PropOddsModel.from_arrays(
+            [1.0, 2.0, 1.5], [1, 0, 1], [60.0, -1.0, 0.5])
+        profile = prop_odds.PropOddsProfile(model)
+        with pytest.raises(error):
+            profile.point(theta)
+        assert (profile.solves_started, profile.solves) == (1, 0)
 
 
 class LineSearchStub:

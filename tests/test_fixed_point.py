@@ -7,7 +7,6 @@ from profix.fixed_point import (
     FixedPointProblem,
     estimate_operator_norm,
     solve_fixed_point,
-    vector_norm,
 )
 from profix.measures import LinearMap
 
@@ -110,7 +109,7 @@ class TestSolveFixedPoint:
         delta = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         z = np.array([0.5, -0.5, 0.5, -0.5, 0.5])
         model = prop_odds.PropOddsModel.from_arrays(u, delta, z)
-        sol = prop_odds.solve_nuisance(model, [0.0])
+        sol = prop_odds.solve_nuisance(prop_odds.Operator(model, [0.0]))
         assert sol.residual < 1e-10
         times, jumps = psi_prop_odds_naive(
             u, delta, z, model.weights, [0.0], model.event_times, sol.eta
@@ -139,4 +138,4 @@ class TestOperatorNorm:
 
     def test_unknown_norm(self):
         with pytest.raises(InvalidInput):
-            vector_norm(np.ones(2), "l2")
+            estimate_operator_norm(LinearMap(np.eye(2)), "l2")

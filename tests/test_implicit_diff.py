@@ -23,7 +23,7 @@ def scalar_derivs(d_eta, dot, ddot=0.0, d_eta_dot=0.0, d2_eta=0.0, d_f=None):
         dot_psi=np.array([[dot]]),
         ddot_psi=np.array([[[ddot]]]),
         d_eta_dot=(LinearMap(np.array([[d_eta_dot]])),),
-        d2_eta=BilinearMap(lambda h1, h2: np.array([d2_eta * h1[0] * h2[0]]), 1),
+        d2_eta=BilinearMap(lambda H: d2_eta * H[:, None, :] * H[None, :, :], 1),
         d_f=d_f or (lambda h: np.zeros(1)),
     )
 
@@ -77,8 +77,9 @@ class TestResolvent:
         # the nuisance derivative at a survival fixed point, with its
         # coefficients scaled until the spectral radius reaches 1.5
         model, beta = prop_odds_model, [0.5]
-        A = model.jumps_to_step(prop_odds.solve_nuisance(model, beta).eta)
-        ((coef, s),) = prop_odds.psi_derivatives(model, beta, A).d_eta.terms
+        op = prop_odds.Operator(model, beta)
+        derivs = prop_odds.psi_derivatives(op, prop_odds.solve_nuisance(op).eta)
+        ((coef, s),) = derivs.d_eta.terms
         rho = max_index_spectral_radius(coef, s)
         assert 0.0 < rho < 1.0
         rhs = np.ones(len(s))
@@ -95,8 +96,8 @@ class TestResolvent:
         # dense solve; this is the contraction reading of the resolvent
         pop = missing_cov_population
         theta = np.asarray(pop.design.theta0)
-        g = missing_cov.solve_nuisance(pop.model, theta).eta
-        derivs = missing_cov.psi_derivatives(pop.model, theta, g)
+        op = missing_cov.Operator(pop.model, theta)
+        derivs = missing_cov.psi_derivatives(op, missing_cov.solve_nuisance(op).eta)
         assert estimate_operator_norm(derivs.d_eta, "l1") < 1.0
         rhs = derivs.dot_psi[1]
         dense = resolvent_apply(derivs.d_eta, rhs)
@@ -143,8 +144,8 @@ class TestFDerivative:
     def test_linearity_in_direction(self, missing_cov_model, rng):
         model = missing_cov_model
         theta = np.array([0.0, 1.0, 0.0])
-        g = missing_cov.solve_nuisance(model, theta).eta
-        derivs = missing_cov.psi_derivatives(model, theta, g)
+        op = missing_cov.Operator(model, theta)
+        derivs = missing_cov.psi_derivatives(op, missing_cov.solve_nuisance(op).eta)
         h1 = rng.normal(size=model.n_records)
         h2 = rng.normal(size=model.n_records)
         a, b = 1.3, -0.7
@@ -159,13 +160,14 @@ class TestAgainstResolve:
     def test_missing_cov_theta_derivative(self, missing_cov_model):
         model = missing_cov_model
         theta = np.array([0.05, 0.9, 0.05])
-        sol = missing_cov.solve_nuisance(model, theta, tol=1e-12)
-        derivs = missing_cov.psi_derivatives(model, theta, sol.eta)
+        op = missing_cov.Operator(model, theta)
+        sol = missing_cov.solve_nuisance(op, tol=1e-12)
+        derivs = missing_cov.psi_derivatives(op, sol.eta)
         eta_dot = dtheta_eta(derivs)
         warm = {"eta": sol.eta}
 
         def solved(t):
-            s = missing_cov.solve_nuisance(model, t, tol=1e-12,
+            s = missing_cov.solve_nuisance(missing_cov.Operator(model, t), tol=1e-12,
                                            eta0=warm["eta"])
             warm["eta"] = s.eta
             return s.eta
@@ -177,15 +179,17 @@ class TestAgainstResolve:
     def test_missing_cov_second_derivative(self, missing_cov_model):
         model = missing_cov_model
         theta = np.array([0.05, 0.9, 0.05])
-        sol = missing_cov.solve_nuisance(model, theta, tol=1e-12)
-        derivs = missing_cov.psi_derivatives(model, theta, sol.eta)
+        def bundle_at(t):
+            op = missing_cov.Operator(model, t)
+            eta = missing_cov.solve_nuisance(op, tol=1e-12).eta
+            return missing_cov.psi_derivatives(op, eta)
+
+        derivs = bundle_at(theta)
         eta_dot = dtheta_eta(derivs)
         eta_ddot = d2theta_eta(derivs, eta_dot)
 
         def dot_at(t):
-            s = missing_cov.solve_nuisance(model, t, tol=1e-12)
-            d = missing_cov.psi_derivatives(model, t, s.eta)
-            return dtheta_eta(d)
+            return dtheta_eta(bundle_at(t))
 
         fd = fd_theta(dot_at, theta, FdConfig(step=1e-4))
         denom = max(np.abs(fd).max(), 1e-10)
@@ -195,15 +199,14 @@ class TestAgainstResolve:
         self, missing_cov_model, prop_odds_model
     ):
         theta = np.array([0.05, 0.9, 0.05])
-        sol = missing_cov.solve_nuisance(missing_cov_model, theta)
-        derivs = missing_cov.psi_derivatives(missing_cov_model, theta, sol.eta)
+        op = missing_cov.Operator(missing_cov_model, theta)
+        derivs = missing_cov.psi_derivatives(op, missing_cov.solve_nuisance(op).eta)
         ddot = d2theta_eta(derivs, dtheta_eta(derivs))
         assert np.abs(ddot - ddot.transpose(1, 0, 2)).max() <= 1e-8
 
         beta = np.array([0.5])
-        solp = prop_odds.solve_nuisance(prop_odds_model, beta)
-        A = prop_odds_model.jumps_to_step(solp.eta)
-        derivs_p = prop_odds.psi_derivatives(prop_odds_model, beta, A)
+        op = prop_odds.Operator(prop_odds_model, beta)
+        derivs_p = prop_odds.psi_derivatives(op, prop_odds.solve_nuisance(op).eta)
         ddot_p = d2theta_eta(derivs_p, dtheta_eta(derivs_p))
         assert np.abs(ddot_p - ddot_p.transpose(1, 0, 2)).max() <= 1e-8
 
@@ -213,15 +216,15 @@ class TestAgainstResolve:
         model = prop_odds_model
         beta = np.array([0.5])
         union, w_base, w_target = union_with_resample(model, "prop_odds", 55)
-        sol = prop_odds.solve_nuisance(union, beta, w_base, tol=1e-12)
-        A = union.jumps_to_step(sol.eta)
-        derivs = prop_odds.psi_derivatives(union, beta, A, w_base)
+        op = prop_odds.Operator(union, beta, w_base)
+        sol = prop_odds.solve_nuisance(op, tol=1e-12)
+        derivs = prop_odds.psi_derivatives(op, sol.eta)
         analytic = df_eta(derivs, w_target - w_base)
         warm = {"eta": sol.eta}
 
         def eta_at(t):
             s = prop_odds.solve_nuisance(
-                union, beta, (1 - t) * w_base + t * w_target,
+                prop_odds.Operator(union, beta, (1 - t) * w_base + t * w_target),
                 tol=1e-12, eta0=warm["eta"],
             )
             warm["eta"] = s.eta

@@ -14,7 +14,6 @@ from profix.measures import (
     MaxIndexMap,
     PerturbationDirection,
     StepFunction,
-    TwoSampleMeasure,
     composite_gauss_grid,
     empirical_from_sample,
     gauss_legendre_grid,
@@ -28,7 +27,6 @@ from reference import (
     measure_from_json,
     measure_to_json,
     mix_path,
-    project,
     step_eval,
     trapezoid_grid,
 )
@@ -90,16 +88,6 @@ class TestEmpiricalMeasure:
         m = empirical_from_sample([1.0, 2.0])
         with pytest.raises(ValueError):
             m.weights[0] = 0.9
-
-
-class TestScaledSubMeasures:
-    def test_two_sample_from_scaled_parts(self):
-        F1 = empirical_from_sample([0.0, 1.0])
-        F2 = empirical_from_sample([5.0])
-        ts = TwoSampleMeasure(EmpiricalMeasure(F1.points, 0.7 * F1.weights),
-                              EmpiricalMeasure(F2.points, 0.3 * F2.weights))
-        assert ts.w1 == pytest.approx(0.7)
-        assert ts.w2 == pytest.approx(0.3)
 
 
 class TestMixPath:
@@ -176,23 +164,6 @@ class TestStepFunction:
         assert A(lo) <= A(hi) + 1e-15
 
 
-class TestTwoSampleMeasure:
-    def test_projections(self):
-        complete = EmpiricalMeasure([1.0, 2.0], [0.4, 0.3])
-        incomplete = EmpiricalMeasure([5.0], [0.3])
-        ts = TwoSampleMeasure(complete, incomplete)
-        assert project(ts, 1) == complete
-        assert project(ts, 2) == incomplete
-        assert ts.w1 == pytest.approx(0.7)
-        assert ts.w2 == pytest.approx(0.3)
-
-    def test_mass_constraint(self):
-        with pytest.raises(InvalidInput):
-            TwoSampleMeasure(
-                EmpiricalMeasure([1.0], [0.5]), EmpiricalMeasure([2.0], [0.4])
-            )
-
-
 class TestGridDensity:
     def test_distinct_support(self):
         with pytest.raises(InvalidInput):
@@ -222,32 +193,18 @@ class TestLinearAndBilinearMaps:
     def test_bilinearity(self, rng):
         T = rng.normal(size=(3, 3, 3))
 
-        def form(h1, h2):
-            return np.einsum("ijk,j,k->i", T, h1, h2)
+        def pairs(H):
+            return np.einsum("ijk,aj,bk->abi", T, H, H)
 
-        B = BilinearMap(form, 3)
+        B = BilinearMap(pairs, 3)
         h1, h1p, h2 = rng.normal(size=(3, 3))
         a, b = 1.7, -0.4
         lhs = B.apply(a * h1 + b * h1p, h2)
         rhs = a * B.apply(h1, h2) + b * B.apply(h1p, h2)
         assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_default_pairs_is_the_apply_loop(self, rng):
-        T = rng.normal(size=(3, 3, 3))
-        T = T + T.transpose(0, 2, 1)
-
-        def form(h1, h2):
-            return np.einsum("ijk,j,k->i", T, h1, h2)
-
-        # a symmetric form: pairs applies it on j <= k and mirrors
-        B = BilinearMap(form, 3)
-        H = rng.normal(size=(4, 3))
-        pairs = B.pairs(H)
-        for j, k in zip(*np.triu_indices(4)):
-            assert np.array_equal(pairs[j, k], B.apply(H[j], H[k]))
-            assert np.array_equal(pairs[k, j], pairs[j, k])
-        with pytest.raises(InvalidInput, match="dimension"):
-            B.pairs(rng.normal(size=(4, 2)))
+        for bad in ((h1, h2[:2]), (h1[:2], h2[:2])):
+            with pytest.raises(InvalidInput, match="dimension"):
+                B.apply(*bad)
 
 
 def max_index_terms(m, seed, n_terms, zero_share):

@@ -23,9 +23,9 @@ from profix.missing_cov import (
     MissingCovModel,
     MissingCovProfile,
     NormalRegression,
+    Operator,
     check_missing_fraction,
     efficient_score,
-    fixed_point_problem,
     load_csv,
     nuisance_stationarity,
     population_model,
@@ -49,6 +49,16 @@ from reference import (
 )
 
 THETA = np.array([0.05, 0.9, 0.05])
+
+
+def bundle(model, theta, g):
+    """The derivative bundle of the operator bound at theta, at the masses g."""
+    return psi_derivatives(Operator(model, theta), g)
+
+
+def solved(model, theta, **kwargs):
+    """The fixed-point solution of the operator bound at theta."""
+    return solve_nuisance(Operator(model, theta), **kwargs)
 
 
 class UniformOutcome(ConditionalDensity):
@@ -147,13 +157,13 @@ class TestPsiApply:
 
 class TestFixedPoint:
     def test_residual_and_self_normalization(self, missing_cov_model):
-        sol = solve_nuisance(missing_cov_model, THETA)
+        sol = solved(missing_cov_model, THETA)
         out = psi_apply(missing_cov_model, THETA, sol.eta).masses
         assert np.abs(out - sol.eta).max() < 1e-10
         assert abs(sol.eta.sum() - 1.0) < 1e-8
 
     def test_solution_is_grid_density(self, missing_cov_model):
-        sol = solve_nuisance(missing_cov_model, THETA)
+        sol = solved(missing_cov_model, THETA)
         density = missing_cov_model.masses_to_density(sol.eta)
         assert isinstance(density, GridDensity)
 
@@ -203,7 +213,7 @@ class TestOperatorInvariants:
     def test_fixed_point_is_a_distribution(self, sample):
         model, theta = sample
         try:
-            sol = solve_nuisance(model, theta, tol=1e-12, max_iter=5000)
+            sol = solved(model, theta, tol=1e-12, max_iter=5000)
         except (ContractionViolation, NoConvergence, SupportViolation,
                 DenominatorCollapse):
             return
@@ -219,7 +229,7 @@ class TestOperatorInvariants:
             [1, 1, 2, 2], [0.1, 0.5, -0.3, 1.1], [0.4, 0.4, 0.0, 0.0],
             NormalRegression(), weights=[0.255, 0.255, 0.245, 0.245],
         )
-        sol = solve_nuisance(model, THETA)
+        sol = solved(model, THETA)
         assert sol.eta == pytest.approx([1.0], abs=1e-12)
 
     def test_outcome_outside_support_refused(self):
@@ -257,7 +267,7 @@ class TestBoundOperator:
         model, theta = sample
         g = dirichlet_masses(model, seed)
         try:
-            out = fixed_point_problem(model, theta).apply(g)
+            out = Operator(model, theta)(g)
         except (SupportViolation, DenominatorCollapse):
             return
         ref = psi_missing_cov_naive(
@@ -275,11 +285,11 @@ class TestBoundOperator:
         model, theta = sample
         g = dirichlet_masses(model, seed)
         try:
-            derivs = psi_derivatives(model, theta, g)
+            derivs = bundle(model, theta, g)
         except (SupportViolation, DenominatorCollapse):
             return
         h1, h2 = np.random.default_rng(seed).normal(size=(2, model.n_support))
-        ref = psi_derivatives(model, theta, g)
+        ref = bundle(model, theta, g)
         expected = {
             "dot_psi": ref.dot_psi,
             "ddot_psi": ref.ddot_psi,
@@ -296,10 +306,10 @@ class TestBoundOperator:
 
     def test_wrong_theta_refused_when_bound(self, missing_cov_model):
         with pytest.raises(InvalidInput, match="theta"):
-            fixed_point_problem(missing_cov_model, np.zeros(4))
+            Operator(missing_cov_model, np.zeros(4))
 
     def test_wrong_masses_refused_per_call(self, missing_cov_model):
-        apply = fixed_point_problem(missing_cov_model, THETA).apply
+        apply = Operator(missing_cov_model, THETA)
         m = missing_cov_model.n_support
         for bad in (np.full(m - 1, 1.0 / (m - 1)), np.full(m + 1, 1.0 / (m + 1))):
             with pytest.raises(InvalidInput, match="mass vector"):
@@ -311,16 +321,16 @@ class TestBoundOperator:
             [1, 1, 2], [0.2, 1.2, 2.5], [0.0, 1.0, 0.0], UniformOutcome()
         )
         with pytest.raises(SupportViolation):
-            fixed_point_problem(outside, np.zeros(2)).apply(np.array([0.5, 0.5]))
+            Operator(outside, np.zeros(2))(np.array([0.5, 0.5]))
         collapsing = MissingCovModel.from_arrays(
             [1, 1, 2, 2, 2], [0.0, 5.0, 0.0, 0.0, 0.0],
             [0.0, 5.0, 0.0, 0.0, 0.0], NormalRegression(),
         )
         theta, g = np.array([0.0, 1.0, 0.0]), np.array([0.01, 0.99])
         with pytest.raises(DenominatorCollapse):
-            fixed_point_problem(collapsing, theta).apply(g)
+            Operator(collapsing, theta)(g)
         with pytest.raises(DenominatorCollapse):
-            psi_derivatives(collapsing, theta, g)
+            bundle(collapsing, theta, g)
 
 
 class TestOperatorOverhead:
@@ -330,15 +340,16 @@ class TestOperatorOverhead:
     def test_solve_evaluates_density_matrix_once(self, missing_cov_model, monkeypatch):
         model = missing_cov_model
         calls = record_calls(monkeypatch, NormalRegression, "density")
-        sol = solve_nuisance(model, THETA)
+        sol = solved(model, THETA)
         assert sol.iterations > 1
         shape = (len(model.incomplete_rows), 1)
         assert sum(np.shape(args[1]) == shape for args in calls) == 1
 
     def test_derivative_bundle_builds_one_workspace(self, missing_cov_model, monkeypatch):
-        g = solve_nuisance(missing_cov_model, THETA).eta
+        op = Operator(missing_cov_model, THETA)
+        g = solve_nuisance(op).eta
         workspaces = record_calls(monkeypatch, missing_cov._Workspace, "__init__")
-        psi_derivatives(missing_cov_model, THETA, g)
+        psi_derivatives(op, g)
         assert len(workspaces) == 1
 
     def test_score_reads_no_second_derivative(self, missing_cov_model, monkeypatch):
@@ -397,7 +408,7 @@ class TestDerivativeOperators:
         model = MissingCovModel.from_arrays(
             [1, 1], [0.1, 0.4], [0.0, 1.0], NormalRegression()
         )
-        derivs = psi_derivatives(model, THETA, np.array([0.5, 0.5]))
+        derivs = bundle(model, THETA, np.array([0.5, 0.5]))
         assert np.allclose(derivs.d_eta.matrix, 0.0)
         assert np.abs(derivs.dot_psi).max() == 0.0
         assert np.abs(derivs.ddot_psi).max() == 0.0
@@ -407,13 +418,12 @@ class TestDerivativeOperators:
         model = MissingCovModel.from_arrays(
             [1, 1, 2], [0.2, 1.2, 0.9], [0.0, 1.0, 0.0], family
         )
-        derivs = psi_derivatives(model, np.zeros(2), np.array([0.5, 0.5]))
+        derivs = bundle(model, np.zeros(2), np.array([0.5, 0.5]))
         assert np.abs(derivs.dot_psi).max() == 0.0
 
     def test_second_derivative_symmetry(self, missing_cov_model, rng):
         model = missing_cov_model
-        g = solve_nuisance(model, THETA).eta
-        form = psi_derivatives(model, THETA, g).d2_eta
+        form = bundle(model, THETA, solved(model, THETA).eta).d2_eta
         for _ in range(5):
             h1, h2 = rng.normal(size=(2, model.n_support))
             left = form.apply(h1, h2)
@@ -430,12 +440,12 @@ class TestDerivativeOperators:
         )
         g = np.array([0.5, 0.5])
         h = np.array([0.2, -0.2])
-        out = psi_derivatives(model, THETA, g).d_f(h)
+        out = bundle(model, THETA, g).d_f(h)
         assert np.allclose(out, h)
 
     def test_df_zero(self, missing_cov_model):
-        g = solve_nuisance(missing_cov_model, THETA).eta
-        out = psi_derivatives(missing_cov_model, THETA, g).d_f(
+        g = solved(missing_cov_model, THETA).eta
+        out = bundle(missing_cov_model, THETA, g).d_f(
             np.zeros(missing_cov_model.n_records))
         assert np.allclose(out, 0.0)
 
@@ -465,7 +475,7 @@ class TestLogDensity:
         # weighted record sum equals the two-sample split of the total
         model = missing_cov_model
         theta = np.array([0.0, 1.0, 0.0])
-        g = model.masses_to_density(solve_nuisance(model, theta).eta)
+        g = model.masses_to_density(solved(model, theta).eta)
         total = 0.0
         for i in range(model.n_records):
             rec = (
@@ -475,8 +485,8 @@ class TestLogDensity:
             total += model.weights[i] * log_density(
                 rec, theta, g, family=model.family
             )
-        ts = model.two_sample()
-        w1, w2 = ts.w1, ts.w2
+        report = check_missing_fraction(model, model.weights)
+        w1, w2 = report.w1, report.w2
         part1 = sum(
             model.weights[i] * log_density(
                 MissingCovRecord(1, model.y[i], model.points[i, 2]),
@@ -499,7 +509,7 @@ class TestLogDensity:
 
 def per_record_jacobian(model, theta):
     """The reference per-record score Jacobian at the fixed point at theta."""
-    derivs = psi_derivatives(model, theta, solve_nuisance(model, theta).eta)
+    derivs = bundle(model, theta, solved(model, theta).eta)
     eta_dot = dtheta_eta(derivs)
     return score_jacobian_per_record(model, derivs, eta_dot,
                                      d2theta_eta(derivs, eta_dot))
@@ -588,13 +598,13 @@ class TestMissingFraction:
             [1] * 7 + [2] * 3, np.arange(10.0), np.arange(10.0),
             NormalRegression(),
         )
-        report = check_missing_fraction(model)
+        report = check_missing_fraction(model, model.weights)
         assert report.satisfied and report.ratio == pytest.approx(3.0 / 7.0)
 
         half = MissingCovModel.from_arrays(
             [1, 2], [0.0, 1.0], [0.0, 0.0], NormalRegression()
         )
-        assert not check_missing_fraction(half).satisfied
+        assert not check_missing_fraction(half, half.weights).satisfied
 
     def test_gate_refuses_majority_missing(self):
         model = MissingCovModel.from_arrays(
@@ -624,10 +634,7 @@ class TestPopulation:
     def test_contraction_bound(self, missing_cov_population):
         pop = missing_cov_population
         design = pop.design
-        norm = estimate_operator_norm(
-            psi_derivatives(pop.model, np.asarray(design.theta0), pop.g0).d_eta,
-            "l1",
-        )
+        norm = estimate_operator_norm(bundle(pop.model, design.theta0, pop.g0).d_eta, "l1")
         assert norm <= design.w2 / (1.0 - design.w2) + 1e-6
 
     def test_stationarity_and_orthogonality(self, missing_cov_population, rng):

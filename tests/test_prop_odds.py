@@ -22,8 +22,8 @@ from profix.prop_odds import (
     LINEAR_DESIGN,
     PropOddsDesign,
     PropOddsModel,
+    Operator,
     PropOddsProfile,
-    fixed_point_problem,
     load_csv,
     population_self_consistency,
     psi_apply,
@@ -34,6 +34,7 @@ from profix.prop_odds import (
 from reference import (
     SurvivalRecord,
     da_psi_prop_odds_naive,
+    d2a_pairs_loop,
     da_psi_value_map,
     loglik,
     loglik_prop_odds_naive,
@@ -47,14 +48,24 @@ def zero_step(tau=3.0):
     return StepFunction([], [], tau)
 
 
-def variance_condition(model, beta, A):
-    """The variance-condition report read from the bundle at (beta, A)."""
-    return prop_odds._variance_condition(psi_derivatives(model, beta, A).workspace)
+def bundle(model, beta, jumps, F=None):
+    """The derivative bundle of the operator bound at (beta, F), at jumps."""
+    return psi_derivatives(Operator(model, beta, F), jumps)
 
 
-def sup_norm(model, beta, A):
-    """The O(m) sup norm of the bundle's nuisance derivative at (beta, A)."""
-    return prop_odds._sup_norm(psi_derivatives(model, beta, A).d_eta)
+def solved(model, beta, **kwargs):
+    """The fixed-point jumps of the operator bound at beta."""
+    return solve_nuisance(Operator(model, beta), **kwargs).eta
+
+
+def variance_condition(model, beta, jumps):
+    """The variance-condition report read from the bundle at (beta, jumps)."""
+    return prop_odds._variance_condition(bundle(model, beta, jumps).workspace)
+
+
+def sup_norm(model, beta, jumps):
+    """The O(m) sup norm of the bundle's nuisance derivative at (beta, jumps)."""
+    return prop_odds._sup_norm(bundle(model, beta, jumps).d_eta)
 
 
 class TestWeightW:
@@ -127,22 +138,20 @@ class TestDerivativeOperators:
     def test_single_record_nuisance_derivative(self):
         # one event at 1, beta=0, A=0: output jump responds at rate 1/2
         model = PropOddsModel.from_arrays([1.0], [1.0], [0.0])
-        mat = psi_derivatives(model, [0.0], zero_step(model.tau)).d_eta.matrix
+        mat = bundle(model, [0.0], np.zeros(1)).d_eta.matrix
         assert mat.shape == (1, 1)
         assert mat[0, 0] == pytest.approx(0.5)
 
     def test_zero_direction(self, prop_odds_model):
         model = prop_odds_model
         A = psi_apply(model, [0.5], zero_step(model.tau))
-        d_eta = psi_derivatives(model, [0.5], A).d_eta
+        d_eta = bundle(model, [0.5], A.jump_sizes).d_eta
         assert np.allclose(d_eta.apply(np.zeros(model.n_events)), 0.0)
 
     def test_second_derivative_symmetry(self, prop_odds_model, rng):
         model = prop_odds_model
         beta = [0.5]
-        sol = solve_nuisance(model, beta)
-        A = model.jumps_to_step(sol.eta)
-        form = psi_derivatives(model, beta, A).d2_eta
+        form = bundle(model, beta, solved(model, beta)).d2_eta
         for _ in range(5):
             h1 = rng.normal(size=model.n_events)
             h2 = rng.normal(size=model.n_events)
@@ -156,9 +165,7 @@ class TestDerivativeOperators:
         model = PropOddsModel.from_arrays(
             [0.5, 1.0, 1.5], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]
         )
-        sol = solve_nuisance(model, [0.0])
-        A = model.jumps_to_step(sol.eta)
-        dot = psi_derivatives(model, [0.0], A).dot_psi
+        dot = bundle(model, [0.0], solved(model, [0.0])).dot_psi
         assert np.abs(dot).max() < 1e-15
 
     def test_df_accepts_direction_objects(self, prop_odds_model, rng):
@@ -166,11 +173,9 @@ class TestDerivativeOperators:
 
         model = prop_odds_model
         beta = [0.5]
-        sol = solve_nuisance(model, beta)
-        A = model.jumps_to_step(sol.eta)
         coeffs = rng.normal(size=model.n_records) * model.weights
         direction = PerturbationDirection(model.points, coeffs)
-        d_f = psi_derivatives(model, beta, A).d_f
+        d_f = bundle(model, beta, solved(model, beta)).d_f
         via_object = d_f(direction)
         via_array = d_f(coeffs)
         assert np.array_equal(via_object, via_array)
@@ -178,9 +183,7 @@ class TestDerivativeOperators:
     def test_df_zero_and_self_direction(self, prop_odds_model):
         model = prop_odds_model
         beta = [0.5]
-        sol = solve_nuisance(model, beta)
-        A = model.jumps_to_step(sol.eta)
-        d_f = psi_derivatives(model, beta, A).d_f
+        d_f = bundle(model, beta, solved(model, beta)).d_f
         assert np.allclose(d_f(np.zeros(model.n_records)), 0.0)
         self_dir = model.weights - model.weights
         assert np.allclose(d_f(self_dir), 0.0)
@@ -205,8 +208,7 @@ class TestLoglik:
     def test_matches_naive(self, prop_odds_model):
         model = prop_odds_model
         beta = [0.4]
-        sol = solve_nuisance(model, beta)
-        A = model.jumps_to_step(sol.eta)
+        A = model.jumps_to_step(solved(model, beta))
         mine = loglik(model, beta, A)
         ref = loglik_prop_odds_naive(
             model.u, model.delta, model.z, model.weights, beta,
@@ -218,12 +220,11 @@ class TestLoglik:
         # the solved nuisance beats random nonnegative perturbations of it
         model = prop_odds_model
         beta = [0.5]
-        sol = solve_nuisance(model, beta)
-        A = model.jumps_to_step(sol.eta)
-        best = loglik(model, beta, A)
+        jumps = solved(model, beta)
+        best = loglik(model, beta, model.jumps_to_step(jumps))
         for _ in range(20):
             scale = 1.0 + rng.uniform(-0.5, 0.5, size=model.n_events)
-            other = model.jumps_to_step(sol.eta * scale)
+            other = model.jumps_to_step(jumps * scale)
             assert loglik(model, beta, other) <= best + 1e-12
 
 
@@ -233,7 +234,7 @@ class TestVarianceCondition:
         model = PropOddsModel.from_arrays(
             [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]
         )
-        report = variance_condition(model, [0.0], zero_step(model.tau))
+        report = variance_condition(model, [0.0], np.zeros(1))
         assert report.satisfied
         assert report.lhs[0] == pytest.approx(2.0)
         assert report.rhs[0] == pytest.approx(0.0)
@@ -242,7 +243,7 @@ class TestVarianceCondition:
         model = PropOddsModel.from_arrays(
             [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]
         )
-        report = variance_condition(model, [0.0], zero_step(model.tau))
+        report = variance_condition(model, [0.0], np.zeros(0))
         assert not report.satisfied
 
     def test_default_design_satisfied_n500(self):
@@ -250,23 +251,21 @@ class TestVarianceCondition:
         u, delta, z = simulation.gen_prop_odds(PropOddsDesign(), 500, rng)
         model = PropOddsModel.from_arrays(u, delta, z)
         beta = np.asarray(PropOddsDesign().beta0)
-        sol = solve_nuisance(model, beta)
-        A = model.jumps_to_step(sol.eta)
-        report = variance_condition(model, beta, A)
+        jumps = solved(model, beta)
+        report = variance_condition(model, beta, jumps)
         assert report.satisfied
         # conclusion of the contraction argument: sup norm below one
-        assert sup_norm(model, beta, A) < 1.0
+        assert sup_norm(model, beta, jumps) < 1.0
 
     def test_condition_implies_norm_below_one(self):
         # exact population version of the same implication
         design = PropOddsDesign()
         pop = population_records(design)
         beta = np.asarray(design.beta0)
-        sol = solve_nuisance(pop, beta)
-        A = pop.jumps_to_step(sol.eta)
-        report = variance_condition(pop, beta, A)
+        jumps = solved(pop, beta)
+        report = variance_condition(pop, beta, jumps)
         assert report.satisfied
-        assert sup_norm(pop, beta, A) < 1.0
+        assert sup_norm(pop, beta, jumps) < 1.0
 
 
 class TestFixedPointInvariants:
@@ -275,17 +274,16 @@ class TestFixedPointInvariants:
             rng = simulation.replication_rng(seed, 7)
             u, delta, z = simulation.gen_prop_odds(LINEAR_DESIGN, 40, rng)
             model = PropOddsModel.from_arrays(u, delta, z)
-            sol = solve_nuisance(model, beta)
-            psi = psi_apply(model, beta, model.jumps_to_step(sol.eta))
-            assert np.abs(psi.jump_sizes - sol.eta).max() < 1e-10
+            jumps = solved(model, beta)
+            psi = psi_apply(model, beta, model.jumps_to_step(jumps))
+            assert np.abs(psi.jump_sizes - jumps).max() < 1e-10
 
     def test_value_norm_vs_jump_norm_conjugation(self, prop_odds_model):
         model = prop_odds_model
         beta = [0.5]
-        sol = solve_nuisance(model, beta)
-        A = model.jumps_to_step(sol.eta)
-        M = psi_derivatives(model, beta, A).d_eta.matrix
-        V = da_psi_value_map(model, beta, A).matrix
+        jumps = solved(model, beta)
+        M = bundle(model, beta, jumps).d_eta.matrix
+        V = da_psi_value_map(model, beta, jumps).matrix
         # same spectrum under the similarity transform
         ev_m = np.sort(np.abs(np.linalg.eigvals(M)))
         ev_v = np.sort(np.abs(np.linalg.eigvals(V)))
@@ -333,7 +331,7 @@ class TestStructuredDerivatives:
     @settings(max_examples=60, deadline=None)
     def test_maps_and_resolvent_match_dense(self, sample):
         model, beta, A = sample
-        derivs = psi_derivatives(model, beta, A)
+        derivs = bundle(model, beta, A.jump_sizes)
         d_eta = derivs.d_eta
         naive = da_psi_prop_odds_naive(
             model.u, model.delta, model.z, model.weights, beta,
@@ -355,22 +353,22 @@ class TestStructuredDerivatives:
                         (scale @ np.abs(h)).max(initial=0.0)) <= 1e-12
 
         norm = prop_odds._sup_norm(d_eta)
-        dense_norm = np.abs(da_psi_value_map(model, beta, A).matrix).sum(axis=1)
+        dense_norm = np.abs(da_psi_value_map(model, beta, A.jump_sizes).matrix).sum(axis=1)
         assert norm == pytest.approx(dense_norm.max(initial=0.0), rel=1e-12, abs=0)
 
     def test_no_events(self):
         model = PropOddsModel.from_arrays([1.0, 2.0], [0.0, 0.0], [0.3, -0.3])
-        derivs = psi_derivatives(model, [0.5], zero_step(model.tau))
+        derivs = bundle(model, [0.5], np.zeros(0))
         assert dtheta_eta(derivs).shape == (1, 0)
-        assert sup_norm(model, [0.5], zero_step(model.tau)) == 0.0
+        assert sup_norm(model, [0.5], np.zeros(0)) == 0.0
 
     def test_sup_norm_matches_dense_value_map(self, prop_odds_model):
         pop = population_records(PropOddsDesign())
         for model in (prop_odds_model, pop):
             beta = [0.5]
-            A = model.jumps_to_step(solve_nuisance(model, beta).eta)
-            dense = estimate_operator_norm(da_psi_value_map(model, beta, A), "sup")
-            assert sup_norm(model, beta, A) == pytest.approx(dense, rel=1e-13)
+            jumps = solved(model, beta)
+            dense = estimate_operator_norm(da_psi_value_map(model, beta, jumps), "sup")
+            assert sup_norm(model, beta, jumps) == pytest.approx(dense, rel=1e-13)
 
     def test_dtheta_eta_matches_dense_at_n3000(self):
         rng = simulation.replication_rng(20260810, 1)
@@ -378,8 +376,7 @@ class TestStructuredDerivatives:
             *simulation.gen_prop_odds(LINEAR_DESIGN, 3000, rng)
         )
         beta = [0.5]
-        A = model.jumps_to_step(solve_nuisance(model, beta).eta)
-        derivs = psi_derivatives(model, beta, A)
+        derivs = bundle(model, beta, solved(model, beta))
         dense = dense_solve(derivs.d_eta, derivs.dot_psi.T).T
         assert rel_diff(dtheta_eta(derivs), dense) <= 1e-12
 
@@ -425,6 +422,27 @@ def analytic_and_difference_jacobian(sample):
     # on the scale of the covariates' weighted second moment
     scale = max(np.abs(fd).max(), float(model.weights @ (model.z**2).sum(axis=1)))
     return jac, fd, scale
+
+
+class TestSecondNuisanceDerivativePairs:
+    """The batched second nuisance derivative against a pair-by-pair loop,
+    with one and with two covariates."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_pairs_match_apply_loop(self, p, rng):
+        u, delta, z = simulation.gen_prop_odds(
+            LINEAR_DESIGN, 60, simulation.replication_rng(103, 0))
+        z = np.column_stack([z, np.cos(np.arange(60.0))])[:, :p]
+        point = PropOddsProfile(PropOddsModel.from_arrays(u, delta, z)).point(
+            np.full(p, 0.3))
+        form = point.derivs.d2_eta
+        for H in (point.eta_dot, rng.normal(size=(4, form.input_dim))):
+            loop = d2a_pairs_loop(point.derivs.workspace, H)
+            pairs = form.pairs(H)
+            assert pairs.shape == (len(H), len(H), form.input_dim)
+            assert rel_diff(pairs, loop) <= 1e-12
+            for j, k in zip(*np.triu_indices(len(H), 1)):
+                assert np.array_equal(form.apply(H[j], H[k]), pairs[j, k])
 
 
 class TestAnalyticJacobian:
@@ -474,8 +492,8 @@ class TestAnalyticJacobian:
 
 
 def bound_operator_agrees(model, beta, jumps):
-    """The fixed-point problem's operator against psi_apply on the step function."""
-    out = fixed_point_problem(model, beta).apply(jumps)
+    """The bound operator against psi_apply on the step function."""
+    out = Operator(model, beta)(jumps)
     expected = psi_apply(model, beta, model.jumps_to_step(jumps)).jump_sizes
     return np.array_equal(out, expected)
 
@@ -504,27 +522,29 @@ class TestBoundOperator:
             assert bound_operator_agrees(model, [0.7], jumps)
 
     def test_refuses_bad_jumps(self, prop_odds_model):
-        apply = fixed_point_problem(prop_odds_model, [0.5]).apply
+        # the operator and the derivative bundle alike
+        op = Operator(prop_odds_model, [0.5])
         jumps = np.full(prop_odds_model.n_events, 0.1)
-        for bad in (np.nan, np.inf, -1e-3):
-            corrupted = jumps.copy()
-            corrupted[-1] = bad
+        for use in (op, lambda v: psi_derivatives(op, v)):
+            for bad in (np.nan, np.inf, -1e-3):
+                corrupted = jumps.copy()
+                corrupted[-1] = bad
+                with pytest.raises(InvalidInput):
+                    use(corrupted)
             with pytest.raises(InvalidInput):
-                apply(corrupted)
-        with pytest.raises(InvalidInput):
-            apply(jumps[1:])
+                use(jumps[1:])
 
     def test_empty_risk_set(self):
         # the signed weights cancel the at-risk mass at the first event time
         model = PropOddsModel.from_arrays([1.0, 2.0], [1, 0], [0.0, 0.0])
-        apply = fixed_point_problem(model, [0.0], F=np.array([0.5, -1.0])).apply
+        apply = Operator(model, [0.0], F=np.array([0.5, -1.0]))
         with pytest.raises(RiskSetEmpty):
             apply(np.zeros(1))
 
     def test_linear_predictor_bound_checked_when_built(self):
         model = PropOddsModel.from_arrays([1.0, 2.0], [1, 0], [60.0, -1.0])
         with pytest.raises(NumericOverflow):
-            fixed_point_problem(model, [1.0])
+            Operator(model, [1.0])
 
 
 def count_builds(monkeypatch, cls):
@@ -564,14 +584,15 @@ class TestOperatorOverhead:
 
     def test_solve_builds_no_step_function(self, model, monkeypatch):
         steps = count_builds(monkeypatch, StepFunction)
-        sol = solve_nuisance(model, [0.5])
+        sol = solve_nuisance(Operator(model, [0.5]))
         assert sol.iterations > 1
         assert len(steps) == 0
 
     def test_derivative_bundle_builds_one_workspace(self, model, monkeypatch):
-        A = model.jumps_to_step(solve_nuisance(model, [0.5]).eta)
+        op = Operator(model, [0.5])
+        jumps = solve_nuisance(op).eta
         workspaces = count_builds(monkeypatch, prop_odds._Workspace)
-        psi_derivatives(model, [0.5], A)
+        psi_derivatives(op, jumps)
         assert len(workspaces) == 1
 
     def test_score_builds_one_workspace(self, model, monkeypatch):
@@ -609,10 +630,10 @@ class TestOperatorOverhead:
         # first, each equals bitwise what a bundle read in order gives
         model, beta, A = sample
         try:
-            derivs = psi_derivatives(model, beta, A)
+            derivs = bundle(model, beta, A.jump_sizes)
         except RiskSetEmpty:
             return
-        ref = psi_derivatives(model, beta, A)
+        ref = bundle(model, beta, A.jump_sizes)
         expected = {"dot_psi": ref.dot_psi, "ddot_psi": ref.ddot_psi,
                     "d_eta_dot": [m.matrix for m in ref.d_eta_dot]}
         for name in order:
@@ -648,13 +669,13 @@ class TestProfile:
         report, norm = profile.precheck(beta)
         assert len(builds) == 1
         monkeypatch.undo()
-        A = model.jumps_to_step(profile.last_point.solution.eta)
-        expected = variance_condition(model, beta, A)
+        jumps = profile.last_point.solution.eta
+        expected = variance_condition(model, beta, jumps)
         assert report.satisfied and expected.satisfied
         for field in ("lhs", "rhs"):
             got, want = getattr(report, field), getattr(expected, field)
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-        assert norm == pytest.approx(sup_norm(model, beta, A), rel=1e-15, abs=0)
+        assert norm == pytest.approx(sup_norm(model, beta, jumps), rel=1e-15, abs=0)
 
     def test_constant_covariate_refused(self, prop_odds_data):
         u, delta, z = prop_odds_data
@@ -676,8 +697,7 @@ class TestProfile:
         profile = PropOddsProfile(model, solver_tol=1e-13)
 
         def profiled_loglik(beta):
-            sol = solve_nuisance(model, beta, tol=1e-13)
-            return loglik(model, beta, model.jumps_to_step(sol.eta))
+            return loglik(model, beta, model.jumps_to_step(solved(model, beta, tol=1e-13)))
 
         beta = np.array([0.3])
         from profix.numdiff import FdConfig, fd_theta
