@@ -29,17 +29,15 @@ from .fixed_point import (
     estimate_operator_norm,
     solve_fixed_point,
 )
-from .implicit_diff import PsiDerivatives, d2theta_eta, df_eta, dtheta_eta, resolvent_apply
+from .implicit_diff import d2theta_eta, df_eta, dtheta_eta, resolvent_apply
 from .measures import (
     BilinearMap,
     EmpiricalMeasure,
     GridDensity,
     LinearMap,
-    PerturbationDirection,
     StepFunction,
-    empirical_from_sample,
 )
-from .numdiff import FdConfig, fd_path, fd_theta
+from .numdiff import fd_path, fd_theta
 from .simulation import McReport, SimConfig, gen_missing_cov, gen_prop_odds, monte_carlo
 
 __version__ = "0.1.0"
@@ -57,15 +55,12 @@ __all__ = [
     "simulation",
     "BilinearMap",
     "EmpiricalMeasure",
-    "FdConfig",
     "FitResult",
     "FixedPointProblem",
     "FixedPointSolution",
     "GridDensity",
     "LinearMap",
     "McReport",
-    "PerturbationDirection",
-    "PsiDerivatives",
     "SimConfig",
     "StepFunction",
     "confidence_interval",
@@ -73,7 +68,6 @@ __all__ = [
     "df_eta",
     "dtheta_eta",
     "efficient_information",
-    "empirical_from_sample",
     "estimate_operator_norm",
     "fd_path",
     "fd_theta",

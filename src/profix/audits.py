@@ -16,7 +16,7 @@ from . import missing_cov, prop_odds, simulation
 from .fixed_point import estimate_operator_norm
 from .implicit_diff import d2theta_eta, df_eta, dtheta_eta
 from .measures import EmpiricalMeasure
-from .numdiff import FdConfig, fd_bilinear, fd_path, fd_theta
+from .numdiff import fd_bilinear, fd_path, fd_theta
 
 FIRST_ORDER_TOL = 1e-5
 SECOND_ORDER_TOL = 1e-3
@@ -90,10 +90,16 @@ def union_with_resample(model, kind, seed=1000, n=None):
 
     Returns (union_model, base_weights, target_weights); straight-line
     reweighting between the two weight vectors realizes the mixture path
-    toward the resample.
+    toward the resample.  The resample is drawn from the family's audit
+    design; record columns the design does not draw (a survival model's
+    covariates past the first) are copied from model records chosen by
+    ``np.random.default_rng(seed)``.
     """
     other = seeded_model(kind, n or model.n_obs, seed)
-    points = np.vstack([model.points, other.points])
+    width = other.points.shape[1]
+    rows = np.random.default_rng(seed).integers(model.n_records, size=len(other.points))
+    resample = np.hstack([other.points, model.points[rows, width:]])
+    points = np.vstack([model.points, resample])
     w_base = np.concatenate([model.weights, np.zeros(len(other.points))])
     w_target = np.concatenate([np.zeros(len(model.points)), other.weights])
     base = EmpiricalMeasure(points, w_base)
@@ -148,10 +154,10 @@ def audit_operators(family, model, theta=None, seed=0, corrupt=None):
     def dot_at(t, at):
         return mod.psi_derivatives(mod.Operator(model, t), at).dot_psi
 
-    fd_dot = fd_theta(lambda t: mod.Operator(model, t)(eta), theta, FdConfig(step=1e-5))
+    fd_dot = fd_theta(lambda t: mod.Operator(model, t)(eta), theta, step=1e-5)
     rows.append(_row(f"{dtheta_name}.dot", derivs.dot_psi, fd_dot,
                      FIRST_ORDER_TOL, corrupt))
-    fd_ddot = fd_theta(lambda t: dot_at(t, eta), theta, FdConfig(step=1e-4))
+    fd_ddot = fd_theta(lambda t: dot_at(t, eta), theta, step=1e-4)
     rows.append(_row(f"{dtheta_name}.ddot", derivs.ddot_psi,
                      fd_ddot.transpose(1, 0, 2), SECOND_ORDER_TOL, corrupt))
 
@@ -175,31 +181,30 @@ def audit_operators(family, model, theta=None, seed=0, corrupt=None):
     op_u = mod.Operator(union, theta, w_base)
     eta_u = mod.solve_nuisance(op_u, tol=1e-12).eta
     derivs_u = mod.psi_derivatives(op_u, eta_u)
-    path_fd = FdConfig(step=1e-5, scheme="forward", richardson=True)
-    fd = fd_path(lambda t: on_path(t)(eta_u), path_fd)
+    fd = fd_path(lambda t: on_path(t)(eta_u), step=1e-5)
     rows.append(_row("df_psi", derivs_u.d_f(w_target - w_base), fd, FIRST_ORDER_TOL,
                      corrupt))
 
     # score Jacobian versus differences of the analytic score
     profile = family.profile(model, solver_tol=1e-12)
     jac = profile.jacobian(profile.point(theta))
-    fd_jac = fd_theta(profile.mean_score, theta, FdConfig(step=1e-4))
+    fd_jac = fd_theta(profile.mean_score, theta, step=1e-4)
     rows.append(_row("score_jacobian", jac, fd_jac.T, SECOND_ORDER_TOL, corrupt))
 
     # resolvent-formula derivatives versus re-solve difference quotients
     solved_eta = _warm_solves(mod, lambda t: mod.Operator(model, t), eta)
     eta_dot = dtheta_eta(derivs)
-    fd_dot = fd_theta(solved_eta, theta, FdConfig(step=1e-5))
+    fd_dot = fd_theta(solved_eta, theta, step=1e-5)
     rows.append(_row("eta_dot", eta_dot, fd_dot, ETA_DOT_TOL, corrupt))
 
     def eta_dot_at(t):
         return dtheta_eta(mod.psi_derivatives(mod.Operator(model, t), solved_eta(t)))
 
-    fd_ddot = fd_theta(eta_dot_at, theta, FdConfig(step=1e-4))
+    fd_ddot = fd_theta(eta_dot_at, theta, step=1e-4)
     rows.append(_row("eta_ddot", d2theta_eta(derivs, eta_dot),
                      fd_ddot.transpose(1, 0, 2), ETA_DDOT_TOL, corrupt))
 
-    fd = fd_path(_warm_solves(mod, on_path, eta_u), path_fd)
+    fd = fd_path(_warm_solves(mod, on_path, eta_u), step=1e-5)
     rows.append(_row("df_eta", df_eta(derivs_u, w_target - w_base), fd, DF_ETA_TOL,
                      corrupt))
     return rows

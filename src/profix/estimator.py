@@ -77,10 +77,10 @@ class Family:
 @dataclass(frozen=True)
 class Point:
     """One evaluation of a profile at theta: the nuisance fixed point's
-    ``FixedPointSolution``, the operator's derivative bundle there, the
-    fixed point's implicit derivative eta_dot and the per-record scores.
-    The second implicit derivative eta_ddot is computed on first read and
-    kept."""
+    ``FixedPointSolution``, the derivative bundle there (the family's
+    workspace, whose fields :mod:`implicit_diff` names), the fixed point's
+    implicit derivative eta_dot and the per-record scores.  The second
+    implicit derivative eta_ddot is computed on first read and kept."""
 
     theta: np.ndarray
     solution: object
@@ -97,7 +97,8 @@ class Profile:
     """Profile-likelihood view of a sample: the nuisance solved per parameter.
 
     :meth:`point` binds the family's ``Operator`` once at a parameter, solves
-    its fixed point, builds the derivative bundle from the same operator and
+    its fixed point to solver_tol (within ``fixed_point.DEFAULT_MAX_ITER``
+    iterations), builds the derivative bundle from the same operator and
     evaluates the scores there, recording the point as last_point, from
     which jacobian reads.  Each solve starts from the Taylor prediction off
     last_point (see :meth:`start`), adds one to ``solves_started`` (a bind
@@ -107,11 +108,10 @@ class Profile:
     jacobian in its own body, where ``bench/tracing.py`` wraps them.
     """
 
-    def __init__(self, model, F=None, solver_tol=1e-10, solver_max_iter=10_000):
+    def __init__(self, model, F=None, solver_tol=1e-10):
         self.model = model
         self.weights = model.resolve_weights(F)
         self.solver_tol = solver_tol
-        self.solver_max_iter = solver_max_iter
         self.last_point = None
         self.solves = 0
         self.solve_iterations = 0
@@ -158,10 +158,7 @@ class Profile:
         """The family's operator bound at theta, and its fixed point."""
         self.solves_started += 1
         op = self.module.Operator(self.model, theta, self.weights)
-        sol = self.module.solve_nuisance(
-            op, tol=self.solver_tol, max_iter=self.solver_max_iter,
-            eta0=self.start(theta),
-        )
+        sol = self.module.solve_nuisance(op, tol=self.solver_tol, eta0=self.start(theta))
         self.solves += 1
         self.solve_iterations += sol.iterations
         return op, sol

@@ -4,6 +4,26 @@ When the nuisance solves eta = Psi(eta), its derivatives in the
 finite-dimensional parameter and in the underlying distribution are
 resolvent formulas: every one of them is [I - d_eta Psi]^{-1} applied to a
 combination of the partial derivatives of Psi at the fixed point.
+
+The formulas read those partials from a derivative bundle, which each
+family's ``psi_derivatives(op, eta)`` returns: its workspace at the fixed
+point.  The fields read here are
+
+- ``d_eta``, the derivative in the nuisance itself: a dense
+  :class:`LinearMap`, or a structured map with ``apply`` and
+  ``resolvent_solve``;
+- ``dot_psi``, the first parameter derivative, shape (d, m);
+- ``ddot_psi``, the second parameter derivative, shape (d, d, m);
+- ``d_eta_dot``, one linear map per parameter component for the mixed
+  derivative;
+- ``d2_eta``, the second nuisance derivative as a :class:`BilinearMap`,
+  whose ``pairs`` evaluates it at every pair of a stack of directions;
+- ``d_f(h)``, the distribution derivative in direction h as a coefficient
+  vector.
+
+``d_eta`` and ``dot_psi`` are built with the bundle; ``ddot_psi``,
+``d_eta_dot`` and ``d2_eta`` are built on first read, as only the second
+parameter derivative of the fixed point reads them.
 """
 
 from __future__ import annotations
@@ -15,73 +35,6 @@ from .measures import LinearMap
 
 #: Relative residual above which a resolvent solve is declared singular.
 _SOLVE_RESIDUAL_TOL = 1e-6
-
-
-class PsiDerivatives:
-    """Partial derivatives of the nuisance operator at a fixed point.
-
-    d_eta is the derivative in the nuisance itself, a dense
-    :class:`LinearMap` or a structured map with ``apply`` and
-    ``resolvent_solve``; dot_psi and ddot_psi are the first and second
-    parameter derivatives (shapes (d, m) and (d, d, m)); d_eta_dot holds
-    one linear map per parameter component for the mixed derivative;
-    d2_eta is the second nuisance derivative as a :class:`BilinearMap`,
-    whose ``pairs`` evaluates it at every pair of a stack of directions;
-    d_f maps a distribution perturbation to a coefficient vector.
-
-    A bundle built by :meth:`at` keeps the family workspace it was built
-    from and evaluates the second-order parts, ddot_psi, d_eta_dot and
-    d2_eta, on first access: only the second parameter derivative of the
-    fixed point reads them.
-    """
-
-    def __init__(self, d_eta, dot_psi, ddot_psi=None, d_eta_dot=None,
-                 d2_eta=None, d_f=None, workspace=None):
-        self.d_eta = d_eta
-        self.dot_psi = dot_psi
-        self._ddot_psi = ddot_psi
-        self._d_eta_dot = d_eta_dot
-        self._d2_eta = d2_eta
-        self.d_f = d_f
-        self.workspace = workspace
-
-    @classmethod
-    def at(cls, ws, dtheta_psi, d_eta_psi, d2_eta_psi, df_psi):
-        """Bundle a family's partial derivatives at one workspace.
-
-        dtheta_psi(ws) returns the first parameter derivative and a function
-        giving the second and the mixed ones.
-        """
-        dot, second_order = dtheta_psi(ws)
-        derivs = cls(d_eta_psi(ws), dot, d_f=lambda h: df_psi(ws, h), workspace=ws)
-        derivs._pending = (second_order, lambda: d2_eta_psi(ws))
-        return derivs
-
-    @property
-    def ddot_psi(self):
-        if self._ddot_psi is None:
-            self._ddot_psi, self._d_eta_dot = self._pending[0]()
-        return self._ddot_psi
-
-    @property
-    def d_eta_dot(self):
-        if self._d_eta_dot is None:
-            self._ddot_psi, self._d_eta_dot = self._pending[0]()
-        return self._d_eta_dot
-
-    @property
-    def d2_eta(self):
-        if self._d2_eta is None:
-            self._d2_eta = self._pending[1]()
-        return self._d2_eta
-
-    @property
-    def theta_dim(self):
-        return self.dot_psi.shape[0]
-
-    @property
-    def eta_dim(self):
-        return self.dot_psi.shape[1]
 
 
 def _as_matrix(d_eta):
@@ -134,8 +87,8 @@ def d2theta_eta(derivs, eta_dot):
     so the result is exactly symmetric in (j, k).
     """
     eta_dot = np.asarray(eta_dot, dtype=float)
-    d = derivs.theta_dim
-    if eta_dot.shape != (d, derivs.eta_dim):
+    d = derivs.dot_psi.shape[0]
+    if eta_dot.shape != derivs.dot_psi.shape:
         raise InvalidInput("eta_dot does not match the derivative shapes")
     # mixed[j, k] = d_eta_dot[j] applied to eta_dot[k]
     mixed = np.stack([m.apply(eta_dot.T).T for m in derivs.d_eta_dot])

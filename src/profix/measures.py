@@ -59,8 +59,7 @@ class EmpiricalMeasure:
     points : array-like, shape (n,) or (n, k)
         Atom locations.  Rows are sample-space elements.
     weights : array-like, shape (n,)
-        Nonnegative atom masses.  Not normalized here; use
-        :func:`empirical_from_sample` for a probability measure.
+        Nonnegative atom masses, not normalized here.
     """
 
     def __init__(self, points, weights):
@@ -103,28 +102,6 @@ class EmpiricalMeasure:
         return (
             f"EmpiricalMeasure(n={len(self)}, total_mass={self.total_mass:.6g})"
         )
-
-
-def empirical_from_sample(points, weights=None):
-    """Probability measure with one atom per observation.
-
-    Omitted weights mean equal weights 1/n; explicit weights are
-    normalized to total mass one.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.size == 0:
-        raise InvalidInput("empty sample")
-    if weights is None:
-        weights = np.full(len(points), 1.0 / len(points))
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if np.any(weights < 0):
-            raise InvalidInput("negative weight")
-        total = weights.sum()
-        if total <= 0:
-            raise InvalidInput("weights must have positive total")
-        weights = weights / total
-    return EmpiricalMeasure(points, weights)
 
 
 def _cumulative_at(jump_times, cumulative, u):
@@ -198,23 +175,6 @@ class GridDensity:
 
     def __repr__(self):
         return f"GridDensity(n={len(self.support)}, total_mass={self.masses.sum():.6g})"
-
-
-class PerturbationDirection:
-    """Signed atom weights over a fixed atom table: a direction in which to
-    perturb a measure, with its total variation as norm."""
-
-    def __init__(self, grid, coeffs):
-        grid = np.array(grid, dtype=float)
-        coeffs = np.array(coeffs, dtype=float)
-        if len(coeffs) != len(grid):
-            raise InvalidInput("coefficients must match the base grid")
-        if not np.all(np.isfinite(coeffs)):
-            raise InvalidInput("non-finite direction coefficient")
-        self.grid = grid
-        self.coeffs = coeffs
-        self.norm = float(np.abs(coeffs).sum())
-        _freeze(self.grid, self.coeffs)
 
 
 class LinearMap:
@@ -444,11 +404,7 @@ class RecordTable:
         return F
 
     def resolve_direction(self, h):
-        """Signed weight vector over the record table for a perturbation."""
-        if isinstance(h, PerturbationDirection):
-            if not np.array_equal(h.grid, self.points):
-                raise InvalidInput("direction atoms do not match the model records")
-            return h.coeffs
+        """A perturbation as a signed weight vector over the record table."""
         h = np.asarray(h, dtype=float)
         if h.shape != (self.n_records,):
             raise InvalidInput("direction does not match the record count")

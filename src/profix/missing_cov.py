@@ -25,7 +25,7 @@ from .errors import (
 )
 from .estimator import Family, Profile
 from .fixed_point import FixedPointProblem, solve_fixed_point
-from .implicit_diff import PsiDerivatives, dtheta_eta
+from .implicit_diff import dtheta_eta
 from .measures import (
     BilinearMap,
     EmpiricalMeasure,
@@ -256,13 +256,18 @@ class Operator:
 
 
 class _Workspace:
-    """The bound operator at one g, with the caches its derivatives and the
-    scores share; the family's derivatives are evaluated on first read."""
+    """The derivative bundle of the bound operator at one g (see
+    :mod:`implicit_diff`), with the caches its fields and the scores share;
+    the density derivatives are evaluated on first read."""
 
     def __init__(self, op, g):
         self.op, self.model, self.w = op, op.model, op.w
         self.p1, self.nu, self.fmat = op.p1, op.nu, op.fmat
         self.g, self.fy, self.a = op.mixture(g)
+        self.c2 = self.nu / self.fy**2
+        self.adot = (self.c2 * self.fydot) @ self.fmat - (self.nu / self.fy) @ self.fdot
+        self.dot_psi = -self.p1 * self.adot / self.a**2  # (d, m)
+        self.d_eta = LinearMap(-(self.p1 / self.a**2)[:, None] * self.dg_a)
 
     @cached_property
     def fdot(self):
@@ -294,6 +299,61 @@ class _Workspace:
     def dg_a(self):
         return self.fmat.T @ (self.fmat * (self.nu / self.fy**2)[:, None])
 
+    @cached_property
+    def _second_order(self):
+        """The second parameter derivative and the mixed maps, every
+        parameter pair at once; stacked arrays lead with (d, d) or d."""
+        fmat, fy, nu, fdot, fydot = self.fmat, self.fy, self.nu, self.fdot, self.fydot
+        c2, adot, a = self.c2, self.adot, self.a
+        c3 = nu / fy**3
+        v = c2 * self.fyddot - 2.0 * c3 * fydot[:, None, :] * fydot[None, :, :]
+        t3 = (c2 * fydot) @ fdot  # t3[a, b] = fdot[a].T @ (c2 fydot[b])
+        addot = -((nu / fy) @ self.fddot - v @ fmat - t3 - t3.transpose(1, 0, 2))
+        ddot = -self.p1 * (a * addot - 2.0 * adot[:, None, :] * adot[None, :, :]) / a**3
+
+        half = fdot.transpose(0, 2, 1) @ (fmat * c2[:, None])  # (d, m, m)
+        third = (fmat.T * (c3 * fydot)[:, None, :]) @ fmat
+        dga_dot = half + half.transpose(0, 2, 1) - 2.0 * third
+        mats = -self.p1[:, None] * (
+            dga_dot / (a**2)[:, None]
+            - 2.0 * (adot / a**3)[:, :, None] * self.dg_a
+        )
+        return ddot, tuple(LinearMap(mat) for mat in mats)
+
+    @property
+    def ddot_psi(self):
+        return self._second_order[0]
+
+    @property
+    def d_eta_dot(self):
+        return self._second_order[1]
+
+    @cached_property
+    def d2_eta(self):
+        """Second derivative in the covariate masses as a bilinear map.
+        pairs reads the arrays, never the bundle, which would then hold
+        itself through its own cache."""
+        fmat, nu, fy, p1, a = self.fmat, self.nu, self.fy, self.p1, self.a
+
+        def pairs(H):
+            # the form at every pair of rows of H: two products with fmat in all
+            u = H @ fmat.T  # (d, n2)
+            d2a = -2.0 * ((u[:, None, :] * u[None, :, :] * (nu / fy**3)) @ fmat)
+            da = (u * (nu / fy**2)) @ fmat  # (d, m)
+            return p1 * (-d2a / a**2 + 2.0 * da[:, None, :] * da[None, :, :] / a**3)
+
+        return BilinearMap(pairs, self.model.n_support)
+
+    def d_f(self, h):
+        """Derivative of the operator in the distribution, in direction h."""
+        model = self.model
+        hw = model.resolve_direction(h)
+        dp1 = np.zeros(model.n_support)
+        np.add.at(dp1, model.slot, hw[model.complete_rows])
+        hnu = hw[model.incomplete_rows]
+        second = self.fmat.T @ (hnu / self.fy)
+        return (dp1 * self.a + self.p1 * second) / self.a**2
+
 
 def psi_apply(model, theta, g, F=None):
     """One application of the self-consistency operator; not renormalized."""
@@ -305,73 +365,15 @@ def psi_masses(model, theta, masses, F=None):
     return Operator(model, theta, F)(masses)
 
 
-def solve_nuisance(op, tol=1e-10, max_iter=10_000, eta0=None):
+def solve_nuisance(op, tol=1e-10, eta0=None):
     """Solve for the covariate masses of a bound operator."""
     eta0 = op.cold_start() if eta0 is None else eta0
-    problem = FixedPointProblem(op, op.dim)
-    return solve_fixed_point(problem, eta0, tol=tol, max_iter=max_iter)
-
-
-def _dg_psi(ws):
-    """Derivative of the operator in the covariate masses."""
-    return LinearMap(-(ws.p1 / ws.a**2)[:, None] * ws.dg_a)
-
-
-def _d2g_psi(ws):
-    """Second derivative in the covariate masses as a bilinear map."""
-    def pairs(H):
-        # the form at every pair of rows of H: two products with fmat in all
-        u = H @ ws.fmat.T  # (d, n2)
-        d2a = -2.0 * ((u[:, None, :] * u[None, :, :] * (ws.nu / ws.fy**3)) @ ws.fmat)
-        da = (u * (ws.nu / ws.fy**2)) @ ws.fmat  # (d, m)
-        return ws.p1 * (-d2a / ws.a**2 + 2.0 * da[:, None, :] * da[None, :, :] / ws.a**3)
-
-    return BilinearMap(pairs, ws.model.n_support)
-
-
-def _dtheta_psi(ws):
-    """The first parameter derivative, and a function giving the second
-    and mixed derivatives from the same intermediate terms."""
-    fmat, fy, nu, fdot, fydot = ws.fmat, ws.fy, ws.nu, ws.fdot, ws.fydot
-    c2 = nu / fy**2
-    adot = (c2 * fydot) @ fmat - (nu / fy) @ fdot  # (d, m)
-    dot = -ws.p1 * adot / ws.a**2
-
-    def second_order():
-        # every parameter pair at once; stacked arrays lead with (d, d) or d
-        c3 = nu / fy**3
-        v = c2 * ws.fyddot - 2.0 * c3 * fydot[:, None, :] * fydot[None, :, :]
-        t3 = (c2 * fydot) @ fdot  # t3[a, b] = fdot[a].T @ (c2 fydot[b])
-        addot = -((nu / fy) @ ws.fddot - v @ fmat - t3 - t3.transpose(1, 0, 2))
-        ddot = -ws.p1 * (ws.a * addot - 2.0 * adot[:, None, :] * adot[None, :, :]) / ws.a**3
-
-        half = fdot.transpose(0, 2, 1) @ (fmat * c2[:, None])  # (d, m, m)
-        third = (fmat.T * (c3 * fydot)[:, None, :]) @ fmat
-        dga_dot = half + half.transpose(0, 2, 1) - 2.0 * third
-        mats = -ws.p1[:, None] * (
-            dga_dot / (ws.a**2)[:, None]
-            - 2.0 * (adot / ws.a**3)[:, :, None] * ws.dg_a
-        )
-        return ddot, tuple(LinearMap(mat) for mat in mats)
-
-    return dot, second_order
-
-
-def _df_psi(ws, h):
-    """Derivative of the operator in the distribution, in direction h."""
-    model = ws.model
-    hw = model.resolve_direction(h)
-    dp1 = np.zeros(model.n_support)
-    np.add.at(dp1, model.slot, hw[model.complete_rows])
-    hnu = hw[model.incomplete_rows]
-    second = ws.fmat.T @ (hnu / ws.fy)
-    return (dp1 * ws.a + ws.p1 * second) / ws.a**2
+    return solve_fixed_point(FixedPointProblem(op, op.dim), eta0, tol=tol)
 
 
 def psi_derivatives(op, g):
-    """All derivatives of the bound operator at the masses g, sharing one
-    workspace."""
-    return PsiDerivatives.at(_Workspace(op, g), _dtheta_psi, _dg_psi, _d2g_psi, _df_psi)
+    """The derivative bundle of the bound operator at the masses g."""
+    return _Workspace(op, g)
 
 
 def _complete_case(ws):
@@ -385,10 +387,9 @@ def _complete_case(ws):
     return fc, g_at
 
 
-def efficient_score(derivs, eta_dot):
+def efficient_score(ws, eta_dot):
     """Per-record parameter score of the profiled log density, shape (n, d),
     from the derivative bundle at a fixed point and its implicit derivative."""
-    ws = derivs.workspace
     model = ws.model
     out = np.zeros((model.n_records, model.theta_dim))
 
@@ -409,7 +410,7 @@ def score_jacobian(point):
     weights as it is formed, so no per-record matrix is built.  The result
     is symmetric up to roundoff.
     """
-    ws = point.derivs.workspace
+    ws = point.derivs
     model, w = ws.model, ws.w
     eta_dot, eta_ddot = point.eta_dot, point.eta_ddot
 
@@ -471,8 +472,8 @@ class MissingCovProfile(Profile):
     complete records leaves the slope unidentified, as it then only shifts
     the intercept, so such a sample is refused."""
 
-    def __init__(self, model, F=None, solver_tol=1e-10, solver_max_iter=10_000):
-        super().__init__(model, F, solver_tol, solver_max_iter)
+    def __init__(self, model, F=None, solver_tol=1e-10):
+        super().__init__(model, F, solver_tol)
         x = model.x_complete[self.weights[model.complete_rows] > 0]
         if len(x) and np.ptp(x) == 0:
             raise InvalidInput(
@@ -642,12 +643,11 @@ def score_orthogonality(pop, directions, theta=None):
     )
     op = Operator(model, theta)
     g = solve_nuisance(op).eta
-    derivs = psi_derivatives(op, g)
-    scores = efficient_score(derivs, dtheta_eta(derivs))
+    ws = psi_derivatives(op, g)
+    scores = efficient_score(ws, dtheta_eta(ws))
 
     # nuisance score per record for a direction alpha: alpha/g at the
     # complete-case x, mixture ratio for incomplete records
-    ws = derivs.workspace
     out = []
     for alpha in directions:
         alpha = np.asarray(alpha, dtype=float)

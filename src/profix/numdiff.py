@@ -7,26 +7,9 @@ probe: they only evaluate a black-box function at shifted arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidInput, OracleEvalFailure
-
-
-@dataclass(frozen=True)
-class FdConfig:
-    """Step size and scheme for a difference quotient."""
-
-    step: float = 1e-5
-    scheme: str = "central"
-    richardson: bool = False
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise InvalidInput("step must be positive")
-        if self.scheme not in ("central", "forward"):
-            raise InvalidInput(f"unknown scheme {self.scheme!r}")
+from .errors import OracleEvalFailure
 
 
 def _probe(f, x):
@@ -36,53 +19,31 @@ def _probe(f, x):
         raise OracleEvalFailure(f"probe evaluation failed at {x!r}: {exc}") from exc
 
 
-def _component_diff(f, theta, k, h, scheme, f0=None):
-    e = np.zeros_like(theta)
-    e[k] = h
-    if scheme == "central":
-        return (_probe(f, theta + e) - _probe(f, theta - e)) / (2.0 * h)
-    base = _probe(f, theta) if f0 is None else f0
-    return (_probe(f, theta + e) - base) / h
+def fd_theta(f, theta, step=1e-5):
+    """Central differences of f in each component of theta.
 
-
-def fd_theta(f, theta, cfg=FdConfig()):
-    """Partial derivatives of f with respect to each component of theta.
-
-    Central differences by default; with Richardson extrapolation the
-    step-h and step-h/2 quotients are combined as (4 D_{h/2} - D_h) / 3
-    for the central scheme and 2 D_{h/2} - D_h for the forward scheme.
     Returns an array of shape (d,) + shape(f(theta)).
     """
     theta = np.asarray(theta, dtype=float)
-    f0 = _probe(f, theta) if cfg.scheme == "forward" else None
     rows = []
     for k in range(len(theta)):
-        d_h = _component_diff(f, theta, k, cfg.step, cfg.scheme, f0)
-        if cfg.richardson:
-            d_half = _component_diff(f, theta, k, cfg.step / 2.0, cfg.scheme, f0)
-            if cfg.scheme == "central":
-                d_h = (4.0 * d_half - d_h) / 3.0
-            else:
-                d_h = 2.0 * d_half - d_h
-        rows.append(d_h)
+        e = np.zeros_like(theta)
+        e[k] = step
+        rows.append((_probe(f, theta + e) - _probe(f, theta - e)) / (2.0 * step))
     return np.stack(rows, axis=0)
 
 
-def fd_path(f, cfg=FdConfig(scheme="forward")):
+def fd_path(f, step=1e-5):
     """One-sided derivative of f(t) at t = 0 along a path.
 
-    Paths are only defined for t >= 0, so the scheme is forward:
-    (f(step) - f(0)) / step, optionally Richardson-combined with the
-    half-step quotient as 2 D_{h/2} - D_h.
+    Paths are only defined for t >= 0, so the quotient is forward,
+    (f(step) - f(0)) / step, Richardson-combined with the half-step
+    quotient as 2 D_{h/2} - D_h.
     """
-    if cfg.scheme != "forward":
-        raise InvalidInput("paths are defined for t >= 0; use the forward scheme")
     f0 = _probe(f, 0.0)
-    d_h = (_probe(f, cfg.step) - f0) / cfg.step
-    if cfg.richardson:
-        d_half = (_probe(f, cfg.step / 2.0) - f0) / (cfg.step / 2.0)
-        d_h = 2.0 * d_half - d_h
-    return d_h
+    d_h = (_probe(f, step) - f0) / step
+    d_half = (_probe(f, step / 2.0) - f0) / (step / 2.0)
+    return 2.0 * d_half - d_h
 
 
 def fd_bilinear(f, h1, h2, step=1e-4):

@@ -13,6 +13,7 @@ that makes the operator a contraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .errors import (
 )
 from .estimator import Family, Profile
 from .fixed_point import FixedPointProblem, solve_fixed_point
-from .implicit_diff import PsiDerivatives
 from .measures import (
     BilinearMap,
     EmpiricalMeasure,
@@ -205,9 +205,9 @@ class Operator:
 
 
 class _Workspace:
-    """The bound operator at one A, with the first-order weights its
-    derivatives share, in record order; the second-order parts build their
-    own."""
+    """The derivative bundle of the bound operator at one A (see
+    :mod:`implicit_diff`), with the first-order weights its fields, the
+    scores and the condition checks share, in record order."""
 
     def __init__(self, op, jumps):
         model = self.model = op.model
@@ -219,6 +219,92 @@ class _Workspace:
         self.k = (1.0 + model.delta) * self.q**2 / self.denom**2
         self.ew = model.suffix_at_events(self.w * self.c)
         self.inv_ew = _inverse_risk(self.edn, self.ew)
+        z, suffix = model.z, model.suffix_at_events
+        self.ew_dot = np.stack(
+            [suffix(self.w * self.wdot * z[:, a]) for a in range(model.covariate_dim)]
+        )
+        self.dot_psi = -self.edn * self.ew_dot * self.inv_ew**2
+        # the derivative in the nuisance, in jump coordinates: the direction
+        # enters only through its cumulative value at each record time, so
+        # the entry for output jump i and input jump j is driven by the
+        # at-risk sum beyond the later of event times i and j, which makes
+        # the map diag(coef) K(k_suffix) in MaxIndexMap form
+        self.k_suffix = suffix(self.w * self.k)
+        self.d_eta = MaxIndexMap([(self.edn * self.inv_ew**2, self.k_suffix)])
+
+    @cached_property
+    def _second_order(self):
+        """The second coefficient derivative and the mixed maps, from the
+        at-risk sums of the first."""
+        model, w, edn, inv_ew = self.model, self.w, self.edn, self.inv_ew
+        ew_dot, z, suffix = self.ew_dot, model.z, model.suffix_at_events
+        p, m = model.covariate_dim, model.n_events
+        wddot = self.qc * (1.0 - self.q * self.AU) / self.denom**3
+        kd = 2.0 * (1.0 + model.delta) * self.q**2 / self.denom**3
+        ddot = np.empty((p, p, m))
+        for a in range(p):
+            for b in range(a, p):
+                ew_ddot = suffix(w * wddot * z[:, a] * z[:, b])
+                val = (
+                    -edn * ew_ddot * inv_ew**2
+                    + 2.0 * edn * ew_dot[a] * ew_dot[b] * inv_ew**3
+                )
+                ddot[a, b] = val
+                ddot[b, a] = val
+
+        mixed = tuple(
+            MaxIndexMap([
+                (edn * inv_ew**2, suffix(w * kd * z[:, a])),
+                (-2.0 * edn * ew_dot[a] * inv_ew**3, self.k_suffix),
+            ])
+            for a in range(p)
+        )
+        return ddot, mixed
+
+    @property
+    def ddot_psi(self):
+        return self._second_order[0]
+
+    @property
+    def d_eta_dot(self):
+        return self._second_order[1]
+
+    @cached_property
+    def d2_eta(self):
+        """Second derivative in the nuisance as a bilinear map on jump
+        vectors, evaluated at every pair of a stack of directions at once.
+        pairs reads the arrays, never the bundle, which would then hold
+        itself through its own cache."""
+        model, w, k, edn, inv_ew = self.model, self.w, self.k, self.edn, self.inv_ew
+        k2 = 2.0 * (1.0 + model.delta) * self.q**3 / self.denom**3
+        suffix = model.suffix_at_events
+
+        def pairs(H):
+            HU = model.cumulative_at_records(H)  # (d, n)
+            second = suffix(w * k2 * HU[:, None, :] * HU[None, :, :])
+            first = -suffix(w * k * HU)  # (d, m)
+            return (
+                -edn * second * inv_ew**2
+                + 2.0 * edn * first[:, None, :] * first[None, :, :] * inv_ew**3
+            )
+
+        return BilinearMap(pairs, model.n_events)
+
+    def d_f(self, h):
+        """Derivative of the operator in the distribution, in direction h.
+
+        h is a signed weight vector over the record table; the result is the
+        jump vector of the derivative step function.
+        """
+        hw = self.model.resolve_direction(h)
+        h_edn = _event_mass(self.model, hw)
+        h_ew = self.model.suffix_at_events(hw * self.c)
+        # the first term needs 1/EW wherever the direction carries event mass,
+        # even at event times where the base measure has none
+        if np.any((h_edn != 0) & (self.ew <= 0)):
+            raise RiskSetEmpty("direction carries event mass with empty risk set")
+        inv_ew_full = np.where(self.ew > 0, 1.0 / np.where(self.ew > 0, self.ew, 1.0), 0.0)
+        return h_edn * inv_ew_full - self.edn * h_ew * self.inv_ew**2
 
 
 def psi_apply(model, beta, A, F=None):
@@ -231,23 +317,10 @@ def psi_apply(model, beta, A, F=None):
     return model.jumps_to_step(Operator(model, beta, F).jumps_at(AU[model._order]))
 
 
-def solve_nuisance(op, tol=1e-10, max_iter=10_000, eta0=None):
+def solve_nuisance(op, tol=1e-10, eta0=None):
     """Solve for the baseline odds jumps of a bound operator."""
     eta0 = op.cold_start() if eta0 is None else eta0
-    problem = FixedPointProblem(op, op.dim)
-    return solve_fixed_point(problem, eta0, tol=tol, max_iter=max_iter)
-
-
-def _da_psi(ws):
-    """Derivative of the operator in the nuisance, in jump coordinates.
-
-    The direction enters only through its cumulative value at each record
-    time, so the entry for output jump i and input jump j is driven by the
-    at-risk sum beyond the later of event times i and j: the map is
-    diag(coef) K(k_suffix) in :class:`MaxIndexMap` form.
-    """
-    k_suffix = ws.model.suffix_at_events(ws.w * ws.k)
-    return MaxIndexMap([(ws.edn * ws.inv_ew**2, k_suffix)])
+    return solve_fixed_point(FixedPointProblem(op, op.dim), eta0, tol=tol)
 
 
 def _sup_norm(d_eta):
@@ -268,80 +341,9 @@ def _sup_norm(d_eta):
     return float(rows.max(initial=0.0))
 
 
-def _d2a_psi(ws):
-    """Second derivative in the nuisance as a bilinear map on jump vectors,
-    evaluated at every pair of a stack of directions at once."""
-    k2 = 2.0 * (1.0 + ws.model.delta) * ws.q**3 / ws.denom**3
-    suffix = ws.model.suffix_at_events
-
-    def pairs(H):
-        HU = ws.model.cumulative_at_records(H)  # (d, n)
-        second = suffix(ws.w * k2 * HU[:, None, :] * HU[None, :, :])
-        first = -suffix(ws.w * ws.k * HU)  # (d, m)
-        return (
-            -ws.edn * second * ws.inv_ew**2
-            + 2.0 * ws.edn * first[:, None, :] * first[None, :, :] * ws.inv_ew**3
-        )
-
-    return BilinearMap(pairs, ws.model.n_events)
-
-
-def _dbeta_psi(ws):
-    """The first coefficient derivative, and a function giving the second
-    and mixed derivatives from the same at-risk sums."""
-    p, m = ws.model.covariate_dim, ws.model.n_events
-    z, suffix = ws.model.z, ws.model.suffix_at_events
-    ew_dot = np.stack([suffix(ws.w * ws.wdot * z[:, a]) for a in range(p)])
-    dot = -ws.edn * ew_dot * ws.inv_ew**2
-
-    def second_order():
-        wddot = ws.qc * (1.0 - ws.q * ws.AU) / ws.denom**3
-        kd = 2.0 * (1.0 + ws.model.delta) * ws.q**2 / ws.denom**3
-        ddot = np.empty((p, p, m))
-        for a in range(p):
-            for b in range(a, p):
-                ew_ddot = suffix(ws.w * wddot * z[:, a] * z[:, b])
-                val = (
-                    -ws.edn * ew_ddot * ws.inv_ew**2
-                    + 2.0 * ws.edn * ew_dot[a] * ew_dot[b] * ws.inv_ew**3
-                )
-                ddot[a, b] = val
-                ddot[b, a] = val
-
-        k_suffix = suffix(ws.w * ws.k)
-        mixed = tuple(
-            MaxIndexMap([
-                (ws.edn * ws.inv_ew**2, suffix(ws.w * kd * z[:, a])),
-                (-2.0 * ws.edn * ew_dot[a] * ws.inv_ew**3, k_suffix),
-            ])
-            for a in range(p)
-        )
-        return ddot, mixed
-
-    return dot, second_order
-
-
-def _df_psi(ws, h):
-    """Derivative of the operator in the distribution, in direction h.
-
-    h is a signed weight vector over the record table; the result is the
-    jump vector of the derivative step function.
-    """
-    hw = ws.model.resolve_direction(h)
-    h_edn = _event_mass(ws.model, hw)
-    h_ew = ws.model.suffix_at_events(hw * ws.c)
-    # the first term needs 1/EW wherever the direction carries event mass,
-    # even at event times where the base measure has none
-    if np.any((h_edn != 0) & (ws.ew <= 0)):
-        raise RiskSetEmpty("direction carries event mass with empty risk set")
-    inv_ew_full = np.where(ws.ew > 0, 1.0 / np.where(ws.ew > 0, ws.ew, 1.0), 0.0)
-    return h_edn * inv_ew_full - ws.edn * h_ew * ws.inv_ew**2
-
-
 def psi_derivatives(op, jumps):
-    """All derivatives of the bound operator at the given jumps, sharing one
-    workspace."""
-    return PsiDerivatives.at(_Workspace(op, jumps), _dbeta_psi, _da_psi, _d2a_psi, _df_psi)
+    """The derivative bundle of the bound operator at the given jumps."""
+    return _Workspace(op, jumps)
 
 
 @dataclass
@@ -386,8 +388,8 @@ class PropOddsProfile(Profile):
     such a sample is refused.
     """
 
-    def __init__(self, model, F=None, solver_tol=1e-10, solver_max_iter=10_000):
-        super().__init__(model, F, solver_tol, solver_max_iter)
+    def __init__(self, model, F=None, solver_tol=1e-10):
+        super().__init__(model, F, solver_tol)
         z = model.z[self.weights > 0]
         constant = np.flatnonzero(np.ptp(z, axis=0) == 0) if len(z) else []
         if len(constant):
@@ -400,7 +402,7 @@ class PropOddsProfile(Profile):
     def point_scores(self, jumps, derivs, jump_dot):
         """Per-record derivative of the profiled log density, shape (n, p):
         delta (z + J'/J) - (1 + delta) q (z A(U) + A'(U)) / (1 + q A(U))."""
-        model, ws = self.model, derivs.workspace
+        model, ws = self.model, derivs
         slot = model._event_row_slot
         safe = np.where(jumps > 0, jumps, 1.0)[slot]  # J' = 0 where J = 0
         ratio = np.zeros((self.dim, model.n_records))
@@ -419,7 +421,7 @@ class PropOddsProfile(Profile):
     def jacobian(self, point):
         """Jacobian of the mean score at a point: rows are score components,
         columns coefficient components."""
-        model, ws, w = self.model, point.derivs.workspace, self.weights
+        model, ws, w = self.model, point.derivs, self.weights
         jump_dot, jump_ddot = point.eta_dot, point.eta_ddot
         rows, slot = model._event_rows, model._event_row_slot
         # an event time without event mass has zero J, J' and J''
@@ -443,7 +445,7 @@ class PropOddsProfile(Profile):
         """Verify the contraction prerequisites at beta's point, from which
         the fit's first score then starts."""
         derivs = self.point(beta).derivs
-        report = _variance_condition(derivs.workspace)
+        report = _variance_condition(derivs)
         norm = _sup_norm(derivs.d_eta)
         if not report.satisfied or norm >= 1.0:
             raise ContractionViolation(
@@ -456,7 +458,7 @@ class PropOddsProfile(Profile):
 def _fit_payload(profile, beta):
     point = profile.last_point
     jumps = point.solution.eta.tolist()
-    report = _variance_condition(point.derivs.workspace)
+    report = _variance_condition(point.derivs)
     return {
         "beta_hat": beta.tolist(),
         "jumps": jumps,

@@ -21,7 +21,6 @@ from profix.measures import (
     EmpiricalMeasure,
     GridDensity,
     LinearMap,
-    PerturbationDirection,
     StepFunction,
     gauss_legendre_grid,
 )
@@ -314,10 +313,9 @@ def d2a_pairs_loop(ws, H):
     return np.array([[apply(h1, h2) for h2 in H] for h1 in H])
 
 
-def score_jacobian_per_record(model, derivs, eta_dot, eta_ddot):
+def score_jacobian_per_record(model, ws, eta_dot, eta_ddot):
     """Per-record parameter Jacobian of the mixture score, shape (n, d, d),
-    from the bundle derivs and the implicit derivatives of its fixed point."""
-    ws = derivs.workspace
+    from the bundle ws and the implicit derivatives of its fixed point."""
     g = ws.g
     d = model.theta_dim
     out = np.zeros((model.n_records, d, d))
@@ -499,7 +497,8 @@ def measure_from_json(text):
 
 
 def direction_between(F, G):
-    """Measure direction G - F on the union of the two supports."""
+    """Measure direction G - F on the union of the two supports, as the
+    signed weights of the union's atoms."""
     union = mix_path(F, G, 0.5)
     rows = union.points if union.points.ndim == 2 else union.points[:, None]
     index = {row.tobytes(): i for i, row in enumerate(rows)}
@@ -512,7 +511,7 @@ def direction_between(F, G):
                 signed[index[row.tobytes()]] += sign * weight
             except KeyError:
                 raise InvalidInput("atom lookup failed; support mismatch")
-    return PerturbationDirection(union.points, signed)
+    return signed
 
 
 class PlainWarmStart:

@@ -140,7 +140,7 @@ class TestCriterion4ContractionInstances:
             # fit's precheck does
             op = prop_odds.Operator(model, beta0)
             derivs = prop_odds.psi_derivatives(op, prop_odds.solve_nuisance(op).eta)
-            return (prop_odds._variance_condition(derivs.workspace),
+            return (prop_odds._variance_condition(derivs),
                     prop_odds._sup_norm(derivs.d_eta))
 
         rep_pop, norm_pop = condition_and_norm(population_records(design))

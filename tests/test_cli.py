@@ -314,6 +314,22 @@ class TestCheckDerivs:
                      "--data", str(data)]) == 0
 
 
+    def test_data_file_with_two_covariates(self, tmp_path, capsys):
+        # the resample of the distribution-derivative rows comes from a
+        # one-covariate design; the second covariate is copied from records
+        rng = simulation.replication_rng(33, 0)
+        u, delta, z = simulation.gen_prop_odds(prop_odds.LINEAR_DESIGN, 300, rng)
+        z2 = np.random.default_rng(34).normal(size=len(u))
+        lines = ["U,delta,Z1,Z2"] + [
+            f"{ui},{int(di)},{zi},{wi}" for ui, di, zi, wi in zip(u, delta, z, z2)
+        ]
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["check-derivs", "--model", "prop_odds", "--data", str(data)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 10 and all(row.endswith("ok") for row in rows)
+
+
 class TestMonteCarlo:
     def test_smoke_config(self, tmp_path):
         cfg = tmp_path / "mc.json"

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -17,7 +20,7 @@ from profix.estimator import (
     profile_mle,
 )
 from profix.fixed_point import FixedPointSolution
-from profix.measures import StepFunction
+from profix.measures import BilinearMap, LinearMap, StepFunction
 from profix.missing_cov import MissingCovModel, MissingCovProfile, NormalRegression
 
 from reference import (
@@ -102,13 +105,13 @@ class TestProfileMle:
         assert fit.score_norm < 1e-8
 
     def test_jacobian_agreement_at_the_estimate(self):
-        from profix.numdiff import FdConfig, fd_theta
+        from profix.numdiff import fd_theta
 
         model = ex2_model(300, 14)
         profile = MissingCovProfile(model, solver_tol=1e-12)
         fit = profile_mle(profile, THETA0, tol=1e-10)
         analytic = profile.jacobian(profile.point(fit.theta_hat))
-        fd = fd_theta(profile.mean_score, fit.theta_hat, FdConfig(step=1e-4))
+        fd = fd_theta(profile.mean_score, fit.theta_hat, step=1e-4)
         denom = max(np.abs(fd).max(), 1e-10)
         assert np.abs(analytic - fd.T).max() / denom < 1e-3
 
@@ -277,6 +280,49 @@ class TestOneBindPerPoint:
         with pytest.raises(error):
             profile.point(theta)
         assert (profile.solves_started, profile.solves) == (1, 0)
+
+
+BOTH_FAMILIES = pytest.mark.parametrize("name, make", [
+    ("prop_odds", linear_survival_model), ("missing_cov", ex2_model),
+])
+
+
+class TestDerivativeBundle:
+    """A point's derivative bundle builds its second-order parts only when
+    the Jacobian reads them, and is freed with the point."""
+
+    @BOTH_FAMILIES
+    def test_freed_without_the_cycle_collector(self, name, make):
+        # a map cached on the bundle that closed over the bundle would keep
+        # every point's arrays alive until the cyclic collector ran
+        family = simulation.get_family(name)
+        model = make(200, 3)
+        profile = family.profile(model)
+        point = profile.point(family.default_start(model))
+        profile.jacobian(point)
+        point.derivs.d2_eta.pairs(point.eta_dot)
+        bundle = weakref.ref(point.derivs)
+        gc.disable()
+        try:
+            del point
+            profile.last_point = None
+            assert bundle() is None
+        finally:
+            gc.enable()
+
+    @BOTH_FAMILIES
+    def test_second_order_parts_built_on_jacobian(self, name, make, monkeypatch):
+        family = simulation.get_family(name)
+        model = make(200, 3)
+        profile = family.profile(model)
+        bilinear = count_calls(monkeypatch, BilinearMap, "__init__")
+        linear = count_calls(monkeypatch, LinearMap, "__init__")
+        profile.score(family.default_start(model))
+        assert bilinear == []
+        if name == "missing_cov":
+            assert len(linear) == 1  # the nuisance derivative itself
+        profile.jacobian(profile.last_point)
+        assert len(bilinear) == 1
 
 
 class LineSearchStub:

@@ -1,24 +1,22 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from profix import missing_cov, prop_odds
 from profix.errors import SingularResolvent
 from profix.fixed_point import estimate_operator_norm
-from profix.implicit_diff import (
-    PsiDerivatives,
-    d2theta_eta,
-    df_eta,
-    dtheta_eta,
-    resolvent_apply,
-)
+from profix.implicit_diff import d2theta_eta, df_eta, dtheta_eta, resolvent_apply
 from profix.measures import BilinearMap, LinearMap, MaxIndexMap
-from profix.numdiff import FdConfig, fd_path, fd_theta
+from profix.numdiff import fd_path, fd_theta
 
 from reference import max_index_spectral_radius, neumann_apply
 
 
 def scalar_derivs(d_eta, dot, ddot=0.0, d_eta_dot=0.0, d2_eta=0.0, d_f=None):
-    return PsiDerivatives(
+    """A one-dimensional derivative bundle with the fields the resolvent
+    formulas read."""
+    return SimpleNamespace(
         d_eta=LinearMap(np.array([[d_eta]])),
         dot_psi=np.array([[dot]]),
         ddot_psi=np.array([[[ddot]]]),
@@ -172,7 +170,7 @@ class TestAgainstResolve:
             warm["eta"] = s.eta
             return s.eta
 
-        fd = fd_theta(solved, theta, FdConfig(step=1e-5))
+        fd = fd_theta(solved, theta, step=1e-5)
         denom = max(np.abs(fd).max(), 1e-10)
         assert np.abs(eta_dot - fd).max() / denom < 1e-4
 
@@ -191,7 +189,7 @@ class TestAgainstResolve:
         def dot_at(t):
             return dtheta_eta(bundle_at(t))
 
-        fd = fd_theta(dot_at, theta, FdConfig(step=1e-4))
+        fd = fd_theta(dot_at, theta, step=1e-4)
         denom = max(np.abs(fd).max(), 1e-10)
         assert np.abs(eta_ddot - fd.transpose(1, 0, 2)).max() / denom < 1e-3
 
@@ -230,7 +228,6 @@ class TestAgainstResolve:
             warm["eta"] = s.eta
             return s.eta
 
-        fd = fd_path(eta_at, FdConfig(step=1e-5, scheme="forward",
-                                      richardson=True))
+        fd = fd_path(eta_at, step=1e-5)
         denom = max(np.abs(fd).max(), 1e-10)
         assert np.abs(analytic - fd).max() / denom < 1e-4

@@ -12,10 +12,9 @@ from profix.measures import (
     GridDensity,
     LinearMap,
     MaxIndexMap,
-    PerturbationDirection,
+    RecordTable,
     StepFunction,
     composite_gauss_grid,
-    empirical_from_sample,
     gauss_legendre_grid,
 )
 
@@ -34,26 +33,22 @@ from reference import (
 
 class TestEmpiricalMeasure:
     def test_equal_weights(self):
-        m = empirical_from_sample([1.0, 2.0])
+        m = RecordTable.sample_measure([1.0, 2.0], None, normalize=True)
         assert np.array_equal(m.points, [1.0, 2.0])
         assert np.array_equal(m.weights, [0.5, 0.5])
 
     def test_single_atom_normalized(self):
-        m = empirical_from_sample([3.0], weights=[2.0])
+        m = RecordTable.sample_measure([3.0], [2.0], normalize=True)
         assert np.array_equal(m.points, [3.0])
         assert np.array_equal(m.weights, [1.0])
 
     def test_probability_mass_exact(self):
-        m = empirical_from_sample([0.3, 1.7, 0.2, 5.0, -1.0])
+        m = RecordTable.sample_measure([0.3, 1.7, 0.2, 5.0, -1.0], None, normalize=True)
         assert abs(m.total_mass - 1.0) < 1e-12
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(InvalidInput):
-            empirical_from_sample([])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidInput):
-            empirical_from_sample([1.0, 2.0], weights=[0.5, -0.5])
+            EmpiricalMeasure([1.0, 2.0], [0.5, -0.5])
 
     def test_canonical_order_and_merge(self):
         m = EmpiricalMeasure([3.0, 1.0, 3.0], [0.2, 0.3, 0.5])
@@ -68,32 +63,32 @@ class TestEmpiricalMeasure:
     def test_random_samples_sum_to_one(self, rng):
         for _ in range(50):
             n = rng.integers(1, 40)
-            m = empirical_from_sample(
-                rng.normal(size=n), weights=rng.uniform(0.1, 2.0, size=n)
+            m = RecordTable.sample_measure(
+                rng.normal(size=n), rng.uniform(0.1, 2.0, size=n), normalize=True
             )
             assert abs(m.total_mass - 1.0) < 1e-12
 
     def test_json_roundtrip(self):
-        m = empirical_from_sample([2.0, 1.0, 1.0])
+        m = EmpiricalMeasure([2.0, 1.0, 1.0], [1 / 3] * 3)
         other = measure_from_json(measure_to_json(m))
         assert m == other
         payload = json.loads(measure_to_json(m))
         assert payload["points"] == sorted(payload["points"])
 
     def test_expectation(self):
-        m = empirical_from_sample([1.0, 3.0])
+        m = EmpiricalMeasure([1.0, 3.0], [0.5, 0.5])
         assert expectation(m, np.array([2.0, 4.0])) == pytest.approx(3.0)
 
     def test_immutable(self):
-        m = empirical_from_sample([1.0, 2.0])
+        m = EmpiricalMeasure([1.0, 2.0], [0.5, 0.5])
         with pytest.raises(ValueError):
             m.weights[0] = 0.9
 
 
 class TestMixPath:
     def test_endpoints_exact(self):
-        F = empirical_from_sample([0.0, 1.0])
-        G = empirical_from_sample([2.0, 3.0])
+        F = EmpiricalMeasure([0.0, 1.0], [0.5, 0.5])
+        G = EmpiricalMeasure([2.0, 3.0], [0.5, 0.5])
         assert mix_path(F, G, 0.0) == F
         assert mix_path(F, G, 1.0) == G
 
@@ -105,7 +100,7 @@ class TestMixPath:
         assert np.allclose(mixed.weights, [0.75, 0.25])
 
     def test_domain(self):
-        F = empirical_from_sample([0.0])
+        F = EmpiricalMeasure([0.0], [1.0])
         with pytest.raises(InvalidInput):
             mix_path(F, F, 1.5)
         with pytest.raises(InvalidInput):
@@ -113,8 +108,10 @@ class TestMixPath:
 
     def test_mass_preserved_on_random_draws(self, rng):
         for _ in range(100):
-            F = empirical_from_sample(rng.normal(size=rng.integers(1, 10)))
-            G = empirical_from_sample(rng.normal(size=rng.integers(1, 10)))
+            F = RecordTable.sample_measure(rng.normal(size=rng.integers(1, 10)),
+                                           None, normalize=True)
+            G = RecordTable.sample_measure(rng.normal(size=rng.integers(1, 10)),
+                                           None, normalize=True)
             t = rng.uniform()
             assert abs(mix_path(F, G, t).total_mass - 1.0) < 1e-12
 
@@ -323,24 +320,22 @@ class TestMaxIndexMap:
 
 class TestPerturbationDirection:
     def test_between_measures_zero_total(self):
-        F = empirical_from_sample([0.0, 1.0, 2.0])
-        G = empirical_from_sample([1.0, 3.0])
+        F = EmpiricalMeasure([0.0, 1.0, 2.0], [1 / 3] * 3)
+        G = EmpiricalMeasure([1.0, 3.0], [0.5, 0.5])
         h = direction_between(F, G)
-        assert abs(h.coeffs.sum()) < 1e-14
-        assert h.norm > 0
+        assert abs(h.sum()) < 1e-14
+        assert np.abs(h).sum() > 0
 
     def test_shape_mismatch(self):
+        table = RecordTable(EmpiricalMeasure([1.0, 2.0], [0.5, 0.5]), None)
+        assert np.array_equal(table.resolve_direction([0.1, -0.1]), [0.1, -0.1])
         with pytest.raises(InvalidInput):
-            PerturbationDirection([1.0, 2.0], [0.1])
-
-    def test_norm_is_total_variation(self):
-        h = PerturbationDirection([0.0, 1.0, 2.0], [0.1, -0.4, 0.3])
-        assert h.norm == pytest.approx(0.8)
+            table.resolve_direction([0.1])
 
     def test_self_direction_is_zero(self):
-        F = empirical_from_sample([0.0, 1.0])
+        F = EmpiricalMeasure([0.0, 1.0], [0.5, 0.5])
         h = direction_between(F, F)
-        assert np.allclose(h.coeffs, 0.0)
+        assert np.allclose(h, 0.0)
 
 
 class TestQuadrature:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from profix.errors import InvalidInput, OracleEvalFailure
-from profix.numdiff import FdConfig, fd_bilinear, fd_path, fd_theta
+from profix.errors import OracleEvalFailure
+from profix.numdiff import fd_bilinear, fd_path, fd_theta
 
 
 class TestFdTheta:
     def test_quadratic(self):
-        d = fd_theta(lambda t: t[0] ** 2, np.array([3.0]), FdConfig(step=1e-5))
+        d = fd_theta(lambda t: t[0] ** 2, np.array([3.0]), step=1e-5)
         assert d[0] == pytest.approx(6.0, abs=1e-9)
 
     def test_constant(self):
@@ -17,7 +17,7 @@ class TestFdTheta:
     def test_cubic_error_bound(self):
         # central difference of a cubic errs by exactly h^2 at theta = 1
         h = 1e-3
-        d = fd_theta(lambda t: t[0] ** 3, np.array([1.0]), FdConfig(step=h))
+        d = fd_theta(lambda t: t[0] ** 3, np.array([1.0]), step=h)
         assert abs(d[0] - 3.0) <= 2 * h * h
 
     def test_vector_output_shape(self):
@@ -25,16 +25,6 @@ class TestFdTheta:
                      np.array([1.0, 2.0]))
         assert d.shape == (2, 2)
         assert np.allclose(d, [[1.0, 2.0], [0.0, 1.0]], atol=1e-8)
-
-    def test_forward_scheme(self):
-        d = fd_theta(lambda t: t[0] ** 2, np.array([3.0]),
-                     FdConfig(step=1e-7, scheme="forward"))
-        assert d[0] == pytest.approx(6.0, abs=1e-5)
-
-    def test_richardson_central(self):
-        cfg = FdConfig(step=1e-2, richardson=True)
-        d = fd_theta(lambda t: np.sin(t[0]), np.array([0.7]), cfg)
-        assert d[0] == pytest.approx(np.cos(0.7), abs=1e-10)
 
     def test_probe_failure(self):
         def bad(t):
@@ -47,25 +37,20 @@ class TestFdTheta:
 class TestFdPath:
     def test_linear_path_exact(self):
         v = np.array([1.0, -2.0, 3.0])
-        d = fd_path(lambda t: t * v, FdConfig(scheme="forward"))
+        d = fd_path(lambda t: t * v)
         assert np.array_equal(d, v)
 
     def test_constant_path(self):
-        d = fd_path(lambda t: np.ones(3), FdConfig(scheme="forward"))
+        d = fd_path(lambda t: np.ones(3))
         assert np.allclose(d, 0.0)
 
     def test_richardson_improves_order(self):
         h = 1e-2
 
-        def err(step, rich):
-            cfg = FdConfig(step=step, scheme="forward", richardson=rich)
-            return abs(fd_path(lambda t: np.exp(t), cfg) - 1.0)
+        def err(step):
+            return abs(fd_path(lambda t: np.exp(t), step=step) - 1.0)
 
-        assert err(h, True) / err(h / 2, True) >= 3.0
-
-    def test_central_rejected(self):
-        with pytest.raises(InvalidInput):
-            fd_path(lambda t: t, FdConfig(scheme="central"))
+        assert err(h) / err(h / 2) >= 3.0
 
 
 class TestFdBilinear:
@@ -82,11 +67,3 @@ class TestFdBilinear:
         approx = fd_bilinear(f, h1, h2, step=1e-4)
         exact = 2.0 * np.einsum("ijk,j,k->i", T, h1, h2)
         assert np.abs(approx - exact).max() < 1e-6 * max(np.abs(exact).max(), 1)
-
-
-class TestFdConfig:
-    def test_validation(self):
-        with pytest.raises(InvalidInput):
-            FdConfig(step=0.0)
-        with pytest.raises(InvalidInput):
-            FdConfig(scheme="backward")

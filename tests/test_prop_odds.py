@@ -15,7 +15,7 @@ from profix.errors import (
     RiskSetEmpty,
 )
 from profix.fixed_point import estimate_operator_norm
-from profix.numdiff import FdConfig, fd_theta
+from profix.numdiff import fd_theta
 from profix.implicit_diff import df_eta, dtheta_eta
 from profix.measures import MaxIndexMap, StepFunction
 from profix.prop_odds import (
@@ -60,7 +60,7 @@ def solved(model, beta, **kwargs):
 
 def variance_condition(model, beta, jumps):
     """The variance-condition report read from the bundle at (beta, jumps)."""
-    return prop_odds._variance_condition(bundle(model, beta, jumps).workspace)
+    return prop_odds._variance_condition(bundle(model, beta, jumps))
 
 
 def sup_norm(model, beta, jumps):
@@ -167,18 +167,6 @@ class TestDerivativeOperators:
         )
         dot = bundle(model, [0.0], solved(model, [0.0])).dot_psi
         assert np.abs(dot).max() < 1e-15
-
-    def test_df_accepts_direction_objects(self, prop_odds_model, rng):
-        from profix.measures import PerturbationDirection
-
-        model = prop_odds_model
-        beta = [0.5]
-        coeffs = rng.normal(size=model.n_records) * model.weights
-        direction = PerturbationDirection(model.points, coeffs)
-        d_f = bundle(model, beta, solved(model, beta)).d_f
-        via_object = d_f(direction)
-        via_array = d_f(coeffs)
-        assert np.array_equal(via_object, via_array)
 
     def test_df_zero_and_self_direction(self, prop_odds_model):
         model = prop_odds_model
@@ -417,7 +405,7 @@ def analytic_and_difference_jacobian(sample):
     except InvalidInput:  # a covariate constant over the weighted records
         return None
     jac = profile.jacobian(profile.point(beta))
-    fd = fd_theta(profile.mean_score, beta, FdConfig(step=1e-5)).T
+    fd = fd_theta(profile.mean_score, beta, step=1e-5).T
     # a sample can make the Jacobian vanish identically; its summands are
     # on the scale of the covariates' weighted second moment
     scale = max(np.abs(fd).max(), float(model.weights @ (model.z**2).sum(axis=1)))
@@ -437,7 +425,7 @@ class TestSecondNuisanceDerivativePairs:
             np.full(p, 0.3))
         form = point.derivs.d2_eta
         for H in (point.eta_dot, rng.normal(size=(4, form.input_dim))):
-            loop = d2a_pairs_loop(point.derivs.workspace, H)
+            loop = d2a_pairs_loop(point.derivs, H)
             pairs = form.pairs(H)
             assert pairs.shape == (len(H), len(H), form.input_dim)
             assert rel_diff(pairs, loop) <= 1e-12
@@ -478,7 +466,7 @@ class TestAnalyticJacobian:
         profile = PropOddsProfile(model, F / F.sum(), solver_tol=1e-13)
         beta = np.array([0.5])
         jac = profile.jacobian(profile.point(beta))
-        fd = fd_theta(profile.mean_score, beta, FdConfig(step=1e-5)).T
+        fd = fd_theta(profile.mean_score, beta, step=1e-5).T
         assert rel_diff(jac, fd) <= 1e-6
 
     def test_refused_linear_predictor_raises(self):
@@ -700,9 +688,9 @@ class TestProfile:
             return loglik(model, beta, model.jumps_to_step(solved(model, beta, tol=1e-13)))
 
         beta = np.array([0.3])
-        from profix.numdiff import FdConfig, fd_theta
+        from profix.numdiff import fd_theta
 
-        fd = fd_theta(profiled_loglik, beta, FdConfig(step=1e-6))
+        fd = fd_theta(profiled_loglik, beta, step=1e-6)
         analytic = profile.mean_score(beta)
         assert np.abs(fd - analytic).max() < 1e-6
 
