@@ -74,6 +74,15 @@ def _merge(config, flags):
     return merged
 
 
+def _merge_into(payload, fields):
+    """Add fields to payload, merging the dictionaries both have."""
+    for key, value in fields.items():
+        if isinstance(value, dict) and isinstance(payload.get(key), dict):
+            _merge_into(payload[key], value)
+        else:
+            payload[key] = value
+
+
 def _parse_vector(text):
     try:
         return [float(part) for part in str(text).split(",")]
@@ -149,7 +158,7 @@ def cmd_fit(args):
     payload["model"] = family.name
     payload["level"] = level
     payload["ci"] = intervals
-    payload.update(family.fit_payload(profile, fit.theta_hat))
+    _merge_into(payload, family.fit_payload(profile, fit.theta_hat))
 
     out_path = config.get("out")
     if out_path:

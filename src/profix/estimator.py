@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    ContractionViolation,
     InvalidInput,
     NoConvergence,
     ProfixError,
@@ -63,7 +64,7 @@ class Family:
     truth: Callable  # design -> true parameter
     default_start: Callable  # model -> starting point of a fit
     labels: Callable  # model -> parameter labels of the fit table
-    fit_payload: Callable  # (fitted profile, theta_hat) -> family fields of fit JSON
+    fit_payload: Callable  # (fitted profile, theta_hat) -> family fields of fit JSON, merged in
     audit_rows: tuple
     audit_seed_offset: int
     audit_theta: Callable  # model -> parameter the audits run at
@@ -98,8 +99,9 @@ class Profile:
 
     :meth:`point` binds the family's ``Operator`` once at a parameter, solves
     its fixed point to solver_tol (within ``fixed_point.DEFAULT_MAX_ITER``
-    iterations), builds the derivative bundle from the same operator and
-    evaluates the scores there, recording the point as last_point, from
+    iterations), builds the derivative bundle from the same operator,
+    certifies there that the nuisance derivative has spectral radius below
+    one and evaluates the scores, recording the point as last_point, from
     which jacobian reads.  Each solve starts from the Taylor prediction off
     last_point (see :meth:`start`), adds one to ``solves_started`` (a bind
     that raises included) and, if it completes, one to ``solves`` and its
@@ -165,10 +167,21 @@ class Profile:
 
     def point(self, theta):
         """Solve at theta, evaluate the :class:`Point` there and record it
-        as last_point; a failed evaluation leaves last_point as it was."""
+        as last_point; a failed evaluation leaves last_point as it was.
+
+        The accelerated solve can converge to a fixed point at which Psi
+        does not contract, so a point whose bundle does not certify that
+        the nuisance derivative has spectral radius below one (its
+        ``contracts()``) raises :class:`ContractionViolation`, before any
+        resolvent solve."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         op, solution = self.solve(theta)
         derivs = self.module.psi_derivatives(op, solution.eta)
+        if not derivs.contracts():
+            raise ContractionViolation(
+                "I - d_eta Psi is not positive definite at the fixed point: the "
+                "nuisance derivative has spectral radius >= 1"
+            )
         eta_dot = dtheta_eta(derivs)
         scores = self.point_scores(solution.eta, derivs, eta_dot)
         self.last_point = Point(theta, solution, derivs, eta_dot, scores)

@@ -23,7 +23,9 @@ point.  The fields read here are
 
 ``d_eta`` and ``dot_psi`` are built with the bundle; ``ddot_psi``,
 ``d_eta_dot`` and ``d2_eta`` are built on first read, as only the second
-parameter derivative of the fixed point reads them.
+parameter derivative of the fixed point reads them.  A bundle's
+``contracts()`` tells whether ``d_eta`` has spectral radius below one; the
+profile asks it at every point before the first resolvent solve there.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ with :func:`read_csv`.
 from __future__ import annotations
 
 import csv
+from functools import cached_property
 
 import numpy as np
 
@@ -250,6 +251,53 @@ class MaxIndexMap:
         pair = np.maximum(idx[:, None], idx[None, :])
         return sum(a[:, None] * s[pair] for a, s in self.terms)
 
+    @cached_property
+    def _free_rows(self):
+        """The rows with a_i > 0, and the single term restricted to them
+        (None when every row is free)."""
+        if len(self.terms) != 1:
+            raise InvalidInput("the tridiagonal resolvent needs a single term")
+        a, s = self.terms[0]
+        if not np.all((a >= 0) & np.isfinite(a)):
+            raise InvalidInput("the resolvent needs finite nonnegative coefficients")
+        free = a > 0
+        return free, None if free.all() else MaxIndexMap([(a[free], s[free])])
+
+    @cached_property
+    def _factors(self):
+        """1/a and the factors d, e of M = L diag(d) L' (L unit lower
+        bidiagonal with subdiagonal e) of a single term whose coefficients
+        are all positive, computed once and shared by every solve; raises
+        LinAlgError when M is not positive definite."""
+        from scipy.linalg.lapack import dpttrf  # here: a mixture process never needs it
+
+        (a, s), = self.terms
+        inv_a = 1.0 / a
+        diag = inv_a + np.append(inv_a[1:], 0.0) - suffix_increments(s)
+        if len(diag) == 1:  # the LAPACK wrapper refuses an empty off-diagonal
+            d, e, info = diag, diag[:0], int(not diag[0] > 0.0)
+        else:
+            d, e, info = dpttrf(diag, -inv_a[1:])
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                "I - d_eta Psi is not positive definite: the nuisance derivative "
+                f"has spectral radius >= 1 and does not contract (leading minor {info})"
+            )
+        return inv_a, d, e
+
+    def contracts(self):
+        """Whether the single term has spectral radius below one: whether M
+        on the free rows has the Cholesky factor that the resolvent solves
+        then reuse."""
+        free, free_map = self._free_rows
+        if not free.any():
+            return True
+        try:
+            (free_map or self)._factors  # computed here, cached for the solves
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
     def resolvent_solve(self, rhs):
         """Solve (I - diag(a) K(s)) x = rhs for a single term in O(m).
 
@@ -262,47 +310,31 @@ class MaxIndexMap:
         rhs may hold stacked columns.  An M that is not positive definite
         (spectral radius one or more) raises LinAlgError.
         """
-        if len(self.terms) != 1:
-            raise InvalidInput("the tridiagonal resolvent needs a single term")
-        (a, s), m = self.terms[0], self.dim
+        free, free_map = self._free_rows
+        m = self.dim
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[:1] != (m,):
             raise InvalidInput("right-hand side dimension mismatch")
-        if not np.all((a >= 0) & np.isfinite(a)):
-            raise InvalidInput("the resolvent needs finite nonnegative coefficients")
         if m == 0:
             return rhs.copy()
         column = (-1,) + (1,) * (rhs.ndim - 1)
-        free = a > 0
-        if not free.all():
+        if free_map is not None:
             out = rhs.copy()
             fixed = np.where(free.reshape(column), 0.0, rhs)
-            free_map = MaxIndexMap([(a[free], s[free])])
             out[free] = free_map.resolvent_solve((rhs + self.apply(fixed))[free])
             return out
-        import scipy.linalg  # here: a mixture process never needs it
+        from scipy.linalg.lapack import dpttrs
 
-        inv_a = 1.0 / a
-        inv_next = np.append(inv_a[1:], 0.0)
-        bands = np.stack([inv_a + inv_next - suffix_increments(s), -inv_next])
-        # ptsv refuses a single row (no off-diagonal); pbsv takes its 1 x 1 band
-        bands = bands[: 1 + (m > 1)]
+        inv_a, d, e = self._factors
 
         def solve(r):
             y = r * inv_a.reshape(column)
             y[:-1] -= y[1:].copy()  # U^{-1}
-            try:
-                w = scipy.linalg.solveh_banded(
-                    bands, y, lower=True, overwrite_b=True, check_finite=False
-                )
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    "I - d_eta Psi is not positive definite: the nuisance derivative "
-                    f"has spectral radius >= 1 and does not contract ({exc})"
-                ) from exc
+            w = y / d.reshape(column) if m == 1 else dpttrs(d, e, y)[0]
             return np.diff(w, axis=0, prepend=np.zeros((1,) + r.shape[1:]))  # U^{-T}
 
         x = solve(rhs)
+        a = self.terms[0][0]
         if np.any(np.maximum.accumulate(a)[:-1] > _STEEP_FALL * a[1:]):
             x += solve(rhs - x + self.apply(x))
         return x

@@ -24,7 +24,7 @@ from .errors import (
     SupportViolation,
 )
 from .estimator import Family, Profile
-from .fixed_point import FixedPointProblem, solve_fixed_point
+from .fixed_point import FixedPointProblem, estimate_operator_norm, solve_fixed_point
 from .implicit_diff import dtheta_eta
 from .measures import (
     BilinearMap,
@@ -269,6 +269,27 @@ class _Workspace:
         self.dot_psi = -self.p1 * self.adot / self.a**2  # (d, m)
         self.d_eta = LinearMap(-(self.p1 / self.a**2)[:, None] * self.dg_a)
 
+    def contracts(self):
+        """Whether d_eta has spectral radius below one.  An induced norm
+        below one bounds it: the L1 norm,
+        the largest absolute column sum, in which the population operator
+        contracts by w2 / w1, settles most points.  Otherwise the test is
+        exact: d_eta = -diag(r^2) S with r = sqrt(p1) / a and S = dg_a
+        positive semidefinite, so its eigenvalues are minus those of
+        T = diag(r) S diag(r), real and nonpositive, and the radius is below
+        one exactly when I - T is positive definite, which its Cholesky
+        factorization tests."""
+        if np.abs(self.d_eta.matrix).sum(axis=0).max() < 1.0:
+            return True
+        r = np.sqrt(self.p1) / self.a
+        system = -(r[:, None] * self.dg_a * r)
+        system.flat[:: len(r) + 1] += 1.0
+        try:
+            np.linalg.cholesky(system)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
     @cached_property
     def fdot(self):
         return self.op.incomplete(self.model.family.dtheta)
@@ -505,7 +526,8 @@ class MissingCovProfile(Profile):
 
 
 def _fit_payload(profile, theta):
-    masses = profile.last_point.solution.eta.tolist()
+    point = profile.last_point
+    masses = point.solution.eta.tolist()
     return {
         "g_masses": masses,
         "nuisance": {
@@ -513,6 +535,9 @@ def _fit_payload(profile, theta):
             "g_masses": masses,
         },
         "condition": check_missing_fraction(profile.model, profile.weights).to_dict(),
+        "diagnostics": {
+            "nuisance": {"sup_norm": estimate_operator_norm(point.derivs.d_eta, "sup")},
+        },
     }
 
 

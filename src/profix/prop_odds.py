@@ -232,6 +232,12 @@ class _Workspace:
         self.k_suffix = suffix(self.w * self.k)
         self.d_eta = MaxIndexMap([(self.edn * self.inv_ew**2, self.k_suffix)])
 
+    def contracts(self):
+        """Whether d_eta has spectral radius below one, read off the
+        Cholesky factor of its tridiagonal form (see :class:`MaxIndexMap`),
+        which the resolvent solves at this point then reuse."""
+        return self.d_eta.contracts()
+
     @cached_property
     def _second_order(self):
         """The second coefficient derivative and the mixed maps, from the
@@ -470,6 +476,7 @@ def _fit_payload(profile, beta):
             "satisfied": bool(report.satisfied),
             "min_margin": float(report.margins.min()) if len(report.margins) else None,
         },
+        "diagnostics": {"nuisance": {"sup_norm": _sup_norm(point.derivs.d_eta)}},
     }
 
 

@@ -159,9 +159,10 @@ class Replication:
 def run_replication(config, index):
     """One generate-fit-record cycle.
 
-    Replication fits skip the conservative condition gate: the fixed-point
-    solver's own contraction diagnostics still abort genuinely
-    non-contracting cases, and those aborts are tallied as failures.
+    Replication fits skip the conservative condition gate: the contraction
+    certificate at every evaluation point (and the solver's abort of a
+    growing residual) still refuses genuinely non-contracting cases, and
+    those refusals are tallied as failures.
     """
     rng = replication_rng(config.seed, index)
     theta0 = config.theta0

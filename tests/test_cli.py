@@ -11,6 +11,8 @@ import profix
 from profix import estimator, missing_cov, prop_odds, simulation
 from profix.cli import EXIT_NUMERICAL, EXIT_USAGE, _print_fit_table, main
 
+from reference import da_psi_value_map
+
 
 def write_ex2_csv(path, n=120, seed=31, design=None):
     design = design or missing_cov.MissingCovDesign()
@@ -131,6 +133,32 @@ class TestFit:
         nuisance = json.loads(out.read_text())["diagnostics"]["nuisance"]
         assert nuisance["residual"] < 1e-10
         assert nuisance["tail_contraction"] < 1.0
+
+    @pytest.mark.parametrize("name, write", [
+        ("prop_odds", write_ex1_csv), ("missing_cov", write_ex2_csv),
+    ])
+    def test_fit_reports_the_sup_norm_at_the_estimate(self, name, write, tmp_path):
+        # the exact induced sup norm of d_eta at theta_hat sits beside the
+        # solver's diagnostics; the fit itself does not compute it
+        data = write(tmp_path / "d.csv")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--model", name, "--data", str(data), "--out", str(out),
+                     "--force"]) == 0
+        payload = json.loads(out.read_text())
+        nuisance = payload["diagnostics"]["nuisance"]
+        assert "residual_trace" not in nuisance
+        assert isinstance(nuisance["fallbacks"], int) and nuisance["fallbacks"] >= 0
+        family = simulation.get_family(name)
+        model = family.load_csv(str(data))
+        point = family.profile(model).point(payload["theta_hat"])
+        if name == "prop_odds":  # the norm on values at the event times
+            matrix = da_psi_value_map(model, point.theta, point.solution.eta).matrix
+        else:
+            matrix = point.derivs.d_eta.matrix
+        expected = np.abs(matrix).sum(axis=1).max()
+        assert nuisance["sup_norm"] == pytest.approx(expected, rel=1e-6)
+        fit = estimator.profile_mle(family.profile(model), payload["theta_hat"], force=True)
+        assert "sup_norm" not in fit.diagnostics["nuisance"]
 
     def test_constant_covariate_exit_1(self, tmp_path, capsys):
         data = write_ex1_csv(tmp_path / "d.csv", n=300, seed=32,

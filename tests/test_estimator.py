@@ -191,8 +191,8 @@ def assert_same_fit(fits, profiles):
 
 class TestNuisanceStart:
     @pytest.mark.parametrize("make, n, seed, start, iterations", [
-        (linear_survival_model, 300, 32, np.zeros(1), 57),
-        (ex2_model, 500, 1, THETA0, 46),
+        (linear_survival_model, 300, 32, np.zeros(1), 19),
+        (ex2_model, 500, 1, THETA0, 19),
     ], ids=["prop_odds", "missing_cov"])
     def test_prediction_saves_iterations(self, make, n, seed, start, iterations):
         profiles, fits = fit_both(make(n, seed), start)

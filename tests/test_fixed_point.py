@@ -34,10 +34,15 @@ class TestSolveFixedPoint:
             solve_fixed_point(scalar_problem(lambda e: 2.0 * e), np.array([1.0]))
 
     def test_no_convergence_reports_best_residual(self):
-        problem = scalar_problem(lambda e: 1.0 + 0.999999 * e)
+        # twenty distinct rates up to 0.99: the accelerated iteration needs
+        # about a hundred applications, five times the budget given here
+        rates = np.linspace(0.5, 0.99, 20)
+        problem = FixedPointProblem(apply=lambda v: 1.0 + rates * v, dimension=20)
         with pytest.raises(NoConvergence) as err:
-            solve_fixed_point(problem, np.zeros(1), tol=1e-14, max_iter=20)
+            solve_fixed_point(problem, np.zeros(20), tol=1e-12, max_iter=20)
         assert err.value.residual is not None and err.value.residual > 0
+        assert err.value.iterations == 20
+        assert solve_fixed_point(problem, np.zeros(20), tol=1e-12).iterations > 20
 
     def test_linear_problems_match_direct_solve(self, rng):
         for _ in range(25):
@@ -79,8 +84,11 @@ class TestSolveFixedPoint:
         assert "residual_trace" in payload
 
     def test_tail_contraction_reads_the_last_ratios(self):
-        # an affine map with slope 0.5 contracts at exactly 0.5 per step;
-        # a short first step makes the first ratio large but not the tail
+        # the ratios are those of the accelerated residual, not Psi's factor:
+        # on an affine map of slope 0.5 the first extrapolation lands on
+        # the fixed point, so the tail reads roundoff where plain
+        # substitution would read 0.5; a short first step still makes the
+        # first ratio large, and the plain step after it is a fallback
         calls = []
 
         def apply(v):
@@ -88,9 +96,58 @@ class TestSolveFixedPoint:
             return np.array([0.1 if len(calls) == 1 else 1.0 + 0.5 * v[0]])
 
         sol = solve_fixed_point(FixedPointProblem(apply, 1), np.zeros(1), tol=1e-12)
+        assert sol.eta[0] == pytest.approx(2.0, abs=1e-12)
+        assert sol.iterations == 4 and sol.fallbacks == 1
         assert sol.contraction_estimate > 1.0
-        assert sol.tail_contraction == pytest.approx(0.5, rel=1e-3)
+        assert sol.tail_contraction < 1e-4
         assert sol.diagnostics()["tail_contraction"] == sol.tail_contraction
+        assert sol.diagnostics()["fallbacks"] == 1
+
+    def test_accelerated_rate_is_below_the_contraction_factor(self):
+        # rates up to 0.55, the factor of a survival operator: plain
+        # substitution would take 47 steps to 1e-12, each shrinking the
+        # residual by 0.55
+        rates = np.array([0.55, 0.4, 0.25, 0.1])
+        problem = FixedPointProblem(apply=lambda v: 1.0 + rates * v, dimension=4)
+        sol = solve_fixed_point(problem, np.zeros(4), tol=1e-12)
+        assert np.abs(sol.eta - 1.0 / (1.0 - rates)).max() < 1e-12
+        assert sol.iterations <= 8 and sol.fallbacks == 0
+        assert sol.tail_contraction < 0.01
+
+    def test_negative_extrapolate_takes_the_plain_step(self):
+        # Psi(x) = 0.01 + x^2 from 0.4: the secant through the first two
+        # residuals extrapolates to about -0.135, which the operator, like
+        # the nuisance operators, refuses
+        seen = []
+
+        def apply(v):
+            seen.append(v[0])
+            if v[0] < 0.0:
+                raise InvalidInput("negative input")
+            return np.array([0.01 + v[0] ** 2])
+
+        g0, g1 = 0.01 + 0.4**2, 0.01 + (0.01 + 0.4**2) ** 2
+        f0, f1 = g0 - 0.4, g1 - g0
+        assert g1 - (g1 - g0) * f1 / (f1 - f0) < 0.0
+        sol = solve_fixed_point(FixedPointProblem(apply, 1), np.array([0.4]), tol=1e-12)
+        assert min(seen) >= 0.0
+        assert sol.fallbacks >= 1
+        assert sol.eta[0] == pytest.approx((1.0 - np.sqrt(0.96)) / 2.0, abs=1e-12)
+
+    def test_singular_gram_system_restarts(self):
+        # residuals 3u, 2u, u, 0 whatever the input: the two residual
+        # differences are equal, their Gram system is singular, and the
+        # solve takes the plain step instead of raising
+        u = np.ones(2)
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return v + max(4 - len(calls), 0) * u
+
+        sol = solve_fixed_point(FixedPointProblem(apply, 2), np.zeros(2))
+        assert sol.iterations == 4 and sol.fallbacks == 1
+        assert sol.residual_trace == [3.0, 2.0, 1.0, 0.0]
 
     def test_one_iteration_solve_reads_the_residual_ratio(self):
         # the residual check is the difference after the last, so a start

@@ -16,7 +16,7 @@ from profix.errors import (
 )
 from profix.fixed_point import estimate_operator_norm
 from profix.implicit_diff import d2theta_eta, dtheta_eta
-from profix.measures import GridDensity
+from profix.measures import GridDensity, LinearMap
 from profix.missing_cov import (
     ConditionalDensity,
     MissingCovDesign,
@@ -612,6 +612,54 @@ class TestMissingFraction:
         profile = MissingCovProfile(model)
         with pytest.raises(ContractionViolation):
             profile.precheck(np.array([0.0, 1.0, 0.0]))
+
+
+class TestContractionCertificate:
+    """The spectral radius of d_eta is certified below one at every point;
+    the accelerated solve converges to repelling fixed points too."""
+
+    DESIGN = MissingCovDesign(w2=0.55)
+
+    def divergent_model(self):
+        rng = simulation.replication_rng(40, 0)
+        r, y, x = simulation.gen_missing_cov(self.DESIGN, 300, rng, allow_override=True)
+        return MissingCovModel.from_arrays(r, y, x, NormalRegression())
+
+    def test_repelling_fixed_point_is_refused(self):
+        model = self.divergent_model()
+        profile = MissingCovProfile(model)
+        theta = missing_cov.FAMILY.default_start(model)
+        op, sol = profile.solve(theta)
+        assert sol.residual < 1e-10
+        radius = np.abs(np.linalg.eigvals(psi_derivatives(op, sol.eta).d_eta.matrix)).max()
+        assert radius > 1.0
+        with pytest.raises(ContractionViolation, match="spectral radius"):
+            profile.point(theta)
+        assert profile.last_point is None
+
+    def test_replication_records_the_violation(self, monkeypatch):
+        # replications skip the precheck: the certificate is what refuses them
+        draw = simulation.gen_missing_cov
+        monkeypatch.setattr(simulation, "gen_missing_cov",
+                            lambda design, n, rng: draw(design, n, rng, allow_override=True))
+        config = simulation.SimConfig(model="missing_cov", n=300, replications=1,
+                                      seed=40, design=self.DESIGN)
+        rep = simulation.run_replication(config, 0)
+        assert not rep.converged and rep.error == "ContractionViolation"
+
+    def test_certificate_matches_the_spectral_radius(self):
+        model = self.divergent_model()
+        theta = missing_cov.FAMILY.default_start(model)
+        op = Operator(model, theta)
+        ws = psi_derivatives(op, solve_nuisance(op).eta)
+        radius = np.abs(np.linalg.eigvals(ws.d_eta.matrix)).max()
+        for target, contracts in ((0.5, True), (0.999, True), (1.001, False), (1.5, False)):
+            # scaling p1 scales d_eta and leaves dg_a alone
+            ws.p1 = op.p1 * (target / radius)
+            ws.d_eta = LinearMap(-(ws.p1 / ws.a**2)[:, None] * ws.dg_a)
+            # the L1 norm settles the first case; the factorization the rest
+            assert (estimate_operator_norm(ws.d_eta, "l1") < 1.0) == (target == 0.5)
+            assert ws.contracts() == contracts
 
 
 class TestOperatorAuditsAcrossSeeds:

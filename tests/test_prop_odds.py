@@ -13,6 +13,7 @@ from profix.errors import (
     InvalidInput,
     NumericOverflow,
     RiskSetEmpty,
+    SingularResolvent,
 )
 from profix.fixed_point import estimate_operator_norm
 from profix.numdiff import fd_theta
@@ -693,6 +694,53 @@ class TestProfile:
         fd = fd_theta(profiled_loglik, beta, step=1e-6)
         analytic = profile.mean_score(beta)
         assert np.abs(fd - analytic).max() < 1e-6
+
+
+class TestContractionCertificate:
+    """The tridiagonal Cholesky factor certifies the spectral radius of
+    d_eta below one, and the resolvent solves reuse it."""
+
+    def scaled(self, model, target, zero_rows=()):
+        """The bundle at the fixed point with d_eta scaled to spectral
+        radius target, and coefficient rows zeroed where asked."""
+        beta = [0.5]
+        ws = bundle(model, beta, solved(model, beta))
+        ((coef, s),) = ws.d_eta.terms
+        coef = coef.copy()
+        coef[list(zero_rows)] = 0.0
+        radius = np.abs(np.linalg.eigvals(MaxIndexMap([(coef, s)]).matrix)).max()
+        ws.d_eta = MaxIndexMap([(coef * (target / radius), s)])
+        return ws
+
+    @pytest.mark.parametrize("zero_rows", [(), (0, 3)], ids=["all_free", "fixed_rows"])
+    def test_radius_one_and_a_half_is_refused(self, prop_odds_model, zero_rows):
+        ws = self.scaled(prop_odds_model, 1.5, zero_rows)
+        assert not ws.contracts()
+        with pytest.raises(SingularResolvent):
+            dtheta_eta(ws)
+
+    @pytest.mark.parametrize("zero_rows", [(), (0, 3)], ids=["all_free", "fixed_rows"])
+    def test_radius_below_one_is_certified(self, prop_odds_model, zero_rows):
+        ws = self.scaled(prop_odds_model, 0.95, zero_rows)
+        assert ws.contracts()
+        dense = np.eye(ws.d_eta.dim) - ws.d_eta.matrix
+        assert rel_diff(dtheta_eta(ws), np.linalg.solve(dense, ws.dot_psi.T).T) <= 1e-10
+
+    def test_point_refuses_a_bundle_that_does_not_contract(self, prop_odds_model,
+                                                            monkeypatch):
+        monkeypatch.setattr(MaxIndexMap, "contracts", lambda self: False)
+        profile = PropOddsProfile(prop_odds_model)
+        with pytest.raises(ContractionViolation, match="spectral radius"):
+            profile.point(np.array([0.5]))
+        assert profile.last_point is None
+
+    def test_sup_norm_above_one_is_no_violation(self):
+        # the induced sup norm bounds the radius but reads above one on the
+        # linear design, whose operators contract
+        rng = simulation.replication_rng(3, 0)
+        model = PropOddsModel.from_arrays(*simulation.gen_prop_odds(LINEAR_DESIGN, 300, rng))
+        point = PropOddsProfile(model).point(np.array([0.5]))
+        assert prop_odds._sup_norm(point.derivs.d_eta) > 1.0
 
 
 class TestOperatorAuditsAcrossSeeds:
