@@ -5,12 +5,14 @@ on a finite-dimensional coefficient space.  The solver runs a safeguarded
 Anderson iteration (Walker & Ni, SIAM J. Numer. Anal. 49 (2011)
 1715-1735): each step extrapolates from the last few residual and image
 differences, and falls back to the plain step Psi(eta) whenever the
-extrapolation is not to be trusted.  What the surrounding theory needs,
-that Psi contract at its fixed point, is not read off the iteration: the
-profile certifies the spectral radius of the nuisance derivative at every
-point it solves (``Profile.point``), and Anderson converges to repelling
-fixed points too.  The iteration itself still aborts a run whose residual
-keeps growing.
+extrapolation is not to be trusted.  The solve returns the first iterate
+whose measured sup-norm residual is within the tolerance, with that
+residual; every application of Psi is one iteration.  What the
+surrounding theory needs, that Psi contract at its fixed point, is not
+read off the iteration: the profile certifies the spectral radius of the
+nuisance derivative at every point it solves (``Profile.point``), and
+Anderson converges to repelling fixed points too.  The iteration itself
+still aborts a run whose residual keeps growing.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractionViolation, InvalidInput, NoConvergence
-from .measures import LinearMap
 
 #: Consecutive iterations with a growing residual tolerated before giving up.
 VIOLATION_STREAK = 10
@@ -55,25 +56,38 @@ class FixedPointProblem:
 class FixedPointSolution:
     """Solution of eta = Psi(eta) with convergence diagnostics.
 
-    ``contraction_estimate`` and ``tail_contraction`` are the largest and
-    the trailing (geometric mean of the last three) ratios of successive
-    sup-norm residuals of the accelerated iteration, the last taken after
-    convergence.  They measure how fast the solve converged, not the
-    contraction factor of Psi, which the plain iteration's ratios would
-    approach; the certificate at the solution is the contraction evidence.
-    ``fallbacks`` counts the steps that took the plain image instead of the
-    extrapolation: restarts after a residual that did not decrease or a
-    Gram system that could not be solved, and extrapolates refused as
-    non-finite or negative.
+    ``eta`` is the iterate whose residual sup|Psi(eta) - eta| was measured
+    as ``residual``, the last entry of ``residual_trace``, which holds one
+    measured residual per iteration.  ``contraction_estimate`` and
+    ``tail_contraction`` are the largest and the trailing (geometric mean
+    of the last three) ratios of successive entries of the trace, 0.0 with
+    fewer than two.  They measure how fast the accelerated solve converged,
+    not the contraction factor of Psi, which the plain iteration's ratios
+    would approach; the certificate at the solution is the contraction
+    evidence.  ``fallbacks`` counts the steps that took the plain image
+    instead of the extrapolation: restarts after a residual that did not
+    decrease or a Gram system that could not be solved, and extrapolates
+    refused as non-finite or negative.
     """
 
     eta: np.ndarray
     residual: float
     iterations: int
-    contraction_estimate: float
-    tail_contraction: float
     fallbacks: int = 0
     residual_trace: list = field(default_factory=list, repr=False)
+
+    @property
+    def contraction_estimate(self):
+        trace = self.residual_trace
+        return max((b / a for a, b in zip(trace, trace[1:])), default=0.0)
+
+    @property
+    def tail_contraction(self):
+        # the geometric mean of successive ratios telescopes
+        trace = self.residual_trace[-TAIL_RATIOS - 1:]
+        if len(trace) < 2:
+            return 0.0
+        return (trace[-1] / trace[0]) ** (1.0 / (len(trace) - 1))
 
     def diagnostics(self):
         return {
@@ -84,49 +98,6 @@ class FixedPointSolution:
             "fallbacks": self.fallbacks,
             "residual_trace": list(self.residual_trace),
         }
-
-
-def _geometric_mean(values):
-    return float(np.prod(values)) ** (1.0 / len(values)) if values else 0.0
-
-
-class _History:
-    """The last residual and image differences in ring buffers, with the
-    Gram matrix of the residual differences updated one row at a time.
-    More differences than the dimension would make the Gram system
-    singular by construction, so the depth never exceeds it."""
-
-    def __init__(self, dim):
-        depth = max(min(ANDERSON_DEPTH, dim), 1)
-        self.df = np.empty((depth, dim))
-        self.dg = np.empty((depth, dim))
-        self.gram = np.empty((depth, depth))
-        self.size = self.slot = 0
-
-    def clear(self):
-        self.size = self.slot = 0
-
-    def push(self, f, f_prev, g, g_prev):
-        """Store f - f_prev and g - g_prev in place of the oldest pair."""
-        slot, depth = self.slot, len(self.df)
-        np.subtract(f, f_prev, out=self.df[slot])
-        np.subtract(g, g_prev, out=self.dg[slot])
-        self.size = size = min(self.size + 1, depth)
-        row = self.df[:size] @ self.df[slot]
-        self.gram[slot, :size] = row
-        self.gram[:size, slot] = row
-        self.slot = (slot + 1) % depth
-
-    def extrapolate(self, f, g):
-        """g minus the image differences weighted by the least-squares fit
-        of f by the residual differences; None when the Gram system cannot
-        be solved."""
-        size = self.size
-        try:
-            gamma = np.linalg.solve(self.gram[:size, :size], self.df[:size] @ f)
-        except np.linalg.LinAlgError:
-            return None
-        return g - gamma @ self.dg[:size]
 
 
 def _acceptable(candidate, g):
@@ -142,13 +113,13 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     sup-norm residual drops below tol.
 
     Each iteration applies Psi once at the current iterate, giving the
-    image g and the residual f = g - eta.  The next iterate extrapolates
-    from the last ``ANDERSON_DEPTH`` differences of f and g, solving their
-    depth x depth Gram system; it is the plain image g instead, and the
-    history restarts, when the residual did not decrease, when the Gram
-    system is singular, or when the extrapolate has a non-finite entry or
-    a negative one where g has none.  At convergence the solution is the
-    last image, and one more application measures its residual.
+    image g and the residual f = g - eta; the first iterate whose residual
+    is within tol is the solution.  Otherwise the next iterate extrapolates
+    from the last ``ANDERSON_DEPTH`` differences of f and g, stacked as the
+    rows of F and G: it is g - G'gamma with (F F')gamma = F f.  It is the
+    plain image g instead, and the history restarts, when the residual did
+    not decrease, when the Gram system is singular, or when the extrapolate
+    has a non-finite entry or a negative one where g has none.
     ``VIOLATION_STREAK`` consecutive growing residuals abort the run with
     :class:`ContractionViolation`; exhausting the iteration budget raises
     :class:`NoConvergence` carrying the best residual.  See
@@ -162,12 +133,11 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
             f"starting point has dimension {eta.shape}, expected "
             f"({problem.dimension},)"
         )
-    history = _History(problem.dimension)
+    # more differences than the dimension make F F' singular by construction
+    depth = min(ANDERSON_DEPTH, problem.dimension)
+    df, dg = [], []  # the rows of F and G, oldest first
     trace = []
-    ratios = []
-    prev = None  # (residual norm, residual, image) of the last iteration
     streak = fallbacks = 0
-    best = np.inf
     for iteration in range(1, max_iter + 1):
         g = np.asarray(problem.apply(eta), dtype=float)
         if g.shape != eta.shape:
@@ -175,49 +145,41 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         f = g - eta
         diff = _sup(f)
         trace.append(diff)
-        best = min(best, diff)
         if diff <= tol:
-            residual = _sup(problem.apply(g) - g)
-            if prev is not None:
-                ratios.append(diff / prev[0])
-            if diff > 0.0:
-                ratios.append(residual / diff)
-            return FixedPointSolution(
-                eta=g,
-                residual=residual,
-                iterations=iteration,
-                contraction_estimate=max(ratios, default=0.0),
-                tail_contraction=_geometric_mean(ratios[-TAIL_RATIOS:]),
-                fallbacks=fallbacks,
-                residual_trace=trace,
-            )
+            return FixedPointSolution(eta, diff, iteration, fallbacks, trace)
         eta = g
-        if prev is not None:
-            ratio = diff / prev[0]
-            ratios.append(ratio)
-            if ratio >= 1.0:
+        if iteration > 1:
+            candidate = None
+            if diff >= trace[-2]:
                 streak += 1
                 if streak >= VIOLATION_STREAK:
                     raise ContractionViolation(
                         f"the residual grew for {streak} consecutive iterations "
-                        f"(last ratio {ratio:.3g}); the operator does not contract"
+                        f"(last ratio {diff / trace[-2]:.3g}); the operator does "
+                        "not contract"
                     )
-                history.clear()
-                fallbacks += 1
             else:
                 streak = 0
-                history.push(f, prev[1], g, prev[2])
-                candidate = history.extrapolate(f, g)
-                if candidate is not None and _acceptable(candidate, g):
-                    eta = candidate
-                else:
-                    history.clear()
-                    fallbacks += 1
-        prev = diff, f, g
+                df.append(f - f_prev)
+                dg.append(g - g_prev)
+                del df[:-depth], dg[:-depth]
+                F = np.array(df)
+                try:
+                    gamma = np.linalg.solve(F @ F.T, F @ f)
+                    candidate = g - gamma @ np.array(dg)
+                except np.linalg.LinAlgError:
+                    pass
+            if candidate is not None and _acceptable(candidate, g):
+                eta = candidate
+            else:
+                df.clear()
+                dg.clear()
+                fallbacks += 1
+        f_prev, g_prev = f, g
     raise NoConvergence(
         f"no fixed point within {max_iter} iterations "
-        f"(best residual {best:.3g}, tol {tol:.3g})",
-        residual=best,
+        f"(best residual {min(trace):.3g}, tol {tol:.3g})",
+        residual=min(trace),
         iterations=max_iter,
     )
 
@@ -227,9 +189,7 @@ def estimate_operator_norm(linear_map, norm="sup"):
 
     Max absolute row sum for the sup norm, max absolute column sum for L1.
     """
-    matrix = linear_map.matrix if isinstance(linear_map, LinearMap) else (
-        np.asarray(linear_map, dtype=float)
-    )
+    matrix = linear_map.matrix
     if not np.all(np.isfinite(matrix)):
         raise InvalidInput("operator matrix has non-finite entries")
     if norm == "sup":

@@ -33,14 +33,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, SingularResolvent
-from .measures import LinearMap
 
 #: Relative residual above which a resolvent solve is declared singular.
 _SOLVE_RESIDUAL_TOL = 1e-6
-
-
-def _as_matrix(d_eta):
-    return d_eta.matrix if isinstance(d_eta, LinearMap) else np.asarray(d_eta, float)
 
 
 def resolvent_apply(d_eta, rhs):
@@ -58,7 +53,7 @@ def resolvent_apply(d_eta, rhs):
             v = structured(rhs)
             check = v - d_eta.apply(v) - rhs
         else:
-            M = _as_matrix(d_eta)
+            M = d_eta.matrix
             system = np.eye(M.shape[0]) - M
             v = np.linalg.solve(system, rhs)
             check = system @ v - rhs

@@ -513,6 +513,7 @@ class MissingCovProfile(Profile):
 
     def jacobian(self, point):
         """Jacobian of the mean score at a point, from its bundle."""
+        point.eta_ddot  # solved first: score_jacobian's span times its own terms
         return score_jacobian(point)
 
     def precheck(self, theta):

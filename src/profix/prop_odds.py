@@ -528,15 +528,6 @@ class PropOddsDesign:
         if abs(sum(self.covariate_probs) - 1.0) > 1e-12:
             raise InvalidConfig("covariate probabilities must sum to one")
 
-    def baseline(self, t):
-        """True baseline odds function evaluated at t."""
-        t = np.asarray(t, dtype=float)
-        if self.is_step:
-            times = np.asarray(self.baseline_times, dtype=float)
-            cum = np.concatenate([[0.0], np.cumsum(self.baseline_jumps)])
-            return cum[np.searchsorted(times, t, side="right")]
-        return self.baseline_rate * t
-
 
 class _PopulationLaw:
     """Joint densities of (u, delta) given the covariate under a linear design."""

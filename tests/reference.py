@@ -59,6 +59,16 @@ def psi_jumps(model, beta, jumps, F=None):
     return prop_odds.Operator(model, beta, F)(jumps)
 
 
+def design_baseline(design, t):
+    """True baseline odds function of a survival design evaluated at t."""
+    t = np.asarray(t, dtype=float)
+    if design.is_step:
+        times = np.asarray(design.baseline_times, dtype=float)
+        cum = np.concatenate([[0.0], np.cumsum(design.baseline_jumps)])
+        return cum[np.searchsorted(times, t, side="right")]
+    return design.baseline_rate * t
+
+
 def baseline_step(design):
     """The true baseline of a step design as a step function on [0, tau]."""
     if not design.is_step:
@@ -417,7 +427,7 @@ def neumann_apply(d_eta, rhs, terms=200):
     Valid when the operator norm of d_eta is below one; agrees with the
     dense solve up to the truncated tail.
     """
-    M = d_eta.matrix if isinstance(d_eta, LinearMap) else np.asarray(d_eta, float)
+    M = d_eta.matrix
     rhs = np.asarray(rhs, dtype=float)
     out = rhs.copy()
     term = rhs.copy()

@@ -51,6 +51,12 @@ def test_tracer_records_each_familys_layers():
         "missing_cov.psi_derivatives", "missing_cov.score_jacobian",
         "prop_odds.psi_derivatives", "fixed_point.apply",
     } <= recorded
+    # no solve of these fits fails, so every application is an iteration
+    # of a completed solve, and fixed_point.iterations counts them all
+    applies = sum(span.name == "fixed_point.apply" for span in tracer.spans)
+    iterations = sum(span.attrs["iterations"] for span in tracer.spans
+                     if span.name == "fixed_point.solve")
+    assert applies == iterations
 
 
 def test_tracer_counts_a_survival_fit():

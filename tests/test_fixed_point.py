@@ -48,7 +48,7 @@ class TestSolveFixedPoint:
         for _ in range(25):
             dim = rng.integers(2, 21)
             M = rng.normal(size=(dim, dim))
-            M *= 0.8 / estimate_operator_norm(M, "sup")
+            M *= 0.8 / estimate_operator_norm(LinearMap(M), "sup")
             b = rng.normal(size=dim)
             problem = FixedPointProblem(
                 apply=lambda v, M=M, b=b: b + M @ v, dimension=int(dim)
@@ -60,7 +60,7 @@ class TestSolveFixedPoint:
 
     def test_idempotent_restart(self, rng):
         M = rng.normal(size=(6, 6))
-        M *= 0.7 / estimate_operator_norm(M, "sup")
+        M *= 0.7 / estimate_operator_norm(LinearMap(M), "sup")
         b = rng.normal(size=6)
         problem = FixedPointProblem(apply=lambda v: b + M @ v, dimension=6)
         sol = solve_fixed_point(problem, np.zeros(6))
@@ -149,16 +149,33 @@ class TestSolveFixedPoint:
         assert sol.iterations == 4 and sol.fallbacks == 1
         assert sol.residual_trace == [3.0, 2.0, 1.0, 0.0]
 
-    def test_one_iteration_solve_reads_the_residual_ratio(self):
-        # the residual check is the difference after the last, so a start
-        # one step from the fixed point still measures the rate; a start at
-        # the fixed point has no nonzero difference to divide by
+    def test_one_iteration_solve_returns_its_start(self):
+        # a start within tol of the fixed point is the solution: its
+        # residual is the one measured, and one residual gives no ratio
         problem = scalar_problem(lambda e: 0.5 * e)
-        sol = solve_fixed_point(problem, np.array([2.0**-30]), tol=1e-6)
+        start = np.array([2.0**-30])
+        sol = solve_fixed_point(problem, start, tol=1e-6)
         assert sol.iterations == 1
-        assert sol.contraction_estimate == sol.tail_contraction == 0.5
-        exact = solve_fixed_point(problem, np.zeros(1), tol=1e-6)
-        assert exact.contraction_estimate == exact.tail_contraction == 0.0
+        assert np.array_equal(sol.eta, start)
+        assert sol.residual == sol.residual_trace[0] == 2.0**-31
+        assert sol.contraction_estimate == sol.tail_contraction == 0.0
+
+    def test_returns_the_iterate_whose_residual_it_measured(self, rng):
+        # every application of Psi is an iteration, and the reported
+        # residual is that of the returned nuisance
+        M = rng.normal(size=(8, 8))
+        M *= 0.6 / estimate_operator_norm(LinearMap(M), "sup")
+        b = rng.normal(size=8)
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return b + M @ v
+
+        sol = solve_fixed_point(FixedPointProblem(apply, 8), np.zeros(8))
+        assert len(calls) == sol.iterations == len(sol.residual_trace)
+        residual = np.abs(apply(sol.eta) - sol.eta).max()
+        assert residual == sol.residual == sol.residual_trace[-1] <= 1e-10
 
     def test_survival_operator_five_records(self):
         # event/censor mix at beta=0; residual certified by naive substitution

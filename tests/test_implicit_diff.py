@@ -29,16 +29,16 @@ def scalar_derivs(d_eta, dot, ddot=0.0, d_eta_dot=0.0, d2_eta=0.0, d_f=None):
 class TestResolvent:
     def test_identity(self, rng):
         r = rng.normal(size=4)
-        assert np.allclose(resolvent_apply(np.zeros((4, 4)), r), r)
+        assert np.allclose(resolvent_apply(LinearMap(np.zeros((4, 4))), r), r)
 
     def test_scalar_half(self):
-        assert resolvent_apply(np.array([[0.5]]), np.array([1.0]))[0] == (
+        assert resolvent_apply(LinearMap(np.array([[0.5]])), np.array([1.0]))[0] == (
             pytest.approx(2.0)
         )
 
     def test_dense_vs_neumann(self, rng):
         M = rng.normal(size=(10, 10))
-        M *= 0.8 / estimate_operator_norm(M, "sup")
+        M = LinearMap(M * 0.8 / estimate_operator_norm(LinearMap(M), "sup"))
         r = rng.normal(size=10)
         dense = resolvent_apply(M, r)
         series = neumann_apply(M, r, terms=200)
@@ -47,15 +47,15 @@ class TestResolvent:
     def test_resolvent_identity_random(self, rng):
         for _ in range(20):
             M = rng.normal(size=(6, 6))
-            M *= rng.uniform(0.1, 0.9) / estimate_operator_norm(M, "sup")
+            M *= rng.uniform(0.1, 0.9) / estimate_operator_norm(LinearMap(M), "sup")
             r = rng.normal(size=6)
-            v = resolvent_apply(M, r)
+            v = resolvent_apply(LinearMap(M), r)
             back = (np.eye(6) - M) @ v
             assert np.abs(back - r).max() <= 1e-10 * max(np.abs(r).max(), 1.0)
 
     def test_singular(self):
         with pytest.raises(SingularResolvent):
-            resolvent_apply(np.eye(3), np.ones(3))
+            resolvent_apply(LinearMap(np.eye(3)), np.ones(3))
 
     def test_structured_nan_residual_is_singular(self):
         # a zero coefficient row solves to rhs exactly, finite, while apply
@@ -69,7 +69,7 @@ class TestResolvent:
         # leaves only the residual to catch it
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.ones_like(b))
         with pytest.raises(SingularResolvent, match="did not verify"):
-            resolvent_apply(np.array([[0.0, np.nan], [0.0, 0.0]]), np.ones(2))
+            resolvent_apply(LinearMap(np.array([[0.0, np.nan], [0.0, 0.0]])), np.ones(2))
 
     def test_survival_map_past_contraction_is_singular(self, prop_odds_model):
         # the nuisance derivative at a survival fixed point, with its

@@ -267,6 +267,19 @@ class TestFixedPointInvariants:
             psi = psi_apply(model, beta, model.jumps_to_step(jumps))
             assert np.abs(psi.jump_sizes - jumps).max() < 1e-10
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_cold_solve_reports_its_own_residual(self, k):
+        # the solve returns the iterate whose residual it measured, so the
+        # residual meets the tolerance and the residual ratios are those of
+        # a converging solve, not roundoff divided by roundoff
+        rng = simulation.replication_rng(20260810, k)
+        model = PropOddsModel.from_arrays(*simulation.gen_prop_odds(LINEAR_DESIGN, 3000, rng))
+        op = Operator(model, [0.0])
+        sol = solve_nuisance(op, tol=1e-10)
+        assert sol.residual <= 1e-10
+        assert sol.residual == np.abs(op(sol.eta) - sol.eta).max()
+        assert sol.contraction_estimate < 1.0
+
     def test_value_norm_vs_jump_norm_conjugation(self, prop_odds_model):
         model = prop_odds_model
         beta = [0.5]

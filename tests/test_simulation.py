@@ -17,7 +17,7 @@ from profix.simulation import (
     run_replication,
 )
 
-from reference import baseline_step
+from reference import baseline_step, design_baseline
 
 
 class TestGenPropOdds:
@@ -53,12 +53,12 @@ class TestGenPropOdds:
 
     def test_true_baseline_evaluators(self):
         step = prop_odds.PropOddsDesign()
-        assert step.baseline(1.2) == pytest.approx(0.05 + 0.12)
-        assert step.baseline(0.1) == 0.0
+        assert design_baseline(step, 1.2) == pytest.approx(0.05 + 0.12)
+        assert design_baseline(step, 0.1) == 0.0
         truth = baseline_step(step)
-        assert truth(1.2) == pytest.approx(step.baseline(1.2))
+        assert truth(1.2) == pytest.approx(design_baseline(step, 1.2))
         linear = prop_odds.LINEAR_DESIGN
-        assert linear.baseline(0.7) == pytest.approx(0.7)
+        assert design_baseline(linear, 0.7) == pytest.approx(0.7)
         with pytest.raises(Exception):
             baseline_step(linear)
 
