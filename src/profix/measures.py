@@ -244,13 +244,6 @@ class MaxIndexMap:
             out += a.reshape(column) * image
         return out
 
-    @property
-    def matrix(self):
-        """The dense m x m form, for cross-checks only."""
-        idx = np.arange(self.dim)
-        pair = np.maximum(idx[:, None], idx[None, :])
-        return sum(a[:, None] * s[pair] for a, s in self.terms)
-
     @cached_property
     def _free_rows(self):
         """The rows with a_i > 0, and the single term restricted to them
@@ -397,9 +390,10 @@ def composite_gauss_grid(lo, hi, cells, order=5):
 class RecordTable:
     """A sample's fixed atom table, the base of both model families.
 
-    Empirical measures over the sample, and mixture paths and perturbation
-    directions from it, are weight vectors over this one table, which keeps
-    them and their derivatives on one common grid.
+    Its rows are the measure's atoms in their canonical order.  Other
+    distributions over the sample, mixture paths and perturbation
+    directions are weight vectors over this one table, which keeps them and
+    their derivatives on one common grid.
     """
 
     def __init__(self, measure, n_obs):
@@ -423,13 +417,9 @@ class RecordTable:
         return len(self.points)
 
     def resolve_weights(self, F):
-        """Weight vector over the record table for F (None = own weights)."""
+        """F, a weight vector over the record table (None = own weights)."""
         if F is None:
             return self.weights
-        if isinstance(F, EmpiricalMeasure):
-            if not np.array_equal(F.points, self.points):
-                raise InvalidInput("measure atoms do not match the model records")
-            return F.weights
         F = np.asarray(F, dtype=float)
         if F.shape != (self.n_records,):
             raise InvalidInput("weight vector does not match the record count")

@@ -210,8 +210,7 @@ class Operator:
         self.theta = theta
         self.dim = model.n_support
         self.w = w = model.resolve_weights(F)
-        self.p1 = np.zeros(model.n_support)
-        np.add.at(self.p1, model.slot, w[model.complete_rows])
+        self.p1 = np.bincount(model.slot, w[model.complete_rows], minlength=model.n_support)
         self.nu = w[model.incomplete_rows]
         self.fmat = self.incomplete(model.family.density)
 
@@ -369,8 +368,7 @@ class _Workspace:
         """Derivative of the operator in the distribution, in direction h."""
         model = self.model
         hw = model.resolve_direction(h)
-        dp1 = np.zeros(model.n_support)
-        np.add.at(dp1, model.slot, hw[model.complete_rows])
+        dp1 = np.bincount(model.slot, hw[model.complete_rows], minlength=model.n_support)
         hnu = hw[model.incomplete_rows]
         second = self.fmat.T @ (hnu / self.fy)
         return (dp1 * self.a + self.p1 * second) / self.a**2

@@ -43,7 +43,9 @@ LINPRED_BOUND = 50.0
 
 
 class PropOddsModel(RecordTable):
-    """Survival sample plus the event-time grid the nuisance lives on."""
+    """Survival sample plus the event-time grid the nuisance lives on.  The
+    records run in time order, so every at-risk sum is one
+    :meth:`suffix_at_events` call over values stacked along leading axes."""
 
     def __init__(self, measure: EmpiricalMeasure, tau=None, n_obs=None):
         points = measure.points
@@ -63,18 +65,15 @@ class PropOddsModel(RecordTable):
         self.event_times = np.unique(self.u[event_mask])
         if len(self.event_times) and self.event_times[0] <= 0:
             raise InvalidInput("event times must be positive")
-        # record ordering by time, used for all at-risk suffix sums
-        self._order = np.argsort(self.u, kind="stable")
-        self._u_sorted = self.u[self._order]
-        # position of each event time in the sorted records (first index at risk)
-        self._event_pos = np.searchsorted(self._u_sorted, self.event_times, "left")
+        # the record table keeps its rows in canonical lexicographic order,
+        # u first, so the records are in time order: those at risk at an
+        # event time run from its _event_pos to the end
+        self._event_pos = np.searchsorted(self.u, self.event_times, "left")
         # index of the last event time <= u, per record (+1, 0 meaning none)
         self._record_cut = np.searchsorted(self.event_times, self.u, "right")
-        # event mass per event time under the model's own weights is computed
-        # per-call since paths change the weights
-        ev_idx = np.searchsorted(self.event_times, self.u[event_mask])
+        # the event records and the slot of each one's event time
         self._event_rows = np.flatnonzero(event_mask)
-        self._event_row_slot = ev_idx
+        self._event_row_slot = np.searchsorted(self.event_times, self.u[event_mask])
 
     @property
     def n_events(self):
@@ -105,8 +104,11 @@ class PropOddsModel(RecordTable):
         return StepFunction(self.event_times, jumps, self.tau)
 
     def suffix_at_events(self, values):
-        """Sum of values over records with u >= each event time (last axis)."""
-        return _suffix_at_events(self, values[..., self._order])
+        """Sum of values over records with u >= each event time, along the
+        last axis, which runs over the records; leading axes stack values."""
+        suffix = np.cumsum(values[..., ::-1], axis=-1)[..., ::-1]
+        padded = np.concatenate([suffix, np.zeros(suffix.shape[:-1] + (1,))], axis=-1)
+        return padded[..., self._event_pos]
 
     def cumulative_at_records(self, jump_coeffs):
         """h(u_i) for the step directions with the given jump coefficients
@@ -133,17 +135,8 @@ def load_csv(path, tau=None):
 
 
 def _event_mass(model, values):
-    out = np.zeros(model.n_events)
-    np.add.at(out, model._event_row_slot, values[model._event_rows])
-    return out
-
-
-def _suffix_at_events(model, sorted_vals):
-    """Sum of time-ordered record values over records with u >= each event
-    time, along the last axis."""
-    suffix = np.cumsum(sorted_vals[..., ::-1], axis=-1)[..., ::-1]
-    padded = np.concatenate([suffix, np.zeros(suffix.shape[:-1] + (1,))], axis=-1)
-    return padded[..., model._event_pos]
+    return np.bincount(model._event_row_slot, values[model._event_rows],
+                       minlength=model.n_events)
 
 
 def _inverse_risk(edn, ew):
@@ -156,7 +149,7 @@ def _inverse_risk(edn, ew):
 
 class Operator:
     """The self-consistency operator bound to (beta, F): what does not
-    depend on A, with the records permuted into time order once, so that one
+    depend on A, in the record table's own time order, so that one
     application, jumps to jumps, is O(n) and builds no step function.  The
     fixed-point solve, the derivative bundle and the audits all read this
     one binding."""
@@ -176,13 +169,9 @@ class Operator:
         self.q = np.exp(self.lin)
         self.qc = (1.0 + model.delta) * self.q
         self.edn = _event_mass(model, w)
-        order = model._order
-        self._sorted = (w[order], self.qc[order], self.q[order])
-        self._cut_sorted = model._record_cut[order]
 
     def __call__(self, jumps):
-        cum = np.concatenate([[0.0], np.cumsum(self.checked(jumps))])
-        return self.jumps_at(cum[self._cut_sorted])
+        return self.jumps_at(self.model.cumulative_at_records(self.checked(jumps)))
 
     def checked(self, jumps):
         """jumps as an array, refused unless one finite nonnegative jump per
@@ -193,10 +182,9 @@ class Operator:
             raise InvalidInput("need one finite nonnegative jump per event time")
         return jumps
 
-    def jumps_at(self, AU_sorted):
-        """Output jumps given A at the time-ordered records."""
-        w, qc, q = self._sorted
-        ew = _suffix_at_events(self.model, w * (qc / (1.0 + q * AU_sorted)))
+    def jumps_at(self, AU):
+        """Output jumps given A at the records."""
+        ew = self.model.suffix_at_events(self.w * (self.qc / (1.0 + self.q * AU)))
         return self.edn * _inverse_risk(self.edn, ew)
 
     def cold_start(self):
@@ -219,10 +207,8 @@ class _Workspace:
         self.k = (1.0 + model.delta) * self.q**2 / self.denom**2
         self.ew = model.suffix_at_events(self.w * self.c)
         self.inv_ew = _inverse_risk(self.edn, self.ew)
-        z, suffix = model.z, model.suffix_at_events
-        self.ew_dot = np.stack(
-            [suffix(self.w * self.wdot * z[:, a]) for a in range(model.covariate_dim)]
-        )
+        suffix = model.suffix_at_events
+        self.ew_dot = suffix(self.w * self.wdot * model.z.T)
         self.dot_psi = -self.edn * self.ew_dot * self.inv_ew**2
         # the derivative in the nuisance, in jump coordinates: the direction
         # enters only through its cumulative value at each record time, so
@@ -244,26 +230,22 @@ class _Workspace:
         at-risk sums of the first."""
         model, w, edn, inv_ew = self.model, self.w, self.edn, self.inv_ew
         ew_dot, z, suffix = self.ew_dot, model.z, model.suffix_at_events
-        p, m = model.covariate_dim, model.n_events
         wddot = self.qc * (1.0 - self.q * self.AU) / self.denom**3
         kd = 2.0 * (1.0 + model.delta) * self.q**2 / self.denom**3
-        ddot = np.empty((p, p, m))
-        for a in range(p):
-            for b in range(a, p):
-                ew_ddot = suffix(w * wddot * z[:, a] * z[:, b])
-                val = (
-                    -edn * ew_ddot * inv_ew**2
-                    + 2.0 * edn * ew_dot[a] * ew_dot[b] * inv_ew**3
-                )
-                ddot[a, b] = val
-                ddot[b, a] = val
+        ew_ddot = suffix(w * wddot * z.T[:, None, :] * z.T[None, :, :])
+        ddot = (-edn * ew_ddot * inv_ew**2
+                + 2.0 * edn * ew_dot[:, None, :] * ew_dot[None, :, :] * inv_ew**3)
+        # entry (a, b) multiplies by z_a before z_b, so the two triangles
+        # round apart: copy the upper onto the lower to keep it symmetric
+        lower = np.tril_indices(model.covariate_dim, -1)
+        ddot[lower] = ddot[lower[::-1]]
 
         mixed = tuple(
             MaxIndexMap([
-                (edn * inv_ew**2, suffix(w * kd * z[:, a])),
-                (-2.0 * edn * ew_dot[a] * inv_ew**3, self.k_suffix),
+                (edn * inv_ew**2, kd_suffix),
+                (-2.0 * edn * ew_dot_a * inv_ew**3, self.k_suffix),
             ])
-            for a in range(p)
+            for kd_suffix, ew_dot_a in zip(suffix(w * kd * z.T), ew_dot)
         )
         return ddot, mixed
 
@@ -320,7 +302,7 @@ def psi_apply(model, beta, A, F=None):
     weighted event mass there over the weighted mean at-risk weight.
     """
     AU = np.asarray(A(model.u), dtype=float)
-    return model.jumps_to_step(Operator(model, beta, F).jumps_at(AU[model._order]))
+    return model.jumps_to_step(Operator(model, beta, F).jumps_at(AU))
 
 
 def solve_nuisance(op, tol=1e-10, eta0=None):

@@ -21,6 +21,7 @@ from profix.measures import (
     EmpiricalMeasure,
     GridDensity,
     LinearMap,
+    MaxIndexMap,
     StepFunction,
     gauss_legendre_grid,
 )
@@ -164,6 +165,16 @@ def da_psi_prop_odds_naive(u, delta, z, w, beta, jump_times, jump_sizes):
                     total += wi * (1 + di) * q**2 / (1 + q * a_u) ** 2
             out[i, j] = edn / ew**2 * total
     return out
+
+
+def dense(linear_map):
+    """The dense matrix of a :class:`LinearMap` or a :class:`MaxIndexMap`,
+    the latter from its index formula, for cross-checks."""
+    if isinstance(linear_map, MaxIndexMap):
+        idx = np.arange(linear_map.dim)
+        pair = np.maximum(idx[:, None], idx[None, :])
+        return sum(a[:, None] * s[pair] for a, s in linear_map.terms)
+    return linear_map.matrix
 
 
 def max_index_dense(terms, m):
@@ -427,7 +438,7 @@ def neumann_apply(d_eta, rhs, terms=200):
     Valid when the operator norm of d_eta is below one; agrees with the
     dense solve up to the truncated tail.
     """
-    M = d_eta.matrix
+    M = dense(d_eta)
     rhs = np.asarray(rhs, dtype=float)
     out = rhs.copy()
     term = rhs.copy()
@@ -444,7 +455,7 @@ def da_psi_value_map(model, beta, jumps, F=None):
     operator; its max absolute row sum is the norm that
     ``prop_odds._sup_norm`` computes without the matrix.
     """
-    M = prop_odds.psi_derivatives(prop_odds.Operator(model, beta, F), jumps).d_eta.matrix
+    M = dense(prop_odds.psi_derivatives(prop_odds.Operator(model, beta, F), jumps).d_eta)
     m = M.shape[0]
     C = np.tri(m)
     Cinv = np.eye(m) - np.eye(m, k=-1)

@@ -15,6 +15,7 @@ from profix.errors import (
     RiskSetEmpty,
     SingularResolvent,
 )
+from profix.audits import union_with_resample
 from profix.fixed_point import estimate_operator_norm
 from profix.numdiff import fd_theta
 from profix.implicit_diff import df_eta, dtheta_eta
@@ -34,6 +35,7 @@ from profix.prop_odds import (
 
 from reference import (
     SurvivalRecord,
+    dense,
     da_psi_prop_odds_naive,
     d2a_pairs_loop,
     da_psi_value_map,
@@ -139,7 +141,7 @@ class TestDerivativeOperators:
     def test_single_record_nuisance_derivative(self):
         # one event at 1, beta=0, A=0: output jump responds at rate 1/2
         model = PropOddsModel.from_arrays([1.0], [1.0], [0.0])
-        mat = bundle(model, [0.0], np.zeros(1)).d_eta.matrix
+        mat = dense(bundle(model, [0.0], np.zeros(1)).d_eta)
         assert mat.shape == (1, 1)
         assert mat[0, 0] == pytest.approx(0.5)
 
@@ -284,7 +286,7 @@ class TestFixedPointInvariants:
         model = prop_odds_model
         beta = [0.5]
         jumps = solved(model, beta)
-        M = bundle(model, beta, jumps).d_eta.matrix
+        M = dense(bundle(model, beta, jumps).d_eta)
         V = da_psi_value_map(model, beta, jumps).matrix
         # same spectrum under the similarity transform
         ev_m = np.sort(np.abs(np.linalg.eigvals(M)))
@@ -317,7 +319,7 @@ def survival_samples(draw, p=1):
 
 
 def dense_solve(d_eta, rhs):
-    return np.linalg.solve(np.eye(d_eta.dim) - d_eta.matrix, rhs)
+    return np.linalg.solve(np.eye(d_eta.dim) - dense(d_eta), rhs)
 
 
 def rel_diff(a, b, scale=None):
@@ -339,8 +341,8 @@ class TestStructuredDerivatives:
             model.u, model.delta, model.z, model.weights, beta,
             A.jump_times, A.jump_sizes,
         )
-        assert d_eta.matrix.shape == (model.n_events,) * 2
-        assert rel_diff(d_eta.matrix, naive) <= 1e-12
+        assert dense(d_eta).shape == (model.n_events,) * 2
+        assert rel_diff(dense(d_eta), naive) <= 1e-12
         h = np.random.default_rng(model.n_records).normal(size=(model.n_events, 2))
         assert rel_diff(d_eta.apply(h), naive @ h) <= 1e-12
 
@@ -350,8 +352,8 @@ class TestStructuredDerivatives:
                         dense_solve(d_eta, derivs.d_f(direction))) <= 1e-10
         # the mixed map's two terms can cancel exactly: compare on their scale
         (mixed,) = derivs.d_eta_dot
-        scale = sum(np.abs(MaxIndexMap([term]).matrix) for term in mixed.terms)
-        assert rel_diff(mixed.apply(h), mixed.matrix @ h,
+        scale = sum(np.abs(dense(MaxIndexMap([term]))) for term in mixed.terms)
+        assert rel_diff(mixed.apply(h), dense(mixed) @ h,
                         (scale @ np.abs(h)).max(initial=0.0)) <= 1e-12
 
         norm = prop_odds._sup_norm(d_eta)
@@ -369,8 +371,8 @@ class TestStructuredDerivatives:
         for model in (prop_odds_model, pop):
             beta = [0.5]
             jumps = solved(model, beta)
-            dense = estimate_operator_norm(da_psi_value_map(model, beta, jumps), "sup")
-            assert sup_norm(model, beta, jumps) == pytest.approx(dense, rel=1e-13)
+            expected = estimate_operator_norm(da_psi_value_map(model, beta, jumps), "sup")
+            assert sup_norm(model, beta, jumps) == pytest.approx(expected, rel=1e-13)
 
     def test_dtheta_eta_matches_dense_at_n3000(self):
         rng = simulation.replication_rng(20260810, 1)
@@ -379,8 +381,8 @@ class TestStructuredDerivatives:
         )
         beta = [0.5]
         derivs = bundle(model, beta, solved(model, beta))
-        dense = dense_solve(derivs.d_eta, derivs.dot_psi.T).T
-        assert rel_diff(dtheta_eta(derivs), dense) <= 1e-12
+        expected = dense_solve(derivs.d_eta, derivs.dot_psi.T).T
+        assert rel_diff(dtheta_eta(derivs), expected) <= 1e-12
 
     def test_large_fit_allocates_no_m_by_m_matrix(self):
         # m is about 11,600 at n = 20000: one dense m x m matrix is ~1 GB
@@ -397,6 +399,42 @@ class TestStructuredDerivatives:
             tracemalloc.stop()
         assert model.n_events > 10_000
         assert peak < 64 * 2**20
+
+
+def assert_records_in_time_order(model, seed):
+    """The records run in time order, so one suffix sum over them is every
+    at-risk sum and one cumulative sum every step-function value."""
+    u, times = model.u, model.event_times
+    assert np.all(np.diff(u) >= 0)
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=(2, 3, model.n_records))
+    at_risk = (u[:, None] >= times[None, :]).astype(float)
+    expected = V @ at_risk
+    scale = (np.abs(V) @ at_risk).max(initial=0.0)
+    assert rel_diff(model.suffix_at_events(V), expected, scale) <= 1e-12
+    J = rng.uniform(0.0, 1.0, model.n_events)
+    assert np.array_equal(model.cumulative_at_records(J),
+                          StepFunction(times, J, model.tau)(u))
+
+
+class TestRecordOrder:
+    """The record table's canonical order is the survival records' time
+    order, which the at-risk sums and the operator rely on."""
+
+    @given(sample=st.sampled_from([1, 2]).flatmap(lambda p: survival_samples(p=p)))
+    @settings(max_examples=60, deadline=None)
+    def test_at_risk_sums_read_the_table_order(self, sample):
+        model, _, _ = sample
+        assert_records_in_time_order(model, model.n_records)
+
+    @given(sample=st.sampled_from([1, 2]).flatmap(lambda p: survival_samples(p=p)),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_joined_model_reads_the_table_order(self, sample, seed):
+        model, _, _ = sample
+        union, _, _ = union_with_resample(model, "prop_odds", seed)
+        assert union.n_records > model.n_records
+        assert_records_in_time_order(union, seed)
 
 
 def tied_sample(p):
@@ -501,7 +539,8 @@ def bound_operator_agrees(model, beta, jumps):
 
 
 class TestBoundOperator:
-    """The operator bound once per (beta, weights), on presorted arrays."""
+    """The operator bound once per (beta, weights), on the records in the
+    record table's own time order."""
 
     @given(sample=survival_samples(), scale=st.sampled_from([0.0, 0.4, 3.0]))
     @settings(max_examples=80, deadline=None)
@@ -637,11 +676,11 @@ class TestOperatorOverhead:
             return
         ref = bundle(model, beta, A.jump_sizes)
         expected = {"dot_psi": ref.dot_psi, "ddot_psi": ref.ddot_psi,
-                    "d_eta_dot": [m.matrix for m in ref.d_eta_dot]}
+                    "d_eta_dot": [dense(m) for m in ref.d_eta_dot]}
         for name in order:
             value = getattr(derivs, name)
             if name == "d_eta_dot":
-                value = [m.matrix for m in value]
+                value = [dense(m) for m in value]
             assert np.array_equal(value, expected[name])
 
 
@@ -721,7 +760,7 @@ class TestContractionCertificate:
         ((coef, s),) = ws.d_eta.terms
         coef = coef.copy()
         coef[list(zero_rows)] = 0.0
-        radius = np.abs(np.linalg.eigvals(MaxIndexMap([(coef, s)]).matrix)).max()
+        radius = np.abs(np.linalg.eigvals(dense(MaxIndexMap([(coef, s)])))).max()
         ws.d_eta = MaxIndexMap([(coef * (target / radius), s)])
         return ws
 
@@ -736,8 +775,8 @@ class TestContractionCertificate:
     def test_radius_below_one_is_certified(self, prop_odds_model, zero_rows):
         ws = self.scaled(prop_odds_model, 0.95, zero_rows)
         assert ws.contracts()
-        dense = np.eye(ws.d_eta.dim) - ws.d_eta.matrix
-        assert rel_diff(dtheta_eta(ws), np.linalg.solve(dense, ws.dot_psi.T).T) <= 1e-10
+        system = np.eye(ws.d_eta.dim) - dense(ws.d_eta)
+        assert rel_diff(dtheta_eta(ws), np.linalg.solve(system, ws.dot_psi.T).T) <= 1e-10
 
     def test_point_refuses_a_bundle_that_does_not_contract(self, prop_odds_model,
                                                             monkeypatch):
