@@ -145,7 +145,7 @@ def audit_operators(family, model, theta=None, seed=0, corrupt=None):
     worst = 0.0
     for h1, h2 in zip(dirs, dirs[1:] + dirs[:1]):
         fd = fd_bilinear(
-            lambda s, t: psi_of_eta(eta + s * h1 + t * h2), h1, h2, step=1e-4
+            lambda s, t: psi_of_eta(eta + s * h1 + t * h2), h1, h2, step=1e-2
         )
         analytic = _maybe_corrupt(derivs.d2_eta.apply(h1, h2), d2_eta_name, corrupt)
         worst = max(worst, rel_err(analytic, fd))
@@ -194,7 +194,7 @@ def audit_operators(family, model, theta=None, seed=0, corrupt=None):
     # resolvent-formula derivatives versus re-solve difference quotients
     solved_eta = _warm_solves(mod, lambda t: mod.Operator(model, t), eta)
     eta_dot = dtheta_eta(derivs)
-    fd_dot = fd_theta(solved_eta, theta, step=1e-5)
+    fd_dot = fd_theta(solved_eta, theta, step=1e-4)
     rows.append(_row("eta_dot", eta_dot, fd_dot, ETA_DOT_TOL, corrupt))
 
     def eta_dot_at(t):

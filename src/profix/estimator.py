@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
     SingularInformation,
     SingularJacobian,
 )
-from .implicit_diff import d2theta_eta, dtheta_eta
+from .implicit_diff import dtheta_eta
 
 #: Condition number beyond which the information matrix is declared singular.
 INFO_COND_LIMIT = 1e10
@@ -80,18 +79,15 @@ class Point:
     """One evaluation of a profile at theta: the nuisance fixed point's
     ``FixedPointSolution``, the derivative bundle there (the family's
     workspace, whose fields :mod:`implicit_diff` names), the fixed point's
-    implicit derivative eta_dot and the per-record scores.  The second
-    implicit derivative eta_ddot is computed on first read and kept."""
+    implicit derivative eta_dot and the per-record scores.  The fixed point
+    is stationary in the nuisance, so the Newton Jacobian reads eta_dot
+    alone and no point computes the second implicit derivative."""
 
     theta: np.ndarray
     solution: object
     derivs: object
     eta_dot: np.ndarray
     scores: np.ndarray
-
-    @cached_property
-    def eta_ddot(self):
-        return d2theta_eta(self.derivs, self.eta_dot)
 
 
 class Profile:
@@ -102,12 +98,18 @@ class Profile:
     iterations), builds the derivative bundle from the same operator,
     certifies there that the nuisance derivative has spectral radius below
     one and evaluates the scores, recording the point as last_point, from
-    which jacobian reads.  Each solve starts from the Taylor prediction off
-    last_point (see :meth:`start`), adds one to ``solves_started`` (a bind
-    that raises included) and, if it completes, one to ``solves`` and its
-    iterations to ``solve_iterations``.  A family's subclass supplies
-    ``point_scores`` and precheck, and defines score, mean_score and
-    jacobian in its own body, where ``bench/tracing.py`` wraps them.
+    which jacobian reads.  Each solve starts from the first-order Taylor
+    prediction off last_point (see :meth:`start`), adds one to
+    ``solves_started`` (a bind that raises included) and, if it completes,
+    one to ``solves`` and its iterations to ``solve_iterations``.  A
+    family's subclass supplies ``point_scores`` and precheck, and defines
+    score, mean_score and jacobian in its own body, where
+    ``bench/tracing.py`` wraps them.  The fixed point is stationary in the
+    nuisance: the log-likelihood l has l_eta[eta_dot] = 0 along the whole
+    path (the mixture's eta_dot has zero total, the direction its l_eta
+    vanishes on), so the Jacobian of the mean score is the envelope form
+    l_theta,theta + l_theta,eta[eta_dot], and a point does one resolvent
+    solve, for eta_dot.
     """
 
     def __init__(self, model, F=None, solver_tol=1e-10):
@@ -137,9 +139,7 @@ class Profile:
         """Starting nuisance of the solve at theta, None for the family's own.
 
         The nuisance is differentiable in theta, so from last_point the start
-        is eta + D eta_dot + D' eta_ddot D / 2 with D = theta - point.theta;
-        the second-order term enters only where the point's eta_ddot has
-        already been computed, as it has for a Newton step's accepted point.
+        is the first-order prediction eta + (theta - point.theta) eta_dot.
         A prediction with a negative or non-finite entry, which the
         operator would refuse, falls back to the point's eta.
         """
@@ -147,11 +147,7 @@ class Profile:
         if point is None:
             return None
         eta = point.solution.eta
-        delta = theta - point.theta
-        guess = eta + delta @ point.eta_dot
-        eta_ddot = point.__dict__.get("eta_ddot")  # cached_property's slot
-        if eta_ddot is not None:
-            guess += 0.5 * np.einsum("j,k,jkm->m", delta, delta, eta_ddot)
+        guess = eta + (theta - point.theta) @ point.eta_dot
         if not np.all(np.isfinite(guess)) or np.any(guess < 0.0):
             return eta
         return guess

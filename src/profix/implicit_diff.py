@@ -23,7 +23,9 @@ point.  The fields read here are
 
 ``d_eta`` and ``dot_psi`` are built with the bundle; ``ddot_psi``,
 ``d_eta_dot`` and ``d2_eta`` are built on first read, as only the second
-parameter derivative of the fixed point reads them.  A bundle's
+parameter derivative of the fixed point reads them, and only the audits
+compute that: the fixed point is stationary in the nuisance, so the
+families' Newton Jacobians read the first derivative alone.  A bundle's
 ``contracts()`` tells whether ``d_eta`` has spectral radius below one; the
 profile asks it at every point before the first resolvent solve there.
 """
@@ -73,7 +75,8 @@ def dtheta_eta(derivs):
 
 
 def d2theta_eta(derivs, eta_dot):
-    """Second parameter derivative of the fixed point.
+    """Second parameter derivative of the fixed point, which the audits
+    check against difference quotients; no fit computes it.
 
     Assembles, for every component pair (j, k), the sum of the pure second
     parameter derivative, both mixed parameter/nuisance terms evaluated at

@@ -425,24 +425,21 @@ def score_jacobian(point):
     """Parameter Jacobian of the mean score at a profile point, shape (d, d).
 
     The model and the weights are those of the point's derivative bundle.
-    Each block of per-record terms, record axis last, is contracted with the
-    weights as it is formed, so no per-record matrix is built.  The result
-    is symmetric up to roundoff.
+    The masses solve d l / d g = 1 with their total fixed, so eta_dot has
+    zero total and the Jacobian is the envelope form l_theta,theta +
+    l_theta,g[eta_dot], where only the incomplete records' mixture
+    densities depend on both theta and g.  Each block of per-record terms, record axis last, is contracted
+    with the weights as it is formed, so no per-record matrix is built.
     """
     ws = point.derivs
-    model, w = ws.model, ws.w
-    eta_dot, eta_ddot = point.eta_dot, point.eta_ddot
+    model, w, eta_dot = ws.model, ws.w, point.eta_dot
 
     fc, _ = _complete_case(ws)
     w_c = w[model.complete_rows]
     score_c = ws.fdot_c / fc
-    # the mass terms depend on the record only through its slot
-    per_mass = np.bincount(model.slot, w_c, minlength=model.n_support) / ws.g
     out = (
         ws.op.complete(model.family.d2theta) @ (w_c / fc)
         - (score_c * w_c) @ score_c.T
-        + eta_ddot @ per_mass
-        - (eta_dot * (per_mass / ws.g)) @ eta_dot.T
     )
 
     if len(model.incomplete_rows):
@@ -450,10 +447,7 @@ def score_jacobian(point):
         # d_g fdot_Y(gdot), contracted: cross[a, b] = sum_l w_f fdot[a] @ gdot[b]
         cross = (w_f @ ws.fdot) @ eta_dot.T
         num_dot = ws.fydot + eta_dot @ ws.fmat.T  # (d, n2)
-        out += (
-            ws.fyddot @ w_f + cross + cross.T + eta_ddot @ (w_f @ ws.fmat)
-            - (num_dot * (w_f / ws.fy)) @ num_dot.T
-        )
+        out += ws.fyddot @ w_f + cross - (ws.fydot * (w_f / ws.fy)) @ num_dot.T
     return out
 
 
@@ -487,7 +481,8 @@ def check_missing_fraction(model, weights):
 
 class MissingCovProfile(Profile):
     """Profile-likelihood view: per-record scores and the analytic Jacobian
-    of the mean score.  A covariate that takes one value over the weighted
+    of the mean score, in the envelope form of :func:`score_jacobian`.  A
+    covariate that takes one value over the weighted
     complete records leaves the slope unidentified, as it then only shifts
     the intercept, so such a sample is refused."""
 
@@ -511,7 +506,6 @@ class MissingCovProfile(Profile):
 
     def jacobian(self, point):
         """Jacobian of the mean score at a point, from its bundle."""
-        point.eta_ddot  # solved first: score_jacobian's span times its own terms
         return score_jacobian(point)
 
     def precheck(self, theta):

@@ -369,8 +369,8 @@ class PropOddsProfile(Profile):
     """Profile-likelihood view: score and Jacobian of the estimating equation.
 
     Differentiates the plugged-in log density per record.  The Jacobian of
-    the mean score differentiates that score once more in closed form,
-    from the second coefficient derivative of the fixed point.  A covariate
+    the mean score is the envelope form, in closed form from the first
+    coefficient derivative of the fixed point alone.  A covariate
     that is constant over the weighted records makes the coefficient
     unidentified, as e^{beta z} then only rescales the baseline odds, so
     such a sample is refused.
@@ -408,26 +408,15 @@ class PropOddsProfile(Profile):
 
     def jacobian(self, point):
         """Jacobian of the mean score at a point: rows are score components,
-        columns coefficient components."""
-        model, ws, w = self.model, point.derivs, self.weights
-        jump_dot, jump_ddot = point.eta_dot, point.eta_ddot
-        rows, slot = model._event_rows, model._event_row_slot
-        # an event time without event mass has zero J, J' and J''
-        safe = np.where(point.solution.eta > 0, point.solution.eta, 1.0)[slot]
-        ratio = jump_dot[:, slot] / safe
-        events = (jump_ddot[:, :, slot] / safe) @ w[rows] - (ratio * w[rows]) @ ratio.T
-        # with N = z A(U) + A'(U) and D = 1 + q A(U), the beta_b-derivative of
-        # q N_a / D is q (z_b N_a + z_a A'_b + A''_ab) / D - q^2 N_a N_b / D^2
+        columns coefficient components.  The jumps solve d l / d J = 0, so
+        the mean score is the beta-derivative of the log-likelihood,
+        sum_i w_i (delta z - (1 + delta) q z A(U) / (1 + q A(U))), and its
+        total beta_b-derivative is -sum_i w_i wdot z (z_b A(U) + A'_b(U)),
+        with wdot = (1 + delta) q / (1 + q A(U))^2."""
+        model, ws = self.model, point.derivs
         zT = model.z.T
-        adot = model.cumulative_at_records(jump_dot)
-        num = zT * ws.AU + adot
-        wc = w * ws.c
-        hazard = (
-            (num * wc) @ model.z + (zT * wc) @ adot.T
-            + model.cumulative_at_records(jump_ddot) @ wc
-            - (num * (wc * ws.q / ws.denom)) @ num.T
-        )
-        return events - hazard
+        num = zT * ws.AU + model.cumulative_at_records(point.eta_dot)
+        return -(zT * (self.weights * ws.wdot)) @ num.T
 
     def precheck(self, beta):
         """Verify the contraction prerequisites at beta's point, from which

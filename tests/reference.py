@@ -335,8 +335,11 @@ def d2a_pairs_loop(ws, H):
 
 
 def score_jacobian_per_record(model, ws, eta_dot, eta_ddot):
-    """Per-record parameter Jacobian of the mixture score, shape (n, d, d),
-    from the bundle ws and the implicit derivatives of its fixed point."""
+    """Per-record parameter Jacobian of the profiled score, shape (n, d, d),
+    from the bundle ws and the implicit derivatives of its fixed point: the
+    score differentiated once more, through the second implicit derivative."""
+    if isinstance(model, PropOddsModel):
+        return _survival_score_jacobian_per_record(model, ws, eta_dot, eta_ddot)
     g = ws.g
     d = model.theta_dim
     out = np.zeros((model.n_records, d, d))
@@ -366,6 +369,27 @@ def score_jacobian_per_record(model, ws, eta_dot, eta_ddot):
             - np.einsum("al,bl->abl", num_dot, num_dot) / fy**2
         ).transpose(2, 0, 1)
     return out
+
+
+def _survival_score_jacobian_per_record(model, ws, jump_dot, jump_ddot):
+    """The survival score delta (z + J'/J) - c (z A(U) + A'(U)), c = (1 +
+    delta) q / (1 + q A(U)), differentiated once more; J is the fixed point's
+    image edn / EW, equal to its jumps to the solver's tolerance."""
+    jumps = ws.edn * ws.inv_ew
+    out = np.zeros((model.n_records, model.theta_dim, model.theta_dim))
+    # an event time without event mass has zero J, J' and J''
+    for i, k in zip(model._event_rows, model._event_row_slot):
+        if jumps[k] > 0:
+            ratio = jump_dot[:, k] / jumps[k]
+            out[i] = jump_ddot[:, :, k] / jumps[k] - np.outer(ratio, ratio)
+    zT = model.z.T
+    adot = model.cumulative_at_records(jump_dot)
+    addot = model.cumulative_at_records(jump_ddot)
+    num = zT * ws.AU + adot  # (d, n)
+    hazard = (np.einsum("ai,bi->iab", num, zT) + np.einsum("ai,bi->iab", zT, adot)
+              + addot.transpose(2, 0, 1)
+              - np.einsum("ai,bi,i->iab", num, num, ws.q / ws.denom))
+    return out - ws.c[:, None, None] * hazard
 
 
 @dataclass(frozen=True)

@@ -445,6 +445,24 @@ class TestCheckDerivs:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 10 and all(row.endswith("ok") for row in rows)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_large_linear_baseline_data(self, p, tmp_path, capsys):
+        # n = 3000 puts about 1700 event times on the grid: the difference
+        # oracles' steps must hold at that resolution too
+        u, delta, z = simulation.gen_prop_odds(
+            prop_odds.LINEAR_DESIGN, 3000, simulation.replication_rng(20260810, 3))
+        z = np.column_stack([z, np.random.default_rng(35).normal(size=len(u))])[:, :p]
+        header = ",".join(["U", "delta"] + [f"Z{k + 1}" for k in range(p)])
+        lines = [header] + [
+            ",".join([repr(float(ui)), str(int(di))] + [repr(float(zk)) for zk in zi])
+            for ui, di, zi in zip(u, delta, z)
+        ]
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["check-derivs", "--model", "prop_odds", "--data", str(data)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 10 and all(row.endswith("ok") for row in rows)
+
 
 class TestMonteCarlo:
     def test_smoke_config(self, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from profix import estimator, missing_cov, prop_odds, simulation
+from profix import estimator, implicit_diff, missing_cov, prop_odds, simulation
 from profix.errors import (
     InvalidInput,
     NoConvergence,
@@ -20,6 +20,7 @@ from profix.estimator import (
     profile_mle,
 )
 from profix.fixed_point import FixedPointSolution
+from profix.implicit_diff import d2theta_eta
 from profix.measures import BilinearMap, LinearMap, StepFunction
 from profix.missing_cov import MissingCovModel, MissingCovProfile, NormalRegression
 
@@ -27,6 +28,7 @@ from reference import (
     PlainMissingCovProfile,
     PlainPropOddsProfile,
     normal_fisher_information,
+    score_jacobian_per_record,
 )
 
 THETA0 = np.array([0.0, 1.0, 0.0])
@@ -194,8 +196,8 @@ def assert_same_fit(fits, profiles):
 
 class TestNuisanceStart:
     @pytest.mark.parametrize("make, n, seed, start, iterations", [
-        (linear_survival_model, 300, 32, np.zeros(1), 19),
-        (ex2_model, 500, 1, THETA0, 19),
+        (linear_survival_model, 300, 32, np.zeros(1), 23),
+        (ex2_model, 500, 1, THETA0, 22),
     ], ids=["prop_odds", "missing_cov"])
     def test_prediction_saves_iterations(self, make, n, seed, start, iterations):
         profiles, fits = fit_both(make(n, seed), start)
@@ -207,7 +209,7 @@ class TestNuisanceStart:
         assert profiles[0].fallbacks == 0
 
     @pytest.mark.parametrize("make, n, seed, start", [
-        (linear_survival_model, 300, 30, np.array([4.0])),
+        (linear_survival_model, 300, 32, np.array([4.0])),
         (ex2_model, 200, 4, THETA0 + [1.0, 0.0, 0.0]),
     ], ids=["prop_odds", "missing_cov"])
     def test_negative_prediction_falls_back(self, make, n, seed, start):
@@ -291,8 +293,8 @@ BOTH_FAMILIES = pytest.mark.parametrize("name, make", [
 
 
 class TestDerivativeBundle:
-    """A point's derivative bundle builds its second-order parts only when
-    the Jacobian reads them, and is freed with the point."""
+    """A fit reads no second-order part of a point's derivative bundle and
+    does one resolvent solve per point; the bundle is freed with the point."""
 
     @BOTH_FAMILIES
     def test_freed_without_the_cycle_collector(self, name, make):
@@ -314,18 +316,72 @@ class TestDerivativeBundle:
             gc.enable()
 
     @BOTH_FAMILIES
-    def test_second_order_parts_built_on_jacobian(self, name, make, monkeypatch):
+    def test_fit_reads_first_order_parts_only(self, name, make, monkeypatch):
         family = simulation.get_family(name)
         model = make(200, 3)
         profile = family.profile(model)
+        reads = []
+        for attr in ("ddot_psi", "d_eta_dot", "d2_eta"):
+            monkeypatch.setattr(family.module._Workspace, attr,
+                                property(lambda ws, attr=attr: reads.append(attr)))
+        resolvents = count_calls(monkeypatch, implicit_diff, "resolvent_apply")
         bilinear = count_calls(monkeypatch, BilinearMap, "__init__")
-        linear = count_calls(monkeypatch, LinearMap, "__init__")
-        profile.score(family.default_start(model))
-        assert bilinear == []
+        fit = profile_mle(profile, family.default_start(model), force=True)
+        assert fit.iterations > 0
+        assert reads == [] and bilinear == []
+        assert len(resolvents) == profile.solves
         if name == "missing_cov":
+            linear = count_calls(monkeypatch, LinearMap, "__init__")
+            profile.jacobian(profile.point(fit.theta_hat))
             assert len(linear) == 1  # the nuisance derivative itself
-        profile.jacobian(profile.last_point)
-        assert len(bilinear) == 1
+
+
+def survival_profile(p, solver_tol):
+    """A survival profile with p covariates: the linear design's and a
+    deterministic second column."""
+    model = linear_survival_model(300, 5)
+    z = np.column_stack([model.z[:, 0], np.cos(np.arange(model.n_records))])[:, :p]
+    model = prop_odds.PropOddsModel.from_arrays(model.u, model.delta, z,
+                                                weights=model.weights)
+    return prop_odds.PropOddsProfile(model, solver_tol=solver_tol)
+
+
+ENVELOPE_CASES = pytest.mark.parametrize("make, theta", [
+    (lambda tol: survival_profile(1, tol), np.array([0.4])),
+    (lambda tol: survival_profile(2, tol), np.array([0.4, -0.2])),
+    (lambda tol: MissingCovProfile(ex2_model(300, 5), solver_tol=tol), THETA0 + 0.05),
+], ids=["prop_odds-p1", "prop_odds-p2", "missing_cov"])
+
+
+class TestEnvelopeJacobian:
+    """The fixed point is stationary in the nuisance, so the Jacobian of the
+    mean score needs eta_dot alone: it equals the score differentiated once
+    more through eta_ddot."""
+
+    @ENVELOPE_CASES
+    def test_eta_dot_part_of_mean_score_vanishes(self, make, theta):
+        profile = make(1e-10)
+        point = profile.point(theta)
+        plain = profile.point_scores(point.solution.eta, point.derivs,
+                                     np.zeros_like(point.eta_dot))
+        eta_part = (point.scores - plain).T @ profile.weights
+        scale = (np.abs(plain).T @ profile.weights).max()
+        assert np.abs(eta_part).max() <= 10 * profile.solver_tol * scale
+
+    def test_mixture_eta_dot_has_zero_total(self):
+        point = MissingCovProfile(ex2_model(300, 5)).point(THETA0 + 0.05)
+        assert np.abs(point.eta_dot.sum(axis=1)).max() <= 1e-9 * np.abs(point.eta_dot).max()
+
+    @ENVELOPE_CASES
+    def test_jacobian_equals_second_derivative_oracle(self, make, theta):
+        profile = make(1e-12)
+        point = profile.point(theta)
+        eta_ddot = d2theta_eta(point.derivs, point.eta_dot)
+        per_record = score_jacobian_per_record(profile.model, point.derivs,
+                                               point.eta_dot, eta_ddot)
+        oracle = np.einsum("i,iab->ab", profile.weights, per_record)
+        jac = profile.jacobian(point)
+        assert np.abs(jac - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 class LineSearchStub:

@@ -375,7 +375,7 @@ class TestOperatorOverhead:
         # the score and the Jacobian at one point evaluate the density and
         # each of its derivatives once at the complete records, and share
         # one mixture first and second derivative between the bundle, the
-        # score, eta_ddot and the Jacobian
+        # score and the Jacobian
         model = missing_cov_model
         profile = MissingCovProfile(model)
         calls = {name: record_calls(monkeypatch, NormalRegression, name)
@@ -560,13 +560,16 @@ def assert_close(batched, loop, rtol=1e-12):
 
 
 class TestBatchedJacobian:
-    """The Jacobian point's batched second-order pieces against the
-    pair-by-pair loops they replace, on a sample and a population."""
+    """The batched second-order pieces of a point's bundle against the
+    pair-by-pair loops they replace, and the envelope Jacobian against the
+    weighted sum of the per-record Jacobians through eta_ddot, on a sample
+    and a population."""
 
     @pytest.fixture(params=["missing_cov_model", "missing_cov_population"])
     def point(self, request):
         model = request.getfixturevalue(request.param)
-        return MissingCovProfile(getattr(model, "model", model)).point(THETA)
+        return MissingCovProfile(getattr(model, "model", model),
+                                 solver_tol=1e-12).point(THETA)
 
     def test_derivatives_match_loops(self, point):
         dot, ddot, mixed = second_order_loops(point.derivs)
@@ -585,7 +588,8 @@ class TestBatchedJacobian:
     def test_score_jacobian_is_weighted_per_record_sum(self, point):
         model = point.derivs.model
         per_record = score_jacobian_per_record(
-            model, point.derivs, point.eta_dot, point.eta_ddot)
+            model, point.derivs, point.eta_dot,
+            d2theta_eta(point.derivs, point.eta_dot))
         jac = score_jacobian(point)
         assert_close(jac, np.einsum("i,iab->ab", model.weights, per_record))
 
