@@ -31,7 +31,6 @@ from .fixed_point import (
 )
 from .implicit_diff import d2theta_eta, df_eta, dtheta_eta, resolvent_apply
 from .measures import (
-    BilinearMap,
     EmpiricalMeasure,
     GridDensity,
     LinearMap,
@@ -53,7 +52,6 @@ __all__ = [
     "numdiff",
     "prop_odds",
     "simulation",
-    "BilinearMap",
     "EmpiricalMeasure",
     "FitResult",
     "FixedPointProblem",

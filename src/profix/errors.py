@@ -42,10 +42,6 @@ class RiskSetEmpty(ProfixError):
     """No weighted mass is at risk at an event time."""
 
 
-class DegenerateJump(ProfixError):
-    """An event time carries a zero jump where the likelihood needs one."""
-
-
 class DenominatorCollapse(ProfixError):
     """The self-consistency denominator dropped to zero or below."""
 

@@ -7,23 +7,23 @@ combination of the partial derivatives of Psi at the fixed point.
 
 The formulas read those partials from a derivative bundle, which each
 family's ``psi_derivatives(op, eta)`` returns: its workspace at the fixed
-point.  The fields read here are
+point.  The members read here are
 
-- ``d_eta``, the derivative in the nuisance itself: a dense
-  :class:`LinearMap`, or a structured map with ``apply`` and
-  ``resolvent_solve``;
+- ``d_eta``, the derivative in the nuisance itself, a map with ``apply``
+  and ``resolvent_solve``: a dense :class:`LinearMap` for the mixture, the
+  O(m) :class:`MaxIndexMap` for the survival family;
 - ``dot_psi``, the first parameter derivative, shape (d, m);
 - ``ddot_psi``, the second parameter derivative, shape (d, d, m);
-- ``d_eta_dot``, one linear map per parameter component for the mixed
-  derivative;
-- ``d2_eta``, the second nuisance derivative as a :class:`BilinearMap`,
-  whose ``pairs`` evaluates it at every pair of a stack of directions;
+- ``mixed(H)``, the mixed parameter/nuisance derivative at a stack of
+  directions H of shape (k, m), shape (d, k, m);
+- ``d2_eta(H)``, the second nuisance derivative at every pair of rows of
+  H, shape (k, k, m);
 - ``d_f(h)``, the distribution derivative in direction h as a coefficient
   vector.
 
-``d_eta`` and ``dot_psi`` are built with the bundle; ``ddot_psi``,
-``d_eta_dot`` and ``d2_eta`` are built on first read, as only the second
-parameter derivative of the fixed point reads them, and only the audits
+``d_eta`` and ``dot_psi`` are built with the bundle; ``ddot_psi`` on first
+read, and ``mixed`` and ``d2_eta`` when called.  Only the second parameter
+derivative of the fixed point reads these three, and only the audits
 compute that: the fixed point is stationary in the nuisance, so the
 families' Newton Jacobians read the first derivative alone.  A bundle's
 ``contracts()`` tells whether ``d_eta`` has spectral radius below one; the
@@ -41,24 +41,13 @@ _SOLVE_RESIDUAL_TOL = 1e-6
 
 
 def resolvent_apply(d_eta, rhs):
-    """Solve (I - d_eta) v = rhs and verify the residual.
-
-    A map with a ``resolvent_solve`` of its own (the survival family's
-    :class:`MaxIndexMap`) solves in O(m) and is checked through its
-    ``apply``; any other map is solved by a dense LU factorization.  rhs
-    may be a vector or a matrix of stacked right-hand sides (columns).
-    """
+    """Solve (I - d_eta) v = rhs with the map's own ``resolvent_solve`` and
+    verify the residual through its ``apply``.  rhs may be a vector or a
+    matrix of stacked right-hand sides (columns)."""
     rhs = np.asarray(rhs, dtype=float)
-    structured = getattr(d_eta, "resolvent_solve", None)
     try:
-        if structured is not None:
-            v = structured(rhs)
-            check = v - d_eta.apply(v) - rhs
-        else:
-            M = d_eta.matrix
-            system = np.eye(M.shape[0]) - M
-            v = np.linalg.solve(system, rhs)
-            check = system @ v - rhs
+        v = d_eta.resolvent_solve(rhs)
+        check = v - d_eta.apply(v) - rhs
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(str(exc)) from exc
     scale = max(float(np.abs(rhs).max(initial=0.0)), 1e-300)
@@ -81,19 +70,18 @@ def d2theta_eta(derivs, eta_dot):
     Assembles, for every component pair (j, k), the sum of the pure second
     parameter derivative, both mixed parameter/nuisance terms evaluated at
     the first derivative, and the second nuisance derivative at the first
-    derivative pair, then applies the resolvent.  The second nuisance
-    derivative comes from ``d2_eta.pairs(eta_dot)``, one call for all
-    pairs; the right-hand side of each pair j < k is copied onto (k, j),
-    so the result is exactly symmetric in (j, k).
+    derivative pair, then applies the resolvent.  ``mixed(eta_dot)`` and
+    ``d2_eta(eta_dot)`` give every pair in one call each; the right-hand
+    side of each pair j < k is copied onto (k, j), so the result is exactly
+    symmetric in (j, k).
     """
     eta_dot = np.asarray(eta_dot, dtype=float)
     d = derivs.dot_psi.shape[0]
     if eta_dot.shape != derivs.dot_psi.shape:
         raise InvalidInput("eta_dot does not match the derivative shapes")
-    # mixed[j, k] = d_eta_dot[j] applied to eta_dot[k]
-    mixed = np.stack([m.apply(eta_dot.T).T for m in derivs.d_eta_dot])
+    mixed = derivs.mixed(eta_dot)  # [j, k]: the j-th mixed map at eta_dot[k]
     rhs = (derivs.ddot_psi + mixed + mixed.transpose(1, 0, 2)
-           + derivs.d2_eta.pairs(eta_dot))
+           + derivs.d2_eta(eta_dot))
     for j in range(d):
         rhs[j + 1:, j] = rhs[j, j + 1:]
     flat = resolvent_apply(derivs.d_eta, rhs.reshape(d * d, -1).T).T

@@ -193,6 +193,11 @@ class LinearMap:
 
     __call__ = apply
 
+    def resolvent_solve(self, rhs):
+        """Solve (I - M) x = rhs by a dense LU factorization; rhs may hold
+        stacked columns."""
+        return np.linalg.solve(np.eye(self.matrix.shape[0]) - self.matrix, rhs)
+
 
 def suffix_increments(s):
     """The t whose suffix sums are s: t_i = s_i - s_{i+1}, with s_{m+1} = 0."""
@@ -200,12 +205,12 @@ def suffix_increments(s):
 
 
 class MaxIndexMap:
-    """Sum of diag(a_r) K(s_r) over terms (a_r, s_r), K(s)[i, j] = s[max(i, j)].
+    """The map diag(a) K(s), K(s)[i, j] = s[max(i, j)].
 
-    The survival family's nuisance derivatives have this form, so they
-    apply in O(m) without an m x m matrix.  With U the upper-triangular
-    ones matrix and t = suffix_increments(s), K(s) = U diag(t) U', so for
-    one term with a > 0, I - diag(a) K(s) = diag(a) U M U' with
+    The survival family's nuisance derivative has this form, so it applies
+    in O(m) without an m x m matrix.  With U the upper-triangular ones
+    matrix and t = suffix_increments(s), K(s) = U diag(t) U', so for a > 0,
+    I - diag(a) K(s) = diag(a) U M U' with
     M = U^{-1} diag(1/a) U^{-T} - diag(t) symmetric tridiagonal:
     M_ii = 1/a_i + 1/a_{i+1} - t_i (1/a_{m+1} = 0), M_{i,i+1} = -1/a_{i+1}.
     M is congruent to diag(1/a) - K(s), hence to
@@ -216,15 +221,12 @@ class MaxIndexMap:
     contraction.
     """
 
-    def __init__(self, terms):
-        self.terms = tuple(
-            (np.asarray(a, dtype=float), np.asarray(s, dtype=float))
-            for a, s in terms
-        )
-        dims = {len(x) for term in self.terms for x in term}
-        if len(dims) != 1:
-            raise InvalidInput("max-index map needs terms of one common length")
-        (self.dim,) = dims
+    def __init__(self, a, s):
+        self.a = np.asarray(a, dtype=float)
+        self.s = np.asarray(s, dtype=float)
+        if self.a.shape != self.s.shape or self.a.ndim != 1:
+            raise InvalidInput("max-index map needs a and s of one common length")
+        self.dim = len(self.a)
 
     def apply(self, vec):
         """Image of a vector, or of stacked columns of shape (m, k).
@@ -236,37 +238,31 @@ class MaxIndexMap:
         if vec.shape[:1] != (self.dim,):
             raise InvalidInput("direction dimension mismatch")
         column = (-1,) + (1,) * (vec.ndim - 1)
-        out = np.zeros(vec.shape)
-        for a, s in self.terms:
-            s = s.reshape(column)
-            image = s * np.cumsum(vec, axis=0)
-            image[:-1] += np.cumsum((s * vec)[::-1], axis=0)[-2::-1]
-            out += a.reshape(column) * image
-        return out
+        s = self.s.reshape(column)
+        image = s * np.cumsum(vec, axis=0)
+        image[:-1] += np.cumsum((s * vec)[::-1], axis=0)[-2::-1]
+        return self.a.reshape(column) * image
 
     @cached_property
     def _free_rows(self):
-        """The rows with a_i > 0, and the single term restricted to them
-        (None when every row is free)."""
-        if len(self.terms) != 1:
-            raise InvalidInput("the tridiagonal resolvent needs a single term")
-        a, s = self.terms[0]
+        """The rows with a_i > 0, and the map restricted to them (None when
+        every row is free)."""
+        a = self.a
         if not np.all((a >= 0) & np.isfinite(a)):
             raise InvalidInput("the resolvent needs finite nonnegative coefficients")
         free = a > 0
-        return free, None if free.all() else MaxIndexMap([(a[free], s[free])])
+        return free, None if free.all() else MaxIndexMap(a[free], self.s[free])
 
     @cached_property
     def _factors(self):
         """1/a and the factors d, e of M = L diag(d) L' (L unit lower
-        bidiagonal with subdiagonal e) of a single term whose coefficients
-        are all positive, computed once and shared by every solve; raises
+        bidiagonal with subdiagonal e) of a map whose coefficients are all
+        positive, computed once and shared by every solve; raises
         LinAlgError when M is not positive definite."""
         from scipy.linalg.lapack import dpttrf  # here: a mixture process never needs it
 
-        (a, s), = self.terms
-        inv_a = 1.0 / a
-        diag = inv_a + np.append(inv_a[1:], 0.0) - suffix_increments(s)
+        inv_a = 1.0 / self.a
+        diag = inv_a + np.append(inv_a[1:], 0.0) - suffix_increments(self.s)
         if len(diag) == 1:  # the LAPACK wrapper refuses an empty off-diagonal
             d, e, info = diag, diag[:0], int(not diag[0] > 0.0)
         else:
@@ -279,9 +275,9 @@ class MaxIndexMap:
         return inv_a, d, e
 
     def contracts(self):
-        """Whether the single term has spectral radius below one: whether M
-        on the free rows has the Cholesky factor that the resolvent solves
-        then reuse."""
+        """Whether the map has spectral radius below one: whether M on the
+        free rows has the Cholesky factor that the resolvent solves then
+        reuse."""
         free, free_map = self._free_rows
         if not free.any():
             return True
@@ -292,7 +288,7 @@ class MaxIndexMap:
         return True
 
     def resolvent_solve(self, rhs):
-        """Solve (I - diag(a) K(s)) x = rhs for a single term in O(m).
+        """Solve (I - diag(a) K(s)) x = rhs in O(m).
 
         Rows with a_i = 0 read x_i = rhs_i.  The free rows F = {a > 0} form
         the same system on the subsequence, K(s)_FF = K(s_F), with rhs_F +
@@ -327,7 +323,7 @@ class MaxIndexMap:
             return np.diff(w, axis=0, prepend=np.zeros((1,) + r.shape[1:]))  # U^{-T}
 
         x = solve(rhs)
-        a = self.terms[0][0]
+        a = self.a
         if np.any(np.maximum.accumulate(a)[:-1] > _STEEP_FALL * a[1:]):
             x += solve(rhs - x + self.apply(x))
         return x
@@ -336,30 +332,6 @@ class MaxIndexMap:
 #: Largest fall a_i / a_j (i < j) the resolvent solves without refinement;
 #: survival coefficients rise as the risk set shrinks.
 _STEEP_FALL = 16.0
-
-
-class BilinearMap:
-    """Vector-valued bilinear form given by its batched evaluation: pairs_fn
-    maps directions H of shape (d, input_dim) to the (d, d, ...) array of
-    the form at every pair (H[j], H[k])."""
-
-    def __init__(self, pairs_fn, input_dim):
-        self._pairs_fn = pairs_fn
-        self.input_dim = input_dim
-
-    def apply(self, h1, h2):
-        if np.shape(h1) != np.shape(h2):
-            raise InvalidInput("direction dimension mismatch")
-        return self.pairs(np.stack([h1, h2]))[0, 1]
-
-    __call__ = apply
-
-    def pairs(self, H):
-        """The form at every pair of rows of H."""
-        H = np.asarray(H, dtype=float)
-        if H.ndim != 2 or H.shape[1] != self.input_dim:
-            raise InvalidInput("direction dimension mismatch")
-        return self._pairs_fn(H)
 
 
 def gauss_legendre_grid(lo, hi, n):

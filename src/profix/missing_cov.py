@@ -27,7 +27,6 @@ from .estimator import Family, Profile
 from .fixed_point import FixedPointProblem, estimate_operator_norm, solve_fixed_point
 from .implicit_diff import dtheta_eta
 from .measures import (
-    BilinearMap,
     EmpiricalMeasure,
     GridDensity,
     LinearMap,
@@ -320,49 +319,40 @@ class _Workspace:
         return self.fmat.T @ (self.fmat * (self.nu / self.fy**2)[:, None])
 
     @cached_property
-    def _second_order(self):
-        """The second parameter derivative and the mixed maps, every
-        parameter pair at once; stacked arrays lead with (d, d) or d."""
+    def ddot_psi(self):
+        """The second parameter derivative, every parameter pair at once."""
         fmat, fy, nu, fdot, fydot = self.fmat, self.fy, self.nu, self.fdot, self.fydot
         c2, adot, a = self.c2, self.adot, self.a
-        c3 = nu / fy**3
-        v = c2 * self.fyddot - 2.0 * c3 * fydot[:, None, :] * fydot[None, :, :]
+        v = c2 * self.fyddot - 2.0 * (nu / fy**3) * fydot[:, None, :] * fydot[None, :, :]
         t3 = (c2 * fydot) @ fdot  # t3[a, b] = fdot[a].T @ (c2 fydot[b])
         addot = -((nu / fy) @ self.fddot - v @ fmat - t3 - t3.transpose(1, 0, 2))
         ddot = -self.p1 * (a * addot - 2.0 * adot[:, None, :] * adot[None, :, :]) / a**3
+        # pairs (a, b) and (b, a) round apart: copy the upper onto the lower
+        lower = np.tril_indices(len(ddot), -1)
+        ddot[lower] = ddot[lower[::-1]]
+        return ddot
 
-        half = fdot.transpose(0, 2, 1) @ (fmat * c2[:, None])  # (d, m, m)
-        third = (fmat.T * (c3 * fydot)[:, None, :]) @ fmat
-        dga_dot = half + half.transpose(0, 2, 1) - 2.0 * third
-        mats = -self.p1[:, None] * (
-            dga_dot / (a**2)[:, None]
-            - 2.0 * (adot / a**3)[:, :, None] * self.dg_a
-        )
-        return ddot, tuple(LinearMap(mat) for mat in mats)
+    def mixed(self, H):
+        """The parameter derivative of d_eta at each row of H, shape
+        (d, k, m), from products with fmat and fdot: no m x m array.  It
+        differentiates d_eta = -diag(p1 / a^2) dg_a, where
+        dg_a = fmat' diag(c2) fmat."""
+        fmat, fdot, c2, a = self.fmat, self.fdot, self.c2, self.a
+        u = H @ fmat.T  # (k, n2)
+        dga = (c2 * u) @ fmat  # (k, m)
+        dga_dot = ((c2 * u) @ fdot
+                   + np.swapaxes(fmat.T @ (c2[:, None] * (fdot @ H.T)), 1, 2)
+                   - 2.0 * ((self.nu / self.fy**3) * self.fydot[:, None, :] * u) @ fmat)
+        return -self.p1 * (dga_dot / a**2 - 2.0 * (self.adot / a**3)[:, None, :] * dga)
 
-    @property
-    def ddot_psi(self):
-        return self._second_order[0]
-
-    @property
-    def d_eta_dot(self):
-        return self._second_order[1]
-
-    @cached_property
-    def d2_eta(self):
-        """Second derivative in the covariate masses as a bilinear map.
-        pairs reads the arrays, never the bundle, which would then hold
-        itself through its own cache."""
-        fmat, nu, fy, p1, a = self.fmat, self.nu, self.fy, self.p1, self.a
-
-        def pairs(H):
-            # the form at every pair of rows of H: two products with fmat in all
-            u = H @ fmat.T  # (d, n2)
-            d2a = -2.0 * ((u[:, None, :] * u[None, :, :] * (nu / fy**3)) @ fmat)
-            da = (u * (nu / fy**2)) @ fmat  # (d, m)
-            return p1 * (-d2a / a**2 + 2.0 * da[:, None, :] * da[None, :, :] / a**3)
-
-        return BilinearMap(pairs, self.model.n_support)
+    def d2_eta(self, H):
+        """The second derivative in the covariate masses at every pair of
+        rows of H, shape (k, k, m): two products with fmat in all."""
+        fmat, nu, fy, a = self.fmat, self.nu, self.fy, self.a
+        u = H @ fmat.T  # (k, n2)
+        d2a = -2.0 * ((u[:, None, :] * u[None, :, :] * (nu / fy**3)) @ fmat)
+        da = (u * (nu / fy**2)) @ fmat  # (k, m)
+        return self.p1 * (-d2a / a**2 + 2.0 * da[:, None, :] * da[None, :, :] / a**3)
 
     def d_f(self, h):
         """Derivative of the operator in the distribution, in direction h."""

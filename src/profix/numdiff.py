@@ -51,11 +51,14 @@ def fd_bilinear(f, h1, h2, step=1e-4):
 
     Approximates the bilinear second derivative applied to (h1, h2) by the
     four-point cross quotient
-    [f(+,+) - f(+,-) - f(-,+) + f(-,-)] / (4 step^2),
-    where f(s, t) evaluates the map at base + s*h1 + t*h2.
+    D(h) = [f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)] / (4 h^2),
+    where f(s, t) evaluates the map at base + s*h1 + t*h2.  D(h) is even in
+    h with an O(h^2) error, so the result is Richardson-combined with the
+    half-step quotient as (4 D(step/2) - D(step)) / 3.
     """
-    pp = _probe(lambda st: f(*st), (step, step))
-    pm = _probe(lambda st: f(*st), (step, -step))
-    mp = _probe(lambda st: f(*st), (-step, step))
-    mm = _probe(lambda st: f(*st), (-step, -step))
-    return (pp - pm - mp + mm) / (4.0 * step * step)
+    def cross(h):
+        signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+        pp, pm, mp, mm = (_probe(lambda st: f(*st), (a * h, b * h)) for a, b in signs)
+        return (pp - pm - mp + mm) / (4.0 * h * h)
+
+    return (4.0 * cross(step / 2.0) - cross(step)) / 3.0

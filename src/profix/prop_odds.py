@@ -27,7 +27,6 @@ from .errors import (
 from .estimator import Family, Profile
 from .fixed_point import FixedPointProblem, solve_fixed_point
 from .measures import (
-    BilinearMap,
     EmpiricalMeasure,
     MaxIndexMap,
     RecordTable,
@@ -207,16 +206,15 @@ class _Workspace:
         self.k = (1.0 + model.delta) * self.q**2 / self.denom**2
         self.ew = model.suffix_at_events(self.w * self.c)
         self.inv_ew = _inverse_risk(self.edn, self.ew)
-        suffix = model.suffix_at_events
-        self.ew_dot = suffix(self.w * self.wdot * model.z.T)
+        self.ew_dot = model.suffix_at_events(self.w * self.wdot * model.z.T)
         self.dot_psi = -self.edn * self.ew_dot * self.inv_ew**2
         # the derivative in the nuisance, in jump coordinates: the direction
         # enters only through its cumulative value at each record time, so
         # the entry for output jump i and input jump j is driven by the
         # at-risk sum beyond the later of event times i and j, which makes
         # the map diag(coef) K(k_suffix) in MaxIndexMap form
-        self.k_suffix = suffix(self.w * self.k)
-        self.d_eta = MaxIndexMap([(self.edn * self.inv_ew**2, self.k_suffix)])
+        self.k_suffix = model.suffix_at_events(self.w * self.k)
+        self.d_eta = MaxIndexMap(self.edn * self.inv_ew**2, self.k_suffix)
 
     def contracts(self):
         """Whether d_eta has spectral radius below one, read off the
@@ -225,58 +223,43 @@ class _Workspace:
         return self.d_eta.contracts()
 
     @cached_property
-    def _second_order(self):
-        """The second coefficient derivative and the mixed maps, from the
-        at-risk sums of the first."""
-        model, w, edn, inv_ew = self.model, self.w, self.edn, self.inv_ew
-        ew_dot, z, suffix = self.ew_dot, model.z, model.suffix_at_events
+    def ddot_psi(self):
+        """The second coefficient derivative, from the at-risk sums of the
+        first."""
+        edn, inv_ew, ew_dot, zT = self.edn, self.inv_ew, self.ew_dot, self.model.z.T
         wddot = self.qc * (1.0 - self.q * self.AU) / self.denom**3
-        kd = 2.0 * (1.0 + model.delta) * self.q**2 / self.denom**3
-        ew_ddot = suffix(w * wddot * z.T[:, None, :] * z.T[None, :, :])
+        ew_ddot = self.model.suffix_at_events(self.w * wddot * zT[:, None, :] * zT[None, :, :])
         ddot = (-edn * ew_ddot * inv_ew**2
                 + 2.0 * edn * ew_dot[:, None, :] * ew_dot[None, :, :] * inv_ew**3)
         # entry (a, b) multiplies by z_a before z_b, so the two triangles
         # round apart: copy the upper onto the lower to keep it symmetric
-        lower = np.tril_indices(model.covariate_dim, -1)
+        lower = np.tril_indices(len(ddot), -1)
         ddot[lower] = ddot[lower[::-1]]
+        return ddot
 
-        mixed = tuple(
-            MaxIndexMap([
-                (edn * inv_ew**2, kd_suffix),
-                (-2.0 * edn * ew_dot_a * inv_ew**3, self.k_suffix),
-            ])
-            for kd_suffix, ew_dot_a in zip(suffix(w * kd * z.T), ew_dot)
-        )
-        return ddot, mixed
+    def mixed(self, H):
+        """The coefficient derivative of d_eta at each row of H, shape
+        (d, k, m): the at-risk sums of k and of its coefficient derivative
+        kd z_a against the directions' cumulative values, one stacked
+        suffix sum."""
+        model, edn, inv_ew = self.model, self.edn, self.inv_ew
+        kd = 2.0 * (1.0 + model.delta) * self.q**2 / self.denom**3
+        HU = model.cumulative_at_records(H)  # (k, n)
+        weights = np.concatenate([kd * model.z.T, self.k[None, :]])  # (d + 1, n)
+        sums = model.suffix_at_events(self.w * weights[:, None, :] * HU)
+        return (edn * inv_ew**2 * sums[:-1]
+                - 2.0 * edn * (self.ew_dot * inv_ew**3)[:, None, :] * sums[-1])
 
-    @property
-    def ddot_psi(self):
-        return self._second_order[0]
-
-    @property
-    def d_eta_dot(self):
-        return self._second_order[1]
-
-    @cached_property
-    def d2_eta(self):
-        """Second derivative in the nuisance as a bilinear map on jump
-        vectors, evaluated at every pair of a stack of directions at once.
-        pairs reads the arrays, never the bundle, which would then hold
-        itself through its own cache."""
-        model, w, k, edn, inv_ew = self.model, self.w, self.k, self.edn, self.inv_ew
+    def d2_eta(self, H):
+        """The second derivative in the nuisance at every pair of rows of H,
+        shape (k, k, m)."""
+        model, edn, inv_ew = self.model, self.edn, self.inv_ew
         k2 = 2.0 * (1.0 + model.delta) * self.q**3 / self.denom**3
-        suffix = model.suffix_at_events
-
-        def pairs(H):
-            HU = model.cumulative_at_records(H)  # (d, n)
-            second = suffix(w * k2 * HU[:, None, :] * HU[None, :, :])
-            first = -suffix(w * k * HU)  # (d, m)
-            return (
-                -edn * second * inv_ew**2
-                + 2.0 * edn * first[:, None, :] * first[None, :, :] * inv_ew**3
-            )
-
-        return BilinearMap(pairs, model.n_events)
+        HU = model.cumulative_at_records(H)  # (k, n)
+        second = model.suffix_at_events(self.w * k2 * HU[:, None, :] * HU[None, :, :])
+        first = -model.suffix_at_events(self.w * self.k * HU)  # (k, m)
+        return (-edn * second * inv_ew**2
+                + 2.0 * edn * first[:, None, :] * first[None, :, :] * inv_ew**3)
 
     def d_f(self, h):
         """Derivative of the operator in the distribution, in direction h.
@@ -314,14 +297,13 @@ def solve_nuisance(op, tol=1e-10, eta0=None):
 def _sup_norm(d_eta):
     """Sup norm of the nuisance derivative on values at the event times.
 
-    The cumulative operator C = U' conjugates diag(coef) U diag(t) U' to
-    the value map C diag(coef) U diag(t), whose entry (i, j) is
-    t_j cumsum(coef)_min(i, j); its absolute row sums, the norm the
+    The cumulative operator C = U' conjugates diag(a) U diag(t) U' to
+    the value map C diag(a) U diag(t), whose entry (i, j) is
+    t_j cumsum(a)_min(i, j); its absolute row sums, the norm the
     contraction requirement refers to, come from cumulative sums in O(m).
     """
-    ((coef, s),) = d_eta.terms
-    t = np.abs(suffix_increments(s))
-    cc = np.abs(np.cumsum(coef))
+    t = np.abs(suffix_increments(d_eta.s))
+    cc = np.abs(np.cumsum(d_eta.a))
     before = np.concatenate([[0.0], np.cumsum(t * cc)[:-1]])
     rows = before + cc * np.cumsum(t[::-1])[::-1]
     if not np.all(np.isfinite(rows)):

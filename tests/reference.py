@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from profix.errors import (
-    DegenerateJump,
     InvalidInput,
     NumericOverflow,
+    ProfixError,
     SupportViolation,
 )
 from profix.measures import (
@@ -28,6 +28,10 @@ from profix.measures import (
 from profix import prop_odds
 from profix.missing_cov import MissingCovProfile, NormalRegression
 from profix.prop_odds import LINPRED_BOUND, PropOddsModel, PropOddsProfile
+
+
+class DegenerateJump(ProfixError):
+    """An event time carries a zero jump where the likelihood needs one."""
 
 
 def expectation(measure, values):
@@ -172,18 +176,17 @@ def dense(linear_map):
     the latter from its index formula, for cross-checks."""
     if isinstance(linear_map, MaxIndexMap):
         idx = np.arange(linear_map.dim)
-        pair = np.maximum(idx[:, None], idx[None, :])
-        return sum(a[:, None] * s[pair] for a, s in linear_map.terms)
+        return linear_map.a[:, None] * linear_map.s[np.maximum(idx[:, None], idx[None, :])]
     return linear_map.matrix
 
 
-def max_index_dense(terms, m):
-    """Dense sum of diag(a) K(s) over terms, with K(s)[i, j] = s[max(i, j)]."""
+def max_index_dense(a, s):
+    """Dense diag(a) K(s), with K(s)[i, j] = s[max(i, j)]."""
+    m = len(a)
     out = np.zeros((m, m))
-    for a, s in terms:
-        for i in range(m):
-            for j in range(m):
-                out[i, j] += a[i] * s[max(i, j)]
+    for i in range(m):
+        for j in range(m):
+            out[i, j] = a[i] * s[max(i, j)]
     return out
 
 
@@ -192,7 +195,7 @@ def max_index_spectral_radius(a, s):
     diag(a)^1/2 K(s) diag(a)^1/2 (real, nonnegative spectrum for s
     nonincreasing)."""
     root = np.sqrt(a)
-    K = max_index_dense([(np.ones(len(s)), s)], len(s))
+    K = max_index_dense(np.ones(len(s)), s)
     return np.linalg.eigvalsh(root[:, None] * K * root[None, :]).max(initial=0.0)
 
 
@@ -332,6 +335,24 @@ def d2a_pairs_loop(ws, H):
                 + 2.0 * ws.edn * first1 * first2 * ws.inv_ew**3)
 
     return np.array([[apply(h1, h2) for h2 in H] for h1 in H])
+
+
+def mixed_terms_loop(ws, H):
+    """The two terms of the survival operator's mixed coefficient/nuisance
+    derivative at a workspace, one coefficient and one row of H at a time,
+    each of shape (d, k, m), with the step directions and the at-risk sums
+    formed as dense indicator products: the derivative of k, then that of
+    1/EW^2."""
+    model = ws.model
+    steps = (model.event_times[None, :] <= model.u[:, None]).astype(float)  # (n, m)
+    at_risk = steps.T
+    kd = 2.0 * (1.0 + model.delta) * ws.q**2 / ws.denom**3
+    first = np.array([[ws.edn * ws.inv_ew**2 * (at_risk @ (ws.w * kd * za * (steps @ h)))
+                       for h in H] for za in model.z.T])
+    second = np.array([[-2.0 * ws.edn * ew_dot * ws.inv_ew**3
+                        * (at_risk @ (ws.w * ws.k * (steps @ h)))
+                        for h in H] for ew_dot in ws.ew_dot])
+    return first, second
 
 
 def score_jacobian_per_record(model, ws, eta_dot, eta_ddot):

@@ -21,7 +21,7 @@ from profix.estimator import (
 )
 from profix.fixed_point import FixedPointSolution
 from profix.implicit_diff import d2theta_eta
-from profix.measures import BilinearMap, LinearMap, StepFunction
+from profix.measures import LinearMap, StepFunction
 from profix.missing_cov import MissingCovModel, MissingCovProfile, NormalRegression
 
 from reference import (
@@ -298,14 +298,14 @@ class TestDerivativeBundle:
 
     @BOTH_FAMILIES
     def test_freed_without_the_cycle_collector(self, name, make):
-        # a map cached on the bundle that closed over the bundle would keep
+        # a value cached on the bundle that held the bundle would keep
         # every point's arrays alive until the cyclic collector ran
         family = simulation.get_family(name)
         model = make(200, 3)
         profile = family.profile(model)
         point = profile.point(family.default_start(model))
         profile.jacobian(point)
-        point.derivs.d2_eta.pairs(point.eta_dot)
+        d2theta_eta(point.derivs, point.eta_dot)
         bundle = weakref.ref(point.derivs)
         gc.disable()
         try:
@@ -321,19 +321,46 @@ class TestDerivativeBundle:
         model = make(200, 3)
         profile = family.profile(model)
         reads = []
-        for attr in ("ddot_psi", "d_eta_dot", "d2_eta"):
+        for attr in ("ddot_psi", "mixed", "d2_eta"):
             monkeypatch.setattr(family.module._Workspace, attr,
                                 property(lambda ws, attr=attr: reads.append(attr)))
         resolvents = count_calls(monkeypatch, implicit_diff, "resolvent_apply")
-        bilinear = count_calls(monkeypatch, BilinearMap, "__init__")
         fit = profile_mle(profile, family.default_start(model), force=True)
         assert fit.iterations > 0
-        assert reads == [] and bilinear == []
+        assert reads == []
         assert len(resolvents) == profile.solves
         if name == "missing_cov":
             linear = count_calls(monkeypatch, LinearMap, "__init__")
             profile.jacobian(profile.point(fit.theta_hat))
             assert len(linear) == 1  # the nuisance derivative itself
+
+
+    @BOTH_FAMILIES
+    def test_second_order_members(self, name, make, rng):
+        # ddot_psi is exactly symmetric, mixed(H) is linear in H, and
+        # d2_eta(H) is symmetric in its pair and bilinear
+        family = simulation.get_family(name)
+        model = make(200, 3)
+        derivs = family.profile(model).point(family.default_start(model)).derivs
+        ddot = derivs.ddot_psi
+        assert np.array_equal(ddot, ddot.transpose(1, 0, 2))
+
+        def assert_near(lhs, rhs):
+            assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+        m = ddot.shape[-1]
+        H1, H2 = rng.normal(size=(2, 3, m))
+        a, b = 1.7, -0.4
+        mixed = derivs.mixed(a * H1 + b * H2)
+        assert mixed.shape == (len(ddot), 3, m)
+        assert_near(mixed, a * derivs.mixed(H1) + b * derivs.mixed(H2))
+
+        pairs = derivs.d2_eta(H1)
+        assert pairs.shape == (3, 3, m)
+        assert_near(pairs, pairs.transpose(1, 0, 2))
+        h1, h1p, h2 = H1
+        lhs = derivs.d2_eta(np.stack([a * h1 + b * h1p, h2]))[0, 1]
+        assert_near(lhs, a * pairs[0, 2] + b * pairs[1, 2])
 
 
 def survival_profile(p, solver_tol):

@@ -7,21 +7,21 @@ from profix import missing_cov, prop_odds
 from profix.errors import SingularResolvent
 from profix.fixed_point import estimate_operator_norm
 from profix.implicit_diff import d2theta_eta, df_eta, dtheta_eta, resolvent_apply
-from profix.measures import BilinearMap, LinearMap, MaxIndexMap
+from profix.measures import LinearMap, MaxIndexMap
 from profix.numdiff import fd_path, fd_theta
 
 from reference import max_index_spectral_radius, neumann_apply
 
 
-def scalar_derivs(d_eta, dot, ddot=0.0, d_eta_dot=0.0, d2_eta=0.0, d_f=None):
-    """A one-dimensional derivative bundle with the fields the resolvent
+def scalar_derivs(d_eta, dot, ddot=0.0, mixed=0.0, d2_eta=0.0, d_f=None):
+    """A one-dimensional derivative bundle with the members the resolvent
     formulas read."""
     return SimpleNamespace(
         d_eta=LinearMap(np.array([[d_eta]])),
         dot_psi=np.array([[dot]]),
         ddot_psi=np.array([[[ddot]]]),
-        d_eta_dot=(LinearMap(np.array([[d_eta_dot]])),),
-        d2_eta=BilinearMap(lambda H: d2_eta * H[:, None, :] * H[None, :, :], 1),
+        mixed=lambda H: mixed * H[None, :, :],
+        d2_eta=lambda H: d2_eta * H[:, None, :] * H[None, :, :],
         d_f=d_f or (lambda h: np.zeros(1)),
     )
 
@@ -61,7 +61,7 @@ class TestResolvent:
         # a zero coefficient row solves to rhs exactly, finite, while apply
         # multiplies the NaN suffix sum into the residual
         with pytest.raises(SingularResolvent, match="did not verify"):
-            resolvent_apply(MaxIndexMap([(np.zeros(3), [np.nan, 1.0, 0.5])]), np.ones(3))
+            resolvent_apply(MaxIndexMap(np.zeros(3), [np.nan, 1.0, 0.5]), np.ones(3))
 
     def test_dense_nan_residual_is_singular(self, monkeypatch):
         # LAPACK spreads a NaN of the system into the solution, which the
@@ -77,14 +77,14 @@ class TestResolvent:
         model, beta = prop_odds_model, [0.5]
         op = prop_odds.Operator(model, beta)
         derivs = prop_odds.psi_derivatives(op, prop_odds.solve_nuisance(op).eta)
-        ((coef, s),) = derivs.d_eta.terms
+        coef, s = derivs.d_eta.a, derivs.d_eta.s
         rho = max_index_spectral_radius(coef, s)
         assert 0.0 < rho < 1.0
         rhs = np.ones(len(s))
-        assert np.all(np.isfinite(resolvent_apply(MaxIndexMap([(coef, s)]), rhs)))
+        assert np.all(np.isfinite(resolvent_apply(MaxIndexMap(coef, s), rhs)))
         with pytest.raises(SingularResolvent,
                            match="not positive definite.*does not contract"):
-            resolvent_apply(MaxIndexMap([(1.5 / rho * coef, s)]), rhs)
+            resolvent_apply(MaxIndexMap(1.5 / rho * coef, s), rhs)
 
     def test_neumann_certifies_population_contraction(
         self, missing_cov_population
@@ -116,7 +116,7 @@ class TestThetaDerivatives:
 
     def test_bilinear_scalar_second(self):
         # same operator: second derivative at 0 equals 1/2
-        derivs = scalar_derivs(d_eta=0.0, dot=0.5, ddot=0.0, d_eta_dot=0.5)
+        derivs = scalar_derivs(d_eta=0.0, dot=0.5, ddot=0.0, mixed=0.5)
         eta_dot = dtheta_eta(derivs)
         assert d2theta_eta(derivs, eta_dot)[0, 0, 0] == pytest.approx(0.5)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from profix.errors import InvalidInput
 from profix.measures import (
-    BilinearMap,
     EmpiricalMeasure,
     GridDensity,
     LinearMap,
@@ -188,40 +187,21 @@ class TestLinearAndBilinearMaps:
         h1, h2 = rng.normal(size=3), rng.normal(size=3)
         assert np.allclose(M.apply(h1 + h2), M.apply(h1) + M.apply(h2))
 
-    def test_bilinearity(self, rng):
-        T = rng.normal(size=(3, 3, 3))
 
-        def pairs(H):
-            return np.einsum("ijk,aj,bk->abi", T, H, H)
-
-        B = BilinearMap(pairs, 3)
-        h1, h1p, h2 = rng.normal(size=(3, 3))
-        a, b = 1.7, -0.4
-        lhs = B.apply(a * h1 + b * h1p, h2)
-        rhs = a * B.apply(h1, h2) + b * B.apply(h1p, h2)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-        for bad in ((h1, h2[:2]), (h1[:2], h2[:2])):
-            with pytest.raises(InvalidInput, match="dimension"):
-                B.apply(*bad)
-
-
-def max_index_terms(m, seed, n_terms, zero_share):
-    """Random terms shaped like the survival derivatives: nonnegative
+def max_index_coefficients(m, seed, zero_share):
+    """Random (a, s) shaped like the survival derivative: nonnegative
     coefficients, a share of them exactly zero, and nonincreasing suffix
     sums with ties."""
     rng = np.random.default_rng(seed)
-    terms = []
-    for _ in range(n_terms):
-        a = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) >= zero_share)
-        s = np.cumsum(rng.choice([0.0, 0.5, 1.0], m)[::-1])[::-1] / max(m, 1)
-        terms.append((a, s))
-    return terms
+    a = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) >= zero_share)
+    s = np.cumsum(rng.choice([0.0, 0.5, 1.0], m)[::-1])[::-1] / max(m, 1)
+    return a, s
 
 
 def assert_resolvent_matches_dense(M, rhs):
     """resolvent_solve agrees with the dense solve, for stacked columns and
     for a single column."""
-    system = np.eye(M.dim) - max_index_dense(M.terms, M.dim)
+    system = np.eye(M.dim) - max_index_dense(M.a, M.s)
     dense = np.linalg.solve(system, rhs) if M.dim else rhs
     bound = 1e-9 * max(np.abs(dense).max(initial=0.0), 1.0)
     assert np.abs(M.resolvent_solve(rhs) - dense).max(initial=0.0) <= bound
@@ -232,15 +212,13 @@ class TestMaxIndexMap:
     @given(
         m=st.integers(0, 8),
         seed=st.integers(0, 2**32 - 1),
-        n_terms=st.integers(1, 2),
         zero_share=st.sampled_from([0.0, 0.5, 1.0]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_apply_and_matrix_match_the_definition(self, m, seed, n_terms,
-                                                   zero_share):
-        terms = max_index_terms(m, seed, n_terms, zero_share)
-        M = MaxIndexMap(terms)
-        oracle = max_index_dense(terms, m)
+    def test_apply_and_matrix_match_the_definition(self, m, seed, zero_share):
+        a, s = max_index_coefficients(m, seed, zero_share)
+        M = MaxIndexMap(a, s)
+        oracle = max_index_dense(a, s)
         assert np.abs(dense(M) - oracle).max(initial=0.0) <= 1e-15
         v = np.random.default_rng(seed).normal(size=(m, 3))
         assert np.allclose(M.apply(v), oracle @ v, rtol=0, atol=1e-13)
@@ -256,10 +234,10 @@ class TestMaxIndexMap:
     def test_resolvent_solve_matches_dense_solve(self, m, seed, zero_share, scale):
         # the solve is defined exactly where the map contracts: inside,
         # it agrees with the dense solve; outside, it raises
-        ((a, s),) = max_index_terms(m, seed, 1, zero_share)
+        a, s = max_index_coefficients(m, seed, zero_share)
         a = scale * a
-        M = MaxIndexMap([(a, s)])
-        system = np.eye(m) - max_index_dense(M.terms, m)
+        M = MaxIndexMap(a, s)
+        system = np.eye(m) - max_index_dense(a, s)
         rhs = np.random.default_rng(seed + 1).normal(size=(m, 2))
         assume(m == 0 or np.linalg.cond(system) < 1e8)
         rho = max_index_spectral_radius(a, s)
@@ -271,24 +249,24 @@ class TestMaxIndexMap:
 
     def test_all_coefficients_zero(self):
         rhs = np.random.default_rng(3).normal(size=(5, 2))
-        M = MaxIndexMap([(np.zeros(5), np.linspace(1.0, 0.2, 5))])
+        M = MaxIndexMap(np.zeros(5), np.linspace(1.0, 0.2, 5))
         assert np.array_equal(M.resolvent_solve(rhs), rhs)
 
     def test_leading_and_trailing_zero_coefficients(self):
         a = np.array([0.0, 0.0, 0.7, 0.3, 0.0, 0.9, 0.0])
         s = np.cumsum(np.arange(7.0, 0.0, -1.0)[::-1])[::-1] / 40.0
-        M = MaxIndexMap([(a, s)])
+        M = MaxIndexMap(a, s)
         assert max_index_spectral_radius(a, s) < 1.0
         assert_resolvent_matches_dense(M, np.random.default_rng(4).normal(size=(7, 3)))
 
     def test_one_free_row(self):
         a = np.array([0.0, 0.8, 0.0, 0.0])
         s = np.array([2.0, 1.0, 0.5, 0.25])
-        assert_resolvent_matches_dense(MaxIndexMap([(a, s)]),
+        assert_resolvent_matches_dense(MaxIndexMap(a, s),
                                        np.random.default_rng(5).normal(size=(4, 2)))
         # its pivot 1/a - s_1 is negative once a s_1 exceeds one
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            MaxIndexMap([(1.5 * a, s)]).resolvent_solve(np.ones(4))
+            MaxIndexMap(1.5 * a, s).resolvent_solve(np.ones(4))
 
     @pytest.mark.parametrize("rising", [True, False])
     def test_coefficients_spread_over_eight_decades(self, rising):
@@ -297,26 +275,27 @@ class TestMaxIndexMap:
         a = a if rising else a[::-1]
         s = np.cumsum(np.random.default_rng(6).uniform(0.0, 1.0, m)[::-1])[::-1] / m
         a = a * 0.9 / max_index_spectral_radius(a, s)
-        assert_resolvent_matches_dense(MaxIndexMap([(a, s)]),
+        assert_resolvent_matches_dense(MaxIndexMap(a, s),
                                        np.random.default_rng(7).normal(size=(m, 2)))
 
     def test_negative_coefficient_refused(self):
         with pytest.raises(InvalidInput):
-            MaxIndexMap([([0.5, -0.1], [1.0, 0.5])]).resolvent_solve(np.ones(2))
+            MaxIndexMap([0.5, -0.1], [1.0, 0.5]).resolvent_solve(np.ones(2))
 
     def test_singular_system_raises(self):
         # diag(1) K(1) with m = 1 is the identity: I - M is zero
         with pytest.raises(np.linalg.LinAlgError):
-            MaxIndexMap([([1.0], [1.0])]).resolvent_solve(np.ones(1))
+            MaxIndexMap([1.0], [1.0]).resolvent_solve(np.ones(1))
 
     def test_checks_shapes(self):
-        with pytest.raises(InvalidInput):
-            MaxIndexMap([(np.ones(2), np.ones(3))])
-        M = MaxIndexMap([(np.ones(2), np.ones(2))])
+        for a, s in ((np.ones(2), np.ones(3)), (np.ones((2, 2)), np.ones((2, 2)))):
+            with pytest.raises(InvalidInput):
+                MaxIndexMap(a, s)
+        M = MaxIndexMap(np.ones(2), np.ones(2))
         with pytest.raises(InvalidInput):
             M.apply(np.ones(3))
         with pytest.raises(InvalidInput):
-            MaxIndexMap([(np.ones(2), np.ones(2))] * 2).resolvent_solve(np.ones(2))
+            M.resolvent_solve(np.ones(3))
 
 
 class TestPerturbationDirection:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -275,7 +276,7 @@ class TestBoundOperator:
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @given(sample=mixture_samples(), seed=st.integers(0, 3),
-           order=st.permutations(["dot_psi", "ddot_psi", "d_eta_dot", "d2_eta"]))
+           order=st.permutations(["dot_psi", "ddot_psi", "mixed", "d2_eta"]))
     @settings(max_examples=60, deadline=None)
     def test_bundle_parts_independent_of_read_order(self, sample, seed, order):
         # whichever part of the bundle is read first, each equals bitwise
@@ -286,20 +287,18 @@ class TestBoundOperator:
             derivs = bundle(model, theta, g)
         except (SupportViolation, DenominatorCollapse):
             return
-        h1, h2 = np.random.default_rng(seed).normal(size=(2, model.n_support))
+        H = np.random.default_rng(seed).normal(size=(2, model.n_support))
         ref = bundle(model, theta, g)
         expected = {
             "dot_psi": ref.dot_psi,
             "ddot_psi": ref.ddot_psi,
-            "d_eta_dot": [m.matrix for m in ref.d_eta_dot],
-            "d2_eta": ref.d2_eta.apply(h1, h2),
+            "mixed": ref.mixed(H),
+            "d2_eta": ref.d2_eta(H),
         }
         for name in order:
             value = getattr(derivs, name)
-            if name == "d_eta_dot":
-                value = [m.matrix for m in value]
-            elif name == "d2_eta":
-                value = value.apply(h1, h2)
+            if callable(value):
+                value = value(H)
             assert np.array_equal(value, expected[name])
 
     def test_wrong_theta_refused_when_bound(self, missing_cov_model):
@@ -424,8 +423,8 @@ class TestDerivativeOperators:
         form = bundle(model, THETA, solved(model, THETA).eta).d2_eta
         for _ in range(5):
             h1, h2 = rng.normal(size=(2, model.n_support))
-            left = form.apply(h1, h2)
-            right = form.apply(h2, h1)
+            left = form(np.stack([h1, h2]))[0, 1]
+            right = form(np.stack([h2, h1]))[0, 1]
             assert np.abs(left - right).max() <= 1e-12 * max(
                 np.abs(left).max(), 1.0
             )
@@ -575,15 +574,38 @@ class TestBatchedJacobian:
         dot, ddot, mixed = second_order_loops(point.derivs)
         assert_close(point.derivs.dot_psi, dot)
         assert_close(point.derivs.ddot_psi, ddot)
-        for batched, loop in zip(point.derivs.d_eta_dot, mixed, strict=True):
-            assert_close(batched.matrix, loop)
+        # at the unit directions, mixed gives every mixed map's columns
+        batched = point.derivs.mixed(np.eye(point.derivs.model.n_support))
+        assert batched.shape == (len(mixed),) + mixed[0].shape
+        assert_close(batched.transpose(0, 2, 1), np.stack(mixed))
 
     def test_d2g_pairs_match_apply_loop(self, point, rng):
         form = point.derivs.d2_eta
-        for H in (point.eta_dot, rng.normal(size=(4, form.input_dim))):
+        for H in (point.eta_dot, rng.normal(size=(4, point.derivs.model.n_support))):
             loop = d2g_pairs_loop(point.derivs, H)
-            assert_close(form.pairs(H), loop)
-            assert_close(form.apply(H[0], H[1]), loop[0, 1])
+            assert_close(form(H), loop)
+            assert_close(form(H[:2])[0, 1], loop[0, 1])
+
+    def test_second_order_reads_allocate_no_m_by_m_array(self):
+        # a continuous covariate puts a support point at every complete
+        # record; at the truth, mixed and d2_eta on three directions stay
+        # below the size of one m x m array
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=1000)
+        y = 0.5 + x + rng.normal(size=1000)
+        r = np.where(rng.uniform(size=1000) < 0.2, 2, 1)
+        model = MissingCovModel.from_arrays(r, y, x, NormalRegression())
+        point = MissingCovProfile(model).point(np.array([0.5, 1.0, 0.0]))
+        H = rng.normal(size=(3, model.n_support))
+        tracemalloc.start()
+        try:
+            point.derivs.mixed(H)
+            point.derivs.d2_eta(H)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.n_support > 750
+        assert peak < model.n_support**2 * 8
 
     def test_score_jacobian_is_weighted_per_record_sum(self, point):
         model = point.derivs.model

@@ -67,3 +67,12 @@ class TestFdBilinear:
         approx = fd_bilinear(f, h1, h2, step=1e-4)
         exact = 2.0 * np.einsum("ijk,j,k->i", T, h1, h2)
         assert np.abs(approx - exact).max() < 1e-6 * max(np.abs(exact).max(), 1)
+
+    def test_richardson_improves_order(self):
+        # the mixed derivative of exp(s + 2t) at 0 is 2; the plain cross
+        # quotient's error falls as step^2, the combined one's as step^4
+        def err(step):
+            return abs(fd_bilinear(lambda s, t: np.exp(s + 2.0 * t), None, None,
+                                   step=step) - 2.0)
+
+        assert err(0.2) / err(0.1) >= 12.0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from profix import estimator, prop_odds, simulation
 from profix.errors import (
     ContractionViolation,
-    DegenerateJump,
     InvalidInput,
     NumericOverflow,
     RiskSetEmpty,
@@ -34,6 +33,7 @@ from profix.prop_odds import (
 )
 
 from reference import (
+    DegenerateJump,
     SurvivalRecord,
     dense,
     da_psi_prop_odds_naive,
@@ -41,6 +41,7 @@ from reference import (
     da_psi_value_map,
     loglik,
     loglik_prop_odds_naive,
+    mixed_terms_loop,
     population_records,
     psi_prop_odds_naive,
     weight_w,
@@ -158,8 +159,8 @@ class TestDerivativeOperators:
         for _ in range(5):
             h1 = rng.normal(size=model.n_events)
             h2 = rng.normal(size=model.n_events)
-            left = form.apply(h1, h2)
-            right = form.apply(h2, h1)
+            left = form(np.stack([h1, h2]))[0, 1]
+            right = form(np.stack([h2, h1]))[0, 1]
             assert np.abs(left - right).max() <= 1e-12 * max(
                 np.abs(left).max(), 1.0
             )
@@ -350,11 +351,11 @@ class TestStructuredDerivatives:
         direction = model.weights * np.linspace(-1.0, 1.0, model.n_records)
         assert rel_diff(df_eta(derivs, direction),
                         dense_solve(d_eta, derivs.d_f(direction))) <= 1e-10
-        # the mixed map's two terms can cancel exactly: compare on their scale
-        (mixed,) = derivs.d_eta_dot
-        scale = sum(np.abs(dense(MaxIndexMap([term]))) for term in mixed.terms)
-        assert rel_diff(mixed.apply(h), dense(mixed) @ h,
-                        (scale @ np.abs(h)).max(initial=0.0)) <= 1e-12
+        # the mixed derivative's two terms can cancel exactly: compare on
+        # their scale
+        first, second = mixed_terms_loop(derivs, h.T)
+        scale = (np.abs(first) + np.abs(second)).max(initial=0.0)
+        assert rel_diff(derivs.mixed(h.T), first + second, scale) <= 1e-12
 
         norm = prop_odds._sup_norm(d_eta)
         dense_norm = np.abs(da_psi_value_map(model, beta, A.jump_sizes).matrix).sum(axis=1)
@@ -475,14 +476,14 @@ class TestSecondNuisanceDerivativePairs:
         z = np.column_stack([z, np.cos(np.arange(60.0))])[:, :p]
         point = PropOddsProfile(PropOddsModel.from_arrays(u, delta, z)).point(
             np.full(p, 0.3))
-        form = point.derivs.d2_eta
-        for H in (point.eta_dot, rng.normal(size=(4, form.input_dim))):
+        form, m = point.derivs.d2_eta, point.derivs.model.n_events
+        for H in (point.eta_dot, rng.normal(size=(4, m))):
             loop = d2a_pairs_loop(point.derivs, H)
-            pairs = form.pairs(H)
-            assert pairs.shape == (len(H), len(H), form.input_dim)
+            pairs = form(H)
+            assert pairs.shape == (len(H), len(H), m)
             assert rel_diff(pairs, loop) <= 1e-12
             for j, k in zip(*np.triu_indices(len(H), 1)):
-                assert np.array_equal(form.apply(H[j], H[k]), pairs[j, k])
+                assert np.array_equal(form(H[[j, k]])[0, 1], pairs[j, k])
 
 
 class TestAnalyticJacobian:
@@ -664,23 +665,24 @@ class TestOperatorOverhead:
         assert solves == [] and workspaces == []
 
     @given(sample=survival_samples(),
-           order=st.permutations(["dot_psi", "ddot_psi", "d_eta_dot"]))
+           order=st.permutations(["dot_psi", "ddot_psi", "mixed", "d2_eta"]))
     @settings(max_examples=40, deadline=None)
     def test_bundle_second_order_independent_of_read_order(self, sample, order):
-        # the bundle defers ddot_psi and d_eta_dot; whichever part is read
-        # first, each equals bitwise what a bundle read in order gives
+        # the bundle defers ddot_psi, mixed and d2_eta; whichever part is
+        # read first, each equals bitwise what a bundle read in order gives
         model, beta, A = sample
         try:
             derivs = bundle(model, beta, A.jump_sizes)
         except RiskSetEmpty:
             return
+        H = np.random.default_rng(model.n_records).normal(size=(2, model.n_events))
         ref = bundle(model, beta, A.jump_sizes)
         expected = {"dot_psi": ref.dot_psi, "ddot_psi": ref.ddot_psi,
-                    "d_eta_dot": [dense(m) for m in ref.d_eta_dot]}
+                    "mixed": ref.mixed(H), "d2_eta": ref.d2_eta(H)}
         for name in order:
             value = getattr(derivs, name)
-            if name == "d_eta_dot":
-                value = [dense(m) for m in value]
+            if callable(value):
+                value = value(H)
             assert np.array_equal(value, expected[name])
 
 
@@ -757,11 +759,10 @@ class TestContractionCertificate:
         radius target, and coefficient rows zeroed where asked."""
         beta = [0.5]
         ws = bundle(model, beta, solved(model, beta))
-        ((coef, s),) = ws.d_eta.terms
-        coef = coef.copy()
+        coef, s = ws.d_eta.a.copy(), ws.d_eta.s
         coef[list(zero_rows)] = 0.0
-        radius = np.abs(np.linalg.eigvals(dense(MaxIndexMap([(coef, s)])))).max()
-        ws.d_eta = MaxIndexMap([(coef * (target / radius), s)])
+        radius = np.abs(np.linalg.eigvals(dense(MaxIndexMap(coef, s)))).max()
+        ws.d_eta = MaxIndexMap(coef * (target / radius), s)
         return ws
 
     @pytest.mark.parametrize("zero_rows", [(), (0, 3)], ids=["all_free", "fixed_rows"])
