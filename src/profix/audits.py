@@ -85,17 +85,17 @@ def seeded_model(kind, n=20, seed=0):
     return simulation.draw_model(family, family.audit_design, n, rng)
 
 
-def union_with_resample(model, kind, seed=1000, n=None):
+def union_with_resample(model, kind, seed=1000):
     """Embed the model and an independent resample in one record table.
 
     Returns (union_model, base_weights, target_weights); straight-line
     reweighting between the two weight vectors realizes the mixture path
-    toward the resample.  The resample is drawn from the family's audit
-    design; record columns the design does not draw (a survival model's
-    covariates past the first) are copied from model records chosen by
-    ``np.random.default_rng(seed)``.
+    toward the resample.  The resample, of the model's size, is drawn from
+    the family's audit design; record columns the design does not draw (a
+    survival model's covariates past the first) are copied from model
+    records chosen by ``np.random.default_rng(seed)``.
     """
-    other = seeded_model(kind, n or model.n_obs, seed)
+    other = seeded_model(kind, model.n_obs, seed)
     width = other.points.shape[1]
     rows = np.random.default_rng(seed).integers(model.n_records, size=len(other.points))
     resample = np.hstack([other.points, model.points[rows, width:]])
@@ -107,13 +107,13 @@ def union_with_resample(model, kind, seed=1000, n=None):
     return model.joined(other, base), base.weights, target.weights
 
 
-def _scaled_directions(rng, base, count=_N_DIRECTIONS):
+def _scaled_directions(rng, base):
     """Random directions proportional to the base coefficients."""
-    return [base * rng.uniform(-0.5, 0.5, size=len(base)) for _ in range(count)]
+    return [base * rng.uniform(-0.5, 0.5, size=len(base)) for _ in range(_N_DIRECTIONS)]
 
 
-def audit_operators(family, model, theta=None, seed=0, corrupt=None):
-    """Operator-derivative audits of one family on one dataset.
+def audit_operators(family, model, seed=0, corrupt=None):
+    """Operator-derivative audits of one family on one dataset at its audit_theta.
 
     The nuisance, parameter, mixed and distribution derivatives are the
     fields of the family's derivative bundle (``psi_derivatives``), in rows
@@ -123,9 +123,7 @@ def audit_operators(family, model, theta=None, seed=0, corrupt=None):
     mod = family.module
     d_eta_name, d2_eta_name, dtheta_name = family.audit_rows
     rng = np.random.default_rng(seed + family.audit_seed_offset)
-    theta = np.atleast_1d(np.asarray(
-        family.audit_theta(model) if theta is None else theta, dtype=float
-    ))
+    theta = np.atleast_1d(np.asarray(family.audit_theta(model), dtype=float))
     psi_of_eta = mod.Operator(model, theta)
     eta = mod.solve_nuisance(psi_of_eta, tol=1e-12).eta
     derivs = mod.psi_derivatives(psi_of_eta, eta)
@@ -276,12 +274,11 @@ def audit_population_missing_cov(seed, corrupt):
     return rows
 
 
-def run_audits(kind, model=None, theta=None, seed=0, n=20, population=False,
-               corrupt=None):
+def run_audits(kind, model=None, seed=0, n=20, population=False, corrupt=None):
     """Full audit battery for one model kind; returns AuditRow list."""
     family = simulation.get_family(kind)
     if population:
         return globals()[f"audit_population_{family.name}"](seed, corrupt)
     if model is None:
         model = seeded_model(kind, n=n, seed=seed)
-    return audit_operators(family, model, theta=theta, seed=seed, corrupt=corrupt)
+    return audit_operators(family, model, seed=seed, corrupt=corrupt)

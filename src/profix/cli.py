@@ -259,12 +259,13 @@ def cmd_monte_carlo(args):
         max_newton=int(config.get("max_newton", 50)),
         solver_tol=float(config.get("solver_tol", 1e-10)),
     )
-    jobs = args.jobs if args.jobs else 1
+    if args.jobs < 1:
+        raise InvalidConfig(f"--jobs must be at least 1, got {args.jobs}")
     out_prefix = config.get("out_prefix")
 
     alarmed = False
     try:
-        report = simulation.monte_carlo(sim, jobs=jobs)
+        report = simulation.monte_carlo(sim, jobs=args.jobs)
     except HarnessAlarm as exc:
         print(f"harness alarm: {exc}", file=sys.stderr)
         report = exc.report
@@ -319,7 +320,7 @@ def build_parser():
     mc.add_argument("--out-prefix", dest="out_prefix",
                     help="prefix for the report JSON and replication CSV")
     mc.add_argument("--seed", type=int)
-    mc.add_argument("--jobs", type=int, default=os.cpu_count(),
+    mc.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                     help="parallel worker processes")
     mc.set_defaults(func=cmd_monte_carlo)
     return parser

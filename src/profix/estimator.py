@@ -55,7 +55,6 @@ class Family:
     """
 
     name: str
-    model: type
     profile: type
     design: type
     load_csv: Callable  # path -> model
@@ -71,7 +70,7 @@ class Family:
 
     @property
     def module(self):
-        return sys.modules[self.model.__module__]
+        return sys.modules[self.profile.__module__]
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,8 @@ class Point:
 class Profile:
     """Profile-likelihood view of a sample: the nuisance solved per parameter.
 
+    The records weigh as ``model.weights``: a weighted sample is a weighted model.
+
     :meth:`point` binds the family's ``Operator`` once at a parameter, solves
     its fixed point to solver_tol (within ``fixed_point.DEFAULT_MAX_ITER``
     iterations), builds the derivative bundle from the same operator,
@@ -112,9 +113,9 @@ class Profile:
     solve, for eta_dot.
     """
 
-    def __init__(self, model, F=None, solver_tol=1e-10):
+    def __init__(self, model, solver_tol=1e-10):
         self.model = model
-        self.weights = model.resolve_weights(F)
+        self.weights = model.weights
         self.solver_tol = solver_tol
         self.last_point = None
         self.solves = 0
@@ -155,7 +156,7 @@ class Profile:
     def solve(self, theta):
         """The family's operator bound at theta, and its fixed point."""
         self.solves_started += 1
-        op = self.module.Operator(self.model, theta, self.weights)
+        op = self.module.Operator(self.model, theta)
         sol = self.module.solve_nuisance(op, tol=self.solver_tol, eta0=self.start(theta))
         self.solves += 1
         self.solve_iterations += sol.iterations

@@ -369,17 +369,17 @@ class RecordTable:
     """
 
     def __init__(self, measure, n_obs):
-        self.measure = measure
         self.points = measure.points
         self.weights = measure.weights
         self.n_obs = int(n_obs) if n_obs is not None else len(measure.points)
 
     @staticmethod
-    def sample_measure(points, weights, normalize):
-        """Measure over the rows of points, equally weighted when weights is None."""
+    def sample_measure(points, weights):
+        """Probability measure over the rows of points: equally weighted when
+        weights is None, else the given weights divided by their sum."""
         if weights is None:
             weights = np.full(len(points), 1.0 / len(points))
-        elif normalize:
+        else:
             weights = np.asarray(weights, dtype=float)
             weights = weights / weights.sum()
         return EmpiricalMeasure(points, weights)

@@ -146,14 +146,13 @@ class MissingCovModel(RecordTable):
         return self.family.dim
 
     @classmethod
-    def from_arrays(cls, r, y, x, family, weights=None, normalize=True):
+    def from_arrays(cls, r, y, x, family, weights=None):
         r = np.asarray(r, dtype=float)
         y = np.asarray(y, dtype=float)
         x = np.asarray(x, dtype=float)
         xfill = np.where(r == 1, x, 0.0)
         points = np.column_stack([r, y, xfill])
-        measure = cls.sample_measure(points, weights, normalize)
-        return cls(measure, family, n_obs=len(r))
+        return cls(cls.sample_measure(points, weights), family, n_obs=len(r))
 
     def joined(self, other, measure):
         """Model on a record table holding this sample and other's."""
@@ -186,12 +185,12 @@ def _parse_row(row, where):
     return (float(r), y, x)
 
 
-def load_csv(path, family=None):
-    """Read records from a CSV with columns R, Y, X (X blank when R = 2)."""
-    family = family or NormalRegression()
+def load_csv(path):
+    """Read records from a CSV with columns R, Y, X (X blank when R = 2)
+    under the :class:`NormalRegression` family."""
     data = read_csv(path, "R,Y,X", lambda names: names == ["R", "Y", "X"],
                     _parse_row)
-    return MissingCovModel.from_arrays(data[:, 0], data[:, 1], data[:, 2], family)
+    return _build(data[:, 0], data[:, 1], data[:, 2])
 
 
 class Operator:
@@ -364,14 +363,14 @@ class _Workspace:
         return (dp1 * self.a + self.p1 * second) / self.a**2
 
 
-def psi_apply(model, theta, g, F=None):
+def psi_apply(model, theta, g):
     """One application of the self-consistency operator; not renormalized."""
-    return model.masses_to_density(psi_masses(model, theta, g, F))
+    return model.masses_to_density(psi_masses(model, theta, g))
 
 
-def psi_masses(model, theta, masses, F=None):
+def psi_masses(model, theta, masses):
     """The operator on mass vectors."""
-    return Operator(model, theta, F)(masses)
+    return Operator(model, theta)(masses)
 
 
 def solve_nuisance(op, tol=1e-10, eta0=None):
@@ -476,8 +475,8 @@ class MissingCovProfile(Profile):
     complete records leaves the slope unidentified, as it then only shifts
     the intercept, so such a sample is refused."""
 
-    def __init__(self, model, F=None, solver_tol=1e-10):
-        super().__init__(model, F, solver_tol)
+    def __init__(self, model, solver_tol=1e-10):
+        super().__init__(model, solver_tol)
         x = model.x_complete[self.weights[model.complete_rows] > 0]
         if len(x) and np.ptp(x) == 0:
             raise InvalidInput(
@@ -561,21 +560,19 @@ class MissingCovPopulation:
     model: MissingCovModel
     design: MissingCovDesign
     g0: np.ndarray
-    y_nodes: np.ndarray
-    y_weights: np.ndarray
 
 
-def population_model(design=MissingCovDesign(), family=None, y_grid=2000,
-                     y_grid_complete=400, span=8.0):
+def population_model(design=MissingCovDesign(), y_grid=2000, y_grid_complete=400):
     """Discretize the population distribution on outcome quadrature grids.
 
     The incomplete part puts one atom per Gauss-Legendre node of a grid
     covering the mixture outcome range, weighted by the true mixture
     density; the complete part expands each support point over its own
     outcome grid weighted by the true joint density.  Every empirical
-    operation then doubles as its population version.
+    operation then doubles as its population version.  The outcome law is
+    :class:`NormalRegression`.
     """
-    family = family or NormalRegression()
+    family = NormalRegression()
     design.validate()
     theta0 = np.asarray(design.theta0, dtype=float)
     support = np.asarray(design.support, dtype=float)
@@ -583,7 +580,7 @@ def population_model(design=MissingCovDesign(), family=None, y_grid=2000,
     w2 = design.w2
     w1 = 1.0 - w2
 
-    intervals = [family.outcome_interval(x, theta0, span) for x in support]
+    intervals = [family.outcome_interval(x, theta0) for x in support]
     lo = min(iv[0] for iv in intervals)
     hi = max(iv[1] for iv in intervals)
     y_nodes, y_weights = gauss_legendre_grid(lo, hi, y_grid)
@@ -603,15 +600,12 @@ def population_model(design=MissingCovDesign(), family=None, y_grid=2000,
 
     measure = EmpiricalMeasure(np.vstack(rows), np.concatenate(weights))
     model = MissingCovModel(measure, family)
-    return MissingCovPopulation(model, design, g0, y_nodes, y_weights)
+    return MissingCovPopulation(model, design, g0)
 
 
-def population_self_consistency(pop, theta=None):
+def population_self_consistency(pop):
     """Sup distance between the operator output at truth and the truth."""
-    theta = np.asarray(
-        pop.design.theta0 if theta is None else theta, dtype=float
-    )
-    out = psi_apply(pop.model, theta, pop.g0, None)
+    out = psi_apply(pop.model, np.asarray(pop.design.theta0, dtype=float), pop.g0)
     return {
         "sup_error": float(np.abs(out.masses - pop.g0).max()),
         "psi": out.masses,
@@ -640,16 +634,13 @@ def nuisance_stationarity(pop, theta, directions):
     return np.asarray(values)
 
 
-def score_orthogonality(pop, directions, theta=None):
+def score_orthogonality(pop, directions):
     """Population covariance of the profiled score with nuisance scores.
 
-    Returns one d-vector per direction; all should vanish at the truth.
+    Returns one d-vector per direction at the truth, where all should vanish.
     """
     model = pop.model
-    theta = np.asarray(
-        pop.design.theta0 if theta is None else theta, dtype=float
-    )
-    op = Operator(model, theta)
+    op = Operator(model, np.asarray(pop.design.theta0, dtype=float))
     g = solve_nuisance(op).eta
     ws = psi_derivatives(op, g)
     scores = efficient_score(ws, dtheta_eta(ws))
@@ -673,7 +664,6 @@ def _build(r, y, x):
 
 FAMILY = Family(
     name="missing_cov",
-    model=MissingCovModel,
     profile=MissingCovProfile,
     design=MissingCovDesign,
     load_csv=load_csv,

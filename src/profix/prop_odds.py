@@ -31,6 +31,7 @@ from .measures import (
     MaxIndexMap,
     RecordTable,
     StepFunction,
+    composite_gauss_grid,
     parse_number,
     read_csv,
     suffix_increments,
@@ -66,7 +67,7 @@ class PropOddsModel(RecordTable):
             raise InvalidInput("event times must be positive")
         # the record table keeps its rows in canonical lexicographic order,
         # u first, so the records are in time order: those at risk at an
-        # event time run from its _event_pos to the end
+        # event time run from its _event_pos, a record's own row, to the end
         self._event_pos = np.searchsorted(self.u, self.event_times, "left")
         # index of the last event time <= u, per record (+1, 0 meaning none)
         self._record_cut = np.searchsorted(self.event_times, self.u, "right")
@@ -85,15 +86,14 @@ class PropOddsModel(RecordTable):
     theta_dim = covariate_dim
 
     @classmethod
-    def from_arrays(cls, u, delta, z, weights=None, tau=None, normalize=True):
+    def from_arrays(cls, u, delta, z, weights=None):
         u = np.asarray(u, dtype=float)
         delta = np.asarray(delta, dtype=float)
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if z.shape[0] != len(u):
             z = z.T
         points = np.column_stack([u, delta, z])
-        measure = cls.sample_measure(points, weights, normalize)
-        return cls(measure, tau=tau, n_obs=len(u))
+        return cls(cls.sample_measure(points, weights), n_obs=len(u))
 
     def joined(self, other, measure):
         """Model on a record table holding this sample and other's."""
@@ -106,8 +106,7 @@ class PropOddsModel(RecordTable):
         """Sum of values over records with u >= each event time, along the
         last axis, which runs over the records; leading axes stack values."""
         suffix = np.cumsum(values[..., ::-1], axis=-1)[..., ::-1]
-        padded = np.concatenate([suffix, np.zeros(suffix.shape[:-1] + (1,))], axis=-1)
-        return padded[..., self._event_pos]
+        return suffix[..., self._event_pos]
 
     def cumulative_at_records(self, jump_coeffs):
         """h(u_i) for the step directions with the given jump coefficients
@@ -123,14 +122,15 @@ def _parse_row(row, where):
             for col, text in enumerate(row, start=1)]
 
 
-def load_csv(path, tau=None):
-    """Read records from a CSV with columns U, delta, Z1..Zp."""
+def load_csv(path):
+    """Read records from a CSV with columns U, delta, Z1..Zp; the horizon
+    tau is the largest observed time."""
     data = read_csv(
         path, "U,delta,Z1..Zp",
         lambda names: len(names) >= 3 and names[:2] == ["U", "delta"],
         _parse_row,
     )
-    return PropOddsModel.from_arrays(data[:, 0], data[:, 1], data[:, 2:], tau=tau)
+    return PropOddsModel.from_arrays(data[:, 0], data[:, 1], data[:, 2:])
 
 
 def _event_mass(model, values):
@@ -278,14 +278,14 @@ class _Workspace:
         return h_edn * inv_ew_full - self.edn * h_ew * self.inv_ew**2
 
 
-def psi_apply(model, beta, A, F=None):
+def psi_apply(model, beta, A):
     """One application of the self-consistency operator.
 
     Returns the step function whose jump at each event time is the
     weighted event mass there over the weighted mean at-risk weight.
     """
     AU = np.asarray(A(model.u), dtype=float)
-    return model.jumps_to_step(Operator(model, beta, F).jumps_at(AU))
+    return model.jumps_to_step(Operator(model, beta).jumps_at(AU))
 
 
 def solve_nuisance(op, tol=1e-10, eta0=None):
@@ -358,8 +358,8 @@ class PropOddsProfile(Profile):
     such a sample is refused.
     """
 
-    def __init__(self, model, F=None, solver_tol=1e-10):
-        super().__init__(model, F, solver_tol)
+    def __init__(self, model, solver_tol=1e-10):
+        super().__init__(model, solver_tol)
         z = model.z[self.weights > 0]
         constant = np.flatnonzero(np.ptp(z, axis=0) == 0) if len(z) else []
         if len(constant):
@@ -483,20 +483,22 @@ class PropOddsDesign:
 
 
 class _PopulationLaw:
-    """Joint densities of (u, delta) given the covariate under a linear design."""
+    """Joint densities of (u, delta) given the covariate under a linear design:
+    given odds factor q, failure survival S(u) = 1/(1 + b u), b = q rate, and
+    censoring uniform on [0, tau], density k = (1 - p_atom)/tau, atom p_atom."""
 
     def __init__(self, design):
         design.validate()
         if design.is_step:
-            raise InvalidInput("the quadrature law needs a linear baseline")
+            raise InvalidInput("the population law needs a linear baseline")
         self.design = design
         self.beta0 = np.atleast_1d(np.asarray(design.beta0, dtype=float))
 
     def per_covariate(self):
+        """(p_z, q) for each covariate value."""
         for z_val, pz in zip(self.design.covariate_values,
                              self.design.covariate_probs):
-            q = float(np.exp(np.atleast_1d(z_val) @ self.beta0))
-            yield z_val, pz, q
+            yield pz, float(np.exp(np.atleast_1d(z_val) @ self.beta0))
 
     def event_density(self, t, q):
         """Density of an observed event at t: failure density times P(c >= t)."""
@@ -506,70 +508,44 @@ class _PopulationLaw:
         surv_c = 1.0 - (1.0 - p_atom) * t / tau
         return q * rate * surv_t**2 * surv_c
 
-    def censor_density(self, t, q):
+    def at_risk(self, t, q):
+        """Mean at-risk weight (1 + delta) q S(u) over records with u >= t:
+        events and censoring give the integrand 2 q (b + k) S^3 - q k S^2
+        (by u = (1/S - 1)/b), which dS/du = -b S^2 integrates in closed
+        form, and the atom adds p_atom q S(tau)^2."""
         rate, tau, p_atom = (self.design.baseline_rate, self.design.tau,
                              self.design.censor_atom)
-        surv_t = 1.0 / (1.0 + q * rate * t)
-        return (1.0 - p_atom) / tau * surv_t
-
-    def atrisk_integrand(self, t, q):
-        """Density of the at-risk weight carried by records observed at t."""
-        rate = self.design.baseline_rate
-        c_event = 2.0 * q / (1.0 + q * rate * t)
-        c_censor = q / (1.0 + q * rate * t)
-        return (self.event_density(t, q) * c_event
-                + self.censor_density(t, q) * c_censor)
-
-    def atrisk_atom(self, q):
-        rate, tau, p_atom = (self.design.baseline_rate, self.design.tau,
-                             self.design.censor_atom)
-        surv_t = 1.0 / (1.0 + q * rate * tau)
-        return p_atom * surv_t * q / (1.0 + q * rate * tau)
+        b, k = q * rate, (1.0 - p_atom) / tau
+        surv_t, surv_tau = 1.0 / (1.0 + b * t), 1.0 / (1.0 + b * tau)
+        return (q / b * ((b + k) * (surv_t**2 - surv_tau**2) - k * (surv_t - surv_tau))
+                + p_atom * q * surv_tau**2)
 
 
-def population_self_consistency(design=None, cells=2000, order=5):
+def population_self_consistency(design=None):
     """Sup distance between the population operator output at truth and truth.
 
     Only meaningful for a linear (continuous) baseline, where the truth
     maximizes the population version of the working likelihood.  The
     operator's value at u integrates the ratio of the population event
-    density to the population mean at-risk weight up to u; the tail
-    integrals defining the denominator and the outer integral are computed
-    by composite Gauss rules on a uniform partition of [0, tau], the tail
-    from an interior node being the partial piece of its own cell plus
-    whole cells beyond.
+    density to the closed-form mean at-risk weight up to u, by a composite
+    Gauss rule of 2000 cells of order 5 on [0, tau].  At the truth the ratio
+    is the baseline rate, so the error is rounding alone.
     """
-    from .measures import composite_gauss_grid, gauss_legendre_grid
-
     if design is None:
         design = LINEAR_DESIGN
     law = _PopulationLaw(design)
-    tau, rate = design.tau, design.baseline_rate
-    nodes, qw, boundaries = composite_gauss_grid(0.0, tau, cells, order)
-    cell_end = np.repeat(boundaries[1:], order)
-
-    # per-node partial tails over [node, end of its cell]
-    base_nodes, base_weights = gauss_legendre_grid(0.0, 1.0, order)
-    span = cell_end - nodes
-    sub_nodes = nodes[:, None] + span[:, None] * base_nodes[None, :]
-    sub_weights = span[:, None] * base_weights[None, :]
-
+    cells, order = 2000, 5
+    nodes, qw, boundaries = composite_gauss_grid(0.0, design.tau, cells, order)
     ew = np.zeros_like(nodes)
     edn_density = np.zeros_like(nodes)
-    for _, pz, q in law.per_covariate():
-        partial = (law.atrisk_integrand(sub_nodes, q) * sub_weights).sum(axis=1)
-        cell_mass = np.add.reduceat(
-            law.atrisk_integrand(nodes, q) * qw, np.arange(0, len(nodes), order)
-        )
-        beyond = np.concatenate([np.cumsum(cell_mass[::-1])[::-1], [0.0]])[1:]
-        tail = partial + np.repeat(beyond, order) + law.atrisk_atom(q)
-        ew += pz * tail
+    for pz, q in law.per_covariate():
+        ew += pz * law.at_risk(nodes, q)
         edn_density += pz * law.event_density(nodes, q)
 
     ratio = edn_density / ew
     cell_sums = np.add.reduceat(ratio * qw, np.arange(0, len(nodes), order))
     psi_at_boundaries = np.cumsum(cell_sums)
-    target = rate * boundaries[1:]
+    target = design.baseline_rate * boundaries[1:]
     return {
         "sup_error": float(np.abs(psi_at_boundaries - target).max()),
         "grid": boundaries[1:],
@@ -578,8 +554,8 @@ def population_self_consistency(design=None, cells=2000, order=5):
     }
 
 
-#: The linear-baseline variant used for quadrature-based population checks
-#: and distribution-shape tests of the generator.
+#: The linear-baseline variant used for the population check and
+#: distribution-shape tests of the generator.
 LINEAR_DESIGN = PropOddsDesign(
     baseline_times=None, baseline_jumps=None, baseline_rate=1.0,
     censor_atom=0.2,
@@ -592,7 +568,6 @@ def _build(u, delta, z):
 
 FAMILY = Family(
     name="prop_odds",
-    model=PropOddsModel,
     profile=PropOddsProfile,
     design=PropOddsDesign,
     load_csv=load_csv,

@@ -273,8 +273,12 @@ class McReport:
                 writer.writerow(row)
 
 
-def monte_carlo(config, jobs=1, alarm_fraction=0.05):
-    """Run the study and aggregate; raise HarnessAlarm on excess failures.
+#: Share of failed replications beyond which a study raises HarnessAlarm.
+ALARM_FRACTION = 0.05
+
+
+def monte_carlo(config, jobs=1):
+    """Run the study and aggregate; raise HarnessAlarm if over ALARM_FRACTION fail.
 
     The alarm carries the finished report so callers can still persist it.
     """
@@ -326,7 +330,7 @@ def monte_carlo(config, jobs=1, alarm_fraction=0.05):
         records=reps,
     )
     n_failed = config.replications - len(ok)
-    if n_failed > alarm_fraction * config.replications:
+    if n_failed > ALARM_FRACTION * config.replications:
         raise HarnessAlarm(
             f"{n_failed} of {config.replications} replications failed",
             report=report,

@@ -110,6 +110,28 @@ def population_records(design):
     return PropOddsModel(measure, tau=design.tau)
 
 
+def at_risk_quadrature(design, t, q, nodes=200):
+    """Mean at-risk weight (1 + delta) q / (1 + q A(u)) over records with
+    u >= t under a linear design, by Gauss-Legendre quadrature on [t, tau]
+    of the event and censoring densities, plus the censoring atom at tau."""
+    rate, tau, p_atom = design.baseline_rate, design.tau, design.censor_atom
+
+    def surv(u):
+        return 1.0 / (1.0 + q * rate * u)
+
+    def integrand(u):
+        event = q * rate * surv(u) ** 2 * (1.0 - (1.0 - p_atom) * u / tau)
+        censor = (1.0 - p_atom) / tau * surv(u)
+        return event * 2.0 * q * surv(u) + censor * q * surv(u)
+
+    atom = p_atom * q * surv(tau) ** 2
+    if t >= tau:
+        return atom
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * (tau - t)
+    return half * float(w @ integrand(t + half * (x + 1.0))) + atom
+
+
 def step_value(times, sizes, u):
     return sum(s for t, s in zip(times, sizes) if t <= u)
 

@@ -164,7 +164,7 @@ class TestCriterion4ContractionInstances:
 
 class TestCriterion5SelfConsistency:
     def test_survival_population_grid_2000(self):
-        res = prop_odds.population_self_consistency(cells=2000, order=5)
+        res = prop_odds.population_self_consistency()
         ok = res["sup_error"] < 1e-6
         assert report(
             "criterion 5a: survival operator self-consistency at truth "

@@ -486,6 +486,18 @@ class TestMonteCarlo:
         }))
         assert main(["monte-carlo", "--config", str(cfg), "--jobs", "1"]) == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps({
+            "model": "missing_cov", "n": 80, "replications": 2,
+        }))
+        prefix = tmp_path / "run"
+        assert main(["monte-carlo", "--config", str(cfg), "--jobs", jobs,
+                     "--out-prefix", str(prefix)]) == 1
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "run_report.json").exists()
+
     def test_alarm_exit_5(self, tmp_path):
         cfg = tmp_path / "mc.json"
         cfg.write_text(json.dumps({

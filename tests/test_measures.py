@@ -33,17 +33,17 @@ from reference import (
 
 class TestEmpiricalMeasure:
     def test_equal_weights(self):
-        m = RecordTable.sample_measure([1.0, 2.0], None, normalize=True)
+        m = RecordTable.sample_measure([1.0, 2.0], None)
         assert np.array_equal(m.points, [1.0, 2.0])
         assert np.array_equal(m.weights, [0.5, 0.5])
 
     def test_single_atom_normalized(self):
-        m = RecordTable.sample_measure([3.0], [2.0], normalize=True)
+        m = RecordTable.sample_measure([3.0], [2.0])
         assert np.array_equal(m.points, [3.0])
         assert np.array_equal(m.weights, [1.0])
 
     def test_probability_mass_exact(self):
-        m = RecordTable.sample_measure([0.3, 1.7, 0.2, 5.0, -1.0], None, normalize=True)
+        m = RecordTable.sample_measure([0.3, 1.7, 0.2, 5.0, -1.0], None)
         assert abs(m.total_mass - 1.0) < 1e-12
 
     def test_negative_weight_rejected(self):
@@ -64,7 +64,7 @@ class TestEmpiricalMeasure:
         for _ in range(50):
             n = rng.integers(1, 40)
             m = RecordTable.sample_measure(
-                rng.normal(size=n), rng.uniform(0.1, 2.0, size=n), normalize=True
+                rng.normal(size=n), rng.uniform(0.1, 2.0, size=n)
             )
             assert abs(m.total_mass - 1.0) < 1e-12
 
@@ -109,9 +109,9 @@ class TestMixPath:
     def test_mass_preserved_on_random_draws(self, rng):
         for _ in range(100):
             F = RecordTable.sample_measure(rng.normal(size=rng.integers(1, 10)),
-                                           None, normalize=True)
+                                           None)
             G = RecordTable.sample_measure(rng.normal(size=rng.integers(1, 10)),
-                                           None, normalize=True)
+                                           None)
             t = rng.uniform()
             assert abs(mix_path(F, G, t).total_mass - 1.0) < 1e-12
 

@@ -538,17 +538,17 @@ class TestScores:
         assert np.abs(analytic - fd.T).max() / denom < 1e-3
 
     def test_profile_weights_of_its_own(self, rng):
-        # a profile whose weights F are not the model's: score_jacobian
-        # reads F from the point's bundle, as the mean score weighs by it
+        # a sample with unequal weights F: score_jacobian reads them from
+        # the point's bundle, as the mean score weighs by them
         # (n=200 at the design's missing share; the n=50 fixture's is 0.44,
         # which reweighting can push to where the operator stops contracting)
         from profix.numdiff import fd_theta
 
         r, y, x = simulation.gen_missing_cov(
             MissingCovDesign(), 200, simulation.replication_rng(102, 1))
-        model = MissingCovModel.from_arrays(r, y, x, NormalRegression())
-        F = rng.uniform(0.2, 1.8, size=model.n_records)
-        profile = MissingCovProfile(model, F / F.sum(), solver_tol=1e-12)
+        F = rng.uniform(0.2, 1.8, size=len(r))
+        model = MissingCovModel.from_arrays(r, y, x, NormalRegression(), weights=F)
+        profile = MissingCovProfile(model, solver_tol=1e-12)
         analytic = profile.jacobian(profile.point(THETA))
         fd = fd_theta(profile.mean_score, THETA, step=1e-4)
         assert np.abs(analytic - fd.T).max() / np.abs(fd).max() < 1e-6

@@ -35,6 +35,7 @@ from profix.prop_odds import (
 from reference import (
     DegenerateJump,
     SurvivalRecord,
+    at_risk_quadrature,
     dense,
     da_psi_prop_odds_naive,
     d2a_pairs_loop,
@@ -511,12 +512,13 @@ class TestAnalyticJacobian:
         jac, _, scale = result
         assert rel_diff(jac, jac.T, scale) <= 1e-10
 
-    def test_profile_weights_of_its_own(self, prop_odds_model, rng):
-        # a profile whose weights F are not the model's: its Jacobian and
-        # its mean score both weigh the records by F
-        model = prop_odds_model
-        F = rng.uniform(0.2, 1.8, size=model.n_records)
-        profile = PropOddsProfile(model, F / F.sum(), solver_tol=1e-13)
+    def test_profile_weights_of_its_own(self, prop_odds_data, rng):
+        # a sample with unequal weights F: the profile's Jacobian and its
+        # mean score both weigh the records by the model's weights
+        u, delta, z = prop_odds_data
+        F = rng.uniform(0.2, 1.8, size=len(u))
+        model = PropOddsModel.from_arrays(u, delta, z, weights=F)
+        profile = PropOddsProfile(model, solver_tol=1e-13)
         beta = np.array([0.5])
         jac = profile.jacobian(profile.point(beta))
         fd = fd_theta(profile.mean_score, beta, step=1e-5).T
@@ -808,12 +810,20 @@ class TestOperatorAuditsAcrossSeeds:
 
 class TestPopulation:
     def test_linear_self_consistency(self):
-        res = population_self_consistency(cells=400, order=5)
-        assert res["sup_error"] < 1e-8
+        # the at-risk weight is closed-form, so at the truth the outer
+        # integrand is the baseline rate and the error is rounding alone
+        res = population_self_consistency()
+        assert res["sup_error"] < 1e-12
 
-    def test_low_order_rule_at_grid_2000(self):
-        res = population_self_consistency(cells=2000, order=1)
-        assert res["sup_error"] < 1e-6
+    def test_at_risk_matches_quadrature(self):
+        law = prop_odds._PopulationLaw(LINEAR_DESIGN)
+        tau = LINEAR_DESIGN.tau
+        pairs = list(law.per_covariate())
+        assert len(pairs) == len(LINEAR_DESIGN.covariate_values)
+        for _, q in pairs:
+            for t in (0.0, 0.3, 1.7, tau - 1e-3, tau):
+                expected = at_risk_quadrature(LINEAR_DESIGN, t, q)
+                assert abs(law.at_risk(t, q) - expected) <= 1e-12 * expected
 
     def test_population_records_mass(self):
         pop = population_records(PropOddsDesign())
