@@ -11,7 +11,8 @@ point.  The members read here are
 
 - ``d_eta``, the derivative in the nuisance itself, a map with ``apply``
   and ``resolvent_solve``: a dense :class:`LinearMap` for the mixture, the
-  O(m) :class:`MaxIndexMap` for the survival family;
+  O(m) :class:`MaxIndexMap` for the survival family, whose resolvent is an
+  odd-even reduction of a tridiagonal form in numpy;
 - ``dot_psi``, the first parameter derivative, shape (d, m);
 - ``ddot_psi``, the second parameter derivative, shape (d, d, m);
 - ``mixed(H)``, the mixed parameter/nuisance derivative at a stack of

@@ -217,8 +217,10 @@ class MaxIndexMap:
     I - diag(a)^{1/2} K(s) diag(a)^{1/2}, whose eigenvalues are one minus
     those of diag(a) K(s).  For t >= 0 these are real and nonnegative, so M
     is positive definite exactly when diag(a) K(s) has spectral radius
-    below one: M's Cholesky factor both solves the resolvent and tests the
-    contraction.
+    below one.  M's odd-even reduction (:class:`_Reduction`) is an LDL'
+    factorization of M with its rows reordered, whose pivots are all
+    positive exactly when M is positive definite: the one factorization
+    both tests the contraction and solves the resolvent.
     """
 
     def __init__(self, a, s):
@@ -244,45 +246,35 @@ class MaxIndexMap:
         return self.a.reshape(column) * image
 
     @cached_property
-    def _free_rows(self):
-        """The rows with a_i > 0, and the map restricted to them (None when
-        every row is free)."""
+    def _fixed_rows(self):
+        """The rows with a_i = 0 and the map restricted to the others, or
+        None when there are none."""
         a = self.a
-        if not np.all((a >= 0) & np.isfinite(a)):
+        low = a.min(initial=np.inf)
+        if not (low >= 0.0 and a.max(initial=0.0) < np.inf):
             raise InvalidInput("the resolvent needs finite nonnegative coefficients")
-        free = a > 0
-        return free, None if free.all() else MaxIndexMap(a[free], self.s[free])
+        if low > 0.0:
+            return None
+        fixed = a == 0.0
+        return fixed, MaxIndexMap(a[~fixed], self.s[~fixed])
 
     @cached_property
-    def _factors(self):
-        """1/a and the factors d, e of M = L diag(d) L' (L unit lower
-        bidiagonal with subdiagonal e) of a map whose coefficients are all
+    def _reduction(self):
+        """The odd-even reduction of M on a map whose coefficients are all
         positive, computed once and shared by every solve; raises
         LinAlgError when M is not positive definite."""
-        from scipy.linalg.lapack import dpttrf  # here: a mixture process never needs it
-
-        inv_a = 1.0 / self.a
-        diag = inv_a + np.append(inv_a[1:], 0.0) - suffix_increments(self.s)
-        if len(diag) == 1:  # the LAPACK wrapper refuses an empty off-diagonal
-            d, e, info = diag, diag[:0], int(not diag[0] > 0.0)
-        else:
-            d, e, info = dpttrf(diag, -inv_a[1:])
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                "I - d_eta Psi is not positive definite: the nuisance derivative "
-                f"has spectral radius >= 1 and does not contract (leading minor {info})"
-            )
-        return inv_a, d, e
+        return _Reduction(self.a, self.s)
 
     def contracts(self):
         """Whether the map has spectral radius below one: whether M on the
-        free rows has the Cholesky factor that the resolvent solves then
+        free rows has the factorization that the resolvent solves then
         reuse."""
-        free, free_map = self._free_rows
-        if not free.any():
+        if self._fixed_rows is not None:
+            return self._fixed_rows[1].contracts()
+        if self.dim == 0:
             return True
         try:
-            (free_map or self)._factors  # computed here, cached for the solves
+            self._reduction  # computed here, cached for the solves
         except np.linalg.LinAlgError:
             return False
         return True
@@ -293,45 +285,142 @@ class MaxIndexMap:
         Rows with a_i = 0 read x_i = rhs_i.  The free rows F = {a > 0} form
         the same system on the subsequence, K(s)_FF = K(s_F), with rhs_F +
         a_F (K(s) r)_F as right-hand side, r being rhs with the free rows
-        zeroed.  There x = U^{-T} M^{-1} U^{-1} (rhs / a).  Forming M adds
-        1/a_i - t_i to 1/a_{i+1} and so loses digits where a falls steeply;
-        past _STEEP_FALL one refinement step against apply restores them.
-        rhs may hold stacked columns.  An M that is not positive definite
-        (spectral radius one or more) raises LinAlgError.
+        zeroed.  There x = U^{-T} M^{-1} U^{-1} (rhs / a).  rhs may hold
+        stacked columns.  An M that is not positive definite (spectral
+        radius one or more) raises LinAlgError.
         """
-        free, free_map = self._free_rows
         m = self.dim
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[:1] != (m,):
             raise InvalidInput("right-hand side dimension mismatch")
+        if self._fixed_rows is not None:
+            fixed, free_map = self._fixed_rows
+            out = rhs.copy()
+            pinned = np.where(fixed.reshape((-1,) + (1,) * (rhs.ndim - 1)), rhs, 0.0)
+            out[~fixed] = free_map.resolvent_solve((rhs + self.apply(pinned))[~fixed])
+            return out
         if m == 0:
             return rhs.copy()
-        column = (-1,) + (1,) * (rhs.ndim - 1)
-        if free_map is not None:
-            out = rhs.copy()
-            fixed = np.where(free.reshape(column), 0.0, rhs)
-            out[free] = free_map.resolvent_solve((rhs + self.apply(fixed))[free])
-            return out
-        from scipy.linalg.lapack import dpttrs
-
-        inv_a, d, e = self._factors
-
-        def solve(r):
-            y = r * inv_a.reshape(column)
-            y[:-1] -= y[1:].copy()  # U^{-1}
-            w = y / d.reshape(column) if m == 1 else dpttrs(d, e, y)[0]
-            return np.diff(w, axis=0, prepend=np.zeros((1,) + r.shape[1:]))  # U^{-T}
-
-        x = solve(rhs)
-        a = self.a
-        if np.any(np.maximum.accumulate(a)[:-1] > _STEEP_FALL * a[1:]):
-            x += solve(rhs - x + self.apply(x))
+        reduction = self._reduction
+        x = reduction.solve(rhs)
+        if reduction.refine:
+            x += reduction.solve(rhs - x + self.apply(x))
         return x
 
 
 #: Largest fall a_i / a_j (i < j) the resolvent solves without refinement;
 #: survival coefficients rise as the risk set shrinks.
 _STEEP_FALL = 16.0
+
+#: Most rows the odd-even reduction leaves to the sequential recurrence,
+#: which runs on Python floats.
+_TAIL = 64
+
+
+class _Reduction:
+    """The resolvent of a :class:`MaxIndexMap` whose coefficients a are all
+    positive, I - diag(a) K(s) = diag(a) U M U', by odd-even reduction of
+    the tridiagonal M.
+
+    M is padded with identity rows to size = 2^L (c - 1) + 1 rows,
+    c <= _TAIL, so that every level has an odd number of rows.  The level
+    at stride S = 2^l eliminates the rows at odd multiples of S, which
+    couple only to rows at even multiples, so their pivots are their
+    diagonal entries; what is left on the even multiples is a Schur
+    complement, tridiagonal again, written in place.  The sequential
+    recurrence factors the c rows left at stride 2^L.  Together this is an
+    LDL' factorization of M with its rows reordered, so M is positive
+    definite exactly when every pivot is positive; otherwise LinAlgError
+    names the leading minor of the reordered M that the first nonpositive
+    pivot ends.
+
+    Forming M adds 1/a_i - t_i to 1/a_{i+1} and so loses digits where a
+    falls steeply, past _STEEP_FALL; the solves then refine once against
+    apply (``refine``).  A nondecreasing a has no fall.
+    """
+
+    def __init__(self, a, s):
+        m = len(a)
+        stride = 1
+        while (m - 2) // stride + 2 > _TAIL:
+            stride *= 2
+        self.size = n = stride * ((m - 2) // stride + 1) + 1
+        inv_a = np.zeros(n + 1)
+        np.divide(1.0, a, out=inv_a[:m])
+        d = inv_a[:-1] + inv_a[1:]
+        d[:m] -= suffix_increments(s)
+        d[m:] = 1.0
+        f = inv_a[1:-1]  # minus the off-diagonal
+        levels, S = [], 1
+        with np.errstate(divide="ignore", invalid="ignore"):  # pivots checked below
+            while S < stride:
+                pivots, even = d[S::2 * S], d[::2 * S]
+                left, right = f[0::2], f[1::2]
+                lo, ro = left / pivots, right / pivots
+                even[:-1] -= left * lo
+                even[1:] -= right * ro
+                f = lo * right  # couples consecutive even rows
+                levels.append((S, lo, ro))
+                S *= 2
+        tail = d[::stride]
+        p, g, pivots = float(tail[0]), [], []
+        for f_i, d_i in zip(f.tolist(), tail[1:].tolist()):
+            if not p > 0.0:
+                break
+            pivots.append(p)
+            g.append(f_i / p)
+            p = d_i - f_i * g[-1]
+        pivots.append(p)
+        tail[:len(pivots)] = pivots
+        if not d.min() > 0.0:
+            order = np.concatenate([np.arange(S, m, 2 * S) for S, _, _ in levels]
+                                   + [np.arange(0, m, stride)])
+            raise np.linalg.LinAlgError(
+                "I - d_eta Psi is not positive definite: the nuisance derivative "
+                "has spectral radius >= 1 and does not contract (leading minor "
+                f"{1 + np.flatnonzero(~(d[order] > 0.0))[0]})"
+            )
+        inv = 1.0 / d
+        self.levels = [(S, lo, ro, inv[S::2 * S]) for S, lo, ro in levels]
+        self.stride, self.g, self.inv_tail = stride, g, inv[::stride].tolist()
+        self.inv_a = inv_a[:m]
+        self.refine = not (a[:-1] <= a[1:]).all() and bool(
+            np.any(np.maximum.accumulate(a)[:-1] > _STEEP_FALL * a[1:]))
+
+    def solve(self, rhs):
+        """x = U^{-T} M^{-1} U^{-1} (rhs / a), each column of rhs solved as
+        one row: eliminate down the levels, solve the tail in floats, and
+        substitute back up."""
+        m = len(self.inv_a)
+        cols = rhs.reshape(m, -1).T
+        cols = cols[0] if len(cols) == 1 else cols
+        y = np.zeros(cols.shape[:-1] + (self.size,))
+        np.multiply(cols, self.inv_a, out=y[..., :m])
+        y[..., :-1] -= y[..., 1:]  # U^{-1}
+        for S, lo, ro, _ in self.levels:
+            odd, even = y[..., S::2 * S], y[..., ::2 * S]
+            even[..., :-1] += lo * odd
+            even[..., 1:] += ro * odd
+        tail = y[..., ::self.stride]
+        rows = tail.reshape(-1, tail.shape[-1]).tolist()
+        g, inv_d = self.g, self.inv_tail
+        last = len(g)
+        for z in rows:
+            v = z[0]
+            for i, g_i in enumerate(g, 1):
+                v = z[i] = z[i] + g_i * v
+            v = z[last] = v * inv_d[last]
+            for i in range(last - 1, -1, -1):
+                v = z[i] = z[i] * inv_d[i] + g[i] * v
+        tail[...] = rows if y.ndim > 1 else rows[0]
+        for S, lo, ro, inv_p in reversed(self.levels):
+            odd, even = y[..., S::2 * S], y[..., ::2 * S]
+            odd *= inv_p
+            odd += lo * even[..., :-1]
+            odd += ro * even[..., 1:]
+        x = y[..., :m]
+        x[..., 1:] -= x[..., :-1]  # U^{-T}
+        return x.T.reshape(rhs.shape)
 
 
 def gauss_legendre_grid(lo, hi, n):

@@ -218,8 +218,9 @@ class _Workspace:
 
     def contracts(self):
         """Whether d_eta has spectral radius below one, read off the
-        Cholesky factor of its tridiagonal form (see :class:`MaxIndexMap`),
-        which the resolvent solves at this point then reuse."""
+        pivots of its tridiagonal form's odd-even reduction (see
+        :class:`MaxIndexMap`), which the resolvent solves at this point then
+        reuse."""
         return self.d_eta.contracts()
 
     @cached_property

@@ -17,7 +17,8 @@ import numpy as np
 from . import estimator, missing_cov, prop_odds
 from .errors import HarnessAlarm, InvalidConfig
 
-#: Two-sided 95% normal quantile, ``scipy.special.ndtri(0.975)`` to the bit.
+#: Two-sided 95% normal quantile, the normal quantile of 0.975 to the bit
+#: (``estimator._ndtri``, cephes ndtri).
 Z95 = 1.959963984540054
 
 #: Every model family's record, by model name.
@@ -202,7 +203,7 @@ def _matrix_sqrt(mat):
 
 def _ks_normal(x):
     """Two-sided Kolmogorov-Smirnov distance of the sample x from N(0, 1),
-    by the D+/D- formula of ``scipy.stats.ks_1samp``."""
+    by the D+/D- formula of the one-sample test."""
     from scipy.special import ndtr  # here: replications never call it, only the report
 
     cdf = ndtr(np.sort(x))

@@ -359,20 +359,23 @@ def d2a_pairs_loop(ws, H):
     return np.array([[apply(h1, h2) for h2 in H] for h1 in H])
 
 
-def mixed_terms_loop(ws, H):
+def mixed_terms_loop(ws, H, magnitudes=False):
     """The two terms of the survival operator's mixed coefficient/nuisance
     derivative at a workspace, one coefficient and one row of H at a time,
     each of shape (d, k, m), with the step directions and the at-risk sums
     formed as dense indicator products: the derivative of k, then that of
-    1/EW^2."""
+    1/EW^2.  With magnitudes, every factor and summand enters by its
+    absolute value, which bounds the rounding of the sums."""
+    mag = np.abs if magnitudes else (lambda v: v)
     model = ws.model
     steps = (model.event_times[None, :] <= model.u[:, None]).astype(float)  # (n, m)
     at_risk = steps.T
     kd = 2.0 * (1.0 + model.delta) * ws.q**2 / ws.denom**3
-    first = np.array([[ws.edn * ws.inv_ew**2 * (at_risk @ (ws.w * kd * za * (steps @ h)))
+    first = np.array([[mag(ws.edn * ws.inv_ew**2)
+                       * (at_risk @ mag(ws.w * kd * za * (steps @ mag(h))))
                        for h in H] for za in model.z.T])
-    second = np.array([[-2.0 * ws.edn * ew_dot * ws.inv_ew**3
-                        * (at_risk @ (ws.w * ws.k * (steps @ h)))
+    second = np.array([[mag(-2.0 * ws.edn * ew_dot * ws.inv_ew**3)
+                        * (at_risk @ mag(ws.w * ws.k * (steps @ mag(h))))
                         for h in H] for ew_dot in ws.ew_dot])
     return first, second
 

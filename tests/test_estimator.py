@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from profix import estimator, implicit_diff, missing_cov, prop_odds, simulation
 from profix.errors import (
@@ -525,3 +525,31 @@ class TestConfidenceInterval:
         expected = [(float(t - z * s), float(t + z * s))
                     for t, s in zip(fit.theta_hat, fit.se)]
         assert confidence_interval(fit, level) == expected
+
+
+class TestNdtriPort:
+    """estimator._ndtri is cephes ndtri operation for operation, so it
+    returns the bits of scipy.special.ndtri."""
+
+    @staticmethod
+    def sweep():
+        rng = np.random.default_rng(20261020)
+        branches = np.array([np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0),
+                             estimator._EXP_M2, 1.0 - estimator._EXP_M2])
+        return np.concatenate([
+            rng.uniform(size=20000),
+            10.0 ** rng.uniform(-300.0, -1.0, 20000),
+            1.0 - 10.0 ** -np.arange(1.0, 17.0),
+            branches, np.nextafter(branches, 0.0), np.nextafter(branches, 1.0),
+            [0.0, 0.5, 0.975, 1.0, 5e-324, 1e-310, -0.5, 1.5, np.nan],
+        ])
+
+    def test_bitwise_equal_to_scipy_special(self):
+        p = self.sweep()
+        ported = np.array([estimator._ndtri(float(q)) for q in p])
+        expected = special.ndtri(p)
+        same = (ported == expected) | (np.isnan(ported) & np.isnan(expected))
+        assert same.all(), p[~same][:5]
+
+    def test_z95(self):
+        assert simulation.Z95 == estimator._ndtri(0.975)

@@ -1,11 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from profix.errors import InvalidInput
+from profix.errors import InvalidInput, SingularResolvent
+from profix.implicit_diff import resolvent_apply
 from profix.measures import (
     EmpiricalMeasure,
     GridDensity,
@@ -16,6 +18,7 @@ from profix.measures import (
     composite_gauss_grid,
     gauss_legendre_grid,
 )
+from profix.measures import _TAIL
 
 from reference import (
     dense,
@@ -296,6 +299,102 @@ class TestMaxIndexMap:
             M.apply(np.ones(3))
         with pytest.raises(InvalidInput):
             M.resolvent_solve(np.ones(3))
+
+
+def tridiagonal_form(M):
+    """M of the map on its rows with a_i > 0, built densely from the map's
+    dense matrix: I - diag(a) K(s) = diag(a) U M U', U upper-triangular
+    ones."""
+    free = M.a > 0
+    system = (np.eye(M.dim) - dense(M))[np.ix_(free, free)]
+    u_inv = np.eye(free.sum()) - np.eye(free.sum(), k=1)
+    form = u_inv @ (system / M.a[free, None]) @ u_inv.T
+    return 0.5 * (form + form.T)
+
+
+def cholesky_succeeds(matrix):
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def reduction_coefficients(m, rho, free_only=True):
+    """Seeded (a, s) shaped like the survival derivative, a rising over
+    three decades and s decreasing, with a scaled so that diag(a) K(s) has
+    spectral radius rho; without free_only, a_i = 0 on every third row
+    from the second on."""
+    rng = np.random.default_rng(m)
+    a = np.maximum.accumulate(np.geomspace(1e-3, 1.0, m) * rng.uniform(0.9, 1.1, m))
+    s = np.cumsum(rng.uniform(0.1, 1.0, m)[::-1])[::-1] / m
+    a *= rho / max_index_spectral_radius(a, s)
+    if not free_only:
+        a[1::3] = 0.0
+    return a, s
+
+
+def eliminated_rows(m):
+    """Rows the odd-even reduction eliminates before its tail: the padded
+    size has c = 2 + (m - 2) // stride <= _TAIL rows left at the stride."""
+    stride = 1
+    while (m - 2) // stride + 2 > _TAIL:
+        stride *= 2
+    return m - len(range(0, m, stride))
+
+
+#: Sizes around the reduction's levels: none, one and several, the tail
+#: size and one either side, twice it and one either side, odd and even.
+REDUCTION_SIZES = sorted({1, 2, 3, _TAIL - 1, _TAIL, _TAIL + 1, 2 * _TAIL - 1,
+                          2 * _TAIL, 2 * _TAIL + 1, 4 * _TAIL + 2, 4 * _TAIL + 3})
+
+
+class TestOddEvenReduction:
+    """The resolvent's odd-even reduction against dense linear algebra."""
+
+    @pytest.mark.parametrize("m", REDUCTION_SIZES)
+    @pytest.mark.parametrize("free_only", [True, False])
+    @pytest.mark.parametrize("rho", [0.5, 0.99, 1.01, 2.0])
+    def test_certificate_is_the_dense_cholesky(self, m, free_only, rho):
+        M = MaxIndexMap(*reduction_coefficients(m, rho, free_only))
+        assert M.contracts() == cholesky_succeeds(tridiagonal_form(M))
+        if free_only:
+            assert M.contracts() == (rho < 1.0)
+
+    @pytest.mark.parametrize("m", REDUCTION_SIZES)
+    @pytest.mark.parametrize("free_only", [True, False])
+    def test_solve_matches_dense_solve(self, m, free_only):
+        M = MaxIndexMap(*reduction_coefficients(m, 0.9, free_only))
+        system = np.eye(m) - dense(M)
+        rng = np.random.default_rng(m)
+        for rhs in (rng.normal(size=m), rng.normal(size=(m, 1)), rng.normal(size=(m, 3))):
+            expected = np.linalg.solve(system, rhs)
+            x = M.resolvent_solve(rhs)
+            assert x.shape == rhs.shape
+            assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("m", [2 * _TAIL + 1, 4 * _TAIL + 2])
+    def test_refusal_in_a_level(self, m):
+        # a large increment of s at row 1 makes its diagonal entry, the
+        # first pivot the reduction takes, negative
+        a = np.full(m, 0.5 / m)
+        s = np.linspace(1.0, 0.0, m, endpoint=False)
+        s[:2] += 10.0 * m
+        with pytest.raises(SingularResolvent,
+                           match=r"not positive definite: .* does not contract "
+                                 r"\(leading minor 1\)"):
+            resolvent_apply(MaxIndexMap(a, s), np.ones(m))
+
+    @pytest.mark.parametrize("m", [2, _TAIL, 2 * _TAIL + 1, 4 * _TAIL + 2])
+    def test_refusal_in_the_tail(self, m):
+        # past rho = 1 with smooth coefficients every level's pivot stays
+        # positive, and the tail's recurrence meets the nonpositive one
+        s = np.linspace(1.0, 0.0, m, endpoint=False)
+        a = np.full(m, 1.05 / max_index_spectral_radius(np.ones(m), s))
+        with pytest.raises(SingularResolvent, match="not positive definite") as info:
+            resolvent_apply(MaxIndexMap(a, s), np.ones(m))
+        minor = int(re.search(r"leading minor (\d+)", str(info.value)).group(1))
+        assert eliminated_rows(m) < minor <= m
 
 
 class TestPerturbationDirection:

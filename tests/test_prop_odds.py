@@ -314,8 +314,14 @@ def survival_samples(draw, p=1):
     w = column(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
     if sum(w) == 0:
         w[0] = 1.0
-    beta = np.array([draw(st.sampled_from([-0.8, 0.0, 0.5])) for _ in range(p)])
+    beta = [draw(st.sampled_from([-0.8, 0.0, 0.5])) for _ in range(p)]
+    return survival_sample(u, delta, z, w, beta)
+
+
+def survival_sample(u, delta, z, w, beta):
+    """The sample with these columns, beta, and the first iterate of Psi."""
     model = PropOddsModel.from_arrays(u, delta, z, weights=w)
+    beta = np.asarray(beta, dtype=float)
     A = psi_apply(model, beta, zero_step(model.tau))
     return model, beta, A
 
@@ -335,6 +341,10 @@ class TestStructuredDerivatives:
 
     @given(sample=survival_samples())
     @settings(max_examples=60, deadline=None)
+    # one event time at beta = 0, tau = 0.5, jump 1/7: the covariate sums
+    # cancel and mixed is rounding alone
+    @example(sample=survival_sample([0.5] * 3, [0.0, 0.0, 1.0], [[-1.0], [0.4], [-0.3]],
+                                    [0.5, 2.0, 0.5], [0.0]))
     def test_maps_and_resolvent_match_dense(self, sample):
         model, beta, A = sample
         derivs = bundle(model, beta, A.jump_sizes)
@@ -353,10 +363,13 @@ class TestStructuredDerivatives:
         assert rel_diff(df_eta(derivs, direction),
                         dense_solve(d_eta, derivs.d_f(direction))) <= 1e-10
         # the mixed derivative's two terms can cancel exactly: compare on
-        # their scale
+        # their scale, floored at the suffix sums' rounding, eps times the
+        # sum of the summands' magnitudes (the sums themselves can cancel)
         first, second = mixed_terms_loop(derivs, h.T)
         scale = (np.abs(first) + np.abs(second)).max(initial=0.0)
-        assert rel_diff(derivs.mixed(h.T), first + second, scale) <= 1e-12
+        summands = sum(mixed_terms_loop(derivs, h.T, magnitudes=True)).max(initial=0.0)
+        error = np.abs(derivs.mixed(h.T) - (first + second)).max(initial=0.0)
+        assert error <= max(1e-12 * scale, 4.0 * np.finfo(float).eps * summands)
 
         norm = prop_odds._sup_norm(d_eta)
         dense_norm = np.abs(da_psi_value_map(model, beta, A.jump_sizes).matrix).sum(axis=1)
