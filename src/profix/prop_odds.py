@@ -58,22 +58,32 @@ class PropOddsModel(RecordTable):
             raise InvalidInput("event indicator must be 0 or 1")
         self.delta = delta
         self.z = points[:, 2:]
-        self.tau = float(tau) if tau is not None else float(self.u.max())
-        if np.any(self.u < 0) or np.any(self.u > self.tau):
+        # the record table keeps its rows in canonical lexicographic order,
+        # u first, so the records are in time order: the first and last
+        # bound them, and the event records' distinct times are the grid
+        u, n = self.u, self.n_records
+        self.tau = float(tau) if tau is not None else float(u.max())
+        if n and (u[0] < 0 or u[-1] > self.tau):
             raise InvalidInput("observed times must lie in [0, tau]")
-        event_mask = self.delta == 1
-        self.event_times = np.unique(self.u[event_mask])
+        self._event_rows = np.flatnonzero(delta == 1)
+        new_time = _run_starts(u[self._event_rows])
+        self.event_times = u[self._event_rows[new_time]]
         if len(self.event_times) and self.event_times[0] <= 0:
             raise InvalidInput("event times must be positive")
-        # the record table keeps its rows in canonical lexicographic order,
-        # u first, so the records are in time order: those at risk at an
-        # event time run from its _event_pos, a record's own row, to the end
-        self._event_pos = np.searchsorted(self.u, self.event_times, "left")
-        # index of the last event time <= u, per record (+1, 0 meaning none)
-        self._record_cut = np.searchsorted(self.event_times, self.u, "right")
-        # the event records and the slot of each one's event time
-        self._event_rows = np.flatnonzero(event_mask)
-        self._event_row_slot = np.searchsorted(self.event_times, self.u[event_mask])
+        # the slot of each event record's event time
+        self._event_row_slot = np.cumsum(new_time) - 1
+        # those at risk at an event time run from the first record at that
+        # time to the end; counted from the end, the reversed records run
+        # up to _event_rpos, where a reversed cumulative sum reads the sum
+        new_u = _run_starts(u)
+        first_at = np.flatnonzero(new_u)[np.cumsum(new_u) - 1]
+        event_pos = first_at[self._event_rows[new_time]]
+        self._event_rpos = n - 1 - event_pos
+        # index of the last event time <= u, per record (+1, 0 meaning none):
+        # the count of event times whose first record comes no later
+        marks = np.zeros(n, dtype=np.intp)
+        marks[event_pos] = 1
+        self._record_cut = np.cumsum(marks)
 
     @property
     def n_events(self):
@@ -104,17 +114,26 @@ class PropOddsModel(RecordTable):
 
     def suffix_at_events(self, values):
         """Sum of values over records with u >= each event time, along the
-        last axis, which runs over the records; leading axes stack values."""
-        suffix = np.cumsum(values[..., ::-1], axis=-1)[..., ::-1]
-        return suffix[..., self._event_pos]
+        last axis, which runs over the records; leading axes stack values.
+        The gathers here and in :meth:`cumulative_at_records` use take: an
+        index behind an Ellipsis costs several times as much on stacks."""
+        return np.cumsum(values[..., ::-1], axis=-1).take(self._event_rpos, axis=-1)
 
     def cumulative_at_records(self, jump_coeffs):
         """h(u_i) for the step directions with the given jump coefficients
         (the last axis runs over event times, and then over records): the
         cumulative sums a :class:`StepFunction` evaluates, bit for bit."""
-        cum = np.cumsum(jump_coeffs, axis=-1)
-        padded = np.concatenate([np.zeros(cum.shape[:-1] + (1,)), cum], axis=-1)
-        return padded[..., self._record_cut]
+        padded = np.zeros(jump_coeffs.shape[:-1] + (self.n_events + 1,))
+        np.cumsum(jump_coeffs, axis=-1, out=padded[..., 1:])
+        return padded.take(self._record_cut, axis=-1)
+
+
+def _run_starts(sorted_values):
+    """Where each run of equal values in a sorted vector begins."""
+    new = np.empty(len(sorted_values), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=new[1:])
+    return new
 
 
 def _parse_row(row, where):
@@ -136,14 +155,6 @@ def load_csv(path):
 def _event_mass(model, values):
     return np.bincount(model._event_row_slot, values[model._event_rows],
                        minlength=model.n_events)
-
-
-def _inverse_risk(edn, ew):
-    """1/EW at the event times carrying event mass, 0 elsewhere."""
-    if np.any((edn > 0) & (ew <= 0)):
-        raise RiskSetEmpty("zero at-risk weight at an event time")
-    # event rows with no event mass contribute nothing; guard the division
-    return np.where(edn > 0, 1.0 / np.where(ew > 0, ew, 1.0), 0.0)
 
 
 class Operator:
@@ -168,23 +179,39 @@ class Operator:
         self.q = np.exp(self.lin)
         self.qc = (1.0 + model.delta) * self.q
         self.edn = _event_mass(model, w)
+        # the event times carrying event mass
+        self._massed = self.edn > 0
 
     def __call__(self, jumps):
         return self.jumps_at(self.model.cumulative_at_records(self.checked(jumps)))
 
     def checked(self, jumps):
         """jumps as an array, refused unless one finite nonnegative jump per
-        event time."""
+        event time (a NaN fails both bounds)."""
         jumps = np.asarray(jumps, dtype=float)
-        if (jumps.shape != self.edn.shape or not np.all(np.isfinite(jumps))
-                or np.any(jumps < 0)):
+        if not (jumps.shape == self.edn.shape and jumps.min(initial=np.inf) >= 0.0
+                and jumps.max(initial=0.0) < np.inf):
             raise InvalidInput("need one finite nonnegative jump per event time")
         return jumps
 
     def jumps_at(self, AU):
         """Output jumps given A at the records."""
-        ew = self.model.suffix_at_events(self.w * (self.qc / (1.0 + self.q * AU)))
-        return self.edn * _inverse_risk(self.edn, ew)
+        weights = self.q * AU
+        weights += 1.0
+        np.divide(self.qc, weights, out=weights)
+        weights *= self.w
+        out = self.inverse_risk(self.model.suffix_at_events(weights))
+        out *= self.edn
+        return out
+
+    def inverse_risk(self, ew):
+        """1/EW at the event times carrying event mass, 0 elsewhere; those
+        need positive at-risk weight."""
+        if not ew.min(initial=np.inf, where=self._massed) > 0.0:
+            raise RiskSetEmpty("zero at-risk weight at an event time")
+        inv = np.zeros(ew.shape)
+        np.divide(1.0, ew, out=inv, where=self._massed)
+        return inv
 
     def cold_start(self):
         """Psi(0), where a solve without a start begins."""
@@ -205,7 +232,7 @@ class _Workspace:
         self.wdot = self.qc / self.denom**2
         self.k = (1.0 + model.delta) * self.q**2 / self.denom**2
         self.ew = model.suffix_at_events(self.w * self.c)
-        self.inv_ew = _inverse_risk(self.edn, self.ew)
+        self.inv_ew = op.inverse_risk(self.ew)
         self.ew_dot = model.suffix_at_events(self.w * self.wdot * model.z.T)
         self.dot_psi = -self.edn * self.ew_dot * self.inv_ew**2
         # the derivative in the nuisance, in jump coordinates: the direction
@@ -377,7 +404,7 @@ class PropOddsProfile(Profile):
         slot = model._event_row_slot
         safe = np.where(jumps > 0, jumps, 1.0)[slot]  # J' = 0 where J = 0
         ratio = np.zeros((self.dim, model.n_records))
-        ratio[:, model._event_rows] = jump_dot[:, slot] / safe
+        ratio[:, model._event_rows] = jump_dot.take(slot, axis=1) / safe
         zT = model.z.T
         hazard = ws.q * (zT * ws.AU + model.cumulative_at_records(jump_dot)) / ws.denom
         score = model.delta * (zT + ratio) - (1.0 + model.delta) * hazard

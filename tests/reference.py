@@ -15,6 +15,7 @@ from profix.errors import (
     InvalidInput,
     NumericOverflow,
     ProfixError,
+    RiskSetEmpty,
     SupportViolation,
 )
 from profix.measures import (
@@ -62,6 +63,47 @@ def mix_path(F, G, t):
 def psi_jumps(model, beta, jumps, F=None):
     """The survival self-consistency operator in jump coordinates."""
     return prop_odds.Operator(model, beta, F)(jumps)
+
+
+def operator_apply_formula(op, jumps):
+    """One application of a bound survival operator, a whole-array step at a
+    time, with the grid positions found by binary search: A at the records
+    from the zero-padded cumulative jumps, the at-risk sums as a reversed
+    cumulative sum read at each event time's first record, and the event
+    mass over them where there is any.  Operator.__call__ gives the same
+    bits."""
+    model = op.model
+    jumps = np.asarray(jumps, dtype=float)
+    if (jumps.shape != op.edn.shape or not np.all(np.isfinite(jumps))
+            or np.any(jumps < 0)):
+        raise InvalidInput("need one finite nonnegative jump per event time")
+    padded = np.concatenate([[0.0], np.cumsum(jumps)])
+    AU = padded[np.searchsorted(model.event_times, model.u, "right")]
+    suffix = np.cumsum((op.w * (op.qc / (1.0 + op.q * AU)))[::-1])[::-1]
+    ew = suffix[np.searchsorted(model.u, model.event_times, "left")]
+    if np.any((op.edn > 0) & (ew <= 0)):
+        raise RiskSetEmpty("zero at-risk weight at an event time")
+    return op.edn * np.where(op.edn > 0, 1.0 / np.where(ew > 0, ew, 1.0), 0.0)
+
+
+def canonical_atoms(points, weights):
+    """EmpiricalMeasure's atoms from one lexsort over every column (a
+    stable argsort of 1-d points) and a row-wise merge of equal neighbours;
+    EmpiricalMeasure gives the same bits."""
+    points = np.asarray(points, dtype=float) + 0.0
+    weights = np.asarray(weights, dtype=float)
+    if points.ndim == 1:
+        order = np.argsort(points, kind="stable")
+    else:
+        order = np.lexsort(points[:, ::-1].T)
+    points, weights = points[order], weights[order]
+    if len(points) == 0:
+        return points, weights
+    differs = points[1:] != points[:-1]
+    if points.ndim == 2:
+        differs = np.any(differs, axis=1)
+    new_group = np.concatenate(([True], differs))
+    return points[new_group], np.add.reduceat(weights, np.flatnonzero(new_group))
 
 
 def design_baseline(design, t):

@@ -1,12 +1,15 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from profix.errors import InvalidInput, SingularResolvent
+from profix.missing_cov import MissingCovModel, NormalRegression
+from profix.prop_odds import PropOddsModel
 from profix.implicit_diff import resolvent_apply
 from profix.measures import (
     EmpiricalMeasure,
@@ -18,9 +21,10 @@ from profix.measures import (
     composite_gauss_grid,
     gauss_legendre_grid,
 )
-from profix.measures import _TAIL
+from profix.measures import _TAIL, _canonical_order
 
 from reference import (
+    canonical_atoms,
     dense,
     direction_between,
     expectation,
@@ -86,6 +90,83 @@ class TestEmpiricalMeasure:
         m = EmpiricalMeasure([1.0, 2.0], [0.5, 0.5])
         with pytest.raises(ValueError):
             m.weights[0] = 0.9
+
+
+@st.composite
+def point_tables(draw):
+    """1-d points or rows of 1-3 columns, n from 0, whose first entries tie
+    nowhere, in places or everywhere, and whose rows may repeat."""
+    n = draw(st.integers(0, 12))
+    columns = draw(st.sampled_from([None, 1, 2, 3]))  # None: 1-d points
+    first = st.sampled_from(draw(st.sampled_from(
+        [[1.5], [0.0, 1.0], [-2.0, -0.5, 0.0, 0.7, 1.0, 3.0, 4.5, 8.0]])))
+    rest = st.sampled_from([-1.0, 0.0, 0.5])
+    rows = [[draw(first)] + [draw(rest) for _ in range(1, columns or 1)]
+            for _ in range(n)]
+    points = np.array(rows, dtype=float).reshape(n, columns or 1)
+    return points[:, 0] if columns is None else points
+
+
+class TestCanonicalOrder:
+    """The record table's order: np.lexsort's, stable, with its atoms."""
+
+    @given(points=point_tables(), seed=st.integers(0, 2**16))
+    @example(points=np.zeros(0), seed=0)
+    @example(points=np.zeros((0, 3)), seed=0)
+    @example(points=np.array([[2.0, 1.0]]), seed=0)
+    @example(points=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_is_stable_lexsort_order(self, points, seed):
+        keys = (points,) if points.ndim == 1 else points[:, ::-1].T
+        assert np.array_equal(_canonical_order(points), np.lexsort(keys))
+        weights = np.random.default_rng(seed).uniform(size=len(points))
+        measure = EmpiricalMeasure(points, weights)
+        expected_points, expected_weights = canonical_atoms(points, weights)
+        assert measure.points.tobytes() == expected_points.tobytes()
+        assert measure.points.shape == expected_points.shape
+        assert measure.weights.tobytes() == expected_weights.tobytes()
+
+
+#: Each family's sample of n records under the given weights.
+SAMPLES = {
+    "prop_odds": lambda n, weights: PropOddsModel.from_arrays(
+        np.linspace(0.5, 2.0, n), np.ones(n), np.linspace(-1.0, 1.0, n),
+        weights=weights),
+    "missing_cov": lambda n, weights: MissingCovModel.from_arrays(
+        np.ones(n), np.linspace(0.0, 1.0, n), np.linspace(-1.0, 1.0, n),
+        NormalRegression(), weights=weights),
+}
+
+
+class TestSampleMeasureRefusals:
+    def test_empty_sample(self):
+        with pytest.raises(InvalidInput, match="empty sample"):
+            RecordTable.sample_measure([], None)
+
+    @pytest.mark.parametrize("family", sorted(SAMPLES))
+    def test_empty_sample_through_from_arrays(self, family):
+        with pytest.raises(InvalidInput, match="empty sample"):
+            SAMPLES[family](0, None)
+
+    @pytest.mark.parametrize("family", sorted(SAMPLES))
+    @pytest.mark.parametrize("weights", [
+        [0.0, 0.0, 0.0],        # sums to zero
+        [1.0, -1.0, 0.0],       # cancels to zero
+        [-1.0, 0.5, 0.25],      # negative sum
+        [np.inf, 1.0, 1.0],     # infinite sum
+        [np.nan, 1.0, 1.0],     # no sum
+        [1e308, 1e308, 1.0],    # finite weights, infinite sum
+    ])
+    def test_weight_sum_must_be_positive_and_finite(self, family, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any division
+            with pytest.raises(InvalidInput, match="positive finite sum"):
+                SAMPLES[family](3, weights)
+
+    @pytest.mark.parametrize("family", sorted(SAMPLES))
+    def test_positive_sum_with_a_negative_weight(self, family):
+        with pytest.raises(InvalidInput, match="negative atom weight"):
+            SAMPLES[family](3, [2.0, -0.5, 1.0])
 
 
 class TestMixPath:

@@ -43,6 +43,7 @@ from reference import (
     loglik,
     loglik_prop_odds_naive,
     mixed_terms_loop,
+    operator_apply_formula,
     population_records,
     psi_prop_odds_naive,
     weight_w,
@@ -577,6 +578,28 @@ class TestBoundOperator:
                                           weights=w)
         for jumps in (np.zeros(model.n_events), np.linspace(0.1, 0.9, model.n_events)):
             assert bound_operator_agrees(model, [0.7], jumps)
+
+    @given(sample=st.sampled_from([1, 2]).flatmap(lambda p: survival_samples(p=p)),
+           signed=st.booleans(), scale=st.sampled_from([0.0, 0.4, 3.0]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_application_formula_bitwise(self, sample, signed, scale, seed):
+        # the model's own weights (zero-weight events included) or signed
+        # ones, which can empty a risk set: then both refuse alike
+        model, beta, A = sample
+        rng = np.random.default_rng(seed)
+        F = rng.choice([-1.0, 0.0, 0.5, 1.0], size=model.n_records) if signed else None
+        op = Operator(model, beta, F)
+        for jumps in (A.jump_sizes, scale * rng.uniform(size=model.n_events)):
+            try:
+                expected = operator_apply_formula(op, jumps)
+            except RiskSetEmpty:
+                with pytest.raises(RiskSetEmpty):
+                    op(jumps)
+                continue
+            out = op(jumps)
+            assert out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
 
     def test_refuses_bad_jumps(self, prop_odds_model):
         # the operator and the derivative bundle alike
