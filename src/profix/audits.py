@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import missing_cov, prop_odds, simulation
+from .errors import InvalidConfig
 from .fixed_point import estimate_operator_norm
 from .implicit_diff import d2theta_eta, df_eta, dtheta_eta
 from .measures import EmpiricalMeasure
@@ -277,6 +278,9 @@ def audit_population_missing_cov(seed, corrupt):
 def run_audits(kind, model=None, seed=0, n=20, population=False, corrupt=None):
     """Full audit battery for one model kind; returns AuditRow list."""
     family = simulation.get_family(kind)
+    for name, value in (("seed", seed), ("n", n)):
+        if value < 0:
+            raise InvalidConfig(f"{name} must be nonnegative")
     if population:
         return globals()[f"audit_population_{family.name}"](seed, corrupt)
     if model is None:

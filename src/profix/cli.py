@@ -16,12 +16,12 @@ flags overriding config fields.  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import os
 import sys
-
-import numpy as np
+import typing
 
 from . import audits, estimator, simulation
 from .errors import (
@@ -46,32 +46,116 @@ _ERROR_EXITS = {NoConvergence: EXIT_NO_CONVERGENCE,
                 ContractionViolation: EXIT_CONDITION, HarnessAlarm: EXIT_ALARM}
 
 
-def _load_config(path, allowed):
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(payload, dict):
-        raise InvalidConfig(f"{path}: top level must be a JSON object")
-    unknown = sorted(set(payload) - set(allowed))
+#: One option of a subcommand: its config key, its type (a key of _JSON_TYPES,
+#: optional as in ``tuple | None``, or ``object``, the family's design), its
+#: flag (or None) and the flag's help.
+Option = collections.namedtuple("Option", "key kind flag help", defaults=(None, None))
+
+#: The JSON type of a config value, by the option type it gives.
+_JSON_TYPES = {str: "a string", bool: "true or false", int: "an integer",
+               float: "a number", tuple: "an array of numbers"}
+
+FIT_OPTIONS = (
+    Option("model", str, "--model"),
+    Option("data", str, "--data", "CSV data file"),
+    Option("out", str, "--out", "write the fit result JSON here"),
+    Option("theta0", tuple, "--theta0", "comma-separated starting point"),
+    Option("tol", float, "--tol"),
+    Option("max_newton", int, "--max-newton"),
+    Option("force", bool, "--force", "skip the model condition gate"),
+    Option("level", float, "--level", "confidence level"),
+)
+
+CHECK_OPTIONS = (
+    Option("model", str, "--model"),
+    Option("data", str, "--data", "CSV data file (default: seeded synthetic)"),
+    Option("population", bool, "--population", "run the population-level checks instead"),
+    Option("seed", int, "--seed"),
+    Option("n", int, "--n", "synthetic dataset size"),
+)
+
+#: The fields of SimConfig, typed by their annotations, then out_prefix.
+MC_OPTIONS = tuple(
+    Option(name, kind, "--seed" if name == "seed" else None)
+    for name, kind in typing.get_type_hints(simulation.SimConfig).items()
+) + (Option("out_prefix", str, "--out-prefix",
+            "prefix for the report JSON and replication CSV"),)
+
+
+def _typed(value, kind, where):
+    """value as an option of type kind, or InvalidConfig naming where.
+
+    A design (a dataclass) is a JSON object of its fields, each typed by the
+    field's annotation.  An integer may be written as an integral number.
+    """
+    if type(None) in typing.get_args(kind):
+        if value is None:
+            return None
+        kind, = set(typing.get_args(kind)) - {type(None)}
+    if dataclasses.is_dataclass(kind) and isinstance(value, dict):
+        hints = typing.get_type_hints(kind)
+        unknown = sorted(set(value) - set(hints))
+        if unknown:
+            raise InvalidConfig(f"{where}: unknown design keys {unknown}")
+        design = kind(**{key: _typed(item, hints[key], f"{where}.{key}")
+                         for key, item in value.items()})
+        design.validate()
+        return design
+    number = type(value) in (int, float)  # bool is neither
+    if kind is float and number:
+        return float(value)
+    if kind is int and number and (type(value) is int or value.is_integer()):
+        return int(value)
+    if kind is tuple and isinstance(value, list) and all(
+            type(item) in (int, float) for item in value):
+        return tuple(map(float, value))
+    if kind in (str, bool) and type(value) is kind:
+        return value
+    expected = _JSON_TYPES.get(kind, "an object")
+    raise InvalidConfig(f"{where} must be {expected}, got {json.dumps(value)}")
+
+
+def _options(args, table):
+    """The options of table that args sets, by key, each typed.
+
+    A given flag wins over the key in the JSON config file ``args.config``;
+    a null config value leaves the key unset.  Unknown config keys and
+    values of the wrong JSON type raise InvalidConfig.
+    """
+    path, config = args.config, {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                config = json.load(fh)
+        except OSError as exc:
+            raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(
+                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+        if not isinstance(config, dict):
+            raise InvalidConfig(f"{path}: top level must be a JSON object")
+    unknown = sorted(set(config) - {opt.key for opt in table})
     if unknown:
         raise InvalidConfig(f"{path}: unknown config keys {unknown}")
-    return payload
-
-
-def _merge(config, flags):
-    merged = dict(config)
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-    return merged
+    values = {}
+    for opt in table:
+        if opt.key in args:  # flags default to unset
+            value, where = getattr(args, opt.key), opt.flag
+            if opt.kind is tuple:
+                try:
+                    value = [float(part) for part in value.split(",")]
+                except ValueError as exc:
+                    raise InvalidConfig(f"cannot parse vector {value!r}") from exc
+        elif config.get(opt.key) is not None:
+            value, where = config[opt.key], f"{path}: {opt.key}"
+        else:
+            continue
+        kind = opt.kind
+        if kind is object:  # the family's design, whose fields give its keys
+            kind = simulation.get_family(values.get("model")).design
+        values[opt.key] = _typed(value, kind, where)
+    return values
 
 
 def _merge_into(payload, fields):
@@ -81,13 +165,6 @@ def _merge_into(payload, fields):
             _merge_into(payload[key], value)
         else:
             payload[key] = value
-
-
-def _parse_vector(text):
-    try:
-        return [float(part) for part in str(text).split(",")]
-    except ValueError as exc:
-        raise InvalidConfig(f"cannot parse vector {text!r}") from exc
 
 
 def _cell(value, width):
@@ -105,47 +182,23 @@ def _print_fit_table(fit, intervals, labels):
         print(f"{label:<11} " + "".join(cells))
 
 
-_FIT_KEYS = ("model", "data", "out", "theta0", "tol", "max_newton", "force", "level")
-
-
 def cmd_fit(args):
-    config = _merge(
-        _load_config(args.config, _FIT_KEYS),
-        {
-            "model": args.model,
-            "data": args.data,
-            "out": args.out,
-            "theta0": _parse_vector(args.theta0) if args.theta0 else None,
-            "tol": args.tol,
-            "max_newton": args.max_newton,
-            "force": True if args.force else None,
-            "level": args.level,
-        },
-    )
-    family = simulation.get_family(config.get("model"))
-    data_path = config.get("data")
+    options = _options(args, FIT_OPTIONS)
+    family = simulation.get_family(options.pop("model", None))
+    data_path = options.pop("data", None)
     if not data_path:
         raise InvalidConfig("a data file is required")
     if not os.path.exists(data_path):
         raise InvalidConfig(f"data file not found: {data_path}")
+    out_path = options.pop("out", None)
+    level = options.pop("level", estimator.LEVEL)
+    estimator.check_level(level)
 
     model = family.load_csv(data_path)
     profile = family.profile(model)
-    theta0 = family.default_start(model)
-    if config.get("theta0") is not None:
-        theta0 = np.asarray(config["theta0"], dtype=float)
-
-    level = float(config.get("level", 0.95))
-    estimator.check_level(level)
-    force = bool(config.get("force", False))
+    theta0 = options.pop("theta0") if "theta0" in options else family.default_start(model)
     try:
-        fit = estimator.profile_mle(
-            profile,
-            theta0,
-            tol=float(config.get("tol", 1e-8)),
-            max_newton=int(config.get("max_newton", 50)),
-            force=force,
-        )
+        fit = estimator.profile_mle(profile, theta0, **options)
     except ContractionViolation as exc:
         print(f"condition check failed: {exc}", file=sys.stderr)
         return EXIT_CONDITION
@@ -160,7 +213,6 @@ def cmd_fit(args):
     payload["ci"] = intervals
     _merge_into(payload, family.fit_payload(profile, fit.theta_hat))
 
-    out_path = config.get("out")
     if out_path:
         with open(out_path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
@@ -168,33 +220,15 @@ def cmd_fit(args):
     return EXIT_OK
 
 
-_CHECK_KEYS = ("model", "data", "population", "seed", "n")
-
-
 def cmd_check_derivs(args):
-    config = _merge(
-        _load_config(args.config, _CHECK_KEYS),
-        {
-            "model": args.model,
-            "data": args.data,
-            "population": True if args.population else None,
-            "seed": args.seed,
-            "n": args.n,
-        },
-    )
-    family = simulation.get_family(config.get("model"))
-    population = bool(config.get("population", False))
-    model = None
-    if not population and config.get("data"):
-        model = family.load_csv(config["data"])
-    rows = audits.run_audits(
-        family.name,
-        model=model,
-        seed=int(config.get("seed", 0)),
-        n=int(config.get("n", 20)),
-        population=population,
-        corrupt=args.corrupt,
-    )
+    options = _options(args, CHECK_OPTIONS)
+    family = simulation.get_family(options.pop("model", None))
+    data_path = options.pop("data", None)
+    if data_path and not options.get("population"):
+        options["model"] = family.load_csv(data_path)
+    if "corrupt" in args:
+        options["corrupt"] = args.corrupt
+    rows = audits.run_audits(family.name, **options)
     width = max(len(r.name) for r in rows)
     print(f"{'audit':<{width + 2}}{'max_rel_err':>14}{'tol':>10}  status")
     offenders = []
@@ -209,59 +243,15 @@ def cmd_check_derivs(args):
     return EXIT_OK
 
 
-_MC_KEYS = (
-    "model", "n", "replications", "seed", "design", "theta_start",
-    "fit_tol", "max_newton", "solver_tol", "out_prefix",
-)
-
-
-def _build_design(family, payload):
-    if payload is None:
-        return None
-    if not isinstance(payload, dict):
-        raise InvalidConfig("design must be a JSON object")
-    allowed = {f.name for f in dataclasses.fields(family.design)}
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise InvalidConfig(f"unknown design keys {unknown}")
-    cleaned = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in payload.items()
-    }
-    design = family.design(**cleaned)
-    design.validate()
-    return design
-
-
 def cmd_monte_carlo(args):
-    config = _merge(
-        _load_config(args.config, _MC_KEYS),
-        {
-            "seed": args.seed,
-            "out_prefix": args.out_prefix,
-        },
-    )
-    family = simulation.get_family(config.get("model"))
-    for key in ("n", "replications"):
-        if key not in config:
-            raise InvalidConfig(f"missing required config key {key!r}")
-    design = _build_design(family, config.get("design"))
-    sim = simulation.SimConfig(
-        model=family.name,
-        n=int(config["n"]),
-        replications=int(config["replications"]),
-        seed=int(config.get("seed", 0)),
-        design=design,
-        theta_start=(
-            tuple(config["theta_start"]) if config.get("theta_start") else None
-        ),
-        fit_tol=float(config.get("fit_tol", 1e-8)),
-        max_newton=int(config.get("max_newton", 50)),
-        solver_tol=float(config.get("solver_tol", 1e-10)),
-    )
+    options = _options(args, MC_OPTIONS)
+    out_prefix = options.pop("out_prefix", None)
+    for field in dataclasses.fields(simulation.SimConfig):
+        if field.default is dataclasses.MISSING and field.name not in options:
+            raise InvalidConfig(f"missing required config key {field.name!r}")
+    sim = simulation.SimConfig(**options)
     if args.jobs < 1:
         raise InvalidConfig(f"--jobs must be at least 1, got {args.jobs}")
-    out_prefix = config.get("out_prefix")
 
     alarmed = False
     try:
@@ -278,6 +268,21 @@ def cmd_monte_carlo(args):
     return EXIT_ALARM if alarmed else EXIT_OK
 
 
+def _add_subcommand(sub, name, help, table, func):
+    """A subcommand parser with --config and the flags of table, unset if not given."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--config", help="JSON config file")
+    for opt in table:
+        if opt.flag is None:
+            continue
+        kind = {"action": "store_true"} if opt.kind is bool else {
+            "type": opt.kind if opt.kind in (int, float) else str,
+            "choices": tuple(simulation.FAMILIES) if opt.key == "model" else None}
+        parser.add_argument(opt.flag, default=argparse.SUPPRESS, help=opt.help, **kind)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="profix",
@@ -287,42 +292,14 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fit = sub.add_parser("fit", help="fit a dataset and report estimates")
-    fit.add_argument("--config", help="JSON config file")
-    fit.add_argument("--model", choices=tuple(simulation.FAMILIES))
-    fit.add_argument("--data", help="CSV data file")
-    fit.add_argument("--out", help="write the fit result JSON here")
-    fit.add_argument("--theta0", help="comma-separated starting point")
-    fit.add_argument("--tol", type=float)
-    fit.add_argument("--max-newton", dest="max_newton", type=int)
-    fit.add_argument("--force", action="store_true",
-                     help="skip the model condition gate")
-    fit.add_argument("--level", type=float, help="confidence level")
-    fit.set_defaults(func=cmd_fit)
-
-    check = sub.add_parser(
-        "check-derivs",
-        help="audit every analytic derivative against difference quotients",
-    )
-    check.add_argument("--config", help="JSON config file")
-    check.add_argument("--model", choices=tuple(simulation.FAMILIES))
-    check.add_argument("--data", help="CSV data file (default: seeded synthetic)")
-    check.add_argument("--population", action="store_true",
-                       help="run the population-level checks instead")
-    check.add_argument("--seed", type=int)
-    check.add_argument("--n", type=int, help="synthetic dataset size")
-    check.add_argument("--corrupt", help=argparse.SUPPRESS)
-    check.set_defaults(func=cmd_check_derivs)
-
-    mc = sub.add_parser("monte-carlo", help="run a Monte Carlo study")
-    mc.add_argument("--config", help="JSON config file (SimConfig schema)")
-    mc.add_argument("--out-prefix", dest="out_prefix",
-                    help="prefix for the report JSON and replication CSV")
-    mc.add_argument("--seed", type=int)
+    _add_subcommand(sub, "fit", "fit a dataset and report estimates", FIT_OPTIONS, cmd_fit)
+    check = _add_subcommand(sub, "check-derivs", "audit every analytic derivative "
+                            "against difference quotients", CHECK_OPTIONS, cmd_check_derivs)
+    check.add_argument("--corrupt", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    mc = _add_subcommand(sub, "monte-carlo", "run a Monte Carlo study", MC_OPTIONS,
+                         cmd_monte_carlo)
     mc.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                     help="parallel worker processes")
-    mc.set_defaults(func=cmd_monte_carlo)
     return parser
 
 

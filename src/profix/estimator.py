@@ -37,6 +37,9 @@ INFO_COND_LIMIT = 1e10
 
 MAX_HALVINGS = 20
 
+#: Confidence level of an interval when none is given, ``profix fit``'s too.
+LEVEL = 0.95
+
 #: Failures that make a Newton candidate a bad step rather than a bug.
 NUMERICAL_FAILURES = (ProfixError, np.linalg.LinAlgError, FloatingPointError)
 
@@ -248,6 +251,8 @@ def profile_mle(profile, theta0, tol=1e-8, max_newton=50, force=False):
     """
     if not 0.0 < tol < np.inf:
         raise InvalidInput("tolerance must be finite and positive")
+    if max_newton < 0:
+        raise InvalidInput("max_newton must be nonnegative")
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     if theta.shape != (profile.dim,):
         raise InvalidInput("starting point does not match the parameter dimension")
@@ -332,7 +337,7 @@ def check_level(level):
         raise InvalidInput("level must lie in (0, 1)")
 
 
-def confidence_interval(fit, level=0.95):
+def confidence_interval(fit, level=LEVEL):
     """Per-component normal-theory intervals at the given level."""
     check_level(level)
     z = _ndtri(0.5 * (1.0 + level))

@@ -509,6 +509,8 @@ class RecordTable:
         F = np.asarray(F, dtype=float)
         if F.shape != (self.n_records,):
             raise InvalidInput("weight vector does not match the record count")
+        if not np.all(np.isfinite(F)):
+            raise InvalidInput("weight vector has a non-finite entry")
         return F
 
     def resolve_direction(self, h):
@@ -516,6 +518,8 @@ class RecordTable:
         h = np.asarray(h, dtype=float)
         if h.shape != (self.n_records,):
             raise InvalidInput("direction does not match the record count")
+        if not np.all(np.isfinite(h)):
+            raise InvalidInput("direction has a non-finite entry")
         return h
 
 

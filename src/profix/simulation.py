@@ -53,11 +53,16 @@ class SimConfig:
             raise InvalidConfig("n must be at least 10")
         if self.replications < 1:
             raise InvalidConfig("replications must be at least 1")
+        for name in ("seed", "max_newton"):
+            if getattr(self, name) < 0:
+                raise InvalidConfig(f"{name} must be nonnegative")
         for name in ("fit_tol", "solver_tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise InvalidConfig(f"{name} must be finite and positive")
         if self.design is None:
             object.__setattr__(self, "design", family.design())
+        if self.theta_start is not None and len(self.theta_start) != len(self.theta0):
+            raise InvalidConfig("theta_start does not match the parameter dimension")
 
     @property
     def family(self):

@@ -1,6 +1,7 @@
 import pytest
 
 from profix import audits
+from profix.errors import InvalidConfig
 
 KINDS = ["prop_odds", "missing_cov"]
 TOLERANCES = (
@@ -55,3 +56,11 @@ def test_corrupting_a_row_fails_it_and_only_it(kind, population):
                 assert not row.passed
             else:
                 assert row == ref
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["seed", "n"])
+@pytest.mark.parametrize("kind, population", list(ROWS))
+def test_negative_seed_or_size_refused(kind, population, name):
+    with pytest.raises(InvalidConfig, match=f"{name} must be nonnegative"):
+        audits.run_audits(kind, population=population, **{name: -1})

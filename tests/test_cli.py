@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -8,8 +10,9 @@ import numpy as np
 import pytest
 
 import profix
-from profix import estimator, missing_cov, prop_odds, simulation
-from profix.cli import EXIT_NUMERICAL, EXIT_USAGE, _print_fit_table, main
+from profix import audits, cli, estimator, missing_cov, prop_odds, simulation
+from profix.cli import EXIT_NUMERICAL, EXIT_USAGE, _print_fit_table, build_parser, main
+from profix.errors import InvalidConfig
 
 from reference import da_psi_value_map
 
@@ -206,6 +209,13 @@ class TestFit:
         code = main(["fit", "--model", "missing_cov", "--data", str(data),
                      "--theta0", "3,3,3", "--max-newton", "1"])
         assert code == 2
+
+    def test_negative_newton_budget_exit_1(self, tmp_path, capsys):
+        data = write_ex2_csv(tmp_path / "d.csv")
+        code = main(["fit", "--model", "missing_cov", "--data", str(data),
+                     "--max-newton", "-3"])
+        assert code == EXIT_USAGE
+        assert "max_newton must be nonnegative" in capsys.readouterr().err
 
     def test_numerical_failure_exit_6(self, tmp_path, capsys):
         # a start this far out overflows the linear predictor at the first solve
@@ -423,6 +433,21 @@ class TestCheckDerivs:
         assert main(["check-derivs", "--model", "prop_odds",
                      "--population"]) == 0
 
+    @pytest.mark.parametrize("flag", ["--seed", "--n"])
+    @pytest.mark.parametrize("population", [[], ["--population"]])
+    @pytest.mark.parametrize("name", ["prop_odds", "missing_cov"])
+    def test_negative_seed_or_size_exit_1_before_audits(self, name, population, flag,
+                                                         monkeypatch, capsys):
+        def no_audit(*args, **kwargs):
+            raise AssertionError("an audit ran")
+
+        for attr in ("audit_operators", "audit_population_prop_odds",
+                     "audit_population_missing_cov"):
+            monkeypatch.setattr(audits, attr, no_audit)
+        argv = ["check-derivs", "--model", name, flag, "-5"] + population
+        assert main(argv) == EXIT_USAGE
+        assert f"{flag[2:]} must be nonnegative" in capsys.readouterr().err
+
     def test_data_file_input(self, tmp_path):
         data = write_ex1_csv(tmp_path / "d.csv", n=25,
                              design=prop_odds.LINEAR_DESIGN)
@@ -537,6 +562,25 @@ class TestMonteCarlo:
         )).to_json()
         assert (tmp_path / "linear_report.json").read_text() == expected
 
+    @pytest.mark.parametrize("fields, flags, message", [
+        ({"theta_start": [0]}, [], "theta_start does not match the parameter dimension"),
+        ({"max_newton": -1}, [], "max_newton must be nonnegative"),
+        ({}, ["--seed", "-1"], "seed must be nonnegative"),
+    ])
+    def test_out_of_range_exit_1_before_replications(self, fields, flags, message,
+                                                      tmp_path, monkeypatch, capsys):
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simulation, "run_replication", no_replication)
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps({
+            "model": "missing_cov", "n": 80, "replications": 4, **fields,
+        }))
+        argv = ["monte-carlo", "--config", str(cfg), "--jobs", "1"] + flags
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     def test_unknown_design_key_exit_1(self, tmp_path):
         cfg = tmp_path / "mc.json"
         cfg.write_text(json.dumps({
@@ -544,6 +588,180 @@ class TestMonteCarlo:
             "design": {"nope": 1},
         }))
         assert main(["monte-carlo", "--config", str(cfg), "--jobs", "1"]) == 1
+
+
+def _write_config(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _record(monkeypatch, module, name):
+    """Replace module.name, a function or a class, by a stand-in that records
+    each call's positional and keyword arguments and then stops the command
+    with exit 1.  A class is replaced by a subclass, which keeps its fields."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise InvalidConfig("recorded")
+
+    original = getattr(module, name)
+    stand_in = record
+    if isinstance(original, type):
+        stand_in = type(name, (original,), {"__new__": lambda cls, *a, **kw: record(*a, **kw)})
+    monkeypatch.setattr(module, name, stand_in)
+    return calls
+
+
+def _defaulted(func):
+    """The names of func's parameters that have a default."""
+    return {name for name, param in inspect.signature(func).parameters.items()
+            if param.default is not param.empty}
+
+
+#: A valid config base per subcommand, less the data file of fit.
+BASE = {
+    "fit": {"model": "missing_cov"},
+    "check-derivs": {"model": "missing_cov"},
+    "monte-carlo": {"model": "missing_cov", "n": 80, "replications": 2},
+}
+
+
+class TestConfigTypes:
+    """Every config value is checked against its option's JSON type before
+    anything runs; a wrong one exits 1 naming the config file and the key."""
+
+    @pytest.mark.parametrize("command, fields, message", [
+        ("check-derivs", {"n": "x"}, 'n must be an integer, got "x"'),
+        ("fit", {"theta0": "abc"}, 'theta0 must be an array of numbers, got "abc"'),
+        ("monte-carlo", {"n": "abc"}, 'n must be an integer, got "abc"'),
+        ("monte-carlo", {"fit_tol": "x"}, 'fit_tol must be a number, got "x"'),
+        ("monte-carlo", {"theta_start": "abc"},
+         'theta_start must be an array of numbers, got "abc"'),
+        ("monte-carlo", {"design": {"w2": "x"}}, 'design.w2 must be a number, got "x"'),
+        ("fit", {"force": "false"}, 'force must be true or false, got "false"'),
+        ("check-derivs", {"population": "false"},
+         'population must be true or false, got "false"'),
+        ("monte-carlo", {"replications": True}, "replications must be an integer, got true"),
+        ("monte-carlo", {"seed": 1.9}, "seed must be an integer, got 1.9"),
+        ("fit", {"level": "0.9"}, 'level must be a number, got "0.9"'),
+        ("fit", {"max_newton": 2.7}, "max_newton must be an integer, got 2.7"),
+        ("monte-carlo", {"n": 50.7}, "n must be an integer, got 50.7"),
+    ])
+    def test_mistyped_value_exit_1(self, command, fields, message, tmp_path,
+                                   monkeypatch, capsys):
+        def ran(*args, **kwargs):
+            raise AssertionError("ran with a mistyped value")
+
+        for module, name in ((estimator, "profile_mle"), (audits, "run_audits"),
+                             (simulation, "monte_carlo")):
+            monkeypatch.setattr(module, name, ran)
+        data = {"data": str(write_ex2_csv(tmp_path / "d.csv"))} if command == "fit" else {}
+        cfg = _write_config(tmp_path, {**BASE[command], **data, **fields})
+        assert main([command, "--config", cfg]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+    def test_integral_numbers_are_integers(self, tmp_path, monkeypatch):
+        calls = _record(monkeypatch, simulation, "SimConfig")
+        cfg = _write_config(tmp_path, {"model": "missing_cov", "n": 500.0,
+                                       "replications": 2, "seed": 7.0})
+        assert main(["monte-carlo", "--config", cfg]) == EXIT_USAGE
+        [(_, kwargs)] = calls
+        assert kwargs == {"model": "missing_cov", "n": 500, "replications": 2, "seed": 7}
+        assert type(kwargs["n"]) is int and type(kwargs["seed"]) is int
+
+    def test_null_leaves_a_key_unset(self, tmp_path, monkeypatch):
+        calls = _record(monkeypatch, simulation, "SimConfig")
+        cfg = _write_config(tmp_path, {**BASE["monte-carlo"], "seed": None,
+                                       "design": None, "theta_start": None})
+        assert main(["monte-carlo", "--config", cfg]) == EXIT_USAGE
+        assert calls == [((), BASE["monte-carlo"])]
+
+
+#: Each subcommand's flags and config keys, pinned.
+FLAGS = {
+    "fit": {"--config", "--model", "--data", "--out", "--theta0", "--tol",
+            "--max-newton", "--force", "--level"},
+    "check-derivs": {"--config", "--model", "--data", "--population", "--seed", "--n",
+                     "--corrupt"},
+    "monte-carlo": {"--config", "--out-prefix", "--seed", "--jobs"},
+}
+CONFIG_KEYS = {
+    "fit": {"model", "data", "out", "theta0", "tol", "max_newton", "force", "level"},
+    "check-derivs": {"model", "data", "population", "seed", "n"},
+    "monte-carlo": {"model", "n", "replications", "seed", "design", "theta_start",
+                    "fit_tol", "max_newton", "solver_tol", "out_prefix"},
+}
+
+
+class TestOptionTables:
+    """Each option is declared once, in its subcommand's table: the flags and
+    config keys stay what they are, and a command passes its callee exactly
+    the keys that were set, so the callee's defaults are the only ones."""
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_flags(self, command):
+        action, = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[command]
+        flags = {flag for a in parser._actions for flag in a.option_strings}
+        assert flags - {"-h", "--help"} == FLAGS[command]
+
+    @pytest.mark.parametrize("command, table", [
+        ("fit", "FIT_OPTIONS"), ("check-derivs", "CHECK_OPTIONS"),
+        ("monte-carlo", "MC_OPTIONS"),
+    ])
+    def test_config_keys(self, command, table, tmp_path, capsys):
+        assert {opt.key for opt in getattr(cli, table)} == CONFIG_KEYS[command]
+        # every pinned key is allowed: only the extra one is refused
+        cfg = _write_config(tmp_path, {**dict.fromkeys(CONFIG_KEYS[command]), "bogus": 1})
+        assert main([command, "--config", cfg]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config keys ['bogus']\n"
+
+    def test_fit(self, tmp_path, monkeypatch):
+        defaulted = _defaulted(estimator.profile_mle)
+        calls = _record(monkeypatch, estimator, "profile_mle")
+        data = str(write_ex2_csv(tmp_path / "d.csv"))
+        assert main(["fit", "--model", "missing_cov", "--data", data]) == EXIT_USAGE
+        cfg = _write_config(tmp_path, {"theta0": [0, 1, 0], "tol": 1e-9,
+                                       "max_newton": 7, "force": True})
+        assert main(["fit", "--model", "missing_cov", "--data", data,
+                     "--config", cfg]) == EXIT_USAGE
+        (_, none), (args, every) = calls
+        assert defaulted.isdisjoint(none)
+        assert args[1] == (0.0, 1.0, 0.0)
+        assert every == {"tol": 1e-9, "max_newton": 7, "force": True}
+        assert set(every) == defaulted
+
+    def test_check_derivs(self, tmp_path, monkeypatch):
+        defaulted = _defaulted(audits.run_audits)
+        calls = _record(monkeypatch, audits, "run_audits")
+        assert main(["check-derivs", "--model", "prop_odds"]) == EXIT_USAGE
+        data = write_ex1_csv(tmp_path / "d.csv", n=25)
+        cfg = _write_config(tmp_path, {"model": "prop_odds", "data": str(data),
+                                       "seed": 3, "n": 25, "population": False})
+        assert main(["check-derivs", "--config", cfg, "--corrupt", "da_psi"]) == EXIT_USAGE
+        (args, none), (_, every) = calls
+        assert args == ("prop_odds",) and defaulted.isdisjoint(none)
+        assert set(every) == defaulted
+        assert isinstance(every.pop("model"), prop_odds.PropOddsModel)
+        assert every == {"seed": 3, "n": 25, "population": False, "corrupt": "da_psi"}
+
+    def test_monte_carlo(self, tmp_path, monkeypatch):
+        defaulted = _defaulted(simulation.SimConfig)
+        calls = _record(monkeypatch, simulation, "SimConfig")
+        assert main(["monte-carlo", "--config",
+                     _write_config(tmp_path, BASE["monte-carlo"])]) == EXIT_USAGE
+        every = {"seed": 5, "design": {"w2": 0.2}, "theta_start": [0, 1, 0],
+                 "fit_tol": 1e-9, "max_newton": 9, "solver_tol": 1e-11}
+        cfg = _write_config(tmp_path, {**BASE["monte-carlo"], **every, "out_prefix": "x"})
+        assert main(["monte-carlo", "--config", cfg]) == EXIT_USAGE
+        (_, none), (_, given) = calls
+        assert none == BASE["monte-carlo"] and defaulted.isdisjoint(none)
+        assert set(given) - set(none) == defaulted
+        assert given == {**BASE["monte-carlo"], **every, "theta_start": (0.0, 1.0, 0.0),
+                         "design": missing_cov.MissingCovDesign(w2=0.2)}
 
 
 def test_installed_entry_point(tmp_path):

@@ -98,6 +98,14 @@ class TestProfileMle:
             profile_mle(profile, THETA0, tol=tol)
         assert profile.last_point is None
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("max_newton", [-1, -3])
+    def test_newton_budget_guard(self, max_newton):
+        profile = MissingCovProfile(ex2_model(50, 3))
+        with pytest.raises(InvalidInput, match="max_newton must be nonnegative"):
+            profile_mle(profile, THETA0, max_newton=max_newton)
+        assert profile.last_point is None
+
     def test_prop_odds_fit(self):
         rng = simulation.replication_rng(12, 0)
         design = prop_odds.PropOddsDesign()

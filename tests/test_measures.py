@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from profix import missing_cov, prop_odds
 from profix.errors import InvalidInput, SingularResolvent
 from profix.missing_cov import MissingCovModel, NormalRegression
 from profix.prop_odds import PropOddsModel
@@ -167,6 +168,46 @@ class TestSampleMeasureRefusals:
     def test_positive_sum_with_a_negative_weight(self, family):
         with pytest.raises(InvalidInput, match="negative atom weight"):
             SAMPLES[family](3, [2.0, -0.5, 1.0])
+
+
+#: Each family's module, a three-record sample of it (one record censored or
+#: incomplete) and a parameter at which to bind its operator.
+SMALL_SAMPLES = {
+    "prop_odds": (prop_odds, [1, 2, 3], [1, 1, 0], [0, 1, 0.5], [0.0]),
+    "missing_cov": (missing_cov, [1, 1, 2], [0.0, 1.0, 0.5], [-1.0, 1.0, 0.0],
+                    [0.0, 1.0, 0.0]),
+}
+
+
+def small_operator(family, F=None):
+    module, *columns, theta = SMALL_SAMPLES[family]
+    model = (PropOddsModel.from_arrays(*columns) if family == "prop_odds"
+             else MissingCovModel.from_arrays(*columns, NormalRegression()))
+    return module, module.Operator(model, theta, F)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [0, 1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("family", sorted(SMALL_SAMPLES))
+class TestNonFiniteWeights:
+    """A weight vector or a direction with a NaN or infinite entry is refused
+    where the record table resolves it, before any arithmetic on it."""
+
+    def test_operator_weights(self, family, value, entry):
+        F = np.ones(3)
+        F[entry] = value
+        with pytest.raises(InvalidInput, match="weight vector has a non-finite entry"):
+            _, op = small_operator(family, F)
+            op(op.cold_start())
+
+    def test_direction(self, family, value, entry):
+        h = np.zeros(3)
+        h[entry] = value
+        module, op = small_operator(family)
+        bundle = module.psi_derivatives(op, op.cold_start())
+        with pytest.raises(InvalidInput, match="direction has a non-finite entry"):
+            bundle.d_f(h)
 
 
 class TestMixPath:

@@ -120,6 +120,18 @@ class TestSimConfig:
             SimConfig(model="missing_cov", n=100, replications=1, **{key: tol})
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fields, message", [
+        ({"max_newton": -1}, "max_newton must be nonnegative"),
+        ({"seed": -1}, "seed must be nonnegative"),
+        ({"theta_start": (0.0,)}, "theta_start does not match"),
+        ({"model": "prop_odds", "theta_start": (0.0, 0.5)}, "theta_start does not match"),
+    ])
+    def test_range_validation(self, fields, message):
+        with pytest.raises(InvalidConfig, match=message):
+            SimConfig(**{"model": "missing_cov", "n": 100, "replications": 1, **fields})
+
+
 class TestMonteCarlo:
     def test_single_replication(self):
         cfg = SimConfig(model="missing_cov", n=100, replications=1, seed=8)
