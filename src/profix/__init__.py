@@ -23,19 +23,9 @@ from . import (
     simulation,
 )
 from .estimator import FitResult, confidence_interval, efficient_information, profile_mle
-from .fixed_point import (
-    FixedPointProblem,
-    FixedPointSolution,
-    estimate_operator_norm,
-    solve_fixed_point,
-)
+from .fixed_point import FixedPointProblem, FixedPointSolution, solve_fixed_point
 from .implicit_diff import d2theta_eta, df_eta, dtheta_eta, resolvent_apply
-from .measures import (
-    EmpiricalMeasure,
-    GridDensity,
-    LinearMap,
-    StepFunction,
-)
+from .measures import EmpiricalMeasure, LinearMap, StepFunction
 from .numdiff import fd_path, fd_theta
 from .simulation import McReport, SimConfig, gen_missing_cov, gen_prop_odds, monte_carlo
 
@@ -56,7 +46,6 @@ __all__ = [
     "FitResult",
     "FixedPointProblem",
     "FixedPointSolution",
-    "GridDensity",
     "LinearMap",
     "McReport",
     "SimConfig",
@@ -66,7 +55,6 @@ __all__ = [
     "df_eta",
     "dtheta_eta",
     "efficient_information",
-    "estimate_operator_norm",
     "fd_path",
     "fd_theta",
     "gen_missing_cov",

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import missing_cov, prop_odds, simulation
 from .errors import InvalidConfig
-from .fixed_point import estimate_operator_norm
 from .implicit_diff import d2theta_eta, df_eta, dtheta_eta
 from .measures import EmpiricalMeasure
 from .numdiff import fd_bilinear, fd_path, fd_theta
@@ -245,7 +244,7 @@ def audit_population_missing_cov(seed, corrupt):
 
     bound = design.w2 / (1.0 - design.w2)
     op = missing_cov.Operator(pop.model, theta0)
-    norm = estimate_operator_norm(missing_cov.psi_derivatives(op, pop.g0).d_eta, "l1")
+    norm = missing_cov.psi_derivatives(op, pop.g0).d_eta.l1_norm()
     rows.append(_population_row("dg_psi_l1_norm_excess", norm - bound,
                                 NORM_BOUND_SLACK, corrupt))
 
@@ -275,6 +274,11 @@ def audit_population_missing_cov(seed, corrupt):
     return rows
 
 
+#: Each family's population audit, by model name.
+POPULATION_AUDITS = {"prop_odds": audit_population_prop_odds,
+                     "missing_cov": audit_population_missing_cov}
+
+
 def run_audits(kind, model=None, seed=0, n=20, population=False, corrupt=None):
     """Full audit battery for one model kind; returns AuditRow list."""
     family = simulation.get_family(kind)
@@ -282,7 +286,7 @@ def run_audits(kind, model=None, seed=0, n=20, population=False, corrupt=None):
         if value < 0:
             raise InvalidConfig(f"{name} must be nonnegative")
     if population:
-        return globals()[f"audit_population_{family.name}"](seed, corrupt)
+        return POPULATION_AUDITS[family.name](seed, corrupt)
     if model is None:
         model = seeded_model(kind, n=n, seed=seed)
     return audit_operators(family, model, seed=seed, corrupt=corrupt)

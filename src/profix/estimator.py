@@ -53,7 +53,7 @@ class Family:
     :attr:`module` when called; the solve, the bundle and the audits share
     one operator bound per point.  The harness draws samples with
     ``simulation.gen_<name>``; the population audit is
-    ``audits.audit_population_<name>``.  ``audit_rows`` labels the audit
+    ``audits.POPULATION_AUDITS[name]``.  ``audit_rows`` labels the audit
     rows of the bundle's nuisance, second nuisance and parameter
     derivatives, in audit order.
     """

@@ -183,17 +183,3 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         iterations=max_iter,
     )
 
-
-def estimate_operator_norm(linear_map, norm="sup"):
-    """Exact induced norm of a dense linear map.
-
-    Max absolute row sum for the sup norm, max absolute column sum for L1.
-    """
-    matrix = linear_map.matrix
-    if not np.all(np.isfinite(matrix)):
-        raise InvalidInput("operator matrix has non-finite entries")
-    if norm == "sup":
-        return float(np.abs(matrix).sum(axis=1).max())
-    if norm == "l1":
-        return float(np.abs(matrix).sum(axis=0).max())
-    raise InvalidInput(f"unknown norm {norm!r}")

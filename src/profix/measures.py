@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidConfig, InvalidInput
 
 
 def _freeze(*arrays):
@@ -69,7 +69,7 @@ class EmpiricalMeasure:
     Atoms are kept canonically ordered (ascending by point, lexicographic
     for vector-valued points) and exactly duplicated points are merged with
     summed weight, so two measures representing the same distribution
-    compare equal atom by atom.
+    have the same atoms, bit for bit.
 
     Parameters
     ----------
@@ -101,33 +101,6 @@ class EmpiricalMeasure:
         self.weights = weights
         _freeze(self.points, self.weights)
 
-    def __len__(self):
-        return len(self.weights)
-
-    def __eq__(self, other):
-        if not isinstance(other, EmpiricalMeasure):
-            return NotImplemented
-        return (
-            self.points.shape == other.points.shape
-            and np.array_equal(self.points, other.points)
-            and np.array_equal(self.weights, other.weights)
-        )
-
-    @property
-    def total_mass(self):
-        return float(self.weights.sum())
-
-    def __repr__(self):
-        return (
-            f"EmpiricalMeasure(n={len(self)}, total_mass={self.total_mass:.6g})"
-        )
-
-
-def _cumulative_at(jump_times, cumulative, u):
-    idx = np.searchsorted(jump_times, u, side="right")
-    padded = np.concatenate(([0.0], cumulative))
-    return padded[idx]
-
 
 class StepFunction:
     """Nondecreasing cadlag step function on [0, tau] starting at zero.
@@ -152,48 +125,24 @@ class StepFunction:
         self.jump_times = jump_times
         self.jump_sizes = jump_sizes
         self.tau = float(tau)
-        self._cumulative = np.cumsum(jump_sizes)
-        _freeze(self.jump_times, self.jump_sizes, self._cumulative)
+        # the value after each jump, led by the zero before the first
+        self._values = np.concatenate(([0.0], np.cumsum(jump_sizes)))
+        _freeze(self.jump_times, self.jump_sizes, self._values)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         if np.any(u < 0) or np.any(u > self.tau):
             raise InvalidInput("evaluation point outside [0, tau]")
-        out = _cumulative_at(self.jump_times, self._cumulative, u)
+        out = self._values[np.searchsorted(self.jump_times, u, side="right")]
         return float(out) if out.ndim == 0 else out
 
-    @property
-    def total(self):
-        return float(self._cumulative[-1]) if len(self._cumulative) else 0.0
 
-    def __repr__(self):
-        return (
-            f"StepFunction(jumps={len(self.jump_times)}, tau={self.tau:.6g}, "
-            f"total={self.total:.6g})"
-        )
-
-
-class GridDensity:
-    """Probability masses on a finite support, stored in support order."""
-
-    def __init__(self, support, masses):
-        support = np.array(support, dtype=float)
-        masses = np.array(masses, dtype=float)
-        if support.ndim != 1 or masses.shape != support.shape:
-            raise InvalidInput("support and masses must be matching 1-d arrays")
-        if len(support) == 0:
-            raise InvalidInput("empty support")
-        if len(np.unique(support)) != len(support):
-            raise InvalidInput("support points must be distinct")
-        if not np.all(np.isfinite(masses)) or np.any(masses < 0):
-            raise InvalidInput("masses must be finite and nonnegative")
-        order = np.argsort(support)
-        self.support = support[order]
-        self.masses = masses[order]
-        _freeze(self.support, self.masses)
-
-    def __repr__(self):
-        return f"GridDensity(n={len(self.support)}, total_mass={self.masses.sum():.6g})"
+def _finite_norm(norm):
+    """An induced norm as a float.  A NaN or infinite entry of the map makes
+    the norm non-finite, so checking the one number refuses such a map."""
+    if not np.isfinite(norm):
+        raise InvalidInput(f"the map has a non-finite entry (norm {norm})")
+    return float(norm)
 
 
 class LinearMap:
@@ -209,7 +158,13 @@ class LinearMap:
     def apply(self, vec):
         return self.matrix @ np.asarray(vec, dtype=float)
 
-    __call__ = apply
+    def sup_norm(self):
+        """Induced sup norm: the largest absolute row sum."""
+        return _finite_norm(np.abs(self.matrix).sum(axis=1).max())
+
+    def l1_norm(self):
+        """Induced L1 norm: the largest absolute column sum."""
+        return _finite_norm(np.abs(self.matrix).sum(axis=0).max())
 
     def resolvent_solve(self, rhs):
         """Solve (I - M) x = rhs by a dense LU factorization; rhs may hold
@@ -262,6 +217,21 @@ class MaxIndexMap:
         image = s * np.cumsum(vec, axis=0)
         image[:-1] += np.cumsum((s * vec)[::-1], axis=0)[-2::-1]
         return self.a.reshape(column) * image
+
+    def sup_norm(self):
+        """Sup norm of the map on values at the grid points, the norm the
+        contraction requirement refers to.
+
+        The cumulative operator C = U' conjugates diag(a) U diag(t) U' to
+        the value map C diag(a) U diag(t), whose entry (i, j) is
+        t_j cumsum(a)_min(i, j); its absolute row sums come from cumulative
+        sums in O(m).
+        """
+        t = np.abs(suffix_increments(self.s))
+        cc = np.abs(np.cumsum(self.a))
+        before = np.concatenate([[0.0], np.cumsum(t * cc)[:-1]])
+        rows = before + cc * np.cumsum(t[::-1])[::-1]
+        return _finite_norm(rows.max(initial=0.0))
 
     @cached_property
     def _fixed_rows(self):
@@ -439,6 +409,21 @@ class _Reduction:
         x = y[..., :m]
         x[..., 1:] -= x[..., :-1]  # U^{-T}
         return x.T.reshape(rhs.shape)
+
+
+def check_covariate_law(values, probs):
+    """Refuse a design's discrete covariate law that a generator cannot draw
+    from, or one with fewer than two points of positive probability, under
+    which the covariate's coefficient is not identified."""
+    values, probs = np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
+    if values.ndim != 1 or probs.shape != values.shape:
+        raise InvalidConfig("covariate values and probabilities must be matching 1-d arrays")
+    if not (np.all(np.isfinite(values)) and np.all(probs >= 0)):
+        raise InvalidConfig("covariate values must be finite and probabilities nonnegative")
+    if abs(sum(probs.tolist()) - 1.0) > 1e-12:
+        raise InvalidConfig("covariate probabilities must sum to one")
+    if np.ptp(values[probs > 0]) == 0:  # not np.unique, which imports numpy.ma
+        raise InvalidConfig("the covariate law needs two points of positive probability")
 
 
 def gauss_legendre_grid(lo, hi, n):

@@ -20,17 +20,18 @@ import numpy as np
 from .errors import (
     ContractionViolation,
     DenominatorCollapse,
+    InvalidConfig,
     InvalidInput,
     SupportViolation,
 )
 from .estimator import Family, Profile
-from .fixed_point import FixedPointProblem, estimate_operator_norm, solve_fixed_point
+from .fixed_point import FixedPointProblem, solve_fixed_point
 from .implicit_diff import dtheta_eta
 from .measures import (
     EmpiricalMeasure,
-    GridDensity,
     LinearMap,
     RecordTable,
+    check_covariate_law,
     gauss_legendre_grid,
     parse_number,
     read_csv,
@@ -164,9 +165,6 @@ class MissingCovModel(RecordTable):
             raise InvalidInput("mass vector does not match the support size")
         return g
 
-    def masses_to_density(self, masses):
-        return GridDensity(self.support, masses)
-
 
 def _parse_row(row, where):
     r = parse_number(int, row[0], where, 1)
@@ -276,7 +274,7 @@ class _Workspace:
         T = diag(r) S diag(r), real and nonpositive, and the radius is below
         one exactly when I - T is positive definite, which its Cholesky
         factorization tests."""
-        if np.abs(self.d_eta.matrix).sum(axis=0).max() < 1.0:
+        if self.d_eta.l1_norm() < 1.0:
             return True
         r = np.sqrt(self.p1) / self.a
         system = -(r[:, None] * self.dg_a * r)
@@ -363,14 +361,14 @@ class _Workspace:
         return (dp1 * self.a + self.p1 * second) / self.a**2
 
 
-def psi_apply(model, theta, g):
-    """One application of the self-consistency operator; not renormalized."""
-    return model.masses_to_density(psi_masses(model, theta, g))
-
-
 def psi_masses(model, theta, masses):
-    """The operator on mass vectors."""
+    """One application of the self-consistency operator on mass vectors;
+    not renormalized."""
     return Operator(model, theta)(masses)
+
+
+#: bench/tracing.py wraps psi_apply and psi_masses by name, each on its own
+psi_apply = psi_masses
 
 
 def solve_nuisance(op, tol=1e-10, eta0=None):
@@ -518,7 +516,7 @@ def _fit_payload(profile, theta):
         },
         "condition": check_missing_fraction(profile.model, profile.weights).to_dict(),
         "diagnostics": {
-            "nuisance": {"sup_norm": estimate_operator_norm(point.derivs.d_eta, "sup")},
+            "nuisance": {"sup_norm": point.derivs.d_eta.sup_norm()},
         },
     }
 
@@ -545,12 +543,11 @@ class MissingCovDesign:
     w2: float = 0.3
 
     def validate(self):
-        if len(self.support) != len(self.g0):
-            raise InvalidInput("support and g0 must have equal length")
-        if abs(sum(self.g0) - 1.0) > 1e-12:
-            raise InvalidInput("g0 must sum to one")
+        if np.size(self.theta0) != NormalRegression.dim:
+            raise InvalidConfig("theta0 needs an intercept, a slope and a log sigma")
+        check_covariate_law(self.support, self.g0)
         if not 0.0 <= self.w2 < 1.0:
-            raise InvalidInput("w2 must lie in [0, 1)")
+            raise InvalidConfig("w2 must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -607,8 +604,8 @@ def population_self_consistency(pop):
     """Sup distance between the operator output at truth and the truth."""
     out = psi_apply(pop.model, np.asarray(pop.design.theta0, dtype=float), pop.g0)
     return {
-        "sup_error": float(np.abs(out.masses - pop.g0).max()),
-        "psi": out.masses,
+        "sup_error": float(np.abs(out - pop.g0).max()),
+        "psi": out,
         "truth": pop.g0,
     }
 

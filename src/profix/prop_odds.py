@@ -31,10 +31,10 @@ from .measures import (
     MaxIndexMap,
     RecordTable,
     StepFunction,
+    check_covariate_law,
     composite_gauss_grid,
     parse_number,
     read_csv,
-    suffix_increments,
 )
 from .numdiff import fd_theta  # noqa: F401 - bench/tracing.py hooks prop_odds.fd_theta
 
@@ -108,9 +108,6 @@ class PropOddsModel(RecordTable):
     def joined(self, other, measure):
         """Model on a record table holding this sample and other's."""
         return PropOddsModel(measure, tau=max(self.tau, other.tau))
-
-    def jumps_to_step(self, jumps):
-        return StepFunction(self.event_times, jumps, self.tau)
 
     def suffix_at_events(self, values):
         """Sum of values over records with u >= each event time, along the
@@ -313,30 +310,13 @@ def psi_apply(model, beta, A):
     weighted event mass there over the weighted mean at-risk weight.
     """
     AU = np.asarray(A(model.u), dtype=float)
-    return model.jumps_to_step(Operator(model, beta).jumps_at(AU))
+    return StepFunction(model.event_times, Operator(model, beta).jumps_at(AU), model.tau)
 
 
 def solve_nuisance(op, tol=1e-10, eta0=None):
     """Solve for the baseline odds jumps of a bound operator."""
     eta0 = op.cold_start() if eta0 is None else eta0
     return solve_fixed_point(FixedPointProblem(op, op.dim), eta0, tol=tol)
-
-
-def _sup_norm(d_eta):
-    """Sup norm of the nuisance derivative on values at the event times.
-
-    The cumulative operator C = U' conjugates diag(a) U diag(t) U' to
-    the value map C diag(a) U diag(t), whose entry (i, j) is
-    t_j cumsum(a)_min(i, j); its absolute row sums, the norm the
-    contraction requirement refers to, come from cumulative sums in O(m).
-    """
-    t = np.abs(suffix_increments(d_eta.s))
-    cc = np.abs(np.cumsum(d_eta.a))
-    before = np.concatenate([[0.0], np.cumsum(t * cc)[:-1]])
-    rows = before + cc * np.cumsum(t[::-1])[::-1]
-    if not np.all(np.isfinite(rows)):
-        raise InvalidInput("nuisance derivative has non-finite entries")
-    return float(rows.max(initial=0.0))
 
 
 def psi_derivatives(op, jumps):
@@ -433,7 +413,7 @@ class PropOddsProfile(Profile):
         the fit's first score then starts."""
         derivs = self.point(beta).derivs
         report = _variance_condition(derivs)
-        norm = _sup_norm(derivs.d_eta)
+        norm = derivs.d_eta.sup_norm()
         if not report.satisfied or norm >= 1.0:
             raise ContractionViolation(
                 f"variance condition satisfied={report.satisfied}, "
@@ -457,7 +437,7 @@ def _fit_payload(profile, beta):
             "satisfied": bool(report.satisfied),
             "min_margin": float(report.margins.min()) if len(report.margins) else None,
         },
-        "diagnostics": {"nuisance": {"sup_norm": _sup_norm(point.derivs.d_eta)}},
+        "diagnostics": {"nuisance": {"sup_norm": point.derivs.d_eta.sup_norm()}},
     }
 
 
@@ -506,8 +486,9 @@ class PropOddsDesign:
                 raise InvalidConfig("baseline odds at tau must be positive")
         if not 0 < self.censor_atom <= 1:
             raise InvalidConfig("censoring atom probability must be in (0, 1]")
-        if abs(sum(self.covariate_probs) - 1.0) > 1e-12:
-            raise InvalidConfig("covariate probabilities must sum to one")
+        if np.size(self.beta0) != 1:
+            raise InvalidConfig("beta0 needs one entry: the generator draws a scalar covariate")
+        check_covariate_law(self.covariate_values, self.covariate_probs)
 
 
 class _PopulationLaw:

@@ -61,6 +61,7 @@ class SimConfig:
                 raise InvalidConfig(f"{name} must be finite and positive")
         if self.design is None:
             object.__setattr__(self, "design", family.design())
+        self.design.validate()
         if self.theta_start is not None and len(self.theta_start) != len(self.theta0):
             raise InvalidConfig("theta_start does not match the parameter dimension")
 
@@ -90,8 +91,6 @@ def gen_prop_odds(design, n, rng):
     """
     design.validate()
     beta0 = np.atleast_1d(np.asarray(design.beta0, dtype=float))
-    if beta0.size != 1:
-        raise InvalidConfig("the generator draws a scalar covariate")
     z = rng.choice(design.covariate_values, size=n, p=design.covariate_probs)
     q = np.exp(z * beta0[0])
     v = rng.uniform(size=n)

@@ -20,7 +20,6 @@ from profix.errors import (
 )
 from profix.measures import (
     EmpiricalMeasure,
-    GridDensity,
     LinearMap,
     MaxIndexMap,
     StepFunction,
@@ -58,6 +57,11 @@ def mix_path(F, G, t):
     points = np.concatenate([F.points, G.points])
     weights = np.concatenate([(1.0 - t) * F.weights, t * G.weights])
     return EmpiricalMeasure(points, weights)
+
+
+def same_atoms(F, G):
+    """Whether two measures have the same atoms, bit for bit."""
+    return np.array_equal(F.points, G.points) and np.array_equal(F.weights, G.weights)
 
 
 def psi_jumps(model, beta, jumps, F=None):
@@ -114,6 +118,12 @@ def design_baseline(design, t):
         cum = np.concatenate([[0.0], np.cumsum(design.baseline_jumps)])
         return cum[np.searchsorted(times, t, side="right")]
     return design.baseline_rate * t
+
+
+def jumps_to_step(model, jumps):
+    """The step function with the given jumps at a survival model's event
+    times, on [0, tau]."""
+    return StepFunction(model.event_times, jumps, model.tau)
 
 
 def baseline_step(design):
@@ -496,24 +506,24 @@ class MissingCovRecord:
 
 
 def log_density(record, theta, g, family=None):
-    """Log density of one record under (theta, g).
+    """Log density of one record under (theta, g), g a pair (support,
+    masses) of the covariate law.
 
     Complete records contribute log f(y|x) + log g(x); incomplete ones the
     log of the mixture density of y.
     """
     family = family or NormalRegression()
     theta = np.asarray(theta, dtype=float)
-    if not isinstance(g, GridDensity):
-        raise InvalidInput("g must be a GridDensity")
+    support, masses = (np.asarray(v, dtype=float) for v in g)
     if record.r == 1:
-        mass = dict(zip(g.support, g.masses)).get(record.x, 0.0)
+        mass = dict(zip(support, masses)).get(record.x, 0.0)
         if mass <= 0.0:
             raise SupportViolation(
                 f"complete-case x={record.x} carries no mass"
             )
         f = float(family.density(record.y, record.x, theta))
         return float(np.log(f) + np.log(mass))
-    fy = float(family.density(record.y, g.support, theta) @ g.masses)
+    fy = float(family.density(record.y, support, theta) @ masses)
     if fy <= 0.0:
         raise SupportViolation("mixture density vanished at the record outcome")
     return float(np.log(fy))
@@ -565,7 +575,7 @@ def da_psi_value_map(model, beta, jumps, F=None):
 
     Similarity-transforms the jump-coordinate matrix with the cumulative
     operator; its max absolute row sum is the norm that
-    ``prop_odds._sup_norm`` computes without the matrix.
+    ``MaxIndexMap.sup_norm`` computes without the matrix.
     """
     M = dense(prop_odds.psi_derivatives(prop_odds.Operator(model, beta, F), jumps).d_eta)
     m = M.shape[0]
@@ -635,7 +645,7 @@ def direction_between(F, G):
     union = mix_path(F, G, 0.5)
     rows = union.points if union.points.ndim == 2 else union.points[:, None]
     index = {row.tobytes(): i for i, row in enumerate(rows)}
-    signed = np.zeros(len(union))
+    signed = np.zeros(len(union.weights))
     for measure, sign in ((F, -1.0), (G, 1.0)):
         pts = (measure.points if measure.points.ndim == 2
                else measure.points[:, None])

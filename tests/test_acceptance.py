@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from profix import audits, cli, estimator, missing_cov, prop_odds, simulation
-from profix.fixed_point import estimate_operator_norm
 from profix.measures import StepFunction
 
 from reference import population_records, psi_jumps
@@ -124,7 +123,7 @@ class TestCriterion4ContractionInstances:
         design = pop.design
         bound = design.w2 / (1.0 - design.w2)
         op = missing_cov.Operator(pop.model, design.theta0)
-        norm = estimate_operator_norm(missing_cov.psi_derivatives(op, pop.g0).d_eta, "l1")
+        norm = missing_cov.psi_derivatives(op, pop.g0).d_eta.l1_norm()
         ok = norm <= bound + 1e-6
         assert report(
             "criterion 4a: mixture nuisance-derivative L1 norm <= 3/7 + 1e-6",
@@ -141,7 +140,7 @@ class TestCriterion4ContractionInstances:
             op = prop_odds.Operator(model, beta0)
             derivs = prop_odds.psi_derivatives(op, prop_odds.solve_nuisance(op).eta)
             return (prop_odds._variance_condition(derivs),
-                    prop_odds._sup_norm(derivs.d_eta))
+                    derivs.d_eta.sup_norm())
 
         rep_pop, norm_pop = condition_and_norm(population_records(design))
         rng = simulation.replication_rng(1004, 0)
@@ -280,7 +279,7 @@ class TestCriterion8DegenerateExactness:
         psi = prop_odds.psi_apply(
             model, [0.4], StepFunction([], [], model.tau)
         )
-        ok = psi.total == 0.0 and len(psi.jump_times) == 0
+        ok = psi(psi.tau) == 0.0 and len(psi.jump_times) == 0
         assert report(
             "criterion 8b: all-censored data yields the zero step function",
             ok, f"jumps {psi.jump_sizes.tolist()}",

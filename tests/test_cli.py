@@ -441,9 +441,9 @@ class TestCheckDerivs:
         def no_audit(*args, **kwargs):
             raise AssertionError("an audit ran")
 
-        for attr in ("audit_operators", "audit_population_prop_odds",
-                     "audit_population_missing_cov"):
-            monkeypatch.setattr(audits, attr, no_audit)
+        monkeypatch.setattr(audits, "audit_operators", no_audit)
+        for model in audits.POPULATION_AUDITS:
+            monkeypatch.setitem(audits.POPULATION_AUDITS, model, no_audit)
         argv = ["check-derivs", "--model", name, flag, "-5"] + population
         assert main(argv) == EXIT_USAGE
         assert f"{flag[2:]} must be nonnegative" in capsys.readouterr().err
@@ -580,6 +580,32 @@ class TestMonteCarlo:
         argv = ["monte-carlo", "--config", str(cfg), "--jobs", "1"] + flags
         assert main(argv) == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, design, message", [
+        ("prop_odds", {"beta0": [0.5, 0.1]}, "scalar covariate"),
+        ("prop_odds", {"covariate_values": [-0.5, 0.5, 1.0]}, "matching 1-d arrays"),
+        ("prop_odds", {"covariate_probs": [1.5, -0.5]}, "probabilities nonnegative"),
+        ("prop_odds", {"covariate_values": [0.5], "covariate_probs": [1.0]},
+         "two points of positive probability"),
+        ("missing_cov", {"theta0": [0.0, 1.0]}, "intercept, a slope and a log sigma"),
+        ("missing_cov", {"support": [0.0, 1.0], "g0": [1.5, -0.5]},
+         "probabilities nonnegative"),
+        ("missing_cov", {"support": [0.5], "g0": [1.0]}, "two points of positive probability"),
+        ("missing_cov", {"support": [0.0, 1.0], "g0": [1.0, 0.0]},
+         "two points of positive probability"),
+    ])
+    def test_undrawable_design_exit_1_before_replications(self, model, design, message,
+                                                           tmp_path, monkeypatch, capsys):
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simulation, "run_replication", no_replication)
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps({"model": model, "n": 60, "replications": 3,
+                                   "design": design}))
+        assert main(["monte-carlo", "--config", str(cfg), "--jobs", "1"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
     def test_unknown_design_key_exit_1(self, tmp_path):
         cfg = tmp_path / "mc.json"

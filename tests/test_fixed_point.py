@@ -3,11 +3,7 @@ import pytest
 
 from profix import prop_odds
 from profix.errors import ContractionViolation, InvalidInput, NoConvergence
-from profix.fixed_point import (
-    FixedPointProblem,
-    estimate_operator_norm,
-    solve_fixed_point,
-)
+from profix.fixed_point import FixedPointProblem, solve_fixed_point
 from profix.measures import LinearMap
 
 from reference import psi_prop_odds_naive
@@ -48,7 +44,7 @@ class TestSolveFixedPoint:
         for _ in range(25):
             dim = rng.integers(2, 21)
             M = rng.normal(size=(dim, dim))
-            M *= 0.8 / estimate_operator_norm(LinearMap(M), "sup")
+            M *= 0.8 / LinearMap(M).sup_norm()
             b = rng.normal(size=dim)
             problem = FixedPointProblem(
                 apply=lambda v, M=M, b=b: b + M @ v, dimension=int(dim)
@@ -60,7 +56,7 @@ class TestSolveFixedPoint:
 
     def test_idempotent_restart(self, rng):
         M = rng.normal(size=(6, 6))
-        M *= 0.7 / estimate_operator_norm(LinearMap(M), "sup")
+        M *= 0.7 / LinearMap(M).sup_norm()
         b = rng.normal(size=6)
         problem = FixedPointProblem(apply=lambda v: b + M @ v, dimension=6)
         sol = solve_fixed_point(problem, np.zeros(6))
@@ -164,7 +160,7 @@ class TestSolveFixedPoint:
         # every application of Psi is an iteration, and the reported
         # residual is that of the returned nuisance
         M = rng.normal(size=(8, 8))
-        M *= 0.6 / estimate_operator_norm(LinearMap(M), "sup")
+        M *= 0.6 / LinearMap(M).sup_norm()
         b = rng.normal(size=8)
         calls = []
 
@@ -190,26 +186,3 @@ class TestSolveFixedPoint:
         )
         assert np.array_equal(times, model.event_times)
         assert np.abs(jumps - sol.eta).max() < 1e-10
-
-
-class TestOperatorNorm:
-    def test_diagonal(self):
-        assert estimate_operator_norm(LinearMap(np.diag([0.3, 0.3])), "sup") == (
-            pytest.approx(0.3)
-        )
-
-    def test_row_sums(self):
-        M = LinearMap(np.array([[0.0, 0.5], [0.5, 0.0]]))
-        assert estimate_operator_norm(M, "sup") == pytest.approx(0.5)
-
-    def test_l1_column_sums(self):
-        M = LinearMap(np.array([[0.1, 0.7], [0.3, 0.1]]))
-        assert estimate_operator_norm(M, "l1") == pytest.approx(0.8)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidInput):
-            estimate_operator_norm(LinearMap(np.array([[np.nan]])), "sup")
-
-    def test_unknown_norm(self):
-        with pytest.raises(InvalidInput):
-            estimate_operator_norm(LinearMap(np.eye(2)), "l2")

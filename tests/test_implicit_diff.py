@@ -5,7 +5,6 @@ import pytest
 
 from profix import missing_cov, prop_odds
 from profix.errors import SingularResolvent
-from profix.fixed_point import estimate_operator_norm
 from profix.implicit_diff import d2theta_eta, df_eta, dtheta_eta, resolvent_apply
 from profix.measures import LinearMap, MaxIndexMap
 from profix.numdiff import fd_path, fd_theta
@@ -38,7 +37,7 @@ class TestResolvent:
 
     def test_dense_vs_neumann(self, rng):
         M = rng.normal(size=(10, 10))
-        M = LinearMap(M * 0.8 / estimate_operator_norm(LinearMap(M), "sup"))
+        M = LinearMap(M * 0.8 / LinearMap(M).sup_norm())
         r = rng.normal(size=10)
         dense = resolvent_apply(M, r)
         series = neumann_apply(M, r, terms=200)
@@ -47,7 +46,7 @@ class TestResolvent:
     def test_resolvent_identity_random(self, rng):
         for _ in range(20):
             M = rng.normal(size=(6, 6))
-            M *= rng.uniform(0.1, 0.9) / estimate_operator_norm(LinearMap(M), "sup")
+            M *= rng.uniform(0.1, 0.9) / LinearMap(M).sup_norm()
             r = rng.normal(size=6)
             v = resolvent_apply(LinearMap(M), r)
             back = (np.eye(6) - M) @ v
@@ -96,7 +95,7 @@ class TestResolvent:
         theta = np.asarray(pop.design.theta0)
         op = missing_cov.Operator(pop.model, theta)
         derivs = missing_cov.psi_derivatives(op, missing_cov.solve_nuisance(op).eta)
-        assert estimate_operator_norm(derivs.d_eta, "l1") < 1.0
+        assert derivs.d_eta.l1_norm() < 1.0
         rhs = derivs.dot_psi[1]
         dense = resolvent_apply(derivs.d_eta, rhs)
         series = neumann_apply(derivs.d_eta, rhs, terms=200)

@@ -14,7 +14,6 @@ from profix.prop_odds import PropOddsModel
 from profix.implicit_diff import resolvent_apply
 from profix.measures import (
     EmpiricalMeasure,
-    GridDensity,
     LinearMap,
     MaxIndexMap,
     RecordTable,
@@ -34,6 +33,7 @@ from reference import (
     measure_from_json,
     measure_to_json,
     mix_path,
+    same_atoms,
     step_eval,
     trapezoid_grid,
 )
@@ -52,7 +52,7 @@ class TestEmpiricalMeasure:
 
     def test_probability_mass_exact(self):
         m = RecordTable.sample_measure([0.3, 1.7, 0.2, 5.0, -1.0], None)
-        assert abs(m.total_mass - 1.0) < 1e-12
+        assert abs(m.weights.sum() - 1.0) < 1e-12
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidInput):
@@ -74,12 +74,12 @@ class TestEmpiricalMeasure:
             m = RecordTable.sample_measure(
                 rng.normal(size=n), rng.uniform(0.1, 2.0, size=n)
             )
-            assert abs(m.total_mass - 1.0) < 1e-12
+            assert abs(m.weights.sum() - 1.0) < 1e-12
 
     def test_json_roundtrip(self):
         m = EmpiricalMeasure([2.0, 1.0, 1.0], [1 / 3] * 3)
         other = measure_from_json(measure_to_json(m))
-        assert m == other
+        assert same_atoms(m, other)
         payload = json.loads(measure_to_json(m))
         assert payload["points"] == sorted(payload["points"])
 
@@ -214,8 +214,8 @@ class TestMixPath:
     def test_endpoints_exact(self):
         F = EmpiricalMeasure([0.0, 1.0], [0.5, 0.5])
         G = EmpiricalMeasure([2.0, 3.0], [0.5, 0.5])
-        assert mix_path(F, G, 0.0) == F
-        assert mix_path(F, G, 1.0) == G
+        assert same_atoms(mix_path(F, G, 0.0), F)
+        assert same_atoms(mix_path(F, G, 1.0), G)
 
     def test_convex_combination(self):
         F = EmpiricalMeasure([0.0], [1.0])
@@ -238,7 +238,7 @@ class TestMixPath:
             G = RecordTable.sample_measure(rng.normal(size=rng.integers(1, 10)),
                                            None)
             t = rng.uniform()
-            assert abs(mix_path(F, G, t).total_mass - 1.0) < 1e-12
+            assert abs(mix_path(F, G, t).weights.sum() - 1.0) < 1e-12
 
 
 class TestStepFunction:
@@ -286,12 +286,6 @@ class TestStepFunction:
         assert A(lo) <= A(hi) + 1e-15
 
 
-class TestGridDensity:
-    def test_distinct_support(self):
-        with pytest.raises(InvalidInput):
-            GridDensity([0.0, 0.0], [0.5, 0.5])
-
-
 class TestLinearAndBilinearMaps:
     def test_zero_maps_to_zero(self, rng):
         M = LinearMap(rng.normal(size=(4, 4)))
@@ -311,6 +305,39 @@ class TestLinearAndBilinearMaps:
         M = LinearMap(rng.normal(size=(3, 3)))
         h1, h2 = rng.normal(size=3), rng.normal(size=3)
         assert np.allclose(M.apply(h1 + h2), M.apply(h1) + M.apply(h2))
+
+
+class TestOperatorNorm:
+    def test_diagonal(self):
+        assert LinearMap(np.diag([0.3, 0.3])).sup_norm() == pytest.approx(0.3)
+
+    def test_row_sums(self):
+        M = LinearMap(np.array([[0.0, 0.5], [0.5, 0.0]]))
+        assert M.sup_norm() == pytest.approx(0.5)
+
+    def test_l1_column_sums(self):
+        M = LinearMap(np.array([[0.1, 0.7], [0.3, 0.1]]))
+        assert M.l1_norm() == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_rejected(self, value):
+        matrix = np.full((2, 2), 0.1)
+        matrix[1, 0] = value
+        for norm in (LinearMap(matrix).sup_norm, LinearMap(matrix).l1_norm):
+            with pytest.raises(InvalidInput, match="non-finite entry"):
+                norm()
+        for a, s in (([0.1, value], [0.5, 0.2]), ([0.1, 0.2], [value, 0.2])):
+            with pytest.raises(InvalidInput, match="non-finite entry"):
+                MaxIndexMap(a, s).sup_norm()
+
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    def test_max_index_sup_norm_is_the_value_maps(self, m):
+        # on values at the grid points, C = U' conjugates the map to C M C^-1
+        a, s = max_index_coefficients(m, 11, 0.5)
+        C = np.tri(m)
+        value_map = C @ max_index_dense(a, s) @ np.linalg.inv(C)
+        expected = np.abs(value_map).sum(axis=1).max(initial=0.0)
+        assert MaxIndexMap(a, s).sup_norm() == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def max_index_coefficients(m, seed, zero_share):

@@ -15,7 +15,6 @@ from profix.errors import (
     SingularResolvent,
 )
 from profix.audits import union_with_resample
-from profix.fixed_point import estimate_operator_norm
 from profix.numdiff import fd_theta
 from profix.implicit_diff import df_eta, dtheta_eta
 from profix.measures import MaxIndexMap, StepFunction
@@ -40,6 +39,7 @@ from reference import (
     da_psi_prop_odds_naive,
     d2a_pairs_loop,
     da_psi_value_map,
+    jumps_to_step,
     loglik,
     loglik_prop_odds_naive,
     mixed_terms_loop,
@@ -71,7 +71,7 @@ def variance_condition(model, beta, jumps):
 
 def sup_norm(model, beta, jumps):
     """The O(m) sup norm of the bundle's nuisance derivative at (beta, jumps)."""
-    return prop_odds._sup_norm(bundle(model, beta, jumps).d_eta)
+    return bundle(model, beta, jumps).d_eta.sup_norm()
 
 
 class TestWeightW:
@@ -115,7 +115,7 @@ class TestPsiApply:
             [0.5, 1.0, 1.5], [0.0, 0.0, 0.0], [0.1, -0.2, 0.0]
         )
         psi = psi_apply(model, [0.3], zero_step(model.tau))
-        assert psi.total == 0.0 and len(psi.jump_times) == 0
+        assert psi(psi.tau) == 0.0 and len(psi.jump_times) == 0
 
     def test_tied_events_merged(self):
         model = PropOddsModel.from_arrays(
@@ -202,7 +202,7 @@ class TestLoglik:
     def test_matches_naive(self, prop_odds_model):
         model = prop_odds_model
         beta = [0.4]
-        A = model.jumps_to_step(solved(model, beta))
+        A = jumps_to_step(model, solved(model, beta))
         mine = loglik(model, beta, A)
         ref = loglik_prop_odds_naive(
             model.u, model.delta, model.z, model.weights, beta,
@@ -215,10 +215,10 @@ class TestLoglik:
         model = prop_odds_model
         beta = [0.5]
         jumps = solved(model, beta)
-        best = loglik(model, beta, model.jumps_to_step(jumps))
+        best = loglik(model, beta, jumps_to_step(model, jumps))
         for _ in range(20):
             scale = 1.0 + rng.uniform(-0.5, 0.5, size=model.n_events)
-            other = model.jumps_to_step(jumps * scale)
+            other = jumps_to_step(model, jumps * scale)
             assert loglik(model, beta, other) <= best + 1e-12
 
 
@@ -269,7 +269,7 @@ class TestFixedPointInvariants:
             u, delta, z = simulation.gen_prop_odds(LINEAR_DESIGN, 40, rng)
             model = PropOddsModel.from_arrays(u, delta, z)
             jumps = solved(model, beta)
-            psi = psi_apply(model, beta, model.jumps_to_step(jumps))
+            psi = psi_apply(model, beta, jumps_to_step(model, jumps))
             assert np.abs(psi.jump_sizes - jumps).max() < 1e-10
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -372,7 +372,7 @@ class TestStructuredDerivatives:
         error = np.abs(derivs.mixed(h.T) - (first + second)).max(initial=0.0)
         assert error <= max(1e-12 * scale, 4.0 * np.finfo(float).eps * summands)
 
-        norm = prop_odds._sup_norm(d_eta)
+        norm = d_eta.sup_norm()
         dense_norm = np.abs(da_psi_value_map(model, beta, A.jump_sizes).matrix).sum(axis=1)
         assert norm == pytest.approx(dense_norm.max(initial=0.0), rel=1e-12, abs=0)
 
@@ -387,7 +387,7 @@ class TestStructuredDerivatives:
         for model in (prop_odds_model, pop):
             beta = [0.5]
             jumps = solved(model, beta)
-            expected = estimate_operator_norm(da_psi_value_map(model, beta, jumps), "sup")
+            expected = da_psi_value_map(model, beta, jumps).sup_norm()
             assert sup_norm(model, beta, jumps) == pytest.approx(expected, rel=1e-13)
 
     def test_dtheta_eta_matches_dense_at_n3000(self):
@@ -551,7 +551,7 @@ class TestAnalyticJacobian:
 def bound_operator_agrees(model, beta, jumps):
     """The bound operator against psi_apply on the step function."""
     out = Operator(model, beta)(jumps)
-    expected = psi_apply(model, beta, model.jumps_to_step(jumps)).jump_sizes
+    expected = psi_apply(model, beta, jumps_to_step(model, jumps)).jump_sizes
     return np.array_equal(out, expected)
 
 
@@ -778,7 +778,7 @@ class TestProfile:
         profile = PropOddsProfile(model, solver_tol=1e-13)
 
         def profiled_loglik(beta):
-            return loglik(model, beta, model.jumps_to_step(solved(model, beta, tol=1e-13)))
+            return loglik(model, beta, jumps_to_step(model, solved(model, beta, tol=1e-13)))
 
         beta = np.array([0.3])
         from profix.numdiff import fd_theta
@@ -831,7 +831,7 @@ class TestContractionCertificate:
         rng = simulation.replication_rng(3, 0)
         model = PropOddsModel.from_arrays(*simulation.gen_prop_odds(LINEAR_DESIGN, 300, rng))
         point = PropOddsProfile(model).point(np.array([0.5]))
-        assert prop_odds._sup_norm(point.derivs.d_eta) > 1.0
+        assert point.derivs.d_eta.sup_norm() > 1.0
 
 
 class TestOperatorAuditsAcrossSeeds:

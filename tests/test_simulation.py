@@ -120,6 +120,14 @@ class TestSimConfig:
             SimConfig(model="missing_cov", n=100, replications=1, **{key: tol})
 
 
+    @pytest.mark.parametrize("model, design", [
+        ("prop_odds", prop_odds.PropOddsDesign(beta0=(0.5, 0.1))),
+        ("missing_cov", missing_cov.MissingCovDesign(theta0=(0.0, 1.0))),
+    ])
+    def test_design_validation(self, model, design):
+        with pytest.raises(InvalidConfig):
+            SimConfig(model=model, n=100, replications=1, design=design)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fields, message", [
         ({"max_newton": -1}, "max_newton must be nonnegative"),
