@@ -158,15 +158,6 @@ def _options(args, table):
     return values
 
 
-def _merge_into(payload, fields):
-    """Add fields to payload, merging the dictionaries both have."""
-    for key, value in fields.items():
-        if isinstance(value, dict) and isinstance(payload.get(key), dict):
-            _merge_into(payload[key], value)
-        else:
-            payload[key] = value
-
-
 def _cell(value, width):
     """value right-aligned in width after a space, in %g form if %f overflows."""
     text = f"{value:.6f}"
@@ -188,8 +179,6 @@ def cmd_fit(args):
     data_path = options.pop("data", None)
     if not data_path:
         raise InvalidConfig("a data file is required")
-    if not os.path.exists(data_path):
-        raise InvalidConfig(f"data file not found: {data_path}")
     out_path = options.pop("out", None)
     level = options.pop("level", estimator.LEVEL)
     estimator.check_level(level)
@@ -208,14 +197,15 @@ def cmd_fit(args):
 
     intervals = estimator.confidence_interval(fit, level)
     payload = fit.to_dict()
-    payload["model"] = family.name
-    payload["level"] = level
-    payload["ci"] = intervals
-    _merge_into(payload, family.fit_payload(profile, fit.theta_hat))
+    payload.update(family.fit_payload(profile, fit.theta_hat),
+                   model=family.name, level=level, ci=intervals)
+    # the nuisance derivative's norm at the fit's accepted point, at theta_hat
+    payload["diagnostics"]["nuisance"]["sup_norm"] = (
+        profile.last_point.derivs.d_eta.sup_norm())
 
     if out_path:
         with open(out_path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write(estimator.to_json(payload))
     _print_fit_table(fit, intervals, family.labels(model))
     return EXIT_OK
 
@@ -224,7 +214,9 @@ def cmd_check_derivs(args):
     options = _options(args, CHECK_OPTIONS)
     family = simulation.get_family(options.pop("model", None))
     data_path = options.pop("data", None)
-    if data_path and not options.get("population"):
+    if data_path and options.get("population"):
+        raise InvalidConfig("the population checks read no data file")
+    if data_path:
         options["model"] = family.load_csv(data_path)
     if "corrupt" in args:
         options["corrupt"] = args.corrupt

@@ -15,9 +15,10 @@ record each.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -66,7 +67,7 @@ class Family:
     truth: Callable  # design -> true parameter
     default_start: Callable  # model -> starting point of a fit
     labels: Callable  # model -> parameter labels of the fit table
-    fit_payload: Callable  # (fitted profile, theta_hat) -> family fields of fit JSON, merged in
+    fit_payload: Callable  # (fitted profile, theta_hat) -> the family's top-level fit JSON keys
     audit_rows: tuple
     audit_seed_offset: int
     audit_theta: Callable  # model -> parameter the audits run at
@@ -203,16 +204,22 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "theta_hat": self.theta_hat.tolist(),
-            "info_hat": self.info_hat.tolist(),
-            "se": self.se.tolist(),
-            "iterations": self.iterations,
-            "score_norm": self.score_norm,
-            "n": self.n,
-            "info_condition": self.info_condition,
-            "diagnostics": self.diagnostics,
-        }
+        return plain_fields(self)
+
+
+def plain_fields(record):
+    """The fields of a dataclass record as JSON values, arrays as lists,
+    leaving out a field whose metadata sets ``json`` false."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)
+              if f.metadata.get("json", True)}
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in values.items()}
+
+
+def to_json(data):
+    """The text of a fit or study JSON file: keys sorted, so the bytes do
+    not depend on the order in which the keys were added."""
+    return json.dumps(data, sort_keys=True, indent=2)
 
 
 def efficient_information(profile, point):

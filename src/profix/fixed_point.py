@@ -108,7 +108,7 @@ def _acceptable(candidate, g):
     return not (candidate.min() < 0.0 and np.any((candidate < 0.0) & (g >= 0.0)))
 
 
-def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL):
     """Solve eta = Psi(eta) by safeguarded Anderson iteration until the
     sup-norm residual drops below tol.
 
@@ -121,7 +121,8 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     not decrease, when the Gram system is singular, or when the extrapolate
     has a non-finite entry or a negative one where g has none.
     ``VIOLATION_STREAK`` consecutive growing residuals abort the run with
-    :class:`ContractionViolation`; exhausting the iteration budget raises
+    :class:`ContractionViolation`; exhausting the budget of
+    ``DEFAULT_MAX_ITER`` iterations, read when called, raises
     :class:`NoConvergence` carrying the best residual.  See
     :class:`FixedPointSolution` for the diagnostics.
     """
@@ -138,7 +139,7 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     df, dg = [], []  # the rows of F and G, oldest first
     trace = []
     streak = fallbacks = 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, DEFAULT_MAX_ITER + 1):
         g = np.asarray(problem.apply(eta), dtype=float)
         if g.shape != eta.shape:
             raise InvalidInput("operator changed the coefficient dimension")
@@ -177,9 +178,9 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
                 fallbacks += 1
         f_prev, g_prev = f, g
     raise NoConvergence(
-        f"no fixed point within {max_iter} iterations "
+        f"no fixed point within {DEFAULT_MAX_ITER} iterations "
         f"(best residual {min(trace):.3g}, tol {tol:.3g})",
         residual=min(trace),
-        iterations=max_iter,
+        iterations=DEFAULT_MAX_ITER,
     )
 

@@ -451,6 +451,14 @@ def composite_gauss_grid(lo, hi, cells, order=5):
     return nodes, weights, boundaries
 
 
+def run_starts(sorted_values):
+    """Where each run of equal values in a sorted vector begins."""
+    new = np.empty(len(sorted_values), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=new[1:])
+    return new
+
+
 class RecordTable:
     """A sample's fixed atom table, the base of both model families.
 
@@ -515,28 +523,32 @@ def read_csv(path, header, accept, parse_row):
     header, which the error spells out otherwise; parse_row(row, where)
     turns one row's fields into numbers.  Blank lines are skipped, and
     every error names the file, the line and, where there is one, the
-    column.
+    column; so does a file that cannot be opened or is not text.
     """
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read data file {path}: {exc}") from exc
+    reader = csv.reader(lines)
+    names = next(reader, None)
+    if names is None:
+        raise InvalidInput(f"{path}: line 1: empty file")
+    names = [c.strip() for c in names]
+    if not accept(names):
+        raise InvalidInput(
+            f"{path}: line 1: expected header '{header}', got {names}"
+        )
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        names = next(reader, None)
-        if names is None:
-            raise InvalidInput(f"{path}: line 1: empty file")
-        names = [c.strip() for c in names]
-        if not accept(names):
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        where = f"{path}: line {lineno}"
+        if len(row) != len(names):
             raise InvalidInput(
-                f"{path}: line 1: expected header '{header}', got {names}"
+                f"{where}: expected {len(names)} fields, got {len(row)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            where = f"{path}: line {lineno}"
-            if len(row) != len(names):
-                raise InvalidInput(
-                    f"{where}: expected {len(names)} fields, got {len(row)}"
-                )
-            rows.append(parse_row(row, where))
+        rows.append(parse_row(row, where))
     if not rows:
         raise InvalidInput(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)

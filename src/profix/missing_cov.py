@@ -35,6 +35,7 @@ from .measures import (
     gauss_legendre_grid,
     parse_number,
     read_csv,
+    run_starts,
 )
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -134,8 +135,13 @@ class MissingCovModel(RecordTable):
         if len(self.complete_rows) == 0:
             raise InvalidInput("need at least one complete record")
         self.x_complete = points[self.complete_rows, 2]
-        self.support = np.unique(self.x_complete)
-        self.slot = np.searchsorted(self.support, self.x_complete)
+        # the distinct values by a sort and its run starts: np.unique would
+        # import numpy.ma into every mixture process
+        order = np.argsort(self.x_complete, kind="stable")
+        new = run_starts(self.x_complete[order])
+        self.support = self.x_complete[order[new]]
+        self.slot = np.empty(len(order), dtype=np.intp)
+        self.slot[order] = np.cumsum(new) - 1
         self.y_incomplete = self.y[self.incomplete_rows]
 
     @property
@@ -438,32 +444,13 @@ def score_jacobian(point):
     return out
 
 
-@dataclass
-class MissingFractionReport:
-    """Complete/incomplete mass split and whether the contraction bound holds."""
-
-    w1: float
-    w2: float
-    satisfied: bool
-
-    @property
-    def ratio(self):
-        return self.w2 / self.w1 if self.w1 > 0 else np.inf
-
-    def to_dict(self):
-        return {
-            "w1": self.w1,
-            "w2": self.w2,
-            "ratio": self.ratio,
-            "satisfied": bool(self.satisfied),
-        }
-
-
 def check_missing_fraction(model, weights):
-    """Report whether incomplete mass is strictly below complete mass."""
+    """The fit JSON's condition object: the complete and incomplete masses
+    w1 and w2, their ratio and whether w2 is strictly below w1."""
     w1 = float(weights[model.complete_rows].sum())
     w2 = float(weights[model.incomplete_rows].sum())
-    return MissingFractionReport(w1, w2, satisfied=bool(w2 < w1))
+    return {"w1": w1, "w2": w2, "ratio": w2 / w1 if w1 > 0 else np.inf,
+            "satisfied": bool(w2 < w1)}
 
 
 class MissingCovProfile(Profile):
@@ -496,28 +483,20 @@ class MissingCovProfile(Profile):
         return score_jacobian(point)
 
     def precheck(self, theta):
-        report = check_missing_fraction(self.model, self.weights)
-        if not report.satisfied:
+        condition = check_missing_fraction(self.model, self.weights)
+        if not condition["satisfied"]:
             raise ContractionViolation(
-                f"incomplete mass w2={report.w2:.3f} is not below complete "
-                f"mass w1={report.w1:.3f}"
+                f"incomplete mass w2={condition['w2']:.3f} is not below complete "
+                f"mass w1={condition['w1']:.3f}"
             )
-        return report
 
 
 def _fit_payload(profile, theta):
-    point = profile.last_point
-    masses = point.solution.eta.tolist()
+    masses = profile.last_point.solution.eta.tolist()
     return {
         "g_masses": masses,
-        "nuisance": {
-            "support": profile.model.support.tolist(),
-            "g_masses": masses,
-        },
-        "condition": check_missing_fraction(profile.model, profile.weights).to_dict(),
-        "diagnostics": {
-            "nuisance": {"sup_norm": point.derivs.d_eta.sup_norm()},
-        },
+        "nuisance": {"support": profile.model.support.tolist(), "g_masses": masses},
+        "condition": check_missing_fraction(profile.model, profile.weights),
     }
 
 
@@ -546,8 +525,9 @@ class MissingCovDesign:
         if np.size(self.theta0) != NormalRegression.dim:
             raise InvalidConfig("theta0 needs an intercept, a slope and a log sigma")
         check_covariate_law(self.support, self.g0)
-        if not 0.0 <= self.w2 < 1.0:
-            raise InvalidConfig("w2 must lie in [0, 1)")
+        if not 0.0 <= self.w2 < 0.5:
+            raise InvalidConfig("w2 must lie in [0, 1/2): w2 >= 1/2 breaks the "
+                                "contraction requirement")
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .measures import (
     composite_gauss_grid,
     parse_number,
     read_csv,
+    run_starts,
 )
 from .numdiff import fd_theta  # noqa: F401 - bench/tracing.py hooks prop_odds.fd_theta
 
@@ -66,7 +67,7 @@ class PropOddsModel(RecordTable):
         if n and (u[0] < 0 or u[-1] > self.tau):
             raise InvalidInput("observed times must lie in [0, tau]")
         self._event_rows = np.flatnonzero(delta == 1)
-        new_time = _run_starts(u[self._event_rows])
+        new_time = run_starts(u[self._event_rows])
         self.event_times = u[self._event_rows[new_time]]
         if len(self.event_times) and self.event_times[0] <= 0:
             raise InvalidInput("event times must be positive")
@@ -75,7 +76,7 @@ class PropOddsModel(RecordTable):
         # those at risk at an event time run from the first record at that
         # time to the end; counted from the end, the reversed records run
         # up to _event_rpos, where a reversed cumulative sum reads the sum
-        new_u = _run_starts(u)
+        new_u = run_starts(u)
         first_at = np.flatnonzero(new_u)[np.cumsum(new_u) - 1]
         event_pos = first_at[self._event_rows[new_time]]
         self._event_rpos = n - 1 - event_pos
@@ -123,14 +124,6 @@ class PropOddsModel(RecordTable):
         padded = np.zeros(jump_coeffs.shape[:-1] + (self.n_events + 1,))
         np.cumsum(jump_coeffs, axis=-1, out=padded[..., 1:])
         return padded.take(self._record_cut, axis=-1)
-
-
-def _run_starts(sorted_values):
-    """Where each run of equal values in a sorted vector begins."""
-    new = np.empty(len(sorted_values), dtype=bool)
-    new[:1] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=new[1:])
-    return new
 
 
 def _parse_row(row, where):
@@ -324,22 +317,10 @@ def psi_derivatives(op, jumps):
     return _Workspace(op, jumps)
 
 
-@dataclass
-class VarianceConditionReport:
-    """Per-event-time margins of the at-risk weight variance condition."""
-
-    event_times: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    satisfied: bool
-
-    @property
-    def margins(self):
-        return self.lhs - self.rhs
-
-
 def _variance_condition(ws):
-    """Compare E[delta/(1+delta) W^2] with Var(W) at every event time.
+    """Compare E[delta/(1+delta) W^2] with Var(W) at every event time: the
+    fit JSON's condition object, whether the left side dominates everywhere
+    and the smallest margin (None with no event times).
 
     The left side dominating everywhere is the empirical analogue of the
     condition that makes the nuisance operator contract in the sup norm.
@@ -350,9 +331,11 @@ def _variance_condition(ws):
     ew2 = model.suffix_at_events(ws.w * ws.c**2)
     rhs = ew2 - ws.ew**2
     # with no events the left side is identically zero: nothing certifies
-    # the contraction, so the report cannot come back satisfied
+    # the contraction, so the condition cannot come back satisfied
     satisfied = bool(model.n_events and np.all(lhs > rhs))
-    return VarianceConditionReport(model.event_times, lhs, rhs, satisfied)
+    margins = lhs - rhs
+    return {"satisfied": satisfied,
+            "min_margin": float(margins.min()) if len(margins) else None}
 
 
 class PropOddsProfile(Profile):
@@ -412,32 +395,23 @@ class PropOddsProfile(Profile):
         """Verify the contraction prerequisites at beta's point, from which
         the fit's first score then starts."""
         derivs = self.point(beta).derivs
-        report = _variance_condition(derivs)
+        satisfied = _variance_condition(derivs)["satisfied"]
         norm = derivs.d_eta.sup_norm()
-        if not report.satisfied or norm >= 1.0:
+        if not satisfied or norm >= 1.0:
             raise ContractionViolation(
-                f"variance condition satisfied={report.satisfied}, "
+                f"variance condition satisfied={satisfied}, "
                 f"nuisance-derivative sup norm {norm:.4f}"
             )
-        return report, norm
 
 
 def _fit_payload(profile, beta):
     point = profile.last_point
     jumps = point.solution.eta.tolist()
-    report = _variance_condition(point.derivs)
     return {
         "beta_hat": beta.tolist(),
         "jumps": jumps,
-        "nuisance": {
-            "jump_times": profile.model.event_times.tolist(),
-            "jumps": jumps,
-        },
-        "condition": {
-            "satisfied": bool(report.satisfied),
-            "min_margin": float(report.margins.min()) if len(report.margins) else None,
-        },
-        "diagnostics": {"nuisance": {"sup_norm": point.derivs.d_eta.sup_norm()}},
+        "nuisance": {"jump_times": profile.model.event_times.tolist(), "jumps": jumps},
+        "condition": _variance_condition(point.derivs),
     }
 
 

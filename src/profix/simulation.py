@@ -8,7 +8,6 @@ many workers execute them.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -110,18 +109,13 @@ def gen_prop_odds(design, n, rng):
     return u, delta, z
 
 
-def gen_missing_cov(design, n, rng, allow_override=False):
+def gen_missing_cov(design, n, rng):
     """Draw (r, y, x) from the missing-covariate design.
 
     The covariate is discrete, the outcome conditionally normal, and
     missingness is completely at random with probability w2.
     """
     design.validate()
-    if design.w2 >= 0.5 and not allow_override:
-        raise InvalidConfig(
-            "w2 >= 1/2 breaks the contraction requirement; pass "
-            "allow_override=True to generate anyway"
-        )
     theta0 = np.asarray(design.theta0, dtype=float)
     support = np.asarray(design.support, dtype=float)
     g0 = np.asarray(design.g0, dtype=float)
@@ -233,26 +227,13 @@ class McReport:
     sd_to_se_ratio: np.ndarray
     ks_statistic: float
     failure_counts: dict
-    records: list = field(default_factory=list, repr=False)
+    records: list = field(default_factory=list, repr=False, metadata={"json": False})
 
     def to_dict(self):
-        return {
-            "model": self.model,
-            "n": self.n,
-            "replications": self.replications,
-            "seed": self.seed,
-            "n_success": self.n_success,
-            "bias": self.bias.tolist(),
-            "empirical_sd": self.empirical_sd.tolist(),
-            "mean_se": self.mean_se.tolist(),
-            "coverage95": self.coverage95.tolist(),
-            "sd_to_se_ratio": self.sd_to_se_ratio.tolist(),
-            "ks_statistic": self.ks_statistic,
-            "failure_counts": dict(sorted(self.failure_counts.items())),
-        }
+        return estimator.plain_fields(self)
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return estimator.to_json(self.to_dict())
 
     def write_records_csv(self, path):
         d = len(self.bias)

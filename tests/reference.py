@@ -672,3 +672,29 @@ class PlainPropOddsProfile(PlainWarmStart, PropOddsProfile):
 
 class PlainMissingCovProfile(PlainWarmStart, MissingCovProfile):
     pass
+
+
+def sample_missing_cov(design, n, rng):
+    """(r, y, x) drawn as ``simulation.gen_missing_cov`` draws them, draw
+    for draw, under any w2, also a w2 >= 1/2 that the design refuses."""
+    theta0 = np.asarray(design.theta0, dtype=float)
+    x = rng.choice(np.asarray(design.support, dtype=float), size=n,
+                   p=np.asarray(design.g0, dtype=float))
+    y = theta0[0] + theta0[1] * x + np.exp(theta0[2]) * rng.standard_normal(n)
+    r = np.where(rng.uniform(size=n) < design.w2, 2.0, 1.0)
+    return r, y, np.where(r == 1, x, 0.0)
+
+
+def variance_condition_sides(ws):
+    """Both sides of the survival variance condition at each event time of
+    a derivative bundle, E[delta/(1+delta) W^2] and Var(W) over the records
+    at risk, summed event time by event time from the bundle's record
+    weights w and at-risk weights W = c."""
+    model = ws.model
+    lhs, rhs = [], []
+    for t in model.event_times:
+        risk = model.u >= t
+        w, c, delta = ws.w[risk], ws.c[risk], model.delta[risk]
+        lhs.append(np.sum(w * delta / (1.0 + delta) * c**2))
+        rhs.append(np.sum(w * c**2) - np.sum(w * c) ** 2)
+    return np.array(lhs), np.array(rhs)

@@ -13,7 +13,7 @@ import pytest
 from profix import audits, cli, estimator, missing_cov, prop_odds, simulation
 from profix.measures import StepFunction
 
-from reference import population_records, psi_jumps
+from reference import population_records, psi_jumps, variance_condition_sides
 
 
 def report(name, ok, detail=""):
@@ -136,28 +136,28 @@ class TestCriterion4ContractionInstances:
 
         def condition_and_norm(model):
             # both read the derivative bundle at the fixed point, as the
-            # fit's precheck does
+            # fit's precheck does; the margins are the sides' differences
             op = prop_odds.Operator(model, beta0)
             derivs = prop_odds.psi_derivatives(op, prop_odds.solve_nuisance(op).eta)
-            return (prop_odds._variance_condition(derivs),
+            lhs, rhs = variance_condition_sides(derivs)
+            return (prop_odds._variance_condition(derivs)["satisfied"], lhs - rhs,
                     derivs.d_eta.sup_norm())
 
-        rep_pop, norm_pop = condition_and_norm(population_records(design))
+        ok_pop, margins_pop, norm_pop = condition_and_norm(population_records(design))
         rng = simulation.replication_rng(1004, 0)
         u, delta, z = simulation.gen_prop_odds(design, 500, rng)
-        rep_n, norm_n = condition_and_norm(
+        ok_n, margins_n, norm_n = condition_and_norm(
             prop_odds.PropOddsModel.from_arrays(u, delta, z)
         )
 
-        ok = (rep_pop.satisfied and norm_pop < 1.0
-              and rep_n.satisfied and norm_n < 1.0)
+        ok = ok_pop and norm_pop < 1.0 and ok_n and norm_n < 1.0
         assert report(
             "criterion 4b: survival variance condition + sup norm < 1 "
             "(population exact and n=500)",
             ok,
-            f"population margins {np.round(rep_pop.margins, 4).tolist()} "
+            f"population margins {np.round(margins_pop, 4).tolist()} "
             f"norm {norm_pop:.4f}; n=500 min margin "
-            f"{rep_n.margins.min():.4f} norm {norm_n:.4f}",
+            f"{margins_n.min():.4f} norm {norm_n:.4f}",
         )
 
 

@@ -14,15 +14,13 @@ from profix import audits, cli, estimator, missing_cov, prop_odds, simulation
 from profix.cli import EXIT_NUMERICAL, EXIT_USAGE, _print_fit_table, build_parser, main
 from profix.errors import InvalidConfig
 
-from reference import da_psi_value_map
+from reference import da_psi_value_map, sample_missing_cov
 
 
 def write_ex2_csv(path, n=120, seed=31, design=None):
     design = design or missing_cov.MissingCovDesign()
-    rng = simulation.replication_rng(seed, 0)
-    r, y, x = simulation.gen_missing_cov(
-        design, n, rng, allow_override=True
-    )
+    # the reference sampler also draws the w2 >= 1/2 samples the design refuses
+    r, y, x = sample_missing_cov(design, n, simulation.replication_rng(seed, 0))
     lines = ["R,Y,X"]
     for ri, yi, xi in zip(r, y, x):
         lines.append(f"{int(ri)},{yi},{xi}" if ri == 1 else f"{int(ri)},{yi},")
@@ -104,9 +102,17 @@ class TestFit:
         data.write_text("")
         assert main(["fit", "--model", "missing_cov", "--data", str(data)]) == 1
 
-    def test_missing_file_exit_1(self, tmp_path):
-        assert main(["fit", "--model", "missing_cov",
-                     "--data", str(tmp_path / "nope.csv")]) == 1
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    @pytest.mark.parametrize("command", ["fit", "check-derivs"])
+    def test_unreadable_data_exit_1(self, command, kind, tmp_path, capsys):
+        path = tmp_path / "data"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "binary":
+            path.write_bytes(b"\xff\xfe\x00\x89PNG\r\n\x1a\n\xfa")
+        assert main([command, "--model", "missing_cov", "--data", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
 
     def test_condition_gate_exit_3(self, tmp_path):
         design = missing_cov.MissingCovDesign(w2=0.7)
@@ -320,8 +326,7 @@ def _survival_columns(n, seed):
 
 def _mixture_columns(n, seed, w2=0.3):
     design = missing_cov.MissingCovDesign(w2=w2)
-    return simulation.gen_missing_cov(design, n, simulation.replication_rng(seed, 0),
-                                      allow_override=True)
+    return sample_missing_cov(design, n, simulation.replication_rng(seed, 0))
 
 
 def _all_censored(n, seed):
@@ -432,6 +437,17 @@ class TestCheckDerivs:
     def test_population_prop_odds(self):
         assert main(["check-derivs", "--model", "prop_odds",
                      "--population"]) == 0
+
+    @pytest.mark.parametrize("name, write", [
+        ("prop_odds", write_ex1_csv), ("missing_cov", write_ex2_csv),
+    ])
+    def test_population_with_data_exit_1(self, name, write, tmp_path, capsys):
+        # the population checks run on the population law, never on a sample
+        data = write(tmp_path / "d.csv")
+        argv = ["check-derivs", "--model", name, "--population", "--data", str(data)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.parametrize("flag", ["--seed", "--n"])
     @pytest.mark.parametrize("population", [[], ["--population"]])
@@ -593,6 +609,7 @@ class TestMonteCarlo:
         ("missing_cov", {"support": [0.5], "g0": [1.0]}, "two points of positive probability"),
         ("missing_cov", {"support": [0.0, 1.0], "g0": [1.0, 0.0]},
          "two points of positive probability"),
+        ("missing_cov", {"w2": 0.6}, "w2 >= 1/2"),
     ])
     def test_undrawable_design_exit_1_before_replications(self, model, design, message,
                                                            tmp_path, monkeypatch, capsys):
@@ -824,8 +841,8 @@ def test_import_leaves_out_scipy_stats():
 
 def test_scipy_loads_where_it_is_called():
     # a mixture replication, a survival fit (its tridiagonal solves) and its
-    # interval load no scipy module at all; only the Monte Carlo report's KS
-    # statistic loads scipy.special
+    # interval load no scipy module at all, nor numpy.ma; only the Monte
+    # Carlo report's KS statistic loads scipy.special
     code = f"""
 import sys
 import numpy as np
@@ -840,7 +857,8 @@ fit = estimator.profile_mle(prop_odds.PropOddsProfile(model), np.zeros(1),
 (lo, hi), = estimator.confidence_interval(fit)
 assert lo < fit.theta_hat[0] < hi
 {LOADED}
+print('numpy.ma' in sys.modules)
 assert 0.0 < simulation._ks_normal(rng.standard_normal(50)) < 1.0
 {LOADED}
 """
-    assert run_fresh(code) == ["False", "False", "False", "True", "False", "True"]
+    assert run_fresh(code) == ["False", "False", "False", "False", "True", "False", "True"]

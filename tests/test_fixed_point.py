@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from profix import prop_odds
+from profix import fixed_point, prop_odds
 from profix.errors import ContractionViolation, InvalidInput, NoConvergence
 from profix.fixed_point import FixedPointProblem, solve_fixed_point
 from profix.measures import LinearMap
@@ -29,13 +29,15 @@ class TestSolveFixedPoint:
         with pytest.raises(ContractionViolation):
             solve_fixed_point(scalar_problem(lambda e: 2.0 * e), np.array([1.0]))
 
-    def test_no_convergence_reports_best_residual(self):
+    def test_no_convergence_reports_best_residual(self, monkeypatch):
         # twenty distinct rates up to 0.99: the accelerated iteration needs
-        # about a hundred applications, five times the budget given here
+        # about a hundred applications, five times the budget set here
         rates = np.linspace(0.5, 0.99, 20)
         problem = FixedPointProblem(apply=lambda v: 1.0 + rates * v, dimension=20)
-        with pytest.raises(NoConvergence) as err:
-            solve_fixed_point(problem, np.zeros(20), tol=1e-12, max_iter=20)
+        with monkeypatch.context() as patch:
+            patch.setattr(fixed_point, "DEFAULT_MAX_ITER", 20)
+            with pytest.raises(NoConvergence) as err:
+                solve_fixed_point(problem, np.zeros(20), tol=1e-12)
         assert err.value.residual is not None and err.value.residual > 0
         assert err.value.iterations == 20
         assert solve_fixed_point(problem, np.zeros(20), tol=1e-12).iterations > 20

@@ -44,6 +44,7 @@ from reference import (
     log_density,
     normalization_error,
     psi_missing_cov_naive,
+    sample_missing_cov,
     score_jacobian_per_record,
     second_order_loops,
 )
@@ -476,8 +477,8 @@ class TestLogDensity:
             total += model.weights[i] * log_density(
                 rec, theta, g, family=model.family
             )
-        report = check_missing_fraction(model, model.weights)
-        w1, w2 = report.w1, report.w2
+        condition = check_missing_fraction(model, model.weights)
+        w1, w2 = condition["w1"], condition["w2"]
         part1 = sum(
             model.weights[i] * log_density(
                 MissingCovRecord(1, model.y[i], model.points[i, 2]),
@@ -616,13 +617,13 @@ class TestMissingFraction:
             [1] * 7 + [2] * 3, np.arange(10.0), np.arange(10.0),
             NormalRegression(),
         )
-        report = check_missing_fraction(model, model.weights)
-        assert report.satisfied and report.ratio == pytest.approx(3.0 / 7.0)
+        condition = check_missing_fraction(model, model.weights)
+        assert condition["satisfied"] and condition["ratio"] == pytest.approx(3.0 / 7.0)
 
         half = MissingCovModel.from_arrays(
             [1, 2], [0.0, 1.0], [0.0, 0.0], NormalRegression()
         )
-        assert not check_missing_fraction(half, half.weights).satisfied
+        assert not check_missing_fraction(half, half.weights)["satisfied"]
 
     def test_gate_refuses_majority_missing(self):
         model = MissingCovModel.from_arrays(
@@ -642,7 +643,7 @@ class TestContractionCertificate:
 
     def divergent_model(self):
         rng = simulation.replication_rng(40, 0)
-        r, y, x = simulation.gen_missing_cov(self.DESIGN, 300, rng, allow_override=True)
+        r, y, x = sample_missing_cov(self.DESIGN, 300, rng)
         return MissingCovModel.from_arrays(r, y, x, NormalRegression())
 
     def test_repelling_fixed_point_is_refused(self):
@@ -658,12 +659,13 @@ class TestContractionCertificate:
         assert profile.last_point is None
 
     def test_replication_records_the_violation(self, monkeypatch):
-        # replications skip the precheck: the certificate is what refuses them
-        draw = simulation.gen_missing_cov
+        # replications skip the precheck: the certificate is what refuses
+        # them.  A study's design refuses w2 >= 1/2, so the study runs under
+        # the default design, with the same theta0, and its draws come from
+        # DESIGN through the reference sampler
         monkeypatch.setattr(simulation, "gen_missing_cov",
-                            lambda design, n, rng: draw(design, n, rng, allow_override=True))
-        config = simulation.SimConfig(model="missing_cov", n=300, replications=1,
-                                      seed=40, design=self.DESIGN)
+                            lambda design, n, rng: sample_missing_cov(self.DESIGN, n, rng))
+        config = simulation.SimConfig(model="missing_cov", n=300, replications=1, seed=40)
         rep = simulation.run_replication(config, 0)
         assert not rep.converged and rep.error == "ContractionViolation"
 

@@ -46,6 +46,7 @@ from reference import (
     operator_apply_formula,
     population_records,
     psi_prop_odds_naive,
+    variance_condition_sides,
     weight_w,
 )
 
@@ -65,7 +66,7 @@ def solved(model, beta, **kwargs):
 
 
 def variance_condition(model, beta, jumps):
-    """The variance-condition report read from the bundle at (beta, jumps)."""
+    """The variance condition read from the bundle at (beta, jumps)."""
     return prop_odds._variance_condition(bundle(model, beta, jumps))
 
 
@@ -228,17 +229,17 @@ class TestVarianceCondition:
         model = PropOddsModel.from_arrays(
             [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]
         )
-        report = variance_condition(model, [0.0], np.zeros(1))
-        assert report.satisfied
-        assert report.lhs[0] == pytest.approx(2.0)
-        assert report.rhs[0] == pytest.approx(0.0)
+        assert variance_condition(model, [0.0], np.zeros(1))["satisfied"]
+        lhs, rhs = variance_condition_sides(bundle(model, [0.0], np.zeros(1)))
+        assert lhs[0] == pytest.approx(2.0)
+        assert rhs[0] == pytest.approx(0.0)
 
     def test_all_censored_unsatisfied(self):
         model = PropOddsModel.from_arrays(
             [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]
         )
-        report = variance_condition(model, [0.0], np.zeros(0))
-        assert not report.satisfied
+        condition = variance_condition(model, [0.0], np.zeros(0))
+        assert not condition["satisfied"] and condition["min_margin"] is None
 
     def test_default_design_satisfied_n500(self):
         rng = simulation.replication_rng(42, 0)
@@ -246,8 +247,7 @@ class TestVarianceCondition:
         model = PropOddsModel.from_arrays(u, delta, z)
         beta = np.asarray(PropOddsDesign().beta0)
         jumps = solved(model, beta)
-        report = variance_condition(model, beta, jumps)
-        assert report.satisfied
+        assert variance_condition(model, beta, jumps)["satisfied"]
         # conclusion of the contraction argument: sup norm below one
         assert sup_norm(model, beta, jumps) < 1.0
 
@@ -257,8 +257,7 @@ class TestVarianceCondition:
         pop = population_records(design)
         beta = np.asarray(design.beta0)
         jumps = solved(pop, beta)
-        report = variance_condition(pop, beta, jumps)
-        assert report.satisfied
+        assert variance_condition(pop, beta, jumps)["satisfied"]
         assert sup_norm(pop, beta, jumps) < 1.0
 
 
@@ -739,24 +738,32 @@ class TestProfile:
         model = PropOddsModel.from_arrays(u, delta, z)
         profile = PropOddsProfile(model)
         beta = np.array([0.5])
-        builds = []
+        builds, checked = [], []
         init = prop_odds._Workspace.__init__
+        condition = prop_odds._variance_condition
 
         def counting_init(self, *args):
             builds.append(1)
             init(self, *args)
 
+        def recording_condition(ws):
+            checked.append((ws, condition(ws)))
+            return checked[-1][1]
+
         monkeypatch.setattr(prop_odds._Workspace, "__init__", counting_init)
-        report, norm = profile.precheck(beta)
+        monkeypatch.setattr(prop_odds, "_variance_condition", recording_condition)
+        assert profile.precheck(beta) is None
         assert len(builds) == 1
         monkeypatch.undo()
+        (ws, report), = checked
+        assert ws is profile.last_point.derivs
         jumps = profile.last_point.solution.eta
-        expected = variance_condition(model, beta, jumps)
-        assert report.satisfied and expected.satisfied
-        for field in ("lhs", "rhs"):
-            got, want = getattr(report, field), getattr(expected, field)
+        expected = bundle(model, beta, jumps)
+        assert report["satisfied"] and prop_odds._variance_condition(expected)["satisfied"]
+        for got, want in zip(variance_condition_sides(ws), variance_condition_sides(expected)):
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-        assert norm == pytest.approx(sup_norm(model, beta, jumps), rel=1e-15, abs=0)
+        assert ws.d_eta.sup_norm() == pytest.approx(sup_norm(model, beta, jumps),
+                                                    rel=1e-15, abs=0)
 
     def test_constant_covariate_refused(self, prop_odds_data):
         u, delta, z = prop_odds_data

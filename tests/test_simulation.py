@@ -17,7 +17,7 @@ from profix.simulation import (
     run_replication,
 )
 
-from reference import baseline_step, design_baseline
+from reference import baseline_step, design_baseline, sample_missing_cov
 
 
 class TestGenPropOdds:
@@ -95,13 +95,22 @@ class TestGenMissingCov:
         bound = 3.0 * np.sqrt(design.w2 * (1 - design.w2) / n)
         assert abs(frac - design.w2) < bound
 
-    def test_majority_missing_needs_override(self):
+    def test_majority_missing_is_refused(self):
+        # at w2 >= 1/2 the mixture operator need not contract: the design
+        # refuses it, so neither the generator nor a study draws from it
         design = missing_cov.MissingCovDesign(w2=0.6)
+        with pytest.raises(InvalidConfig, match="w2 >= 1/2"):
+            design.validate()
         with pytest.raises(InvalidConfig):
             gen_missing_cov(design, 100, replication_rng(0, 0))
-        r, _, _ = gen_missing_cov(design, 100, replication_rng(0, 0),
-                                  allow_override=True)
-        assert np.any(r == 2)
+        with pytest.raises(InvalidConfig):
+            SimConfig(model="missing_cov", n=100, replications=1, design=design)
+
+    def test_reference_sampler_draws_as_the_generator(self):
+        design = missing_cov.MissingCovDesign(w2=0.4)
+        drawn = gen_missing_cov(design, 300, replication_rng(7, 0))
+        sampled = sample_missing_cov(design, 300, replication_rng(7, 0))
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, sampled))
 
 
 class TestSimConfig:
