@@ -196,7 +196,7 @@ def cmd_fit(args):
         return EXIT_NO_CONVERGENCE
 
     intervals = estimator.confidence_interval(fit, level)
-    payload = fit.to_dict()
+    payload = estimator.plain_fields(fit)
     payload.update(family.fit_payload(profile, fit.theta_hat),
                    model=family.name, level=level, ci=intervals)
     # the nuisance derivative's norm at the fit's accepted point, at theta_hat

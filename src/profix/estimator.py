@@ -203,15 +203,10 @@ class FitResult:
     info_condition: float = np.nan
     diagnostics: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return plain_fields(self)
-
 
 def plain_fields(record):
-    """The fields of a dataclass record as JSON values, arrays as lists,
-    leaving out a field whose metadata sets ``json`` false."""
-    values = {f.name: getattr(record, f.name) for f in fields(record)
-              if f.metadata.get("json", True)}
+    """The fields of a dataclass record as JSON values, arrays as lists."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
     return {name: value.tolist() if isinstance(value, np.ndarray) else value
             for name, value in values.items()}
 

@@ -227,13 +227,13 @@ class McReport:
     sd_to_se_ratio: np.ndarray
     ks_statistic: float
     failure_counts: dict
-    records: list = field(default_factory=list, repr=False, metadata={"json": False})
-
-    def to_dict(self):
-        return estimator.plain_fields(self)
+    records: list = field(default_factory=list, repr=False)
 
     def to_json(self):
-        return estimator.to_json(self.to_dict())
+        """The study report, every field but the per-replication records."""
+        data = estimator.plain_fields(self)
+        del data["records"]
+        return estimator.to_json(data)
 
     def write_records_csv(self, path):
         d = len(self.bias)

@@ -140,8 +140,9 @@ class TestCriterion4ContractionInstances:
             op = prop_odds.Operator(model, beta0)
             derivs = prop_odds.psi_derivatives(op, prop_odds.solve_nuisance(op).eta)
             lhs, rhs = variance_condition_sides(derivs)
-            return (prop_odds._variance_condition(derivs)["satisfied"], lhs - rhs,
-                    derivs.d_eta.sup_norm())
+            condition = prop_odds._variance_condition(derivs)
+            assert condition["min_margin"] == pytest.approx((lhs - rhs).min(), rel=1e-12)
+            return condition["satisfied"], lhs - rhs, derivs.d_eta.sup_norm()
 
         ok_pop, margins_pop, norm_pop = condition_and_norm(population_records(design))
         rng = simulation.replication_rng(1004, 0)

@@ -229,10 +229,13 @@ class TestVarianceCondition:
         model = PropOddsModel.from_arrays(
             [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]
         )
-        assert variance_condition(model, [0.0], np.zeros(1))["satisfied"]
+        condition = variance_condition(model, [0.0], np.zeros(1))
+        assert condition["satisfied"]
         lhs, rhs = variance_condition_sides(bundle(model, [0.0], np.zeros(1)))
         assert lhs[0] == pytest.approx(2.0)
         assert rhs[0] == pytest.approx(0.0)
+        assert condition["min_margin"] == pytest.approx(2.0)
+        assert condition["min_margin"] == pytest.approx((lhs - rhs).min())
 
     def test_all_censored_unsatisfied(self):
         model = PropOddsModel.from_arrays(
@@ -247,7 +250,10 @@ class TestVarianceCondition:
         model = PropOddsModel.from_arrays(u, delta, z)
         beta = np.asarray(PropOddsDesign().beta0)
         jumps = solved(model, beta)
-        assert variance_condition(model, beta, jumps)["satisfied"]
+        condition = variance_condition(model, beta, jumps)
+        assert condition["satisfied"]
+        lhs, rhs = variance_condition_sides(bundle(model, beta, jumps))
+        assert condition["min_margin"] == pytest.approx((lhs - rhs).min(), rel=1e-12)
         # conclusion of the contraction argument: sup norm below one
         assert sup_norm(model, beta, jumps) < 1.0
 
@@ -760,8 +766,11 @@ class TestProfile:
         jumps = profile.last_point.solution.eta
         expected = bundle(model, beta, jumps)
         assert report["satisfied"] and prop_odds._variance_condition(expected)["satisfied"]
-        for got, want in zip(variance_condition_sides(ws), variance_condition_sides(expected)):
+        sides = variance_condition_sides(expected)
+        for got, want in zip(variance_condition_sides(ws), sides):
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        lhs, rhs = sides
+        assert report["min_margin"] == pytest.approx((lhs - rhs).min(), rel=1e-15)
         assert ws.d_eta.sup_norm() == pytest.approx(sup_norm(model, beta, jumps),
                                                     rel=1e-15, abs=0)
 
