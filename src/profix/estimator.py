@@ -104,8 +104,8 @@ class Profile:
     iterations), builds the derivative bundle from the same operator,
     certifies there that the nuisance derivative has spectral radius below
     one and evaluates the scores, recording the point as last_point, from
-    which jacobian reads.  Each solve starts from the first-order Taylor
-    prediction off last_point (see :meth:`start`), adds one to
+    which jacobian reads.  Each solve starts from the Taylor prediction
+    off last_point and the point before it (see :meth:`start`), adds one to
     ``solves_started`` (a bind that raises included) and, if it completes,
     one to ``solves`` and its iterations to ``solve_iterations``.  A
     family's subclass supplies ``point_scores`` and precheck, and defines
@@ -123,6 +123,8 @@ class Profile:
         self.weights = model.weights
         self.solver_tol = solver_tol
         self.last_point = None
+        # (theta, eta_dot) of the point evaluated before last_point
+        self.previous = None
         self.solves = 0
         self.solve_iterations = 0
         self.solves_started = 0
@@ -145,16 +147,25 @@ class Profile:
         """Starting nuisance of the solve at theta, None for the family's own.
 
         The nuisance is differentiable in theta, so from last_point the start
-        is the first-order prediction eta + (theta - point.theta) eta_dot.
-        A prediction with a negative or non-finite entry, which the
-        operator would refuse, falls back to the point's eta.
+        is the first-order prediction eta + s eta_dot, s = theta - point.theta,
+        plus the secant second-order term (s.d / d.d) s (eta_dot - eta_dot_prev) / 2
+        off the point before, at point.theta - d, d nonzero.  A prediction
+        with a negative or non-finite entry, which the operator would refuse,
+        falls back to the point's eta.
         """
         point = self.last_point
         if point is None:
             return None
-        eta = point.solution.eta
-        guess = eta + (theta - point.theta) @ point.eta_dot
-        if not np.all(np.isfinite(guess)) or np.any(guess < 0.0):
+        eta, step = point.solution.eta, theta - point.theta
+        guess = eta + step @ point.eta_dot
+        if self.previous is not None:
+            d = point.theta - self.previous[0]
+            dd = d @ d
+            if dd > 0.0:
+                curve = step @ (point.eta_dot - self.previous[1])
+                guess += 0.5 * (step @ d) / dd * curve
+        # a NaN fails both bounds
+        if not (guess.min(initial=np.inf) >= 0.0 and guess.max(initial=0.0) < np.inf):
             return eta
         return guess
 
@@ -186,6 +197,8 @@ class Profile:
             )
         eta_dot = dtheta_eta(derivs)
         scores = self.point_scores(solution.eta, derivs, eta_dot)
+        if self.last_point is not None:
+            self.previous = self.last_point.theta, self.last_point.eta_dot
         self.last_point = Point(theta, solution, derivs, eta_dot, scores)
         return self.last_point
 

@@ -116,10 +116,12 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL):
     image g and the residual f = g - eta; the first iterate whose residual
     is within tol is the solution.  Otherwise the next iterate extrapolates
     from the last ``ANDERSON_DEPTH`` differences of f and g, stacked as the
-    rows of F and G: it is g - G'gamma with (F F')gamma = F f.  It is the
-    plain image g instead, and the history restarts, when the residual did
-    not decrease, when the Gram system is singular, or when the extrapolate
-    has a non-finite entry or a negative one where g has none.
+    rows of F and G: it is g - G'gamma with (F F')gamma = F f.  F and G
+    are kept in place, a new difference overwriting the oldest, and F F'
+    gains one row of products per step.  It is the plain image g instead,
+    and the history restarts, when the residual did not decrease, when the
+    Gram system is singular, or when the extrapolate has a non-finite
+    entry or a negative one where g has none.
     ``VIOLATION_STREAK`` consecutive growing residuals abort the run with
     :class:`ContractionViolation`; exhausting the budget of
     ``DEFAULT_MAX_ITER`` iterations, read when called, raises
@@ -136,9 +138,12 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL):
         )
     # more differences than the dimension make F F' singular by construction
     depth = min(ANDERSON_DEPTH, problem.dimension)
-    df, dg = [], []  # the rows of F and G, oldest first
+    # the rows of F and G in ring order: of `count` differences since the last
+    # restart the first min(count, depth) rows are live; gram holds their F F'
+    F, G = np.empty((2, depth, problem.dimension))
+    gram = np.empty((depth, depth))
     trace = []
-    streak = fallbacks = 0
+    streak = fallbacks = count = 0
     for iteration in range(1, DEFAULT_MAX_ITER + 1):
         g = np.asarray(problem.apply(eta), dtype=float)
         if g.shape != eta.shape:
@@ -161,20 +166,22 @@ def solve_fixed_point(problem, eta0, tol=DEFAULT_TOL):
                     )
             else:
                 streak = 0
-                df.append(f - f_prev)
-                dg.append(g - g_prev)
-                del df[:-depth], dg[:-depth]
-                F = np.array(df)
+                row = count % depth
+                count += 1
+                live = min(count, depth)
+                rows, new = F[:live], F[row]
+                np.subtract(f, f_prev, out=new)
+                np.subtract(g, g_prev, out=G[row])
+                gram[row, :live] = gram[:live, row] = rows @ new
                 try:
-                    gamma = np.linalg.solve(F @ F.T, F @ f)
-                    candidate = g - gamma @ np.array(dg)
+                    gamma = np.linalg.solve(gram[:live, :live], rows @ f)
+                    candidate = g - gamma @ G[:live]
                 except np.linalg.LinAlgError:
                     pass
             if candidate is not None and _acceptable(candidate, g):
                 eta = candidate
             else:
-                df.clear()
-                dg.clear()
+                count = 0
                 fallbacks += 1
         f_prev, g_prev = f, g
     raise NoConvergence(

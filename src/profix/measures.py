@@ -555,11 +555,14 @@ def read_csv(path, header, accept, parse_row):
 
 
 def parse_number(convert, text, where, column):
-    """convert(text) for int or float, or an error naming line and column."""
+    """convert(text) for int or float, finite, or an error naming line and column."""
     try:
-        return convert(text)
+        value = convert(text)
     except ValueError:
         noun = "an integer" if convert is int else "a number"
         raise InvalidInput(
             f"{where}, column {column}: could not parse {text!r} as {noun}"
         ) from None
+    if not np.isfinite(value):
+        raise InvalidInput(f"{where}, column {column}: {text!r} is not a finite number")
+    return value

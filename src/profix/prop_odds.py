@@ -171,9 +171,12 @@ class Operator:
         self.edn = _event_mass(model, w)
         # the event times carrying event mass
         self._massed = self.edn > 0
+        self._last = None, None  # the jumps last applied to, and their at_risk
 
     def __call__(self, jumps):
-        return self.jumps_at(self.model.cumulative_at_records(self.checked(jumps)))
+        jumps = self.checked(jumps)
+        self._last = jumps, self.at_risk(self.model.cumulative_at_records(jumps))
+        return self.edn * self._last[1][-1]
 
     def checked(self, jumps):
         """jumps as an array, refused unless one finite nonnegative jump per
@@ -184,15 +187,22 @@ class Operator:
             raise InvalidInput("need one finite nonnegative jump per event time")
         return jumps
 
-    def jumps_at(self, AU):
-        """Output jumps given A at the records."""
-        weights = self.q * AU
-        weights += 1.0
-        np.divide(self.qc, weights, out=weights)
-        weights *= self.w
-        out = self.inverse_risk(self.model.suffix_at_events(weights))
-        out *= self.edn
-        return out
+    def at_risk(self, AU):
+        """Given A at the records: A(U), 1 + q A(U), the at-risk weight c =
+        (1 + delta) q / (1 + q A(U)), its sums EW at the event times, 1/EW."""
+        denom = self.q * AU
+        denom += 1.0
+        c = self.qc / denom
+        ew = self.model.suffix_at_events(c * self.w)
+        return AU, denom, c, ew, self.inverse_risk(ew)
+
+    def at_risk_of(self, jumps):
+        """:meth:`at_risk` at jumps: the last application's if it was to this
+        very array, as to the solve's returned iterate, else checked anew."""
+        last, state = self._last
+        if jumps is last:
+            return state
+        return self.at_risk(self.model.cumulative_at_records(self.checked(jumps)))
 
     def inverse_risk(self, ew):
         """1/EW at the event times carrying event mass, 0 elsewhere; those
@@ -216,13 +226,9 @@ class _Workspace:
     def __init__(self, op, jumps):
         model = self.model = op.model
         self.w, self.q, self.qc, self.edn = op.w, op.q, op.qc, op.edn
-        self.AU = model.cumulative_at_records(op.checked(jumps))
-        self.denom = 1.0 + self.q * self.AU
-        self.c = self.qc / self.denom
+        self.AU, self.denom, self.c, self.ew, self.inv_ew = op.at_risk_of(jumps)
         self.wdot = self.qc / self.denom**2
         self.k = (1.0 + model.delta) * self.q**2 / self.denom**2
-        self.ew = model.suffix_at_events(self.w * self.c)
-        self.inv_ew = op.inverse_risk(self.ew)
         self.ew_dot = model.suffix_at_events(self.w * self.wdot * model.z.T)
         self.dot_psi = -self.edn * self.ew_dot * self.inv_ew**2
         # the derivative in the nuisance, in jump coordinates: the direction
@@ -302,8 +308,9 @@ def psi_apply(model, beta, A):
     Returns the step function whose jump at each event time is the
     weighted event mass there over the weighted mean at-risk weight.
     """
-    AU = np.asarray(A(model.u), dtype=float)
-    return StepFunction(model.event_times, Operator(model, beta).jumps_at(AU), model.tau)
+    op = Operator(model, beta)
+    jumps = op.edn * op.at_risk(np.asarray(A(model.u), dtype=float))[-1]
+    return StepFunction(model.event_times, jumps, model.tau)
 
 
 def solve_nuisance(op, tol=1e-10, eta0=None):
@@ -369,7 +376,9 @@ class PropOddsProfile(Profile):
         ratio = np.zeros((self.dim, model.n_records))
         ratio[:, model._event_rows] = jump_dot.take(slot, axis=1) / safe
         zT = model.z.T
-        hazard = ws.q * (zT * ws.AU + model.cumulative_at_records(jump_dot)) / ws.denom
+        # z A(U) + A'(U), which the Newton Jacobian at this point reads too
+        ws.hazard_num = zT * ws.AU + model.cumulative_at_records(jump_dot)
+        hazard = ws.q * ws.hazard_num / ws.denom
         score = model.delta * (zT + ratio) - (1.0 + model.delta) * hazard
         return score.T
 
@@ -386,10 +395,8 @@ class PropOddsProfile(Profile):
         sum_i w_i (delta z - (1 + delta) q z A(U) / (1 + q A(U))), and its
         total beta_b-derivative is -sum_i w_i wdot z (z_b A(U) + A'_b(U)),
         with wdot = (1 + delta) q / (1 + q A(U))^2."""
-        model, ws = self.model, point.derivs
-        zT = model.z.T
-        num = zT * ws.AU + model.cumulative_at_records(point.eta_dot)
-        return -(zT * (self.weights * ws.wdot)) @ num.T
+        ws, zT = point.derivs, self.model.z.T
+        return -(zT * (self.weights * ws.wdot)) @ ws.hazard_num.T
 
     def precheck(self, beta):
         """Verify the contraction prerequisites at beta's point, from which

@@ -8,7 +8,6 @@ many workers execute them.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,6 +269,9 @@ def monte_carlo(config, jobs=1):
     """
     indices = list(range(config.replications))
     if jobs > 1:
+        # here: multiprocessing would cost every fit and serial study ~1.4 MB
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reps = list(pool.map(run_replication, [config] * len(indices),
                                  indices, chunksize=8))

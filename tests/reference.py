@@ -13,6 +13,7 @@ import numpy as np
 
 from profix.errors import (
     InvalidInput,
+    NoConvergence,
     NumericOverflow,
     ProfixError,
     RiskSetEmpty,
@@ -698,3 +699,44 @@ def variance_condition_sides(ws):
         lhs.append(np.sum(w * delta / (1.0 + delta) * c**2))
         rhs.append(np.sum(w * c**2) - np.sum(w * c) ** 2)
     return np.array(lhs), np.array(rhs)
+
+
+def anderson_iterates(apply, eta0, tol, depth, max_iter=10_000):
+    """The iterates, in order, at which the safeguarded Anderson iteration
+    applies Psi until the sup-norm residual is within tol, and the number
+    of its fallbacks: the solver's loop with the differences kept in lists,
+    oldest first, and F F' formed afresh at every step (without the abort
+    on a run of growing residuals)."""
+    eta = np.asarray(eta0, dtype=float).copy()
+    df, dg, iterates, trace = [], [], [], []
+    fallbacks = 0
+    for _ in range(max_iter):
+        iterates.append(eta)
+        g = np.asarray(apply(eta), dtype=float)
+        f = g - eta
+        trace.append(float(np.abs(f).max()))
+        if trace[-1] <= tol:
+            return iterates, fallbacks
+        eta = g
+        if len(trace) > 1:
+            candidate = None
+            if trace[-1] < trace[-2]:
+                df.append(f - f_prev)
+                dg.append(g - g_prev)
+                del df[:-depth], dg[:-depth]
+                F = np.array(df)
+                try:
+                    gamma = np.linalg.solve(F @ F.T, F @ f)
+                    candidate = g - gamma @ np.array(dg)
+                except np.linalg.LinAlgError:
+                    pass
+            acceptable = candidate is not None and np.isfinite(candidate).all() and not (
+                candidate.min() < 0.0 and np.any((candidate < 0.0) & (g >= 0.0)))
+            if acceptable:
+                eta = candidate
+            else:
+                df.clear()
+                dg.clear()
+                fallbacks += 1
+        f_prev, g_prev = f, g
+    raise NoConvergence("no fixed point within the iteration budget")

@@ -114,6 +114,24 @@ class TestFit:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name, write, column", [
+        ("prop_odds", write_ex1_csv, 3), ("missing_cov", write_ex2_csv, 2),
+    ])
+    def test_nonfinite_value_exit_1(self, name, write, column, text, tmp_path, capsys):
+        # a non-finite number is refused where it is read, with the file,
+        # line and column, as an unparsable one is
+        data = write(tmp_path / "d.csv")
+        lines = data.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[column - 1] = text
+        lines[2] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--model", name, "--data", str(data), "--force"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {data}: line 3, column {column}: "
+                       f"{text!r} is not a finite number"]
+
     def test_condition_gate_exit_3(self, tmp_path):
         design = missing_cov.MissingCovDesign(w2=0.7)
         data = write_ex2_csv(tmp_path / "d.csv", n=200, design=design)
@@ -837,6 +855,14 @@ def test_import_leaves_out_scipy_stats():
     code = ("import sys, profix, profix.cli; "
             "print('scipy.stats' in sys.modules); " + LOADED)
     assert run_fresh(code) == ["False", "False", "False", "False"]
+
+
+def test_import_leaves_out_the_process_pool():
+    # only a study with jobs > 1 starts a pool; the modules multiprocessing
+    # loads would cost every fit and every serial study memory
+    code = ("import sys, profix, profix.cli; "
+            "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)")
+    assert run_fresh(code) == ["False", "False"]
 
 
 def test_scipy_loads_where_it_is_called():

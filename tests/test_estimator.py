@@ -204,8 +204,8 @@ def assert_same_fit(fits, profiles):
 
 class TestNuisanceStart:
     @pytest.mark.parametrize("make, n, seed, start, iterations", [
-        (linear_survival_model, 300, 32, np.zeros(1), 23),
-        (ex2_model, 500, 1, THETA0, 22),
+        (linear_survival_model, 300, 32, np.zeros(1), 22),
+        (ex2_model, 500, 1, THETA0, 21),
     ], ids=["prop_odds", "missing_cov"])
     def test_prediction_saves_iterations(self, make, n, seed, start, iterations):
         profiles, fits = fit_both(make(n, seed), start)

@@ -6,7 +6,7 @@ from profix.errors import ContractionViolation, InvalidInput, NoConvergence
 from profix.fixed_point import FixedPointProblem, solve_fixed_point
 from profix.measures import LinearMap
 
-from reference import psi_prop_odds_naive
+from reference import anderson_iterates, psi_prop_odds_naive
 
 
 def scalar_problem(fn):
@@ -146,6 +146,27 @@ class TestSolveFixedPoint:
         sol = solve_fixed_point(FixedPointProblem(apply, 2), np.zeros(2))
         assert sol.iterations == 4 and sol.fallbacks == 1
         assert sol.residual_trace == [3.0, 2.0, 1.0, 0.0]
+
+    def test_ring_history_matches_the_list_history(self):
+        # a map of sup norm 1.4 and spectral radius 0.39: twenty iterations,
+        # so the ring of differences wraps, with one restart on the way
+        rng = np.random.default_rng(30)
+        M = rng.normal(size=(12, 12))
+        M *= 1.4 / LinearMap(M).sup_norm()
+        b = rng.normal(size=12)
+        seen = []
+
+        def apply(v):
+            seen.append(v.copy())
+            return b + M @ v
+
+        sol = solve_fixed_point(FixedPointProblem(apply, 12), np.zeros(12), tol=1e-10)
+        expected, fallbacks = anderson_iterates(lambda v: b + M @ v, np.zeros(12), 1e-10,
+                                                fixed_point.ANDERSON_DEPTH)
+        assert sol.iterations == len(expected) == 20
+        assert sol.fallbacks == fallbacks == 1
+        for got, want in zip(seen, expected):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_one_iteration_solve_returns_its_start(self):
         # a start within tol of the fixed point is the solution: its

@@ -680,6 +680,29 @@ class TestOperatorOverhead:
         psi_derivatives(op, jumps)
         assert len(workspaces) == 1
 
+    def test_bundle_reuses_the_last_application_bitwise(self, model, monkeypatch):
+        # the solve returns the iterate it applied Psi to last, so the
+        # bundle there takes its at-risk state from that application, and
+        # holds what a fresh binding's bundle at a copy of the jumps holds
+        op = Operator(model, [0.5])
+        jumps = solve_nuisance(op).eta
+        formed = count_calls(monkeypatch, Operator, "at_risk")
+        derivs = psi_derivatives(op, jumps)
+        assert formed == []
+        fresh = psi_derivatives(Operator(model, [0.5]), jumps.copy())
+        assert len(formed) == 1
+        arrays = {name: value for name, value in vars(fresh).items()
+                  if isinstance(value, np.ndarray)}
+        assert {"AU", "denom", "c", "ew", "inv_ew", "k_suffix"} <= set(arrays)
+        for name, value in arrays.items():
+            assert np.array_equal(getattr(derivs, name), value), name
+        for name, value in vars(fresh.d_eta).items():
+            assert np.array_equal(getattr(derivs.d_eta, name), value), name
+        # at any other array the state is formed anew
+        other = psi_derivatives(op, 1.5 * jumps)
+        assert len(formed) == 2
+        assert np.array_equal(other.AU, model.cumulative_at_records(1.5 * jumps))
+
     def test_score_builds_one_workspace(self, model, monkeypatch):
         profile = PropOddsProfile(model)
         workspaces = count_builds(monkeypatch, prop_odds._Workspace)
