@@ -45,7 +45,8 @@ class ConditionalDensity:
     """Parametric conditional density of the outcome given the covariate.
 
     Implementations provide the density and its first two parameter
-    derivatives, all broadcasting over (y, x) arrays.
+    derivatives, all broadcasting over (y, x) arrays.  The fit reads them
+    through :meth:`evaluate`, once per record set and parameter.
     """
 
     dim = 0
@@ -59,51 +60,133 @@ class ConditionalDensity:
     def d2theta(self, y, x, theta):
         raise NotImplementedError
 
+    def evaluate(self, y, x, theta):
+        """The density and its derivatives at (y, x), with the covariate
+        varying along the last axis alone; see :class:`Evaluation`."""
+        return Evaluation(self, y, x, theta)
+
     def outcome_interval(self, x, theta, span=8.0):
         """Interval carrying essentially all mass of y given x."""
         raise NotImplementedError
 
 
+class Evaluation:
+    """A family's density at (y, x, theta) and its parameter derivatives:
+    ``density`` (shape s), ``dtheta`` (d, *s), ``d2theta()`` (d, d, *s) and
+    ``d2theta_dot(v)``, the second derivative contracted with v over the
+    last axis, (d, d, *s[:-1]).  This generic form reads the family's three
+    methods; a family may form all four from one evaluation of its kernel."""
+
+    def __init__(self, family, y, x, theta):
+        self._at = family, (y, x, theta)
+        self.density = family.density(y, x, theta)
+
+    @cached_property
+    def dtheta(self):
+        family, args = self._at
+        return family.dtheta(*args)
+
+    def d2theta(self):
+        family, args = self._at
+        return family.d2theta(*args)
+
+    def d2theta_dot(self, v):
+        return self.d2theta() @ v
+
+
+# the second derivative of the normal kernel is f (s_a s_b + h_ab), with s the
+# score and h the Hessian of log f, and has three distinct forms: a location
+# block f (r^2 - 1) / sigma^2, a scale block f r (r^2 - 3) / sigma and the
+# log-scale f ((r^2 - 1)^2 - 2 r^2); entry (a, b) is block _BLOCK[a, b] times
+# x to the power _POWER[a, b], one power of x per slope
+_BLOCK = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 2]])
+_POWER = np.array([[0, 1, 0], [1, 2, 1], [0, 1, 0]])
+
+
+def _rows(out):
+    """The leading-axis slices of out as arrays, 0-d ones included."""
+    return [out[k, ...] for k in range(len(out))]
+
+
+class _NormalKernel:
+    """:class:`Evaluation` of :class:`NormalRegression` from one exponential:
+    sigma, the standardized residual r and the density f are kept, and the
+    derivatives are formed from them."""
+
+    def __init__(self, y, x, theta):
+        self.x = x = np.asarray(x, dtype=float)
+        self.sigma = sigma = np.exp(theta[2])
+        self.r = r = (np.asarray(y, dtype=float) - (theta[0] + theta[1] * x)) / sigma
+        self.density = np.exp(-0.5 * r * r) / (sigma * _SQRT_2PI)
+
+    @cached_property
+    def dtheta(self):
+        sigma, r, f = self.sigma, self.r, self.density
+        out = np.empty((3,) + f.shape)
+        intercept, slope, log_scale = _rows(out)
+        np.multiply(f, r / sigma, out=intercept)
+        np.multiply(intercept, self.x, out=slope)
+        np.multiply(r, r, out=log_scale)
+        log_scale -= 1.0
+        log_scale *= f
+        return out
+
+    def _blocks(self):
+        """The location, scale and log-scale blocks, stacked, (3, *s)."""
+        sigma, r, f = self.sigma, self.r, self.density
+        out = np.empty((3,) + f.shape)
+        location, scale, log_scale = _rows(out)
+        r2 = r * r
+        t = r2 - 1.0
+        np.multiply(f, t, out=location)
+        location /= sigma**2
+        np.multiply(f, r, out=scale)
+        scale *= np.subtract(r2, 3.0, out=log_scale)
+        scale /= sigma
+        t *= t
+        r2 *= 2.0
+        t -= r2
+        np.multiply(f, t, out=log_scale)
+        return out
+
+    def d2theta(self):
+        # the powers of x multiply in place: full-size temporaries would
+        # triple the allocation, which glibc then returns and faults back in
+        out = self._blocks()[_BLOCK]
+        powers = (None, self.x, self.x * self.x)
+        for (a, b), p in np.ndenumerate(_POWER):
+            if p:
+                out[a, b] *= powers[p]
+        return out
+
+    def d2theta_dot(self, v):
+        # the powers of x ride on v, so the contraction is one matmul of the
+        # blocks against [v, x v, x^2 v]; x must not vary along other axes
+        x = self.x.reshape(self.x.shape[-1:])
+        powers = np.empty((len(v), 3))
+        powers[:, 0] = v
+        np.multiply(x, v, out=powers[:, 1])
+        np.multiply(x, powers[:, 1], out=powers[:, 2])
+        return (self._blocks() @ powers)[_BLOCK, ..., _POWER]
+
+
 class NormalRegression(ConditionalDensity):
-    """y | x ~ Normal(theta0 + theta1 x, exp(2 theta2))."""
+    """y | x ~ Normal(theta0 + theta1 x, exp(2 theta2)); its density and
+    derivatives all read :meth:`evaluate`."""
 
     dim = 3
 
-    def _moments(self, y, x, theta):
-        """sigma, the standardized residual r and the density."""
-        mu = theta[0] + theta[1] * np.asarray(x, dtype=float)
-        sigma = np.exp(theta[2])
-        r = (np.asarray(y, dtype=float) - mu) / sigma
-        return sigma, r, np.exp(-0.5 * r * r) / (sigma * _SQRT_2PI)
+    def evaluate(self, y, x, theta):
+        return _NormalKernel(y, x, theta)
 
     def density(self, y, x, theta):
-        return self._moments(y, x, theta)[2]
+        return self.evaluate(y, x, theta).density
 
     def dtheta(self, y, x, theta):
-        sigma, r, f = self._moments(y, x, theta)
-        x = np.asarray(x, dtype=float)
-        score = (r / sigma, r * x / sigma, r * r - 1.0)
-        return f * np.stack(np.broadcast_arrays(*score))
+        return self.evaluate(y, x, theta).dtheta
 
     def d2theta(self, y, x, theta):
-        # f (s_a s_b + h_ab), with s the score and h the Hessian of log f,
-        # simplified: the entries are f (r^2 - 1) / sigma^2, f r (r^2 - 3) /
-        # sigma and f ((r^2 - 1)^2 - 2 r^2), times one power of x per slope
-        sigma, r, f = self._moments(y, x, theta)
-        x = np.asarray(x, dtype=float)
-        r2 = r * r
-        location = f * (r2 - 1.0) / sigma**2
-        scale = f * r * (r2 - 3.0) / sigma
-        # filled pair by pair: full-size outer-product and Hessian temporaries
-        # tripled the allocation, which glibc then returns and faults back in
-        out = np.empty((3, 3) + f.shape)
-        out[0, 0] = location
-        out[0, 1] = out[1, 0] = location * x
-        out[1, 1] = location * (x * x)
-        out[0, 2] = out[2, 0] = scale
-        out[1, 2] = out[2, 1] = scale * x
-        out[2, 2] = f * ((r2 - 1.0) ** 2 - 2.0 * r2)
-        return out
+        return self.evaluate(y, x, theta).d2theta()
 
     def outcome_interval(self, x, theta, span=8.0):
         mu = theta[0] + theta[1] * float(x)
@@ -198,11 +281,11 @@ def load_csv(path):
 
 
 class Operator:
-    """The self-consistency operator bound to (theta, F): the
-    incomplete-case density matrix is evaluated once, so that one
-    application, masses to masses, is O(n2 m) and evaluates no density.
-    The fixed-point solve, the derivative bundle and the audits all read
-    this one binding."""
+    """The self-consistency operator bound to (theta, F): the family is
+    evaluated once on the incomplete-case grid (``kernel``, whose density
+    is the matrix ``fmat``), so that one application, masses to masses, is
+    O(n2 m) and evaluates no density.  The fixed-point solve, the
+    derivative bundle and the audits all read this one binding."""
 
     def __init__(self, model, theta, F=None):
         theta = np.asarray(theta, dtype=float)
@@ -214,7 +297,9 @@ class Operator:
         self.w = w = model.resolve_weights(F)
         self.p1 = np.bincount(model.slot, w[model.complete_rows], minlength=model.n_support)
         self.nu = w[model.incomplete_rows]
-        self.fmat = self.incomplete(model.family.density)
+        self.kernel = self.incomplete(model.family.evaluate)
+        self.fmat = self.kernel.density
+        self._last = None, None, None  # the last application's (g, fy, a)
 
     def incomplete(self, f):
         """f at the incomplete-case outcomes (rows) and the support (columns)."""
@@ -231,21 +316,29 @@ class Operator:
         outcomes, and the denominator a of the operator's output p1 / a."""
         g = self.model.resolve_masses(g)
         fy = self.fmat @ g
-        if np.any(fy <= 0.0):
+        if fy.min(initial=np.inf) <= 0.0:
             # an incomplete-case outcome outside the support of the fitted
             # mixture is reported, never trimmed
             raise SupportViolation(
                 "mixture density vanished at an incomplete-case outcome"
             )
         a = 1.0 - (self.nu / fy) @ self.fmat
-        if np.any(a <= 0.0):
+        if a.min(initial=np.inf) <= 0.0:
             raise DenominatorCollapse(
                 "self-consistency denominator dropped to zero or below"
             )
         return g, fy, a
 
     def __call__(self, g):
-        return self.p1 / self.mixture(g)[2]
+        self._last = self.mixture(g)
+        return self.p1 / self._last[2]
+
+    def mixture_of(self, g):
+        """:meth:`mixture` at g: the last application's if it was to this
+        very array, as to the solve's returned iterate, else checked anew."""
+        if g is self._last[0]:
+            return self._last
+        return self.mixture(g)
 
     def cold_start(self):
         """The normalized complete-case masses, where a solve without a
@@ -258,13 +351,15 @@ class Operator:
 
 class _Workspace:
     """The derivative bundle of the bound operator at one g (see
-    :mod:`implicit_diff`), with the caches its fields and the scores share;
-    the density derivatives are evaluated on first read."""
+    :mod:`implicit_diff`), with the caches its fields and the scores share.
+    The density derivatives on the incomplete-case grid are read from the
+    operator's kernel, those at the complete records from one evaluation
+    there, each formed on first read."""
 
     def __init__(self, op, g):
         self.op, self.model, self.w = op, op.model, op.w
         self.p1, self.nu, self.fmat = op.p1, op.nu, op.fmat
-        self.g, self.fy, self.a = op.mixture(g)
+        self.g, self.fy, self.a = op.mixture_of(g)
         self.c2 = self.nu / self.fy**2
         self.adot = (self.c2 * self.fydot) @ self.fmat - (self.nu / self.fy) @ self.fdot
         self.dot_psi = -self.p1 * self.adot / self.a**2  # (d, m)
@@ -291,9 +386,9 @@ class _Workspace:
             return False
         return True
 
-    @cached_property
+    @property
     def fdot(self):
-        return self.op.incomplete(self.model.family.dtheta)
+        return self.op.kernel.dtheta
 
     @cached_property
     def fydot(self):
@@ -302,20 +397,31 @@ class _Workspace:
 
     @cached_property
     def fddot(self):
-        return self.op.incomplete(self.model.family.d2theta)
+        return self.op.kernel.d2theta()
 
     @cached_property
     def fyddot(self):
-        """Second parameter derivative of the mixture density, (d, d, n2)."""
-        return self.fddot @ self.g
+        """Second parameter derivative of the mixture density, (d, d, n2),
+        contracted with g as it is formed: no (d, d, n2, m) array."""
+        return self.op.kernel.d2theta_dot(self.g)
 
     @cached_property
-    def fc(self):
-        return self.op.complete(self.model.family.density)
+    def at_complete(self):
+        """The family's evaluation at the complete records."""
+        return self.op.complete(self.model.family.evaluate)
 
     @cached_property
-    def fdot_c(self):
-        return self.op.complete(self.model.family.dtheta)
+    def complete_case(self):
+        """The complete-record densities, their parameter scores dtheta / f
+        and the fitted masses there, the densities and masses checked
+        positive; the scores and the Jacobian share them."""
+        fc = self.at_complete.density
+        if fc.min(initial=np.inf) <= 0.0:
+            raise SupportViolation("conditional density vanished at a complete record")
+        g_at = self.g[self.model.slot]
+        if g_at.min(initial=np.inf) <= 0.0:
+            raise SupportViolation("complete-case x carries no mass")
+        return fc, self.at_complete.dtheta / fc, g_at
 
     @cached_property
     def dg_a(self):
@@ -388,25 +494,14 @@ def psi_derivatives(op, g):
     return _Workspace(op, g)
 
 
-def _complete_case(ws):
-    """Complete-record densities and fitted masses, checked positive."""
-    fc = ws.fc
-    if np.any(fc <= 0.0):
-        raise SupportViolation("conditional density vanished at a complete record")
-    g_at = ws.g[ws.model.slot]
-    if np.any(g_at <= 0.0):
-        raise SupportViolation("complete-case x carries no mass")
-    return fc, g_at
-
-
 def efficient_score(ws, eta_dot):
     """Per-record parameter score of the profiled log density, shape (n, d),
     from the derivative bundle at a fixed point and its implicit derivative."""
     model = ws.model
     out = np.zeros((model.n_records, model.theta_dim))
 
-    fc, g_at = _complete_case(ws)
-    out[model.complete_rows] = (ws.fdot_c / fc + eta_dot[:, model.slot] / g_at).T
+    _, score_c, g_at = ws.complete_case
+    out[model.complete_rows] = (score_c + eta_dot[:, model.slot] / g_at).T
 
     if len(model.incomplete_rows):
         mix_dot = eta_dot @ ws.fmat.T  # (d, n2)
@@ -427,13 +522,9 @@ def score_jacobian(point):
     ws = point.derivs
     model, w, eta_dot = ws.model, ws.w, point.eta_dot
 
-    fc, _ = _complete_case(ws)
+    fc, score_c, _ = ws.complete_case
     w_c = w[model.complete_rows]
-    score_c = ws.fdot_c / fc
-    out = (
-        ws.op.complete(model.family.d2theta) @ (w_c / fc)
-        - (score_c * w_c) @ score_c.T
-    )
+    out = ws.at_complete.d2theta_dot(w_c / fc) - (score_c * w_c) @ score_c.T
 
     if len(model.incomplete_rows):
         w_f = w[model.incomplete_rows] / ws.fy

@@ -540,6 +540,30 @@ def normalization_error(family, xs, theta, n_nodes=200, span=10.0):
     return worst
 
 
+def normal_regression_derivatives(y, x, theta):
+    """The first and second parameter derivatives of the normal regression
+    density at (y, x), (3, *s) and (3, 3, *s), each written out entry by
+    entry as the full array, independent of the kernel's shared blocks and
+    its contraction: f times the score, and f (s_a s_b + h_ab)."""
+    x = np.asarray(x, dtype=float)
+    sigma = np.exp(theta[2])
+    r = (np.asarray(y, dtype=float) - (theta[0] + theta[1] * x)) / sigma
+    f = np.exp(-0.5 * r * r) / (sigma * math.sqrt(2.0 * math.pi))
+    score = (r / sigma, r * x / sigma, r * r - 1.0)
+    dtheta = f * np.stack(np.broadcast_arrays(*score))
+    r2 = r * r
+    location = f * (r2 - 1.0) / sigma**2
+    scale = f * r * (r2 - 3.0) / sigma
+    d2theta = np.empty((3, 3) + f.shape)
+    d2theta[0, 0] = location
+    d2theta[0, 1] = d2theta[1, 0] = location * x
+    d2theta[1, 1] = location * (x * x)
+    d2theta[0, 2] = d2theta[2, 0] = scale
+    d2theta[1, 2] = d2theta[2, 1] = scale * x
+    d2theta[2, 2] = f * ((r2 - 1.0) ** 2 - 2.0 * r2)
+    return dtheta, d2theta
+
+
 def normal_fisher_information(theta, x_moment1, x_moment2):
     """Closed-form information of the normal regression family.
 

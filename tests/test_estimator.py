@@ -269,13 +269,28 @@ class TestOneBindPerPoint:
         profile.point(start + 0.01)
         assert len(binds) == 2
 
-    def test_mixture_point_evaluates_the_density_twice(self, monkeypatch):
-        # once for the bound operator's incomplete-case matrix, once at the
-        # complete records for the score
-        profile = MissingCovProfile(ex2_model(200, 3))
-        calls = count_calls(monkeypatch, NormalRegression, "density")
-        profile.point(THETA0)
-        assert len(calls) == 2
+    def test_mixture_point_evaluates_the_kernel_once_per_record_set(self, monkeypatch):
+        # one exponential of the normal kernel for the bound operator's
+        # incomplete-case grid, one at the complete records for the score,
+        # and none in the Jacobian; the family's own density methods are
+        # not called
+        model = ex2_model(200, 3)
+        profile = MissingCovProfile(model)
+        shapes = []
+        original = missing_cov._NormalKernel.__init__
+
+        def recorded(kernel, y, x, theta):
+            shapes.append(np.shape(y))
+            original(kernel, y, x, theta)
+
+        monkeypatch.setattr(missing_cov._NormalKernel, "__init__", recorded)
+        methods = [count_calls(monkeypatch, NormalRegression, name)
+                   for name in ("density", "dtheta", "d2theta")]
+        point = profile.point(THETA0)
+        assert shapes == [(len(model.incomplete_rows), 1), model.complete_rows.shape]
+        profile.jacobian(point)
+        assert len(shapes) == 2
+        assert methods == [[], [], []]
 
     def test_survival_fit_builds_no_step_function(self, monkeypatch):
         profile = prop_odds.PropOddsProfile(linear_survival_model(200, 3))

@@ -42,6 +42,7 @@ from reference import (
     MissingCovRecord,
     d2g_pairs_loop,
     log_density,
+    normal_regression_derivatives,
     normalization_error,
     psi_missing_cov_naive,
     sample_missing_cov,
@@ -104,6 +105,60 @@ class TestNormalRegression:
         assert np.abs(
             fd2.transpose(1, 0) - family.d2theta(y, x, theta)
         ).max() < 1e-6
+
+    def test_evaluation_matches_the_full_array_oracle(self, rng):
+        # away from the truth, on a (y, x) grid: dtheta, and the second
+        # derivative contracted as the fit reads it, over the support with
+        # masses and over the records (every pair of the grid) with weights
+        # over densities, each against the full array times the vector
+        family = NormalRegression()
+        theta = np.array([0.3, -0.7, 0.4])
+        y = np.linspace(-5.0, 5.0, 41)[:, None]
+        x = np.linspace(-2.0, 2.0, 9)[None, :]
+        dtheta, d2theta = normal_regression_derivatives(y, x, theta)
+        grid = family.evaluate(y, x, theta)
+        assert np.all(np.abs(grid.dtheta - dtheta) <= 1e-14 * np.abs(dtheta))
+        records = family.evaluate(*(a.ravel() for a in np.broadcast_arrays(y, x)), theta)
+        for evaluation, v, oracle in (
+            (grid, rng.dirichlet(np.ones(x.size)), d2theta),
+            (records, rng.uniform(size=y.size * x.size) / records.density,
+             d2theta.reshape(3, 3, -1)),
+        ):
+            # each entry to the rounding of its sum: relative to the sum of
+            # the terms' magnitudes
+            error = np.abs(evaluation.d2theta_dot(v) - oracle @ v)
+            assert np.all(error <= 1e-14 * (np.abs(oracle) @ np.abs(v)))
+
+
+class PlainNormal(ConditionalDensity):
+    """The normal regression family through its three methods alone, so
+    that the fit reads it through the generic :class:`Evaluation`."""
+
+    dim = 3
+    normal = NormalRegression()
+
+    def density(self, y, x, theta):
+        return self.normal.density(y, x, theta)
+
+    def dtheta(self, y, x, theta):
+        return self.normal.dtheta(y, x, theta)
+
+    def d2theta(self, y, x, theta):
+        return self.normal.d2theta(y, x, theta)
+
+
+class TestGenericEvaluation:
+    def test_plug_in_family_gives_the_kernels_point(self, missing_cov_data):
+        # the generic evaluation contracts the full second-derivative array;
+        # the normal kernel contracts its blocks: the same scores and Jacobian
+        r, y, x = missing_cov_data
+        kernel, generic = (
+            MissingCovProfile(MissingCovModel.from_arrays(r, y, x, family))
+            for family in (NormalRegression(), PlainNormal()))
+        points = [profile.point(THETA) for profile in (kernel, generic)]
+        assert type(points[1].derivs.op.kernel) is missing_cov.Evaluation
+        assert_close(points[1].scores, points[0].scores)
+        assert_close(generic.jacobian(points[1]), kernel.jacobian(points[0]))
 
 
 class TestPsiApply:
@@ -329,13 +384,47 @@ class TestOperatorOverhead:
     """The fixed-point solve, the derivative bundle and the score stay free
     of rebuilds and of second-order work."""
 
-    def test_solve_evaluates_density_matrix_once(self, missing_cov_model, monkeypatch):
+    def test_solve_evaluates_the_kernel_once(self, missing_cov_model, monkeypatch):
+        # one exponential of the normal kernel, on the incomplete-case grid
+        # when the operator is bound; the iterations evaluate none
         model = missing_cov_model
-        calls = record_calls(monkeypatch, NormalRegression, "density")
+        calls = record_calls(monkeypatch, missing_cov._NormalKernel, "__init__")
         sol = solved(model, THETA)
         assert sol.iterations > 1
-        shape = (len(model.incomplete_rows), 1)
-        assert sum(np.shape(args[1]) == shape for args in calls) == 1
+        assert [np.shape(args[1]) for args in calls] == [(len(model.incomplete_rows), 1)]
+
+    def test_bundle_reuses_the_last_application_bitwise(self, missing_cov_model,
+                                                         monkeypatch):
+        # the solve returns the iterate it applied Psi to last, so the bundle
+        # there takes (g, fy, a) from that application, and holds what a
+        # fresh binding's bundle at a copy of the masses holds
+        model = missing_cov_model
+        op = Operator(model, THETA)
+        g = solve_nuisance(op).eta
+        formed = record_calls(monkeypatch, Operator, "mixture")
+        derivs = psi_derivatives(op, g)
+        assert formed == []
+        fresh = psi_derivatives(Operator(model, THETA), g.copy())
+        assert len(formed) == 1
+        arrays = {name: value for name, value in vars(fresh).items()
+                  if isinstance(value, np.ndarray)}
+        assert {"g", "fy", "a", "c2", "adot", "dot_psi"} <= set(arrays)
+        for name, value in arrays.items():
+            assert np.array_equal(getattr(derivs, name), value), name
+        assert np.array_equal(derivs.d_eta.matrix, fresh.d_eta.matrix)
+        # at any other array the mixture is formed anew, with both checks
+        other = psi_derivatives(op, 1.5 * g)
+        assert len(formed) == 2
+        assert np.array_equal(other.fy, op.fmat @ (1.5 * g))
+        with pytest.raises(SupportViolation):
+            psi_derivatives(op, np.zeros(model.n_support))
+        # all the mass at the lowest support point: the incomplete outcomes
+        # above it are far likelier under the others than under the mixture
+        lowest = np.zeros(model.n_support)
+        lowest[0] = 1.0
+        with pytest.raises(DenominatorCollapse):
+            psi_derivatives(op, lowest)
+        assert len(formed) == 4
 
     def test_derivative_bundle_builds_one_workspace(self, missing_cov_model, monkeypatch):
         op = Operator(missing_cov_model, THETA)
@@ -346,9 +435,11 @@ class TestOperatorOverhead:
 
     def test_score_reads_no_second_derivative(self, missing_cov_model, monkeypatch):
         profile = MissingCovProfile(missing_cov_model)
-        calls = record_calls(monkeypatch, NormalRegression, "d2theta")
+        calls = [record_calls(monkeypatch, owner, name) for owner, name in (
+            (NormalRegression, "d2theta"), (missing_cov._NormalKernel, "d2theta"),
+            (missing_cov._NormalKernel, "d2theta_dot"))]
         profile.score(THETA)
-        assert calls == []
+        assert calls == [[], [], []]
 
     @pytest.mark.parametrize("read", ["jacobian", "information"])
     def test_jacobian_and_information_solve_nothing(self, missing_cov_model,
@@ -366,33 +457,41 @@ class TestOperatorOverhead:
 
     def test_complete_case_values_once_per_point(self, missing_cov_model,
                                                  monkeypatch):
-        # the score and the Jacobian at one point evaluate the density and
-        # each of its derivatives once at the complete records, and share
-        # one mixture first and second derivative between the bundle, the
-        # score and the Jacobian
+        # the score and the Jacobian at one point exponentiate the normal
+        # kernel once at the complete records and read its first and
+        # contracted second derivative there once each; the Jacobian
+        # evaluates no kernel, and the bundle, the score and the Jacobian
+        # share one mixture first and second derivative
         model = missing_cov_model
         profile = MissingCovProfile(model)
-        calls = {name: record_calls(monkeypatch, NormalRegression, name)
-                 for name in ("density", "dtheta", "d2theta")}
-        computed = {"fydot": [], "fyddot": []}
+        kernel = missing_cov._NormalKernel
+        kernels = record_calls(monkeypatch, kernel, "__init__")
+        contractions = record_calls(monkeypatch, kernel, "d2theta_dot")
+        full = record_calls(monkeypatch, kernel, "d2theta")
+        computed = {"fydot": [], "fyddot": [], "dtheta": []}
         for name, seen in computed.items():
-            cached = missing_cov._Workspace.__dict__[name]
+            owner = kernel if name == "dtheta" else missing_cov._Workspace
+            cached = owner.__dict__[name]
 
-            def counted(ws, cached=cached, seen=seen):
-                seen.append(ws)
-                return cached.func(ws)
+            def counted(instance, cached=cached, seen=seen):
+                seen.append(instance)
+                return cached.func(instance)
 
             counting = cached_property(counted)
-            counting.__set_name__(missing_cov._Workspace, name)
-            monkeypatch.setattr(missing_cov._Workspace, name, counting)
-        profile.jacobian(profile.point(THETA))
-        at_complete = {
-            name: sum(np.shape(a[1]) == model.complete_rows.shape for a in args)
-            for name, args in calls.items()
-        }
-        assert at_complete == {"density": 1, "dtheta": 1, "d2theta": 1}
+            counting.__set_name__(owner, name)
+            monkeypatch.setattr(owner, name, counting)
+        point = profile.point(THETA)
+        grid, complete = (len(model.incomplete_rows), 1), model.complete_rows.shape
+        assert [np.shape(args[1]) for args in kernels] == [grid, complete]
+        profile.jacobian(point)
+        assert len(kernels) == 2
+        # one first and one contracted second derivative per record set
+        cells = [(len(model.incomplete_rows), model.n_support), complete]
+        assert [np.shape(e.density) for e in computed["dtheta"]] == cells
+        assert sorted(np.shape(args[0].density) for args in contractions) == sorted(cells)
+        assert full == []
         assert {name: len(seen) for name, seen in computed.items()} == {
-            "fydot": 1, "fyddot": 1}
+            "fydot": 1, "fyddot": 1, "dtheta": 2}
 
 
 class TestDerivativeOperators:
@@ -715,6 +814,32 @@ class TestContinuousCovariateColdStart:
         fit = estimator.profile_mle(MissingCovProfile(model), np.array([0.0, 0.5, 0.0]),
                                     force=True)
         assert fit.score_norm < 1e-8 and np.all(np.isfinite(fit.se))
+
+
+class TestContinuousCovariateJacobian:
+    """At n = 2,000 with a continuous covariate (m = 1,576 support points),
+    the Jacobian contracts the second density derivative as it forms it."""
+
+    def test_jacobian_peak_below_the_per_cell_second_derivative(self):
+        rng = np.random.default_rng(0)
+        n = 2000
+        x = rng.standard_normal(n)
+        y = 0.5 + x + rng.standard_normal(n)
+        r = np.where(rng.uniform(size=n) < 0.2, 2.0, 1.0)
+        model = MissingCovModel.from_arrays(r, y, x, NormalRegression())
+        assert model.n_support == 1576
+        profile = MissingCovProfile(model)
+        point = profile.point(np.array([0.0, 0.5, 0.0]))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            jacobian = profile.jacobian(point)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(jacobian))
+        # below the (3, 3, n2, m) array of second derivatives alone
+        assert peak < 9 * len(model.incomplete_rows) * model.n_support * 8
 
 
 class TestOperatorAuditsAcrossSeeds:
